@@ -47,11 +47,7 @@ pub fn logical_or(bits: &[bool], method: CwMethod, pool: &ThreadPool) -> bool {
         CwMethod::Naive => run(bits, &NaiveCell, pool),
         CwMethod::Gatekeeper => run(bits, &GatekeeperCell::new(), pool),
         CwMethod::GatekeeperSkip => run(bits, &GatekeeperSkipCell::new(), pool),
-        // One round on one cell: nothing for the adaptive policy to
-        // observe, so it is its starting delegate (CAS-LT) here.
-        CwMethod::CasLt | CwMethod::CasLtPadded | CwMethod::Adaptive => {
-            run(bits, &CasLtCell::new(), pool)
-        }
+        CwMethod::CasLt | CwMethod::CasLtPadded => run(bits, &CasLtCell::new(), pool),
         CwMethod::Lock => run(bits, &LockCell::new(), pool),
     }
 }

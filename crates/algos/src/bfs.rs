@@ -285,8 +285,6 @@ fn member_slice(len: usize, threads: usize, id: usize) -> Range<usize> {
 
 /// Gatekeeper methods need their cells re-zeroed before the next round;
 /// round-rearming methods just need the barrier `converge_rounds` requires.
-/// Either way the round ends with the adaptive tuning point, a no-op for
-/// static arbiters and pools without telemetry.
 fn rearm<A: SliceArbiter>(ctx: &WorkerCtx<'_>, arb: &A, n: usize) {
     ctx.barrier();
     if !arb.rearms_on_new_round() {
@@ -294,7 +292,6 @@ fn rearm<A: SliceArbiter>(ctx: &WorkerCtx<'_>, arb: &A, n: usize) {
             arb.reset_range(i..i + 1);
         });
     }
-    ctx.tune(arb);
 }
 
 fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadPool) -> BfsResult {

@@ -177,7 +177,6 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                     flag.set();
                 }
             });
-            ctx.tune(arb);
         });
         iterations.store(c.rounds, Ordering::Relaxed);
         converged.store(u8::from(c.converged), Ordering::Relaxed);
@@ -337,7 +336,6 @@ pub fn cc_worklist_with_arbiter<A: SliceArbiter>(
             local.flush(next);
             ctx.barrier();
             wi = 1 - wi;
-            ctx.tune(arb);
         });
         ctx.master(|| {
             iterations.store(c.rounds, Ordering::Relaxed);

@@ -45,8 +45,8 @@ pub fn max_index(values: &[u64], method: CwMethod, pool: &ThreadPool) -> usize {
     ))
 }
 
-/// The kernel against an explicit arbiter — the hook benches use to
-/// instrument arbitration (e.g. wrap in [`pram_core::CountingArbiter`]).
+/// The kernel against an explicit arbiter — the hook ablation benches use
+/// to compare arbiter variants outside the [`CwMethod`] matrix.
 ///
 /// `arb` must span `values.len()` targets and be freshly armed.
 pub fn max_index_with_arbiter<A: SliceArbiter>(
@@ -152,18 +152,16 @@ mod tests {
     }
 
     #[test]
-    fn instrumented_arbiter_counts_claims() {
-        let pool = pool();
+    fn telemetry_pool_counts_claims() {
+        let pool = ThreadPool::with_config(pram_exec::PoolConfig::new(4).telemetry(true));
         let n = 64usize;
         let values: Vec<u64> = (0..n as u64).collect();
-        let arb = pram_core::CountingArbiter::new(pram_core::CasLtArray::new(n));
-        let idx = max_index_with_arbiter(&values, &arb, &pool);
-        assert_eq!(idx, n - 1);
-        let snap = arb.stats().snapshot();
-        // Every ordered pair (minus the diagonal) attempts one claim...
-        assert_eq!(snap.attempts, (n * n - n) as u64);
+        assert_eq!(max_index(&values, CwMethod::CasLt, &pool), n - 1);
+        let cw = pool.take_round_report().totals_cw;
+        // Every ordered pair (minus the diagonal) resolves one claim...
+        assert_eq!(cw.resolutions(), (n * n - n) as u64);
         // ...but only the n-1 losers are ever won.
-        assert_eq!(snap.wins, (n - 1) as u64);
+        assert_eq!(cw.wins, (n - 1) as u64);
     }
 
     #[test]

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use pram_exec::{MethodKind, ThreadPool};
-
 /// Which concurrent-write implementation a kernel uses — the independent
 /// variable of every figure in the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,30 +29,23 @@ pub enum CwMethod {
     /// Claims guarded by a per-target mutex — the critical-section
     /// baseline the paper calls "trivial but bad".
     Lock,
-    /// Contention-adaptive delegation ([`pram_core::AdaptiveArbiter`]):
-    /// starts on CAS-LT and re-chooses between the single-winner
-    /// delegates at epoch boundaries from round telemetry. Adapts only on
-    /// pools with [`pram_exec::PoolConfig::telemetry`] enabled (the
-    /// policy needs counters for evidence); elsewhere it behaves like
-    /// CAS-LT plus one predicted branch per claim.
-    Adaptive,
 }
 
 impl CwMethod {
-    /// All methods, in presentation order.
-    pub const ALL: [CwMethod; 7] = [
+    /// The kernel matrix: every distinct arbitration scheme, in
+    /// presentation order. The ablation-only variants
+    /// ([`CwMethod::GatekeeperSkip`], [`CwMethod::CasLtPadded`]) are left
+    /// out; callers that want them list them explicitly.
+    pub const ALL: [CwMethod; 4] = [
         CwMethod::Naive,
         CwMethod::Gatekeeper,
-        CwMethod::GatekeeperSkip,
         CwMethod::CasLt,
-        CwMethod::CasLtPadded,
         CwMethod::Lock,
-        CwMethod::Adaptive,
     ];
 
-    /// The static methods (everything except [`CwMethod::Adaptive`],
-    /// whose delegate can change between rounds).
-    pub const STATIC: [CwMethod; 6] = [
+    /// Every variant, including the ablation-only ones: the names
+    /// [`CwMethod::from_str`] accepts.
+    const VARIANTS: [CwMethod; 6] = [
         CwMethod::Naive,
         CwMethod::Gatekeeper,
         CwMethod::GatekeeperSkip,
@@ -67,11 +58,8 @@ impl CwMethod {
     /// CAS-LT).
     pub const PAPER: [CwMethod; 3] = [CwMethod::Naive, CwMethod::Gatekeeper, CwMethod::CasLt];
 
-    /// Whether this method *statically* needs the O(n) re-zeroing pass
-    /// between rounds (the paper's Figure 3(b) lines 34–35). `false` for
-    /// [`CwMethod::Adaptive`], whose need varies with the active delegate
-    /// — kernels consult `SliceArbiter::rearms_on_new_round` per round,
-    /// which answers dynamically.
+    /// Whether this method needs the O(n) re-zeroing pass between rounds
+    /// (the paper's Figure 3(b) lines 34–35).
     pub fn needs_reset_pass(self) -> bool {
         matches!(self, CwMethod::Gatekeeper | CwMethod::GatekeeperSkip)
     }
@@ -79,10 +67,6 @@ impl CwMethod {
     /// Whether the method elects a unique winner (everything except
     /// [`CwMethod::Naive`]). Kernels whose writes span several words are
     /// only *consistent* under single-winner methods.
-    /// [`CwMethod::Adaptive`] qualifies: its online policy only ever
-    /// chooses between single-winner delegates (naive is reachable solely
-    /// through an explicit [`pram_core::WriteProfile`] pin, which this
-    /// method-level dispatch never sets).
     pub fn single_winner(self) -> bool {
         !matches!(self, CwMethod::Naive)
     }
@@ -96,55 +80,6 @@ impl CwMethod {
             CwMethod::CasLt => "caslt",
             CwMethod::CasLtPadded => "caslt-padded",
             CwMethod::Lock => "lock",
-            CwMethod::Adaptive => "adaptive",
-        }
-    }
-
-    /// The method `pool` was configured to prefer
-    /// ([`pram_exec::PoolConfig::method`]), so one pool-level setting
-    /// selects arbitration for every kernel launched on it:
-    ///
-    /// ```
-    /// use pram_algos::{bfs, CwMethod};
-    /// use pram_exec::{MethodKind, PoolConfig, ThreadPool};
-    /// use pram_graph::{CsrGraph, GraphGen};
-    ///
-    /// let pool = ThreadPool::with_config(
-    ///     PoolConfig::new(2).telemetry(true).method(MethodKind::Adaptive),
-    /// );
-    /// let g = CsrGraph::from_edges(5, &GraphGen::path(5), true);
-    /// let r = bfs(&g, 0, CwMethod::for_pool(&pool), &pool);
-    /// assert_eq!(r.level, vec![0, 1, 2, 3, 4]);
-    /// ```
-    pub fn for_pool(pool: &ThreadPool) -> CwMethod {
-        pool.method_kind().into()
-    }
-}
-
-impl From<MethodKind> for CwMethod {
-    fn from(kind: MethodKind) -> CwMethod {
-        match kind {
-            MethodKind::Naive => CwMethod::Naive,
-            MethodKind::Gatekeeper => CwMethod::Gatekeeper,
-            MethodKind::GatekeeperSkip => CwMethod::GatekeeperSkip,
-            MethodKind::CasLt => CwMethod::CasLt,
-            MethodKind::CasLtPadded => CwMethod::CasLtPadded,
-            MethodKind::Lock => CwMethod::Lock,
-            MethodKind::Adaptive => CwMethod::Adaptive,
-        }
-    }
-}
-
-impl From<CwMethod> for MethodKind {
-    fn from(method: CwMethod) -> MethodKind {
-        match method {
-            CwMethod::Naive => MethodKind::Naive,
-            CwMethod::Gatekeeper => MethodKind::Gatekeeper,
-            CwMethod::GatekeeperSkip => MethodKind::GatekeeperSkip,
-            CwMethod::CasLt => MethodKind::CasLt,
-            CwMethod::CasLtPadded => MethodKind::CasLtPadded,
-            CwMethod::Lock => MethodKind::Lock,
-            CwMethod::Adaptive => MethodKind::Adaptive,
         }
     }
 }
@@ -161,10 +96,12 @@ pub struct UnknownMethod(pub String);
 
 impl fmt::Display for UnknownMethod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = CwMethod::VARIANTS.iter().map(|m| m.name()).collect();
         write!(
             f,
-            "unknown concurrent-write method '{}'; expected one of: naive, gatekeeper, gatekeeper-skip, caslt, caslt-padded, lock, adaptive",
-            self.0
+            "unknown concurrent-write method '{}'; expected one of: {}",
+            self.0,
+            names.join(", ")
         )
     }
 }
@@ -174,7 +111,7 @@ impl std::error::Error for UnknownMethod {}
 impl FromStr for CwMethod {
     type Err = UnknownMethod;
     fn from_str(s: &str) -> Result<CwMethod, UnknownMethod> {
-        CwMethod::ALL
+        CwMethod::VARIANTS
             .into_iter()
             .find(|m| m.name() == s)
             .ok_or_else(|| UnknownMethod(s.to_string()))
@@ -211,10 +148,6 @@ macro_rules! dispatch_method {
                 let $arb = ::pram_core::LockArray::new($len);
                 $body
             }
-            $crate::method::CwMethod::Adaptive => {
-                let $arb = ::pram_core::AdaptiveArbiter::new($len);
-                $body
-            }
         }
     }};
 }
@@ -227,13 +160,29 @@ mod tests {
 
     #[test]
     fn names_roundtrip() {
-        for m in CwMethod::ALL {
+        for m in CwMethod::VARIANTS {
             assert_eq!(m.name().parse::<CwMethod>().unwrap(), m);
             assert_eq!(m.to_string(), m.name());
         }
         assert!("bogus".parse::<CwMethod>().is_err());
         let err = "x".parse::<CwMethod>().unwrap_err();
         assert!(err.to_string().contains("unknown"));
+    }
+
+    #[test]
+    fn unknown_method_message_lists_every_parsable_name() {
+        let msg = "bogus".parse::<CwMethod>().unwrap_err().to_string();
+        for m in CwMethod::VARIANTS {
+            assert!(msg.contains(m.name()), "{msg:?} omits {m}");
+        }
+    }
+
+    #[test]
+    fn all_is_the_variants_minus_the_ablations() {
+        for m in CwMethod::VARIANTS {
+            let ablation = matches!(m, CwMethod::GatekeeperSkip | CwMethod::CasLtPadded);
+            assert_eq!(CwMethod::ALL.contains(&m), !ablation, "{m}");
+        }
     }
 
     #[test]
@@ -247,41 +196,14 @@ mod tests {
 
     #[test]
     fn single_winner_excludes_naive_only() {
-        for m in CwMethod::ALL {
+        for m in CwMethod::VARIANTS {
             assert_eq!(m.single_winner(), m != CwMethod::Naive);
         }
     }
 
     #[test]
-    fn static_is_all_minus_adaptive() {
-        assert_eq!(CwMethod::STATIC.len() + 1, CwMethod::ALL.len());
-        for m in CwMethod::STATIC {
-            assert_ne!(m, CwMethod::Adaptive);
-            assert!(CwMethod::ALL.contains(&m));
-        }
-    }
-
-    #[test]
-    fn method_kind_roundtrips() {
-        for m in CwMethod::ALL {
-            let kind: MethodKind = m.into();
-            assert_eq!(CwMethod::from(kind), m);
-            assert_eq!(kind.name(), m.name());
-        }
-    }
-
-    #[test]
-    fn for_pool_reads_pool_config() {
-        use pram_exec::PoolConfig;
-        let pool = ThreadPool::with_config(PoolConfig::new(1).method(MethodKind::Gatekeeper));
-        assert_eq!(CwMethod::for_pool(&pool), CwMethod::Gatekeeper);
-        let default_pool = ThreadPool::new(1);
-        assert_eq!(CwMethod::for_pool(&default_pool), CwMethod::CasLt);
-    }
-
-    #[test]
     fn dispatch_instantiates_each_method() {
-        for m in CwMethod::ALL {
+        for m in CwMethod::VARIANTS {
             let won = dispatch_method!(m, 3, |arb| {
                 let w = arb.try_claim(1, Round::FIRST);
                 assert_eq!(arb.len(), 3);

@@ -6,9 +6,10 @@ use pram_algos::cc::cc_with_arbiter;
 use pram_algos::max::max_index_with_arbiter;
 use pram_algos::{bfs, CwMethod};
 use pram_core::{
-    AlwaysRmwCasLtArray, CasLtArray, CasLtArray64, CountingArbiter, GatekeeperArray, LockArray,
+    AlwaysRmwCasLtArray, CasLtArray, CasLtArray64, CwCounters, GatekeeperArray, LockArray,
     PaddedCasLtArray,
 };
+use pram_exec::{PoolConfig, ThreadPool};
 
 use crate::{make_graph, ms, pool, time_median, BenchConfig, FigureResult, ScaleProfile, Series};
 
@@ -226,25 +227,31 @@ pub fn ablate_width(cfg: &BenchConfig) -> FigureResult {
     )
 }
 
+/// Claim counters of one kernel call on a fresh telemetry pool.
+fn claim_counts(threads: usize, kernel: impl FnOnce(&ThreadPool)) -> CwCounters {
+    let p = ThreadPool::with_config(PoolConfig::new(threads).telemetry(true));
+    kernel(&p);
+    p.take_round_report().totals_cw
+}
+
 /// A profiling report (not a timing): claim-level statistics of each
 /// kernel under CAS-LT, making the §6 mechanism measurable — attempts vs
 /// winning writes, i.e. how much work arbitration filters out.
 pub fn claim_statistics(cfg: &BenchConfig) -> String {
     use std::fmt::Write;
-    let p = pool(cfg.threads);
-    let mut out = String::from("== claim statistics under CAS-LT (CountingArbiter) ==\n");
+    let mut out = String::from("== claim statistics under CAS-LT (telemetry) ==\n");
 
     let n = scale_n(cfg);
     let values = max_values(n);
-    let arb = CountingArbiter::new(CasLtArray::new(n));
-    max_index_with_arbiter(&values, &arb, &p);
-    let s = arb.stats().snapshot();
+    let s = claim_counts(cfg.threads, |p| {
+        max_index_with_arbiter(&values, &CasLtArray::new(n), p);
+    });
     let _ = writeln!(
         out,
         "max (n = {n}): attempts = {}, wins = {} ({:.4}% of claims commit)",
-        s.attempts,
+        s.resolutions(),
         s.wins,
-        100.0 * s.wins as f64 / s.attempts.max(1) as f64
+        100.0 * s.wins as f64 / s.resolutions().max(1) as f64
     );
 
     let (v, e) = match cfg.scale {
@@ -252,27 +259,21 @@ pub fn claim_statistics(cfg: &BenchConfig) -> String {
         _ => (10_000, 80_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    let arb = CountingArbiter::new(CasLtArray::new(v));
-    bfs_with_arbiter(&g, 0, &arb, &p);
-    let s = arb.stats().snapshot();
-    let _ = writeln!(
-        out,
-        "bfs ({v} v, {e} e): attempts = {}, wins = {} (claim multiplicity {:.2})",
-        s.attempts,
-        s.wins,
-        s.attempts as f64 / s.wins.max(1) as f64
-    );
-
-    let arb = CountingArbiter::new(CasLtArray::new(v));
-    cc_with_arbiter(&g, &arb, &p);
-    let s = arb.stats().snapshot();
-    let _ = writeln!(
-        out,
-        "cc  ({v} v, {e} e): attempts = {}, wins = {} (claim multiplicity {:.2})",
-        s.attempts,
-        s.wins,
-        s.attempts as f64 / s.wins.max(1) as f64
-    );
+    let bfs_counts = claim_counts(cfg.threads, |p| {
+        bfs_with_arbiter(&g, 0, &CasLtArray::new(v), p);
+    });
+    let cc_counts = claim_counts(cfg.threads, |p| {
+        cc_with_arbiter(&g, &CasLtArray::new(v), p);
+    });
+    for (name, s) in [("bfs", bfs_counts), ("cc ", cc_counts)] {
+        let _ = writeln!(
+            out,
+            "{name} ({v} v, {e} e): attempts = {}, wins = {} (claim multiplicity {:.2})",
+            s.resolutions(),
+            s.wins,
+            s.resolutions() as f64 / s.wins.max(1) as f64
+        );
+    }
     out
 }
 

@@ -29,17 +29,6 @@
 //!   to the claim), which is why the passivity tests exist: instrumenting
 //!   an arbiter must never let counter state *feed back* into the claim
 //!   decision the way this cell's does.
-//! * [`BuggySwitchArbiter`] is an adaptive arbiter that changes its
-//!   delegate **mid-round** instead of at an epoch boundary: once a
-//!   win-count trigger fires it migrates per-cell claim state from the
-//!   CAS-LT words to the gatekeeper counters with a plain copy loop, then
-//!   flips the active delegate. The copy races in-flight claims — a CAS
-//!   that lands *after* its cell was migrated as "unclaimed" wins on the
-//!   old delegate while a later claimant wins the same `(cell, round)` on
-//!   the new one. This is exactly the failure mode
-//!   `pram_core::AdaptiveArbiter` avoids by switching only in the elected
-//!   member's slot of the round barrier, and the violation the
-//!   `check_adaptive` tier must be able to see.
 //!
 //! All of these route their shared state through `pram_core::sync`, so
 //! under `--cfg pram_check` every racy load and store is a scheduling
@@ -293,111 +282,6 @@ impl EarlyReleaseBarrier {
     }
 }
 
-/// An adaptive-style arbiter that switches delegate **mid-round** (see
-/// module docs): CAS-LT words and gatekeeper counters side by side, a
-/// win-count trigger, and a non-atomic state migration executed by
-/// whichever claimant trips the trigger — no barrier, no epoch boundary.
-///
-/// Sequentially (one thread running each `try_claim` to completion) the
-/// migration always observes settled claim state, so the arbiter is
-/// indistinguishable from a correct one: every claimed cell migrates as
-/// claimed, every unclaimed cell as unclaimed, and single-winner holds.
-/// The unit tests below pin that. Under concurrency a schedule can place
-/// the migration's read of a cell *between* another claimant's fast-path
-/// load and its CAS: the migrator records the cell unclaimed (gatekeeper
-/// counter 0), the in-flight CAS then wins on the CAS-LT side, and a
-/// later claimant wins the *same* `(cell, round)` through the fresh
-/// gatekeeper counter — two winners, reachable only by interleaving.
-#[derive(Debug)]
-pub struct BuggySwitchArbiter {
-    /// CAS-LT claim words (delegate 0).
-    caslt: Box<[AtomicU32]>,
-    /// Gatekeeper counters (delegate 1).
-    gate: Box<[AtomicU32]>,
-    /// 0 = CAS-LT active, 1 = gatekeeper active.
-    active: AtomicU32,
-    /// Total wins observed; reaching `switch_after` trips the migration.
-    /// Plain `std` so the trigger itself adds no scheduling points — the
-    /// seeded race lives in the migration copy loop, not the counter.
-    wins: std::sync::atomic::AtomicU32,
-    switch_after: u32,
-}
-
-impl BuggySwitchArbiter {
-    /// `len` cells, switching delegates after `switch_after` wins.
-    pub fn new(len: usize, switch_after: u32) -> BuggySwitchArbiter {
-        let mk = |_| AtomicU32::new(0);
-        BuggySwitchArbiter {
-            caslt: (0..len).map(mk).collect(),
-            gate: (0..len).map(mk).collect(),
-            active: AtomicU32::new(0),
-            wins: std::sync::atomic::AtomicU32::new(0),
-            switch_after,
-        }
-    }
-
-    /// Which delegate is active (0 = CAS-LT, 1 = gatekeeper).
-    pub fn active_delegate(&self) -> u32 {
-        self.active.load(Ordering::Relaxed)
-    }
-}
-
-impl SliceArbiter for BuggySwitchArbiter {
-    fn len(&self) -> usize {
-        self.caslt.len()
-    }
-    fn try_claim(&self, index: usize, round: Round) -> bool {
-        let won = if self.active.load(Ordering::Acquire) == 0 {
-            // CAS-LT delegate: fast-path load, then one CAS.
-            let w = &self.caslt[index];
-            let current = w.load(Ordering::Relaxed);
-            current < round.get()
-                && w.compare_exchange(current, round.get(), Ordering::Relaxed, Ordering::Relaxed)
-                    .is_ok()
-        } else {
-            // Gatekeeper delegate: first capture wins.
-            self.gate[index].fetch_add(1, Ordering::Relaxed) == 0
-        };
-        // The first `switch_after` wins all happen on the CAS-LT delegate
-        // (a gatekeeper win requires the migration to have already run),
-        // so the trigger fires exactly once, on a CAS-LT winner.
-        if won
-            && self.wins.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1 == self.switch_after
-        {
-            // BUG (intentional): migrate delegate state mid-round. A
-            // correct adaptive arbiter only switches at an epoch boundary
-            // (all claimants quiescent at a barrier); this copy loop races
-            // claims still in flight, so a cell can migrate as "unclaimed"
-            // an instant before a CAS wins it on the old delegate.
-            for (c, g) in self.caslt.iter().zip(self.gate.iter()) {
-                let claimed = c.load(Ordering::Relaxed) >= round.get();
-                g.store(u32::from(claimed), Ordering::Relaxed);
-            }
-            self.active.store(1, Ordering::Release);
-        }
-        won
-    }
-    fn reset_all(&self) {
-        for (c, g) in self.caslt.iter().zip(self.gate.iter()) {
-            c.store(0, Ordering::Relaxed);
-            g.store(0, Ordering::Relaxed);
-        }
-        self.wins.store(0, std::sync::atomic::Ordering::Relaxed);
-        self.active.store(0, Ordering::Relaxed);
-    }
-    fn reset_range(&self, range: Range<usize>) {
-        for i in range {
-            self.caslt[i].store(0, Ordering::Relaxed);
-            self.gate[i].store(0, Ordering::Relaxed);
-        }
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        // Matches its CAS-LT starting delegate; irrelevant to the seeded
-        // bug, which fires within a single round.
-        self.active.load(Ordering::Relaxed) == 0
-    }
-}
-
 /// Work-stealing chunk deques whose steal drops everything beyond the
 /// first stolen range (see module docs). Seeded explicitly rather than by
 /// static partitioning so models can force an asymmetric start (one rich
@@ -554,50 +438,6 @@ mod tests {
     fn counting_cell_rejects_other_indices() {
         let c = CountingClaimCell::new();
         SliceArbiter::try_claim(&c, 1, Round::FIRST);
-    }
-
-    // Run each thread's claim to completion, one after another — the
-    // settled-state executions under which the mid-round switcher is
-    // indistinguishable from a correct adaptive arbiter.
-
-    #[test]
-    fn switch_arbiter_sequentially_single_winner_across_the_switch() {
-        let a = BuggySwitchArbiter::new(2, 1);
-        assert_eq!(a.active_delegate(), 0);
-        // First win trips the migration; the claimed cell migrates as
-        // claimed, the fresh cell as fresh.
-        assert!(a.try_claim(0, Round::FIRST));
-        assert_eq!(a.active_delegate(), 1);
-        assert!(!a.try_claim(0, Round::FIRST), "migrated cell re-won");
-        // The untouched cell still elects exactly one winner, now through
-        // the gatekeeper delegate.
-        assert!(a.try_claim(1, Round::FIRST));
-        assert!(!a.try_claim(1, Round::FIRST));
-    }
-
-    #[test]
-    fn switch_arbiter_trigger_threshold_and_reset() {
-        let a = BuggySwitchArbiter::new(3, 2);
-        assert!(a.try_claim(0, Round::FIRST));
-        assert_eq!(a.active_delegate(), 0, "one win below threshold");
-        assert!(a.try_claim(1, Round::FIRST));
-        assert_eq!(a.active_delegate(), 1, "second win trips the switch");
-        assert!(a.try_claim(2, Round::FIRST));
-        a.reset_all();
-        assert_eq!(a.active_delegate(), 0);
-        assert!(a.try_claim(0, Round::FIRST));
-        assert!(a.rearms_on_new_round() || a.active_delegate() == 1);
-    }
-
-    #[test]
-    fn switch_arbiter_contract_surface() {
-        let a = BuggySwitchArbiter::new(2, u32::MAX);
-        assert_eq!(a.len(), 2);
-        assert!(!a.is_empty());
-        assert!(a.rearms_on_new_round(), "CAS-LT delegate re-arms");
-        assert!(a.try_claim(0, Round::FIRST));
-        a.reset_range(0..1);
-        assert!(a.try_claim(0, Round::FIRST));
     }
 
     #[test]

@@ -40,10 +40,8 @@
 //! loop's no-drop / no-duplicate coverage), and [`buggy`] provides
 //! deliberately broken implementations — a check-then-act CAS-LT, a
 //! gatekeeper that decides on a counter *read*, a dissemination barrier
-//! one signal round short, a stealer that drops part of its stolen batch,
-//! an adaptive arbiter that switches delegates mid-round instead of at an
-//! epoch boundary — that the checker must *catch*, pinning its own
-//! sensitivity.
+//! one signal round short, a stealer that drops part of its stolen batch —
+//! that the checker must *catch*, pinning its own sensitivity.
 //!
 //! The schedule policies ([`schedule`]) and the buggy arbiters compile and
 //! unit-test in every build; only the executor/explorer/models need the
@@ -69,8 +67,7 @@ pub mod models;
 pub mod sync_models;
 
 pub use buggy::{
-    BuggyCasLtArray, BuggyCasLtCell, BuggySwitchArbiter, CountingClaimCell, DroppingStealer,
-    EarlyReleaseBarrier,
+    BuggyCasLtArray, BuggyCasLtCell, CountingClaimCell, DroppingStealer, EarlyReleaseBarrier,
 };
 pub use schedule::{Chooser, DfsChooser, FixedChooser, PctChooser, RandomChooser};
 

@@ -19,10 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pram_core::sync::RegionGuard;
-use pram_core::{
-    AdaptiveArbiter, CasLtArray, ConCell, CwTelemetry, Delegate, PriorityCell, Round, ShardGuard,
-    SliceArbiter,
-};
+use pram_core::{CasLtArray, ConCell, CwTelemetry, PriorityCell, Round, ShardGuard, SliceArbiter};
 
 use crate::buggy::BuggyCasLtCell;
 
@@ -461,165 +458,6 @@ impl Model for TelemetryPassive {
         }
         self.outcomes.lock().unwrap().insert(w[0]);
         Ok(())
-    }
-}
-
-/// Per-cell single-winner over an explicit thread→cell assignment, so
-/// claims can fan out across several cells in one round — the shape that
-/// exposes a delegate switch racing claims still in flight on *other*
-/// cells (one claimant per cell behaves like an exclusive write; the
-/// interesting cells have two or more).
-///
-/// Every cell starts fresh and has at least one claimant, so each must
-/// elect **exactly one** winner: two winners is the torn-switch
-/// violation, zero is a lost claim.
-pub struct PerCellSingleWinner<A> {
-    name: String,
-    arb: A,
-    /// `cells[t]` is the cell thread `t` claims.
-    cells: Vec<usize>,
-    round: Round,
-    wins: Vec<AtomicBool>,
-}
-
-impl<A: SliceArbiter> PerCellSingleWinner<A> {
-    /// One claimant per entry of `cells`, all racing in `round`.
-    pub fn new(name: &str, arb: A, cells: Vec<usize>, round: Round) -> PerCellSingleWinner<A> {
-        assert!(cells.iter().all(|&c| c < arb.len()), "cell out of range");
-        let mut wins = Vec::with_capacity(cells.len());
-        wins.resize_with(cells.len(), || AtomicBool::new(false));
-        PerCellSingleWinner {
-            name: name.to_string(),
-            arb,
-            cells,
-            round,
-            wins,
-        }
-    }
-}
-
-impl<A: SliceArbiter> Model for PerCellSingleWinner<A> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn threads(&self) -> usize {
-        self.cells.len()
-    }
-    fn run(&self, _phase: usize, tid: usize) {
-        if self.arb.try_claim(self.cells[tid], self.round) {
-            self.wins[tid].store(true, Ordering::Relaxed);
-        }
-    }
-    fn check_final(&self) -> Result<(), String> {
-        let mut distinct: Vec<usize> = self.cells.clone();
-        distinct.sort_unstable();
-        distinct.dedup();
-        for cell in distinct {
-            let w: Vec<usize> = self
-                .cells
-                .iter()
-                .enumerate()
-                .filter(|&(t, &c)| c == cell && self.wins[t].load(Ordering::Relaxed))
-                .map(|(t, _)| t)
-                .collect();
-            if w.len() != 1 {
-                return Err(format!(
-                    "expected exactly one winner for (cell {cell}, round {}), got {}: threads {w:?}",
-                    self.round,
-                    w.len()
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The correct switch protocol: an [`AdaptiveArbiter`] changes delegate
-/// only at **epoch boundaries** (the sequential glue between phases —
-/// exactly the elected member's slot at the round barrier, where every
-/// claimant is quiescent). Three phases walk the full cycle the kernels
-/// exercise:
-///
-/// * phase 0 (round 1): both threads race cell 0 on the starting CAS-LT
-///   delegate; glue asserts one winner, then switches to the gatekeeper
-///   (which defensively re-arms its counters).
-/// * phase 1 (round 2): the race repeats on the gatekeeper; glue asserts
-///   one winner, performs the kernel's re-zero pass (the arbiter does not
-///   re-arm on a new round while the gatekeeper is active), and switches
-///   back to CAS-LT — whose cells still hold the **stale round-1 claim**,
-///   claimable again precisely because rounds strictly increase.
-/// * phase 2 (round 3): the race repeats on the stale-but-safe CAS-LT.
-///
-/// Exhausting this model proves the boundary switch loses no round and
-/// never yields two winners for the same `(cell, round)` across the
-/// old/new delegate — the soundness half of the seeded
-/// [`crate::buggy::BuggySwitchArbiter`] violation.
-pub struct EpochSwitch {
-    arb: AdaptiveArbiter,
-    wins: [Vec<AtomicBool>; 3],
-}
-
-impl EpochSwitch {
-    /// `threads` claimants per phase over a single adaptive cell.
-    pub fn new(threads: usize) -> EpochSwitch {
-        let mk = || {
-            let mut v = Vec::with_capacity(threads);
-            v.resize_with(threads, || AtomicBool::new(false));
-            v
-        };
-        EpochSwitch {
-            arb: AdaptiveArbiter::new(1),
-            wins: [mk(), mk(), mk()],
-        }
-    }
-}
-
-impl Model for EpochSwitch {
-    fn name(&self) -> &str {
-        "adaptive-epoch-switch"
-    }
-    fn threads(&self) -> usize {
-        self.wins[0].len()
-    }
-    fn phases(&self) -> usize {
-        3
-    }
-    fn run(&self, phase: usize, tid: usize) {
-        if self.arb.try_claim(0, Round::from_iteration(phase as u32)) {
-            self.wins[phase][tid].store(true, Ordering::Relaxed);
-        }
-    }
-    fn after_phase(&mut self, phase: usize) -> Result<(), String> {
-        let w = winners(&self.wins[phase]);
-        if w.len() != 1 {
-            return Err(format!(
-                "phase {phase} ({}) expected exactly one winner for (cell 0, round {}), got {}: threads {w:?}",
-                self.arb.active_delegate(),
-                phase + 1,
-                w.len()
-            ));
-        }
-        match phase {
-            0 => {
-                self.arb
-                    .force_switch(Delegate::Gatekeeper)
-                    .ok_or("switch to gatekeeper refused")?;
-            }
-            1 => {
-                // The kernel's between-round re-zero pass, then back.
-                if !self.arb.rearms_on_new_round() {
-                    self.arb.reset_range(0..1);
-                }
-                self.arb
-                    .force_switch(Delegate::CasLt)
-                    .ok_or("switch to caslt refused")?;
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-    fn check_final(&self) -> Result<(), String> {
-        Ok(()) // per-phase checks already ran in after_phase
     }
 }
 

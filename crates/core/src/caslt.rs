@@ -128,20 +128,6 @@ impl CasLtCell {
     pub fn reset_shared(&self) {
         self.last_round_updated.store(0, Ordering::Relaxed);
     }
-
-    /// Raw fast-path load (used by the instrumented claim in `stats`).
-    #[inline]
-    pub(crate) fn load_raw(&self) -> u32 {
-        self.last_round_updated.load(Ordering::Relaxed)
-    }
-
-    /// Raw claim CAS (used by the instrumented claim in `stats`).
-    #[inline]
-    pub(crate) fn cas_raw(&self, current: u32, new: u32) -> bool {
-        self.last_round_updated
-            .compare_exchange(current, new, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
-    }
 }
 
 impl Arbiter for CasLtCell {

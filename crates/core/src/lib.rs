@@ -79,7 +79,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive;
 pub mod bitmap;
 pub mod caslt;
 pub mod gatekeeper;
@@ -94,7 +93,6 @@ pub mod sync;
 pub mod telemetry;
 pub mod traits;
 
-pub use adaptive::{AdaptiveArbiter, AdaptivePolicy, Delegate, SwitchDecision, WriteProfile};
 pub use bitmap::{AtomicBitmap, BitGatekeeperArray};
 pub use caslt::{
     AlwaysRmwCasLtArray, CasLtArray, CasLtArray64, CasLtCell, CasLtCell64, PaddedCasLtArray,
@@ -105,7 +103,7 @@ pub use naive::{NaiveArbiter, NaiveCell};
 pub use payload::{ConCell, ConVec};
 pub use priority::{PriorityArray, PriorityCell};
 pub use round::{Round, RoundCounter, RoundOverflow};
-pub use stats::{CountingArbiter, CwStats, CwStatsSnapshot, ExecStats, ExecWorkerSnapshot};
+pub use stats::ExecStats;
 pub use telemetry::{
     CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot, ShardGuard, TelemetryShard,
 };

@@ -1,179 +1,24 @@
-//! Contention statistics for arbitration schemes.
+//! Execution-substrate counters: barrier waits and loop-scheduling
+//! grab/steal traffic, recorded per worker.
 //!
-//! The paper's performance argument is mechanistic: CAS-LT wins because
-//! late arrivals *skip the atomic entirely*, while the gatekeeper method
-//! funnels every claim through an RMW. [`CwStats`] makes the mechanism
-//! observable — kernels and benches can report how many claims took the
-//! fast path, how many CASes were issued, and how often they failed —
-//! turning the §6 asymptotic story into measured counts.
-//!
-//! Counters are `Relaxed` atomics shared by all threads; collection
-//! perturbs the measured code (extra cache traffic on the counter lines),
-//! so benchmarks gather stats in separate profiling runs, never inside
-//! timed sections.
+//! Where [`crate::CwCounters`] attributes *arbitration* cost (fast path vs
+//! RMW), [`ExecStats`] attributes *runtime* cost: how often each worker hit
+//! a barrier, how long it waited there, and how its loop iterations were
+//! acquired (owned grabs vs steals). Snapshots are plain
+//! [`ExecCounters`], the value type round reports carry.
 
-use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam_utils::CachePadded;
 
-use crate::caslt::CasLtCell;
-use crate::round::Round;
-use crate::traits::SliceArbiter;
+use crate::telemetry::ExecCounters;
 
-/// Shared contention counters.
+/// Per-worker execution-substrate counters.
 ///
-/// All increments are `Relaxed`: the counts are statistics, not
-/// synchronization. Each counter sits on its own cache line to keep the
-/// instrumentation from serializing the threads it observes.
-#[derive(Debug, Default)]
-pub struct CwStats {
-    /// Total claim attempts.
-    attempts: CachePadded<AtomicU64>,
-    /// Claims that returned `true`.
-    wins: CachePadded<AtomicU64>,
-    /// CAS-LT only: claims resolved by the pre-CAS load ("already claimed,
-    /// skip the atomic") — the fast path that is the paper's headline.
-    fast_skips: CachePadded<AtomicU64>,
-    /// Atomic RMW instructions actually issued.
-    rmw_issued: CachePadded<AtomicU64>,
-    /// RMWs that lost (CAS failed / fetch-add observed nonzero).
-    rmw_lost: CachePadded<AtomicU64>,
-}
-
-impl CwStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> CwStats {
-        CwStats::default()
-    }
-
-    #[inline]
-    pub(crate) fn record_attempt(&self) {
-        self.attempts.fetch_add(1, Ordering::Relaxed);
-    }
-    #[inline]
-    pub(crate) fn record_win(&self) {
-        self.wins.fetch_add(1, Ordering::Relaxed);
-    }
-    #[inline]
-    pub(crate) fn record_fast_skip(&self) {
-        self.fast_skips.fetch_add(1, Ordering::Relaxed);
-    }
-    #[inline]
-    pub(crate) fn record_rmw(&self, lost: bool) {
-        self.rmw_issued.fetch_add(1, Ordering::Relaxed);
-        if lost {
-            self.rmw_lost.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// A consistent-enough copy of the counters (exact when quiescent).
-    pub fn snapshot(&self) -> CwStatsSnapshot {
-        CwStatsSnapshot {
-            attempts: self.attempts.load(Ordering::Relaxed),
-            wins: self.wins.load(Ordering::Relaxed),
-            fast_skips: self.fast_skips.load(Ordering::Relaxed),
-            rmw_issued: self.rmw_issued.load(Ordering::Relaxed),
-            rmw_lost: self.rmw_lost.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zero all counters (quiescent periods only).
-    pub fn reset(&self) {
-        self.attempts.store(0, Ordering::Relaxed);
-        self.wins.store(0, Ordering::Relaxed);
-        self.fast_skips.store(0, Ordering::Relaxed);
-        self.rmw_issued.store(0, Ordering::Relaxed);
-        self.rmw_lost.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Point-in-time counter values; see [`CwStats::snapshot`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CwStatsSnapshot {
-    /// Total claim attempts.
-    pub attempts: u64,
-    /// Claims that won.
-    pub wins: u64,
-    /// Claims resolved by the CAS-LT fast path (atomic skipped).
-    pub fast_skips: u64,
-    /// Atomic RMWs issued.
-    pub rmw_issued: u64,
-    /// RMWs that lost.
-    pub rmw_lost: u64,
-}
-
-impl CwStatsSnapshot {
-    /// Fraction of attempts that skipped the atomic, in `[0, 1]`.
-    pub fn fast_path_ratio(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.fast_skips as f64 / self.attempts as f64
-        }
-    }
-
-    /// Atomic RMWs per claim attempt — 1.0 for the gatekeeper method by
-    /// construction; well below 1.0 for CAS-LT under contention.
-    pub fn rmw_per_attempt(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.rmw_issued as f64 / self.attempts as f64
-        }
-    }
-}
-
-impl fmt::Display for CwStatsSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "attempts={} wins={} fast_skips={} rmw={} rmw_lost={} (fast-path {:.1}%, rmw/claim {:.3})",
-            self.attempts,
-            self.wins,
-            self.fast_skips,
-            self.rmw_issued,
-            self.rmw_lost,
-            self.fast_path_ratio() * 100.0,
-            self.rmw_per_attempt()
-        )
-    }
-}
-
-impl CasLtCell {
-    /// [`CasLtCell::try_claim`] with per-path accounting into `stats`.
-    ///
-    /// Functionally identical to the uninstrumented claim; used by
-    /// profiling runs to measure the fast-path ratio.
-    #[inline]
-    pub fn try_claim_instrumented(&self, round: Round, stats: &CwStats) -> bool {
-        stats.record_attempt();
-        let current = self.load_raw();
-        if current >= round.get() {
-            stats.record_fast_skip();
-            return false;
-        }
-        let won = self.cas_raw(current, round.get());
-        stats.record_rmw(!won);
-        if won {
-            stats.record_win();
-        }
-        won
-    }
-}
-
-/// Per-worker execution-substrate counters: barrier waits and
-/// loop-scheduling grab/steal traffic.
-///
-/// Where [`CwStats`] attributes *arbitration* cost (fast path vs RMW),
-/// `ExecStats` attributes *runtime* cost: how often each worker hit a
-/// barrier, how long it waited there, and how its loop iterations were
-/// acquired (owned grabs vs steals). The scaling benches use it to split
-/// wall time into synchronization vs work — the difference between a
-/// barrier-bound regime (high-diameter graphs: thousands of rounds, tiny
-/// frontiers) and a work-bound one (skewed graphs: few rounds, heavy
-/// frontiers).
+/// The scaling benches use them to split wall time into synchronization
+/// vs work — the difference between a barrier-bound regime (high-diameter
+/// graphs: thousands of rounds, tiny frontiers) and a work-bound one
+/// (skewed graphs: few rounds, heavy frontiers).
 ///
 /// Every counter is a `Relaxed` atomic on its own cache line, and each
 /// worker only increments its own slot, so collection never serializes the
@@ -204,11 +49,6 @@ impl ExecStats {
         }
     }
 
-    /// Team size the counters were built for.
-    pub fn threads(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Record one barrier rendezvous by worker `tid`, including the time
     /// it spent waiting (nanoseconds).
     #[inline]
@@ -236,10 +76,11 @@ impl ExecStats {
         }
     }
 
-    /// A consistent-enough copy of one worker's counters.
-    pub fn worker_snapshot(&self, tid: usize) -> ExecWorkerSnapshot {
+    /// A consistent-enough copy of one worker's counters (exact when the
+    /// team is quiescent).
+    pub fn worker_snapshot(&self, tid: usize) -> ExecCounters {
         let w = &self.workers[tid];
-        ExecWorkerSnapshot {
+        ExecCounters {
             barrier_waits: w.barrier_waits.load(Ordering::Relaxed),
             barrier_wait_ns: w.barrier_wait_ns.load(Ordering::Relaxed),
             grabs: w.grabs.load(Ordering::Relaxed),
@@ -249,213 +90,22 @@ impl ExecStats {
     }
 
     /// Sum of all workers' counters.
-    pub fn total_snapshot(&self) -> ExecWorkerSnapshot {
-        let mut total = ExecWorkerSnapshot::default();
-        for tid in 0..self.threads() {
-            let s = self.worker_snapshot(tid);
-            total.barrier_waits += s.barrier_waits;
-            total.barrier_wait_ns += s.barrier_wait_ns;
-            total.grabs += s.grabs;
-            total.steal_attempts += s.steal_attempts;
-            total.steals += s.steals;
+    pub fn totals(&self) -> ExecCounters {
+        let mut total = ExecCounters::default();
+        for tid in 0..self.workers.len() {
+            total.add(&self.worker_snapshot(tid));
         }
         total
-    }
-
-    /// Zero all counters (quiescent periods only).
-    pub fn reset(&self) {
-        for w in self.workers.iter() {
-            w.barrier_waits.store(0, Ordering::Relaxed);
-            w.barrier_wait_ns.store(0, Ordering::Relaxed);
-            w.grabs.store(0, Ordering::Relaxed);
-            w.steal_attempts.store(0, Ordering::Relaxed);
-            w.steals.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Point-in-time values of one worker's (or the whole team's summed)
-/// execution counters; see [`ExecStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ExecWorkerSnapshot {
-    /// Barrier rendezvous completed.
-    pub barrier_waits: u64,
-    /// Nanoseconds spent waiting at barriers.
-    pub barrier_wait_ns: u64,
-    /// Loop chunks acquired from the worker's own share.
-    pub grabs: u64,
-    /// Steal attempts made after the own share drained.
-    pub steal_attempts: u64,
-    /// Steal attempts that took a chunk from a victim.
-    pub steals: u64,
-}
-
-impl ExecWorkerSnapshot {
-    /// Fraction of acquired chunks that were stolen, in `[0, 1]`.
-    pub fn steal_ratio(&self) -> f64 {
-        let total = self.grabs + self.steals;
-        if total == 0 {
-            0.0
-        } else {
-            self.steals as f64 / total as f64
-        }
-    }
-}
-
-impl fmt::Display for ExecWorkerSnapshot {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "barrier_waits={} barrier_wait_ms={:.3} grabs={} steal_attempts={} steals={} \
-             (steal ratio {:.1}%)",
-            self.barrier_waits,
-            self.barrier_wait_ns as f64 / 1e6,
-            self.grabs,
-            self.steal_attempts,
-            self.steals,
-            self.steal_ratio() * 100.0
-        )
-    }
-}
-
-/// Wraps any [`SliceArbiter`], counting attempts and wins.
-///
-/// Scheme-agnostic (it cannot see inside the wrapped arbiter, so fast-path
-/// and RMW counts stay zero here — use
-/// [`CasLtCell::try_claim_instrumented`] for those); useful to compare win
-/// rates and claim multiplicities across methods with identical kernels.
-#[derive(Debug)]
-pub struct CountingArbiter<A> {
-    inner: A,
-    stats: CwStats,
-}
-
-impl<A: SliceArbiter> CountingArbiter<A> {
-    /// Wrap `inner` with fresh counters.
-    pub fn new(inner: A) -> CountingArbiter<A> {
-        CountingArbiter {
-            inner,
-            stats: CwStats::new(),
-        }
-    }
-
-    /// The counters.
-    pub fn stats(&self) -> &CwStats {
-        &self.stats
-    }
-
-    /// Unwrap.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-}
-
-impl<A: SliceArbiter> SliceArbiter for CountingArbiter<A> {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    #[inline]
-    fn try_claim(&self, index: usize, round: Round) -> bool {
-        self.stats.record_attempt();
-        let won = self.inner.try_claim(index, round);
-        if won {
-            self.stats.record_win();
-        }
-        won
-    }
-    fn reset_all(&self) {
-        self.inner.reset_all();
-    }
-    fn reset_range(&self, range: Range<usize>) {
-        self.inner.reset_range(range);
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        self.inner.rearms_on_new_round()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::caslt::CasLtArray;
-    use crate::gatekeeper::GatekeeperArray;
-
-    fn r(i: u32) -> Round {
-        Round::from_iteration(i)
-    }
-
-    #[test]
-    fn instrumented_claim_counts_paths() {
-        let c = CasLtCell::new();
-        let s = CwStats::new();
-        assert!(c.try_claim_instrumented(r(0), &s)); // CAS win
-        assert!(!c.try_claim_instrumented(r(0), &s)); // fast skip
-        assert!(!c.try_claim_instrumented(r(0), &s)); // fast skip
-        let snap = s.snapshot();
-        assert_eq!(snap.attempts, 3);
-        assert_eq!(snap.wins, 1);
-        assert_eq!(snap.fast_skips, 2);
-        assert_eq!(snap.rmw_issued, 1);
-        assert_eq!(snap.rmw_lost, 0);
-        assert!((snap.fast_path_ratio() - 2.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn counting_wrapper_counts_any_scheme() {
-        let a = CountingArbiter::new(GatekeeperArray::new(2));
-        assert!(a.try_claim(0, r(0)));
-        assert!(!a.try_claim(0, r(0)));
-        assert!(a.try_claim(1, r(0)));
-        let snap = a.stats().snapshot();
-        assert_eq!(snap.attempts, 3);
-        assert_eq!(snap.wins, 2);
-        assert_eq!(snap.rmw_issued, 0); // wrapper can't see inside
-        a.reset_all();
-        assert!(a.try_claim(0, r(0)));
-    }
-
-    #[test]
-    fn gatekeeper_issues_rmw_per_attempt_caslt_does_not() {
-        // The mechanistic claim of the paper, as counted numbers: hammer
-        // one cell with k sequential losing claims.
-        let k: u16 = 1000;
-        let caslt = CasLtCell::new();
-        let s = CwStats::new();
-        for i in 0..=k {
-            caslt.try_claim_instrumented(r(0), &s);
-            let _ = i;
-        }
-        let snap = s.snapshot();
-        assert_eq!(snap.rmw_issued, 1, "CAS-LT: one RMW total");
-        assert_eq!(snap.fast_skips, u64::from(k));
-
-        let gate = CountingArbiter::new(GatekeeperArray::new(1));
-        for _ in 0..=k {
-            gate.try_claim(0, r(0));
-        }
-        // The wrapper can't count RMWs, but the gatekeeper's own counter
-        // proves one RMW per attempt:
-        assert_eq!(gate.into_inner().cells()[0].count(), u32::from(k) + 1);
-    }
-
-    #[test]
-    fn snapshot_reset_and_display() {
-        let c = CasLtCell::new();
-        let s = CwStats::new();
-        c.try_claim_instrumented(r(0), &s);
-        s.reset();
-        let snap = s.snapshot();
-        assert_eq!(snap, CwStatsSnapshot::default());
-        assert_eq!(snap.fast_path_ratio(), 0.0);
-        assert_eq!(snap.rmw_per_attempt(), 0.0);
-        let txt = format!("{}", s.snapshot());
-        assert!(txt.contains("attempts=0"));
-    }
 
     #[test]
     fn exec_stats_per_worker_and_totals() {
         let s = ExecStats::new(2);
-        assert_eq!(s.threads(), 2);
         s.record_barrier_wait(0, 1_000);
         s.record_barrier_wait(0, 500);
         s.record_grab(0);
@@ -468,34 +118,10 @@ mod tests {
         let w1 = s.worker_snapshot(1);
         assert_eq!(w1.steal_attempts, 2);
         assert_eq!(w1.steals, 1);
-        let total = s.total_snapshot();
+        let total = s.totals();
         assert_eq!(total.barrier_waits, 2);
         assert_eq!(total.grabs, 1);
         assert_eq!(total.steals, 1);
         assert!((total.steal_ratio() - 0.5).abs() < 1e-9);
-        let txt = format!("{total}");
-        assert!(txt.contains("steals=1"));
-        s.reset();
-        assert_eq!(s.total_snapshot(), ExecWorkerSnapshot::default());
-        assert_eq!(ExecWorkerSnapshot::default().steal_ratio(), 0.0);
-    }
-
-    #[test]
-    fn contended_instrumented_totals_are_consistent() {
-        let cells = CasLtArray::new(8);
-        let s = CwStats::new();
-        std::thread::scope(|sc| {
-            for _ in 0..4 {
-                sc.spawn(|| {
-                    for i in 0..cells.len() {
-                        cells.cells()[i].try_claim_instrumented(r(0), &s);
-                    }
-                });
-            }
-        });
-        let snap = s.snapshot();
-        assert_eq!(snap.attempts, 32);
-        assert_eq!(snap.wins, 8); // one per cell
-        assert_eq!(snap.attempts, snap.wins + snap.fast_skips + snap.rmw_lost);
     }
 }

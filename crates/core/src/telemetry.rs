@@ -4,9 +4,8 @@
 //! The paper's performance argument is mechanistic — CAS-LT wins because
 //! most competitors take a contention-free read-only fast path and skip
 //! both the atomic and the write, while the gatekeeper funnels *every*
-//! claim through an RMW. [`crate::stats`] made that observable for
-//! explicitly instrumented call sites; this module makes it observable for
-//! the real kernels, per round, with zero cost when disabled:
+//! claim through an RMW. This module makes that observable for the real
+//! kernels, per round, with zero cost when disabled:
 //!
 //! * **Recording** ([`CwTelemetry`] / [`TelemetryShard`] / [`ShardGuard`]):
 //!   one cache-padded shard of counters per worker. A worker installs its
@@ -38,8 +37,6 @@
 //! available so downstream code compiles identically either way.
 
 use std::fmt;
-
-use crate::stats::ExecWorkerSnapshot;
 
 // ---------------------------------------------------------------------------
 // Counter value types (always compiled; plain data, no atomics)
@@ -209,18 +206,6 @@ impl ExecCounters {
             grabs: self.grabs.saturating_sub(baseline.grabs),
             steal_attempts: self.steal_attempts.saturating_sub(baseline.steal_attempts),
             steals: self.steals.saturating_sub(baseline.steals),
-        }
-    }
-}
-
-impl From<ExecWorkerSnapshot> for ExecCounters {
-    fn from(s: ExecWorkerSnapshot) -> ExecCounters {
-        ExecCounters {
-            barrier_waits: s.barrier_waits,
-            barrier_wait_ns: s.barrier_wait_ns,
-            grabs: s.grabs,
-            steal_attempts: s.steal_attempts,
-            steals: s.steals,
         }
     }
 }
@@ -1148,20 +1133,6 @@ mod tests {
         assert_eq!(e.grabs, 6);
         assert_eq!(e.delta_since(&e0), e0);
         assert_eq!(ExecCounters::default().steal_ratio(), 0.0);
-    }
-
-    #[test]
-    fn exec_counters_from_snapshot() {
-        let s = ExecWorkerSnapshot {
-            barrier_waits: 1,
-            barrier_wait_ns: 2,
-            grabs: 3,
-            steal_attempts: 4,
-            steals: 5,
-        };
-        let e = ExecCounters::from(s);
-        assert_eq!(e.barrier_waits, 1);
-        assert_eq!(e.steals, 5);
     }
 
     #[test]

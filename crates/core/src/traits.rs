@@ -5,9 +5,7 @@
 //! are written once against [`Arbiter`] / [`SliceArbiter`] and instantiated
 //! with whichever scheme is being measured.
 
-use crate::adaptive::SwitchDecision;
 use crate::round::Round;
-use crate::telemetry::CwCounters;
 
 /// A single concurrent-write target's arbitration state.
 ///
@@ -82,25 +80,6 @@ pub trait SliceArbiter: Sync {
 
     /// Whether a new round re-arms all targets without a reset pass.
     fn rearms_on_new_round(&self) -> bool;
-
-    /// Whether this family wants epoch-boundary tuning callbacks
-    /// ([`SliceArbiter::epoch_boundary`]). `false` for every static
-    /// scheme; `true` for [`crate::AdaptiveArbiter`] unless its profile
-    /// pins a delegate. Execution substrates use this to skip the tuning
-    /// rendezvous entirely for non-adaptive arbiters.
-    fn adapts(&self) -> bool {
-        false
-    }
-
-    /// Epoch-boundary tuning hook: observe the run's **cumulative** claim
-    /// counters and possibly switch strategy, returning the committed
-    /// switch. Must be called by exactly one thread while every claiming
-    /// thread is quiescent (a barrier's elected-member slot), and only
-    /// between rounds. Default: static schemes observe nothing and never
-    /// switch.
-    fn epoch_boundary(&self, _totals: &CwCounters) -> Option<SwitchDecision> {
-        None
-    }
 }
 
 /// Claim several targets of one family for the same round, all-or-nothing

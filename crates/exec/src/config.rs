@@ -46,59 +46,6 @@ pub enum BarrierKind {
     Dissemination,
 }
 
-/// The pool's preferred concurrent-write method, advisory metadata that
-/// kernels read back via [`crate::ThreadPool::method_kind`] (typically
-/// through `pram_algos::CwMethod::for_pool`) so one configuration point
-/// selects arbitration for every kernel launched on the pool.
-///
-/// The substrate itself never instantiates arbiters — kernels do — so
-/// this enum mirrors the kernel-level method names without depending on
-/// them. [`MethodKind::Adaptive`] selects the telemetry-driven
-/// `pram_core::AdaptiveArbiter`; for its online switching to have data,
-/// enable [`PoolConfig::telemetry`] (without it the adaptive arbiter
-/// stays on its starting delegate).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum MethodKind {
-    /// Unarbitrated stores (sound only for single-word common writes).
-    Naive,
-    /// Fetch-and-add gatekeeper.
-    Gatekeeper,
-    /// Gatekeeper with the load-first skip mitigation.
-    GatekeeperSkip,
-    /// CAS-if-less-than round claims (the paper's method).
-    #[default]
-    CasLt,
-    /// CAS-LT with one cache line per claim word.
-    CasLtPadded,
-    /// Per-target mutex baseline.
-    Lock,
-    /// Contention-adaptive delegation driven by round telemetry, with
-    /// switch decisions made in the elected member's slot of the tuning
-    /// rendezvous ([`crate::WorkerCtx::tune`]).
-    Adaptive,
-}
-
-impl MethodKind {
-    /// Stable short name (matches the kernel-level method names).
-    pub fn name(self) -> &'static str {
-        match self {
-            MethodKind::Naive => "naive",
-            MethodKind::Gatekeeper => "gatekeeper",
-            MethodKind::GatekeeperSkip => "gatekeeper-skip",
-            MethodKind::CasLt => "caslt",
-            MethodKind::CasLtPadded => "caslt-padded",
-            MethodKind::Lock => "lock",
-            MethodKind::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::fmt::Display for MethodKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 /// Configuration for [`crate::ThreadPool`].
 #[derive(Debug, Clone)]
 pub struct PoolConfig {
@@ -115,22 +62,17 @@ pub struct PoolConfig {
     /// [`crate::WorkerCtx::irregular_schedule`]) distribute chunks:
     /// shared-cursor dynamic or per-worker work stealing.
     pub irregular: ScheduleKind,
-    /// Collect per-worker [`pram_core::ExecStats`] (barrier waits,
-    /// grab/steal counts). Off by default: recording costs one branch on
-    /// the hot paths when disabled, atomic increments when enabled.
-    pub collect_stats: bool,
-    /// Collect per-round concurrent-write telemetry
-    /// ([`pram_core::CwTelemetry`]): each worker records its claim
-    /// outcomes into a cache-padded shard, and
-    /// [`crate::WorkerCtx::converge_rounds`] snapshots the merged counters
-    /// at every round's closing barrier into a
-    /// [`pram_core::RoundReport`]. Implies `collect_stats`. Off by
-    /// default; no effect when the `telemetry` feature is disabled.
+    /// Collect telemetry: per-worker execution counters
+    /// ([`pram_core::ExecStats`]: barrier waits, grab/steal counts) and
+    /// per-round concurrent-write counters ([`pram_core::CwTelemetry`]):
+    /// each worker records its claim outcomes into a cache-padded shard,
+    /// and [`crate::WorkerCtx::converge_rounds`] snapshots the merged
+    /// counters at every round's closing barrier into a
+    /// [`pram_core::RoundReport`]. Off by default: recording costs one
+    /// branch on the hot paths when disabled. The claim counters stay
+    /// zero when the `telemetry` feature is disabled; the execution
+    /// counters do not depend on the feature.
     pub telemetry: bool,
-    /// Preferred concurrent-write method for kernels launched on this
-    /// pool (advisory; see [`MethodKind`]). Defaults to
-    /// [`MethodKind::CasLt`], the paper's overall winner.
-    pub method: MethodKind,
 }
 
 impl PoolConfig {
@@ -166,28 +108,16 @@ impl PoolConfig {
         self
     }
 
-    /// Enable or disable per-worker execution statistics.
-    pub fn collect_stats(mut self, on: bool) -> PoolConfig {
-        self.collect_stats = on;
-        self
-    }
-
-    /// Enable or disable per-round concurrent-write telemetry.
+    /// Enable or disable telemetry (execution and claim counters).
     pub fn telemetry(mut self, on: bool) -> PoolConfig {
         self.telemetry = on;
-        self
-    }
-
-    /// Override the pool's preferred concurrent-write method.
-    pub fn method(mut self, kind: MethodKind) -> PoolConfig {
-        self.method = kind;
         self
     }
 }
 
 impl Default for PoolConfig {
     /// One thread per available core, passive waiting, central barrier,
-    /// dynamic irregular loops, no stats.
+    /// dynamic irregular loops, no telemetry.
     fn default() -> PoolConfig {
         PoolConfig {
             threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
@@ -195,9 +125,7 @@ impl Default for PoolConfig {
             spin_before_yield: 128,
             barrier: BarrierKind::Central,
             irregular: ScheduleKind::Dynamic,
-            collect_stats: false,
             telemetry: false,
-            method: MethodKind::CasLt,
         }
     }
 }
@@ -213,16 +141,12 @@ mod tests {
             .spin_before_yield(5)
             .barrier(BarrierKind::Dissemination)
             .irregular(ScheduleKind::Stealing)
-            .collect_stats(true)
-            .telemetry(true)
-            .method(MethodKind::Adaptive);
+            .telemetry(true);
         assert_eq!(c.threads, 7);
-        assert_eq!(c.method, MethodKind::Adaptive);
         assert_eq!(c.wait_policy, WaitPolicy::Active);
         assert_eq!(c.spin_before_yield, 5);
         assert_eq!(c.barrier, BarrierKind::Dissemination);
         assert_eq!(c.irregular, ScheduleKind::Stealing);
-        assert!(c.collect_stats);
         assert!(c.telemetry);
     }
 
@@ -233,26 +157,6 @@ mod tests {
         assert_eq!(c.wait_policy, WaitPolicy::Passive);
         assert_eq!(c.barrier, BarrierKind::Central);
         assert_eq!(c.irregular, ScheduleKind::Dynamic);
-        assert!(!c.collect_stats);
         assert!(!c.telemetry);
-        assert_eq!(c.method, MethodKind::CasLt);
-    }
-
-    #[test]
-    fn method_kind_names_are_stable() {
-        let all = [
-            MethodKind::Naive,
-            MethodKind::Gatekeeper,
-            MethodKind::GatekeeperSkip,
-            MethodKind::CasLt,
-            MethodKind::CasLtPadded,
-            MethodKind::Lock,
-            MethodKind::Adaptive,
-        ];
-        for kind in all {
-            assert!(!kind.name().is_empty());
-            assert_eq!(kind.to_string(), kind.name());
-        }
-        assert_eq!(MethodKind::default(), MethodKind::CasLt);
     }
 }

@@ -71,7 +71,7 @@ pub mod schedule;
 pub mod steal;
 
 pub use barrier::{DisseminationBarrier, SpinBarrier, TeamBarrier, WaitBackoff};
-pub use config::{BarrierKind, MethodKind, PoolConfig, WaitPolicy};
+pub use config::{BarrierKind, PoolConfig, WaitPolicy};
 // Telemetry vocabulary re-exported so pool users need not depend on
 // pram-core directly for reports.
 pub use frontier::{FrontierBuffer, LocalBuffer};

@@ -27,12 +27,11 @@ use std::thread::JoinHandle;
 use crossbeam_utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 use pram_core::{
-    CwCounters, CwTelemetry, ExecCounters, ExecStats, Round, RoundReport, RoundSnapshot,
-    ShardGuard, SliceArbiter,
+    CwCounters, CwTelemetry, ExecCounters, ExecStats, Round, RoundReport, RoundSnapshot, ShardGuard,
 };
 
 use crate::barrier::TeamBarrier;
-use crate::config::{MethodKind, PoolConfig};
+use crate::config::PoolConfig;
 use crate::frontier::FrontierBuffer;
 use crate::schedule::{guided_grab, static_block, static_chunks, Schedule, ScheduleKind};
 use crate::steal::StealQueues;
@@ -82,8 +81,8 @@ struct PoolShared {
     /// Pool-wide preference for irregular loops
     /// (`WorkerCtx::irregular_schedule`).
     irregular: ScheduleKind,
-    /// Per-worker execution counters, when `PoolConfig::collect_stats`
-    /// (or `PoolConfig::telemetry`, which folds them into round reports).
+    /// Per-worker execution counters, when `PoolConfig::telemetry`;
+    /// folded into round reports.
     stats: Option<ExecStats>,
     /// Sharded concurrent-write counters, when `PoolConfig::telemetry`.
     /// Each team member routes its claim telemetry into shard
@@ -97,14 +96,6 @@ struct PoolShared {
     /// ([`WorkerCtx::annotate_round`]); taken by the member-0 snapshot at
     /// the round's closing barrier.
     round_label: Mutex<Option<&'static str>>,
-    /// Adaptive-arbitration switch decisions made during the round in
-    /// flight ([`WorkerCtx::tune`]); appended to the round's label at the
-    /// member-0 snapshot, exposing the decision trace through
-    /// [`RoundReport`] with no schema change.
-    switch_note: Mutex<Option<String>>,
-    /// The pool's preferred concurrent-write method
-    /// ([`PoolConfig::method`]), advisory metadata for kernels.
-    method: MethodKind,
     /// Monotone id handed to each `converge_rounds` invocation, grouping
     /// its rounds in the report ("epoch" = one kernel run).
     epoch: AtomicU32,
@@ -172,13 +163,10 @@ impl ThreadPool {
             cursor: CachePadded::new(AtomicUsize::new(0)),
             steal: StealQueues::new(config.threads),
             irregular: config.irregular,
-            stats: (config.collect_stats || config.telemetry)
-                .then(|| ExecStats::new(config.threads)),
+            stats: config.telemetry.then(|| ExecStats::new(config.threads)),
             telem: config.telemetry.then(|| CwTelemetry::new(config.threads)),
             round_log: Mutex::new(Vec::new()),
             round_label: Mutex::new(None),
-            switch_note: Mutex::new(None),
-            method: config.method,
             epoch: AtomicU32::new(0),
             round_base: Mutex::new((CwCounters::default(), ExecCounters::default())),
             t0: std::time::Instant::now(),
@@ -219,24 +207,10 @@ impl ThreadPool {
         self.shared.threads
     }
 
-    /// Per-worker execution statistics (barrier waits, grab/steal counts),
-    /// if enabled via [`PoolConfig::collect_stats`]. Counters accumulate
-    /// across regions; call [`ExecStats::reset`] between measurements.
-    pub fn stats(&self) -> Option<&ExecStats> {
-        self.shared.stats.as_ref()
-    }
-
     /// Sharded concurrent-write telemetry, if enabled via
     /// [`PoolConfig::telemetry`]. Counters accumulate across regions.
     pub fn telemetry(&self) -> Option<&CwTelemetry> {
         self.shared.telem.as_ref()
-    }
-
-    /// The pool's preferred concurrent-write method
-    /// ([`PoolConfig::method`]). Kernels typically read this through
-    /// `pram_algos::CwMethod::for_pool`.
-    pub fn method_kind(&self) -> MethodKind {
-        self.shared.method
     }
 
     /// Drain the per-round snapshots recorded by
@@ -258,12 +232,7 @@ impl ThreadPool {
                 .as_ref()
                 .map(CwTelemetry::totals)
                 .unwrap_or_default(),
-            totals_exec: self
-                .shared
-                .stats
-                .as_ref()
-                .map(|st| ExecCounters::from(st.total_snapshot()))
-                .unwrap_or_default(),
+            totals_exec: self.shared.exec_totals(),
         }
     }
 
@@ -428,13 +397,6 @@ impl WorkerCtx<'_> {
     #[inline]
     pub fn num_threads(&self) -> usize {
         self.shared.threads
-    }
-
-    /// Per-worker execution statistics, if enabled via
-    /// [`PoolConfig::collect_stats`].
-    #[inline]
-    pub fn stats(&self) -> Option<&ExecStats> {
-        self.shared.stats.as_ref()
     }
 
     /// The pool's irregular-loop schedule ([`PoolConfig::irregular`])
@@ -747,7 +709,7 @@ impl WorkerCtx<'_> {
                 if let Some(t) = telem {
                     // Every member is at the rendezvous: no claim is in
                     // flight, so this baseline is exact for the round.
-                    *self.shared.round_base.lock() = (t.totals(), self.exec_totals());
+                    *self.shared.round_base.lock() = (t.totals(), self.shared.exec_totals());
                 }
             });
             let start_ns = match telem {
@@ -764,22 +726,15 @@ impl WorkerCtx<'_> {
                     // rendezvous, so the deltas below are exact.
                     let (base_cw, base_exec) = *self.shared.round_base.lock();
                     let label = self.shared.round_label.lock().take().unwrap_or("");
-                    // Fold any adaptive switch decision into the label so
-                    // the decision trace rides the existing report schema.
-                    let label = match self.shared.switch_note.lock().take() {
-                        Some(note) if label.is_empty() => note,
-                        Some(note) => format!("{label} | {note}"),
-                        None => label.to_string(),
-                    };
                     self.shared.round_log.lock().push(RoundSnapshot {
                         epoch,
                         round: i,
-                        label,
+                        label: label.to_string(),
                         start_ns,
                         wall_ns: (self.shared.t0.elapsed().as_nanos() as u64)
                             .saturating_sub(start_ns),
                         cw: t.totals().delta_since(&base_cw),
-                        exec: self.exec_totals().delta_since(&base_exec),
+                        exec: self.shared.exec_totals().delta_since(&base_exec),
                     });
                 }
             }
@@ -807,46 +762,14 @@ impl WorkerCtx<'_> {
             *self.shared.round_label.lock() = Some(label);
         }
     }
+}
 
-    /// Round-barrier tuning rendezvous for contention-adaptive arbiters:
-    /// the elected member feeds the pool's cumulative claim counters to
-    /// [`SliceArbiter::epoch_boundary`] while the whole team is parked at
-    /// the barrier, so a delegate switch is observed by every member
-    /// before any further claim — the race-free switch point
-    /// `pram_core::adaptive` requires.
-    ///
-    /// A no-op (no barrier, no atomics) unless the arbiter adapts
-    /// ([`SliceArbiter::adapts`]) **and** the pool collects telemetry
-    /// ([`PoolConfig::telemetry`] — without counters the policy would
-    /// have no evidence), so static arbiters and plain pools pay nothing.
-    /// Every team member must call it at the same point, like
-    /// [`WorkerCtx::barrier`]. Committed switches are appended to the
-    /// round's [`RoundSnapshot`] label (see
-    /// [`ThreadPool::take_round_report`]).
-    pub fn tune<A: SliceArbiter + ?Sized>(&self, arb: &A) {
-        let Some(telem) = self.shared.telem.as_ref() else {
-            return;
-        };
-        if !arb.adapts() {
-            return;
-        }
-        self.barrier_with(|| {
-            if let Some(decision) = arb.epoch_boundary(&telem.totals()) {
-                let mut note = self.shared.switch_note.lock();
-                *note = Some(match note.take() {
-                    Some(prev) => format!("{prev}; {decision}"),
-                    None => decision.to_string(),
-                });
-            }
-        });
-    }
-
-    /// Team-wide exec counter totals (zero when stats are disabled).
+impl PoolShared {
+    /// Team-wide exec counter totals (zero when telemetry is disabled).
     fn exec_totals(&self) -> ExecCounters {
-        self.shared
-            .stats
+        self.stats
             .as_ref()
-            .map(|st| ExecCounters::from(st.total_snapshot()))
+            .map(ExecStats::totals)
             .unwrap_or_default()
     }
 }
@@ -939,7 +862,7 @@ mod tests {
         let pool = ThreadPool::with_config(
             PoolConfig::new(4)
                 .irregular(ScheduleKind::Stealing)
-                .collect_stats(true),
+                .telemetry(true),
         );
         let len = 4096;
         let counts: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
@@ -956,7 +879,7 @@ mod tests {
             assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
         }
         // Every chunk grabbed exactly once team-wide.
-        let total = pool.stats().unwrap().total_snapshot();
+        let total = pool.take_round_report().totals_exec;
         assert_eq!(total.grabs, (len / 8) as u64);
     }
 
@@ -985,7 +908,7 @@ mod tests {
         let pool = ThreadPool::with_config(
             PoolConfig::new(4)
                 .barrier(BarrierKind::Dissemination)
-                .collect_stats(true),
+                .telemetry(true),
         );
         let sum = AtomicU64::new(0);
         pool.run(|ctx| {
@@ -1003,11 +926,12 @@ mod tests {
             assert_eq!(r, 4);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 1000 * 999 / 2);
-        // Stats recorded barrier waits for every member.
-        let st = pool.stats().unwrap();
-        for tid in 0..4 {
-            assert!(st.worker_snapshot(tid).barrier_waits > 0, "tid {tid}");
-        }
+        // Every barrier is team-wide, so each records one wait per member.
+        let waits = pool.take_round_report().totals_exec.barrier_waits;
+        assert!(
+            waits > 0 && waits.is_multiple_of(4),
+            "barrier_waits = {waits}"
+        );
     }
 
     #[test]
@@ -1031,10 +955,12 @@ mod tests {
     fn stats_disabled_by_default() {
         let pool = ThreadPool::new(2);
         pool.run(|ctx| {
-            assert!(ctx.stats().is_none());
             ctx.barrier();
         });
-        assert!(pool.stats().is_none());
+        assert_eq!(
+            pool.take_round_report().totals_exec,
+            ExecCounters::default()
+        );
     }
 
     #[test]
@@ -1074,7 +1000,6 @@ mod tests {
     fn telemetry_round_report_records_rounds() {
         use pram_core::CasLtArray;
         let pool = ThreadPool::with_config(PoolConfig::new(3).telemetry(true));
-        assert!(pool.stats().is_some(), "telemetry implies exec stats");
         let cells = CasLtArray::new(4);
         pool.run(|ctx| {
             let c = ctx.converge_rounds(10, |round, flag| {
@@ -1092,6 +1017,10 @@ mod tests {
         let report = pool.take_round_report();
         assert_eq!(report.threads, 3);
         assert_eq!(report.rounds.len(), 3);
+        assert!(
+            report.totals_exec.barrier_waits > 0,
+            "telemetry records exec counters"
+        );
         let mut last_start = 0;
         for (i, r) in report.rounds.iter().enumerate() {
             assert_eq!(r.epoch, 0);

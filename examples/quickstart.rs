@@ -9,7 +9,8 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crcw_pram::prelude::*;
-use pram_core::CountingArbiter;
+use pram_core::{CwTelemetry, ShardGuard};
+use pram_exec::PoolConfig;
 
 fn main() {
     // ------------------------------------------------------------------
@@ -73,34 +74,37 @@ fn main() {
     // 4. Why CAS-LT wins: count the atomics.
     // ------------------------------------------------------------------
     println!("\n== 4. Claim statistics ==");
-    // Scheme-agnostic counts for the whole kernel:
-    let arb = CountingArbiter::new(CasLtArray::new(n));
-    pram_algos::max::max_index_with_arbiter(&values, &arb, &pool);
-    let s = arb.stats().snapshot();
+    // A telemetry pool counts every claim its kernels make:
+    let traced = ThreadPool::with_config(PoolConfig::new(4).telemetry(true));
+    pram_algos::max_index(&values, CwMethod::CasLt, &traced);
+    let s = traced.take_round_report().totals_cw;
     println!(
         "   kernel: {} claim attempts, {} winning writes \
          (the gatekeeper method\n   issues one atomic RMW for *every* attempt)",
-        s.attempts, s.wins
+        s.resolutions(),
+        s.wins
     );
-    // Per-path counts via the instrumented CAS-LT cell: hammer one cell.
-    let cell = pram_core::CasLtCell::new();
-    let stats = pram_core::CwStats::new();
+    // Raw threads record by installing a counter shard each: hammer one cell.
+    let cell = CasLtCell::new();
+    let telemetry = CwTelemetry::new(4);
     let round = Round::FIRST;
     std::thread::scope(|sc| {
-        for _ in 0..4 {
-            sc.spawn(|| {
+        for t in 0..4 {
+            let (cell, telemetry) = (&cell, &telemetry);
+            sc.spawn(move || {
+                let _shard = ShardGuard::install(telemetry.shard(t));
                 for _ in 0..250_000 {
-                    cell.try_claim_instrumented(round, &stats);
+                    cell.try_claim(round);
                 }
             });
         }
     });
-    let s = stats.snapshot();
+    let s = telemetry.totals();
     println!("   one contended cell, 1M claims: {s}");
     println!(
-        "   -> CAS-LT issued {} atomic RMW(s) in total; {:.3}% of claims\n   \
+        "   -> CAS-LT issued {} atomic CAS(es) in total; {:.3}% of claims\n   \
          were resolved by the contention-free fast-path load.",
-        s.rmw_issued,
-        s.fast_path_ratio() * 100.0
+        s.cas_attempts,
+        s.fast_path_hit_rate() * 100.0
     );
 }

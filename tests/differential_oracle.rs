@@ -3,9 +3,9 @@
 //!
 //! For each instance of a generated corpus (`pram_graph::GraphGen` paths,
 //! cycles, stars, grids, G(n,m), R-MAT) the kernels run on the real
-//! `pram-exec` pool under **all** static methods plus `Adaptive` (on both
-//! a plain pool and a telemetry pool, so the adaptive policy actually
-//! observes counters), and the outputs are compared against the serial
+//! `pram-exec` pool under every method of `CwMethod::ALL` (on plain pools
+//! and on a telemetry pool, so the counter-recording claim paths are
+//! covered too), and the outputs are compared against the serial
 //! references in `pram-graph` / `pram-algos` and — where a program
 //! exists — the `pram-sim` ideal PRAM machine.
 //!
@@ -33,7 +33,7 @@ use pram_algos::{
     bfs, connected_components, connected_components_worklist, exclusive_scan, inclusive_scan,
     list_rank, logical_or, max_index, CwMethod,
 };
-use pram_exec::{MethodKind, PoolConfig, ThreadPool};
+use pram_exec::{PoolConfig, ThreadPool};
 use pram_graph::{serial, CsrGraph, GraphGen};
 use pram_sim::{programs, WriteRule};
 
@@ -42,18 +42,13 @@ fn full_corpus() -> bool {
 }
 
 /// Pools the whole oracle sweeps: serial, small, and oversubscribed teams,
-/// plus a telemetry-enabled adaptive pool so `CwMethod::Adaptive` runs
-/// with live counters (on the plain pools it stays on its starting
-/// delegate — also worth covering, but not *only* that).
+/// plus a telemetry pool so every method also runs with its claim
+/// counters recording.
 fn pools() -> Vec<ThreadPool> {
     let mut pools = vec![
         ThreadPool::new(1),
         ThreadPool::new(4),
-        ThreadPool::with_config(
-            PoolConfig::new(3)
-                .telemetry(true)
-                .method(MethodKind::Adaptive),
-        ),
+        ThreadPool::with_config(PoolConfig::new(3).telemetry(true)),
     ];
     if full_corpus() {
         pools.push(ThreadPool::new(8));
@@ -320,21 +315,17 @@ fn oracle_logical_or_all_methods_vs_sim() {
 }
 
 #[test]
-fn oracle_adaptive_pool_reports_decisions_consistently() {
-    // On the telemetry pool the adaptive arbiter may switch delegates; the
-    // oracle above proves outputs stay correct — here we additionally pin
-    // that the pool surfaced the rounds it ran (the trace channel works
-    // end to end) on a workload dense enough to produce telemetry.
-    let pool = ThreadPool::with_config(
-        PoolConfig::new(4)
-            .telemetry(true)
-            .method(MethodKind::Adaptive),
-    );
+fn oracle_telemetry_pool_reports_rounds() {
+    // The oracle above proves outputs stay correct on the telemetry pool;
+    // here we additionally pin that the pool surfaced the rounds it ran
+    // (the trace channel works end to end) on a workload dense enough to
+    // produce telemetry.
+    let pool = ThreadPool::with_config(PoolConfig::new(4).telemetry(true));
     let n = 200;
     let edges = GraphGen::new(42).gnm(n, 2000);
     let g = CsrGraph::from_edges(n, &edges, true);
     let reference = serial::bfs_levels(&g, 0);
-    let r = bfs(&g, 0, CwMethod::for_pool(&pool), &pool);
+    let r = bfs(&g, 0, CwMethod::CasLt, &pool);
     assert_eq!(r.level, reference);
     let report = pool.take_round_report();
     assert!(!report.rounds.is_empty(), "no rounds snapshotted");
