@@ -17,22 +17,39 @@
 //!    stars survive, so targets are non-hooking trees — no cycles).
 //! 4. **Shortcut**: `D[v] = D[D[v]]`.
 //!
+//! ## The hooking pass walks vertices, one attempt each
+//!
+//! Hooking loops over source vertices `u` and walks `u`'s CSR adjacency
+//! in place; a vertex outside a star skips its whole adjacency. Every edge
+//! of `u` targets the same root `D[u]`, and a `(cell, round)` pair has a
+//! single winner, so once `u` has tried to claim `D[u]` — won or lost —
+//! no later edge of `u` can win this round: `u` stops at its first
+//! qualifying edge. A root is still hooked exactly when one of its star's
+//! members has a qualifying edge, as in the edge-parallel formulation,
+//! but a phase makes at most one claim attempt per vertex instead of one
+//! per edge. This is CAS-LT's "claimed cells are skipped" idea applied at
+//! the loop level. Members take contiguous vertex blocks holding equal
+//! numbers of edges (binary search on the CSR offsets), so a skewed
+//! graph's heavy low ids do not all land on one member.
+//!
 //! ## Reads-before-writes, made explicit
 //!
 //! PRAM semantics read all operands before any same-step write commits. A
 //! threaded hooking pass has no such guarantee: a hooked root's new pointer
 //! could be read mid-pass as if it were a root, directing a *second* hook
 //! at a non-root cell and splitting a component. We restore the PRAM
-//! read/write separation by snapshotting `D` before each hooking pass
-//! (`D_snap`) and hooking from the snapshot — an O(n) pass per phase,
-//! identical across methods, that stands in for the lock-step semantics
-//! OpenMP's fork-join also only approximates. DESIGN.md discusses the
-//! substitution.
+//! read/write separation by hooking from a snapshot `D_snap` of `D`. `D`
+//! does not change during star detection, so the snapshot is copied in
+//! star detection's first pass, beside the reset of `star` (and the re-arm
+//! of gatekeeper cells) — no pass or rendezvous of its own. It stands in
+//! for the lock-step semantics OpenMP's fork-join also only approximates;
+//! DESIGN.md discusses the substitution.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 
 use pram_core::{Round, SliceArbiter};
-use pram_exec::{FrontierBuffer, LocalBuffer, Schedule, ThreadPool, WorkerCtx};
+use pram_exec::{Schedule, ThreadPool};
 use pram_graph::CsrGraph;
 
 use crate::method::{dispatch_method, CwMethod};
@@ -87,8 +104,8 @@ pub fn connected_components(g: &CsrGraph, method: CwMethod, pool: &ThreadPool) -
 pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool) -> CcResult {
     let n = g.num_vertices();
     assert_eq!(arb.len(), n, "arbiter must span one cell per vertex");
-    let edges: Vec<(u32, u32)> = g.directed_edges().collect();
-    let m = edges.len();
+    let (offsets, targets) = (g.offsets(), g.targets());
+    let rearm = !arb.rearms_on_new_round();
 
     let d: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
     let d_snap: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
@@ -104,68 +121,70 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
 
     pool.run(|ctx| {
         let sched = Schedule::default();
-
-        // Star detection: JaJa's three-pass formulation; passes 2 and 3 use
-        // common concurrent writes / race-benign in-place propagation.
-        let star_pass = |ctx: &WorkerCtx<'_>| {
-            ctx.for_each(0..n, sched, |v| star[v].store(1, Ordering::Relaxed));
-            ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed) as usize;
-                let ddv = d[dv].load(Ordering::Relaxed) as usize;
-                if dv != ddv {
-                    // Common CW of `false` — naive stores are sound here.
-                    star[v].store(0, Ordering::Relaxed);
-                    star[ddv].store(0, Ordering::Relaxed);
-                }
-            });
-            ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed) as usize;
-                let ddv = d[dv].load(Ordering::Relaxed) as usize;
-                // In-place is race-benign: any cell both read and written
-                // in this pass provably keeps its value (module docs).
-                star[v].store(star[ddv].load(Ordering::Relaxed), Ordering::Relaxed);
-            });
-        };
-
-        // Snapshot D — the explicit reads-before-writes separation.
-        let snapshot = |ctx: &WorkerCtx<'_>| {
-            ctx.for_each(0..n, sched, |v| {
-                d_snap[v].store(d[v].load(Ordering::Relaxed), Ordering::Relaxed)
-            });
-        };
+        let my_vertices = edge_balanced_block(offsets, ctx.num_threads(), ctx.thread_id());
 
         let c = ctx.converge_rounds(max_iters, |iter_round, flag| {
             ctx.annotate_round("hook");
             let i = iter_round.get() - 1;
+            // Progress is member-local until the end of the round, so the
+            // shared flag's line is stored to at most once per member.
+            let mut changed = false;
             // Two distinct CW rounds per iteration (one per hooking phase).
             let hook_rounds = [
                 Round::from_iteration(2 * i),
                 Round::from_iteration(2 * i + 1),
             ];
 
-            for (phase, &round) in hook_rounds.iter().enumerate() {
+            for (phase, round) in hook_rounds.into_iter().enumerate() {
                 let conditional = phase == 0;
-                star_pass(ctx);
-                snapshot(ctx);
-                ctx.for_each(0..m, sched, |e| {
-                    let (u, v) = edges[e];
-                    if star[u as usize].load(Ordering::Relaxed) == 0 {
-                        return;
-                    }
-                    let du = d_snap[u as usize].load(Ordering::Relaxed);
-                    let dv = d_snap[v as usize].load(Ordering::Relaxed);
-                    let should = if conditional { dv < du } else { dv != du };
-                    if should && arb.try_claim(du as usize, round) {
-                        // The guarded two-array arbitrary write.
-                        d[du as usize].store(dv, Ordering::Relaxed);
-                        hook_edge[du as usize].store(e, Ordering::Relaxed);
-                        flag.set();
+                // Star detection: JaJa's three-pass formulation. The first
+                // pass also snapshots D (the explicit reads-before-writes
+                // separation) and re-arms gatekeeper cells.
+                ctx.for_each(0..n, sched, |v| {
+                    star[v].store(1, Ordering::Relaxed);
+                    d_snap[v].store(d[v].load(Ordering::Relaxed), Ordering::Relaxed);
+                    if rearm {
+                        arb.reset_range(v..v + 1);
                     }
                 });
-                if !arb.rearms_on_new_round() {
-                    // Gatekeeper methods: re-zero before the next CW round.
-                    ctx.for_each(0..n, sched, |v| arb.reset_range(v..v + 1));
+                ctx.for_each(0..n, sched, |v| {
+                    let dv = d[v].load(Ordering::Relaxed) as usize;
+                    let ddv = d[dv].load(Ordering::Relaxed) as usize;
+                    if dv != ddv {
+                        // Common CW of `false` — naive stores are sound here.
+                        star[v].store(0, Ordering::Relaxed);
+                        star[ddv].store(0, Ordering::Relaxed);
+                    }
+                });
+                ctx.for_each(0..n, sched, |v| {
+                    let dv = d[v].load(Ordering::Relaxed) as usize;
+                    let ddv = d[dv].load(Ordering::Relaxed) as usize;
+                    // In-place is race-benign: any cell both read and written
+                    // in this pass provably keeps its value (module docs).
+                    star[v].store(star[ddv].load(Ordering::Relaxed), Ordering::Relaxed);
+                });
+
+                // Hooking: one claim attempt per star vertex (module docs).
+                for u in my_vertices.clone() {
+                    if star[u].load(Ordering::Relaxed) == 0 {
+                        continue;
+                    }
+                    let du = d_snap[u].load(Ordering::Relaxed);
+                    for e in offsets[u]..offsets[u + 1] {
+                        let dv = d_snap[targets[e] as usize].load(Ordering::Relaxed);
+                        let should = if conditional { dv < du } else { dv != du };
+                        if should {
+                            if arb.try_claim(du as usize, round) {
+                                // The guarded two-array arbitrary write.
+                                d[du as usize].store(dv, Ordering::Relaxed);
+                                hook_edge[du as usize].store(e, Ordering::Relaxed);
+                                changed = true;
+                            }
+                            break;
+                        }
+                    }
                 }
+                ctx.barrier();
             }
 
             // Shortcut: pointer jumping (exclusive write per vertex).
@@ -174,9 +193,12 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 let ddv = d[dv as usize].load(Ordering::Relaxed);
                 if ddv != dv {
                     d[v].store(ddv, Ordering::Relaxed);
-                    flag.set();
+                    changed = true;
                 }
             });
+            if changed {
+                flag.set();
+            }
         });
         iterations.store(c.rounds, Ordering::Relaxed);
         converged.store(u8::from(c.converged), Ordering::Relaxed);
@@ -192,165 +214,21 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     }
 }
 
-/// Awerbuch–Shiloach with an **active-edge worklist**: like
-/// [`connected_components`], but each iteration ends by compacting the edge
-/// list, permanently dropping every edge whose endpoints already share a
-/// parent (`D[u] == D[v]`).
-///
-/// The drop is safe because trees only ever merge: once two endpoints are
-/// in the same tree they remain in the same component forever, so the edge
-/// can never again hook two *distinct* trees. As components coalesce, the
-/// per-iteration hooking work shrinks from `O(m)` towards zero while the
-/// fixed `O(n)` star/snapshot/shortcut passes are untouched — the same
-/// frontier-centric trade the sparse BFS strategies make.
-///
-/// The compacted list lives in a double-buffered
-/// [`pram_exec::FrontierBuffer`] of edge indices, rebuilt with per-worker
-/// [`pram_exec::LocalBuffer`]s. Arbitration is byte-for-byte the kernel of
-/// [`cc_with_arbiter`]: the same `try_claim(root, round)` guards the same
-/// two-array hook write, so every concurrent-write method dispatches
-/// unchanged.
-pub fn connected_components_worklist(
-    g: &CsrGraph,
-    method: CwMethod,
-    pool: &ThreadPool,
-) -> CcResult {
-    dispatch_method!(method, g.num_vertices(), |arb| cc_worklist_with_arbiter(
-        g, &arb, pool
-    ))
-}
-
-/// The worklist kernel against an explicit arbiter (one cell per vertex,
-/// freshly armed).
-pub fn cc_worklist_with_arbiter<A: SliceArbiter>(
-    g: &CsrGraph,
-    arb: &A,
-    pool: &ThreadPool,
-) -> CcResult {
-    let n = g.num_vertices();
-    assert_eq!(arb.len(), n, "arbiter must span one cell per vertex");
-    let edges: Vec<(u32, u32)> = g.directed_edges().collect();
-    let m = edges.len();
-
-    let d: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
-    let d_snap: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let star: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(1)).collect();
-    let hook_edge: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(NO_HOOK)).collect();
-
-    // Double-buffered active-edge list, initially every directed edge.
-    let work = [
-        FrontierBuffer::with_capacity(m),
-        FrontierBuffer::with_capacity(m),
-    ];
-    let all: Vec<u64> = (0..m as u64).collect();
-    work[0].publish(&all);
-    drop(all);
-
-    let max_iters = 4 * (usize::BITS - n.max(2).leading_zeros()) + 16;
-    let iterations = AtomicU32::new(0);
-    let converged = AtomicU8::new(0);
-
-    pool.run(|ctx| {
-        let sched = Schedule::default();
-        let mut wi = 0usize; // work[wi] is the current active-edge list
-
-        let star_pass = |ctx: &WorkerCtx<'_>| {
-            ctx.for_each(0..n, sched, |v| star[v].store(1, Ordering::Relaxed));
-            ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed) as usize;
-                let ddv = d[dv].load(Ordering::Relaxed) as usize;
-                if dv != ddv {
-                    star[v].store(0, Ordering::Relaxed);
-                    star[ddv].store(0, Ordering::Relaxed);
-                }
-            });
-            ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed) as usize;
-                let ddv = d[dv].load(Ordering::Relaxed) as usize;
-                star[v].store(star[ddv].load(Ordering::Relaxed), Ordering::Relaxed);
-            });
-        };
-        let snapshot = |ctx: &WorkerCtx<'_>| {
-            ctx.for_each(0..n, sched, |v| {
-                d_snap[v].store(d[v].load(Ordering::Relaxed), Ordering::Relaxed)
-            });
-        };
-
-        let c = ctx.converge_rounds(max_iters, |iter_round, flag| {
-            ctx.annotate_round("hook");
-            let i = iter_round.get() - 1;
-            let hook_rounds = [
-                Round::from_iteration(2 * i),
-                Round::from_iteration(2 * i + 1),
-            ];
-            let cur = &work[wi];
-            let wlen = cur.len();
-
-            for (phase, &round) in hook_rounds.iter().enumerate() {
-                let conditional = phase == 0;
-                star_pass(ctx);
-                snapshot(ctx);
-                // Hooking now walks only the active edges.
-                ctx.for_each(0..wlen, sched, |k| {
-                    let e = cur.get(k) as usize;
-                    let (u, v) = edges[e];
-                    if star[u as usize].load(Ordering::Relaxed) == 0 {
-                        return;
-                    }
-                    let du = d_snap[u as usize].load(Ordering::Relaxed);
-                    let dv = d_snap[v as usize].load(Ordering::Relaxed);
-                    let should = if conditional { dv < du } else { dv != du };
-                    if should && arb.try_claim(du as usize, round) {
-                        d[du as usize].store(dv, Ordering::Relaxed);
-                        hook_edge[du as usize].store(e, Ordering::Relaxed);
-                        flag.set();
-                    }
-                });
-                if !arb.rearms_on_new_round() {
-                    ctx.for_each(0..n, sched, |v| arb.reset_range(v..v + 1));
-                }
-            }
-
-            ctx.for_each(0..n, sched, |v| {
-                let dv = d[v].load(Ordering::Relaxed);
-                let ddv = d[dv as usize].load(Ordering::Relaxed);
-                if ddv != dv {
-                    d[v].store(ddv, Ordering::Relaxed);
-                    flag.set();
-                }
-            });
-
-            // Compact: keep only edges whose endpoints still have distinct
-            // parents. `D[u] == D[v]` ⇒ same tree ⇒ same component forever,
-            // so dropped edges can never hook again.
-            let next = &work[1 - wi];
-            ctx.barrier_with(|| next.clear());
-            let mut local = LocalBuffer::new();
-            ctx.for_each_nowait(0..wlen, sched, |k| {
-                let e = cur.get(k) as usize;
-                let (u, v) = edges[e];
-                if d[u as usize].load(Ordering::Relaxed) != d[v as usize].load(Ordering::Relaxed) {
-                    local.push(e as u64, next);
-                }
-            });
-            local.flush(next);
-            ctx.barrier();
-            wi = 1 - wi;
-        });
-        ctx.master(|| {
-            iterations.store(c.rounds, Ordering::Relaxed);
-            converged.store(u8::from(c.converged), Ordering::Relaxed);
-        });
-    });
-
-    let d: Vec<u32> = d.into_iter().map(AtomicU32::into_inner).collect();
-    let labels = pram_graph::serial::canonical_labels_from(|v| d[d[v as usize] as usize], n);
-    CcResult {
-        labels,
-        hook_edge: hook_edge.into_iter().map(AtomicUsize::into_inner).collect(),
-        iterations: iterations.into_inner(),
-        converged: converged.into_inner() != 0,
-    }
+/// Member `id`'s contiguous block of the vertices `0..n` when they are
+/// split across `threads` members so that each block holds about `m /
+/// threads` edges, found by binary search on the CSR `offsets` (the
+/// out-degree prefix sum). The blocks are disjoint and cover `0..n`.
+fn edge_balanced_block(offsets: &[usize], threads: usize, id: usize) -> Range<usize> {
+    let n = offsets.len() - 1;
+    let m = offsets[n];
+    let bound = |k: usize| {
+        if k == threads {
+            n
+        } else {
+            offsets.partition_point(|&o| o < k * m / threads)
+        }
+    };
+    bound(id)..bound(id + 1)
 }
 
 /// Verify a [`CcResult`] against union–find ground truth, including the
@@ -392,6 +270,7 @@ pub fn verify_cc(g: &CsrGraph, r: &CcResult) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pram_exec::PoolConfig;
     use pram_graph::GraphGen;
 
     fn graph(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
@@ -481,35 +360,48 @@ mod tests {
     }
 
     #[test]
-    fn worklist_matches_reference_on_structured_graphs() {
-        let pool = ThreadPool::new(4);
-        let cases = vec![
-            graph(1, &[]),
-            graph(5, &[]),
-            graph(5, &GraphGen::path(5)),
-            graph(8, &GraphGen::star(8)),
-            graph(12, &GraphGen::disjoint_cliques(3, 4)),
-            graph(9, &GraphGen::grid(3, 3)),
-        ];
-        for g in &cases {
+    fn one_claim_attempt_per_star_vertex_per_phase() {
+        let pool = ThreadPool::with_config(PoolConfig::new(3).telemetry(true));
+        for (name, g) in [
+            ("complete(64)", graph(64, &GraphGen::complete(64))),
+            ("star(2000)", graph(2000, &GraphGen::star(2000))),
+        ] {
+            let n = g.num_vertices() as u64;
             for m in single_winner_methods() {
-                let r = connected_components_worklist(g, m, &pool);
-                verify_cc(g, &r).unwrap_or_else(|e| panic!("{m}: {e}"));
+                let before = pool.take_round_report().totals_cw;
+                let r = connected_components(&g, m, &pool);
+                verify_cc(&g, &r).unwrap_or_else(|e| panic!("{name} {m}: {e}"));
+                let claims = pool
+                    .take_round_report()
+                    .totals_cw
+                    .delta_since(&before)
+                    .resolutions();
+                let bound = 2 * n * u64::from(r.iterations);
+                assert!(
+                    claims <= bound,
+                    "{name} {m}: {claims} claim resolutions > 2·n·iterations = {bound}"
+                );
             }
         }
     }
 
     #[test]
-    fn worklist_agrees_with_dense_labels_on_random_graphs() {
-        let pool = ThreadPool::new(4);
-        for seed in 0..4 {
-            let edges = GraphGen::new(seed).gnm(150, 350);
-            let g = graph(150, &edges);
-            let dense = connected_components(&g, CwMethod::CasLt, &pool);
-            let sparse = connected_components_worklist(&g, CwMethod::CasLt, &pool);
-            assert_eq!(sparse.labels, dense.labels, "seed {seed}");
-            verify_cc(&g, &sparse).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    fn edge_balanced_blocks_cover_all_vertices_in_order() {
+        // Degrees 9, 0, 1, 1, 1, 0: one heavy vertex, more members than it.
+        let offsets = [0, 9, 9, 10, 11, 12, 12];
+        for threads in 1..6 {
+            let blocks: Vec<_> = (0..threads)
+                .map(|id| edge_balanced_block(&offsets, threads, id))
+                .collect();
+            assert_eq!(blocks[0].start, 0);
+            assert_eq!(blocks[threads - 1].end, 6);
+            for w in blocks.windows(2) {
+                assert_eq!(w[0].end, w[1].start, "{threads} members: {blocks:?}");
+            }
         }
+        assert_eq!(edge_balanced_block(&offsets, 2, 0), 0..1);
+        assert_eq!(edge_balanced_block(&offsets, 2, 1), 1..6);
+        assert_eq!(edge_balanced_block(&[0, 0, 0], 3, 2), 0..2);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod sv;
 
 pub use any::{first_true, logical_or};
 pub use bfs::{bfs, bfs_with_strategy, bfs_with_strategy_rev, BfsResult, BfsStrategy};
-pub use cc::{connected_components, connected_components_worklist, CcResult};
+pub use cc::{connected_components, CcResult};
 pub use list_rank::list_rank;
 pub use matching::{maximal_matching, MatchingResult};
 pub use max::max_index;

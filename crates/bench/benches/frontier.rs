@@ -10,7 +10,7 @@
 //!   sparse strategies pay O(1) per level plus barrier overhead.
 //! * `star18` — a star (2^18 vertices): a single, maximally dense level.
 //!
-//! Also times dense vs worklist connected components on `rmat18`.
+//! Also times connected components on `rmat18`.
 //!
 //! Run with `cargo bench -p pram-bench --bench frontier`; set
 //! `PRAM_BENCH_THREADS` (a single count or a comma-separated sweep list,
@@ -23,7 +23,7 @@ use std::io::Write as _;
 use std::path::PathBuf;
 
 use pram_algos::bfs::{bfs_with_strategy_rev, BfsStrategy, DIRECTION_ALPHA, DIRECTION_BETA};
-use pram_algos::{connected_components, connected_components_worklist, CwMethod};
+use pram_algos::{connected_components, CwMethod};
 use pram_bench::{ms, telemetry_columns, time_median};
 use pram_exec::{PoolConfig, ThreadPool};
 use pram_graph::{CsrGraph, GraphGen};
@@ -166,28 +166,20 @@ fn main() {
             }
         }
 
-        // CC: dense edge list vs active-edge worklist on the skewed graph.
+        // CC on the skewed graph: vertex-centric hooking over the CSR.
         let g = &workloads[0].graph;
         for method in METHODS {
-            for (variant, run) in [
-                ("dense", connected_components as fn(_, _, _) -> _),
-                (
-                    "worklist",
-                    connected_components_worklist as fn(_, _, _) -> _,
-                ),
-            ] {
-                let t = time_median(reps, || {
-                    std::hint::black_box(run(g, method, &pool));
-                });
-                let t = ms(t);
-                eprintln!("   cc/rmat18/{method}/{variant}/T={threads}: {t:.3} ms");
-                std::hint::black_box(run(g, method, &profile_pool));
-                rows.push(format!(
-                    "{{\"kernel\": \"cc\", \"graph\": \"rmat18\", \"method\": \"{method}\", \
-                     \"strategy\": \"{variant}\", \"threads\": {threads}, \"ms\": {t:.4}, {}}}",
-                    telemetry_columns(&profile_pool)
-                ));
-            }
+            let t = time_median(reps, || {
+                std::hint::black_box(connected_components(g, method, &pool));
+            });
+            let t = ms(t);
+            eprintln!("   cc/rmat18/{method}/T={threads}: {t:.3} ms");
+            std::hint::black_box(connected_components(g, method, &profile_pool));
+            rows.push(format!(
+                "{{\"kernel\": \"cc\", \"graph\": \"rmat18\", \"method\": \"{method}\", \
+                 \"strategy\": \"vertex\", \"threads\": {threads}, \"ms\": {t:.4}, {}}}",
+                telemetry_columns(&profile_pool)
+            ));
         }
     }
 

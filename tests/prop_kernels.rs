@@ -3,7 +3,7 @@
 //! the serial ground truth.
 
 use pram_algos::bfs::{bfs, bfs_with_strategy, verify_bfs_tree, BfsStrategy};
-use pram_algos::cc::{connected_components, connected_components_worklist, verify_cc};
+use pram_algos::cc::{connected_components, verify_cc};
 use pram_algos::sv::{sv_components, verify_sv};
 use pram_algos::{first_true, logical_or, max_index, CwMethod};
 use pram_exec::ThreadPool;
@@ -90,18 +90,25 @@ proptest! {
         seed in any::<u64>(),
         scale in 3u32..8,
     ) {
-        let pool = ThreadPool::new(4);
         let n = 1usize << scale;
-
         let forest = GraphGen::new(seed).random_forest(n, 0.6);
-        let g = CsrGraph::from_edges(n, &forest, true);
-        let r = connected_components(&g, CwMethod::CasLt, &pool);
-        prop_assert!(verify_cc(&g, &r).is_ok());
-
         let rmat = GraphGen::new(seed).rmat_standard(scale, n * 4);
-        let g = CsrGraph::from_edges(n, &rmat, true);
-        let r = connected_components(&g, CwMethod::CasLt, &pool);
-        prop_assert!(verify_cc(&g, &r).is_ok());
+        let graphs = [
+            ("forest", CsrGraph::from_edges(n, &forest, true)),
+            ("rmat", CsrGraph::from_edges(n, &rmat, true)),
+        ];
+        // 1..5 members split the skewed R-MAT degrees into edge-balanced
+        // vertex blocks, including more members than heavy vertices.
+        for threads in 1usize..5 {
+            let pool = ThreadPool::new(threads);
+            for method in CwMethod::ALL.into_iter().filter(|m| m.single_winner()) {
+                for (name, g) in &graphs {
+                    let r = connected_components(g, method, &pool);
+                    let ok = verify_cc(g, &r);
+                    prop_assert!(ok.is_ok(), "{}/{}/T={}: {}", name, method, threads, ok.unwrap_err());
+                }
+            }
+        }
     }
 
     // Frontier strategies are observationally equivalent to the paper's
@@ -149,23 +156,6 @@ proptest! {
             let tree = verify_bfs_tree(&g, 0, &r);
             prop_assert!(tree.is_ok(), "{}/{}: {}", method, strategy, tree.unwrap_err());
         }
-    }
-
-    #[test]
-    fn cc_worklist_agrees_with_dense_reference(
-        seed in any::<u64>(),
-        n in 2usize..80,
-        density in 0usize..5,
-        method in single_winner_method(),
-        threads in 1usize..5,
-    ) {
-        let edges = GraphGen::new(seed).gnm(n, n * density);
-        let g = CsrGraph::from_edges(n, &edges, true);
-        let pool = ThreadPool::new(threads);
-        let dense = connected_components(&g, method, &pool);
-        let sparse = connected_components_worklist(&g, method, &pool);
-        prop_assert_eq!(&sparse.labels, &dense.labels, "worklist labels diverge under {}", method);
-        prop_assert!(verify_cc(&g, &sparse).is_ok(), "{}", verify_cc(&g, &sparse).unwrap_err());
     }
 
     #[test]
