@@ -1,19 +1,17 @@
-//! Thread-scaling bench tier: team size × barrier topology × irregular
-//! loop schedule, over the frontier BFS kernels whose round structure
-//! stresses each axis differently:
+//! Thread-scaling bench tier: team size over the frontier BFS kernels
+//! whose round structure stresses the execution substrate differently:
 //!
 //! * `rmat18` + direction-optimizing BFS — few rounds, huge skewed
-//!   frontiers: schedule quality (dynamic cursor vs work stealing)
-//!   dominates, barriers are rare.
+//!   frontiers: loop-schedule quality (the dynamic cursor) dominates,
+//!   barriers are rare.
 //! * `path14` + top-down BFS — ~2^14 rounds of one-vertex frontiers:
-//!   pure barrier latency, executed tens of thousands of times; the
-//!   barrier topology (central vs dissemination) is the whole signal.
+//!   pure barrier latency, executed tens of thousands of times.
 //!
 //! Both run under CAS-LT (the paper's method; the method axis is
-//! `frontier.rs`'s job). Every `(barrier, schedule)` cell is swept over
-//! the thread list and reported with its **self-relative** speedup
-//! (time at the smallest team ÷ time at T), so topologies are compared
-//! by how they *scale*, not by their 1-thread constant.
+//! `frontier.rs`'s job). Each kernel is swept over the thread list and
+//! reported with its **self-relative** speedup (time at the smallest team
+//! ÷ time at T), so the rows say how the kernel *scales*, not what its
+//! 1-thread constant is.
 //!
 //! Run with `cargo bench -p pram-bench --bench scaling`; env overrides:
 //! `PRAM_BENCH_THREADS` (comma-separated sweep list, e.g. `1,2,4,8`),
@@ -28,7 +26,7 @@ use pram_algos::bfs::{bfs_with_strategy_rev, BfsStrategy};
 use pram_algos::CwMethod;
 use pram_bench::{ms, telemetry_columns, time_median};
 use pram_core::{CasLtArray, GatekeeperArray, SliceArbiter};
-use pram_exec::{BarrierKind, CwCounters, PoolConfig, RoundReport, ScheduleKind, ThreadPool};
+use pram_exec::{CwCounters, PoolConfig, RoundReport, ThreadPool};
 use pram_graph::{CsrGraph, GraphGen};
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -64,20 +62,6 @@ fn hub(g: &CsrGraph) -> u32 {
     (0..g.num_vertices())
         .max_by_key(|&v| g.offsets()[v + 1] - g.offsets()[v])
         .unwrap_or(0) as u32
-}
-
-fn barrier_name(kind: BarrierKind) -> &'static str {
-    match kind {
-        BarrierKind::Central => "central",
-        BarrierKind::Dissemination => "dissemination",
-    }
-}
-
-fn schedule_name(kind: ScheduleKind) -> &'static str {
-    match kind {
-        ScheduleKind::Dynamic => "dynamic",
-        ScheduleKind::Stealing => "stealing",
-    }
 }
 
 struct Workload {
@@ -185,8 +169,6 @@ fn mechanism_rows(threads_list: &[usize]) -> Vec<String> {
 struct Row {
     graph: &'static str,
     strategy: BfsStrategy,
-    barrier: BarrierKind,
-    schedule: ScheduleKind,
     threads: usize,
     ms: f64,
     /// Pre-rendered telemetry rate columns from the untimed profiling run.
@@ -198,7 +180,7 @@ fn main() {
     let ncpus = std::thread::available_parallelism().map_or(1, |p| p.get());
     // Powers of two up to at least 4: on small boxes the sweep is
     // deliberately oversubscribed — that regime is exactly what the
-    // passive backoff and the O(log T) barrier are for.
+    // barrier's spin → yield → park backoff is for.
     let default_sweep: Vec<usize> = if quick {
         vec![1, 2]
     } else {
@@ -237,9 +219,6 @@ fn main() {
         },
     ];
 
-    const BARRIERS: [BarrierKind; 2] = [BarrierKind::Central, BarrierKind::Dissemination];
-    const SCHEDULES: [ScheduleKind; 2] = [ScheduleKind::Dynamic, ScheduleKind::Stealing];
-
     let mut rows: Vec<Row> = Vec::new();
     for w in &workloads {
         let g = &w.graph;
@@ -252,67 +231,44 @@ fn main() {
             g.num_directed_edges(),
             w.strategy
         );
-        for barrier in BARRIERS {
-            for schedule in SCHEDULES {
-                for &t in &threads_list {
-                    let pool = ThreadPool::with_config(
-                        PoolConfig::new(t).barrier(barrier).irregular(schedule),
-                    );
-                    let elapsed = time_median(reps, || {
-                        std::hint::black_box(bfs_with_strategy_rev(
-                            g, &rev, source, method, w.strategy, &pool,
-                        ));
-                    });
-                    let t_ms = ms(elapsed);
-                    eprintln!(
-                        "   bfs/{}/{}/{}/T={t}: {t_ms:.3} ms",
-                        w.name,
-                        barrier_name(barrier),
-                        schedule_name(schedule)
-                    );
-                    // One untimed profiling run on a telemetry twin of the
-                    // same configuration supplies the rate columns.
-                    let profile_pool = ThreadPool::with_config(
-                        PoolConfig::new(t)
-                            .barrier(barrier)
-                            .irregular(schedule)
-                            .telemetry(true),
-                    );
-                    std::hint::black_box(bfs_with_strategy_rev(
-                        g,
-                        &rev,
-                        source,
-                        method,
-                        w.strategy,
-                        &profile_pool,
-                    ));
-                    rows.push(Row {
-                        graph: w.name,
-                        strategy: w.strategy,
-                        barrier,
-                        schedule,
-                        threads: t,
-                        ms: t_ms,
-                        telem: telemetry_columns(&profile_pool),
-                    });
-                }
-            }
+        for &t in &threads_list {
+            let pool = ThreadPool::new(t);
+            let elapsed = time_median(reps, || {
+                std::hint::black_box(bfs_with_strategy_rev(
+                    g, &rev, source, method, w.strategy, &pool,
+                ));
+            });
+            let t_ms = ms(elapsed);
+            eprintln!("   bfs/{}/T={t}: {t_ms:.3} ms", w.name);
+            // One untimed profiling run on a telemetry twin of the same
+            // team supplies the rate columns.
+            let profile_pool = ThreadPool::with_config(PoolConfig::new(t).telemetry(true));
+            std::hint::black_box(bfs_with_strategy_rev(
+                g,
+                &rev,
+                source,
+                method,
+                w.strategy,
+                &profile_pool,
+            ));
+            rows.push(Row {
+                graph: w.name,
+                strategy: w.strategy,
+                threads: t,
+                ms: t_ms,
+                telem: telemetry_columns(&profile_pool),
+            });
         }
     }
 
-    // Self-relative speedups: each (graph, barrier, schedule) cell is
-    // normalized to its own smallest-team time.
+    // Self-relative speedups: each graph is normalized to its own
+    // smallest-team time.
     let base_threads = threads_list[0];
     let baseline = |r: &Row| {
         rows.iter()
-            .find(|b| {
-                b.graph == r.graph
-                    && b.barrier == r.barrier
-                    && b.schedule == r.schedule
-                    && b.threads == base_threads
-            })
+            .find(|b| b.graph == r.graph && b.threads == base_threads)
             .map(|b| b.ms)
-            .expect("baseline row exists for every cell")
+            .expect("baseline row exists for every graph")
     };
     let json_rows: Vec<String> = rows
         .iter()
@@ -320,61 +276,20 @@ fn main() {
             let speedup = baseline(r) / r.ms;
             assert!(
                 speedup.is_finite() && speedup > 0.0,
-                "degenerate speedup for {}/{}/{}/T={}",
+                "degenerate speedup for {}/T={}",
                 r.graph,
-                barrier_name(r.barrier),
-                schedule_name(r.schedule),
                 r.threads
             );
             format!(
                 "{{\"kernel\": \"bfs\", \"graph\": \"{}\", \"method\": \"{method}\", \
-                 \"strategy\": \"{}\", \"barrier\": \"{}\", \"schedule\": \"{}\", \
-                 \"threads\": {}, \"ms\": {:.4}, \"speedup_self_rel\": {:.4}, {}}}",
-                r.graph,
-                r.strategy,
-                barrier_name(r.barrier),
-                schedule_name(r.schedule),
-                r.threads,
-                r.ms,
-                speedup,
-                r.telem
+                 \"strategy\": \"{}\", \"threads\": {}, \"ms\": {:.4}, \
+                 \"speedup_self_rel\": {:.4}, {}}}",
+                r.graph, r.strategy, r.threads, r.ms, speedup, r.telem
             )
         })
         .collect();
 
-    // Headline comparisons at the largest team: the scalable pair
-    // (dissemination + stealing) against the centralized pair
-    // (central + dynamic), per kernel.
     let max_t = *threads_list.last().unwrap();
-    let cell = |graph: &str, barrier: BarrierKind, schedule: ScheduleKind| {
-        rows.iter()
-            .find(|r| {
-                r.graph == graph
-                    && r.barrier == barrier
-                    && r.schedule == schedule
-                    && r.threads == max_t
-            })
-            .map(|r| r.ms)
-            .expect("swept cell exists")
-    };
-    let mut comparisons: Vec<String> = Vec::new();
-    for w in &workloads {
-        let central = cell(w.name, BarrierKind::Central, ScheduleKind::Dynamic);
-        let scalable = cell(w.name, BarrierKind::Dissemination, ScheduleKind::Stealing);
-        let ratio = central / scalable;
-        assert!(ratio.is_finite() && ratio > 0.0);
-        eprintln!(
-            "summary {}/T={max_t}: central+dynamic {central:.3} ms, \
-             dissemination+stealing {scalable:.3} ms ({ratio:.2}x)",
-            w.name
-        );
-        comparisons.push(format!(
-            "{{\"graph\": \"{}\", \"threads\": {max_t}, \"central_dynamic_ms\": {central:.4}, \
-             \"dissemination_stealing_ms\": {scalable:.4}, \
-             \"dissemination_stealing_speedup\": {ratio:.4}}}",
-            w.name
-        ));
-    }
 
     // ---------------------------------------------------- mechanism sweep
     // The paper's mechanism claim, measured rather than asserted: on a
@@ -484,13 +399,11 @@ fn main() {
          \"threads_swept\": [{}],\n  \"machine_parallelism\": {ncpus},\n  \
          \"reps\": {reps},\n  \"quick\": {quick},\n  \"method\": \"{method}\",\n  \
          \"graphs\": [\n    {}\n  ],\n  \"results\": [\n    {}\n  ],\n  \
-         \"comparisons\": [\n    {}\n  ],\n  \
          \"telemetry_mechanism\": [\n    {}\n  ],\n  \
          \"telemetry_overhead\": {}\n}}\n",
         threads_json.join(", "),
         graphs.join(",\n    "),
         json_rows.join(",\n    "),
-        comparisons.join(",\n    "),
         mechanism.join(",\n    "),
         overhead_json
     );

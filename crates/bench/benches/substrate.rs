@@ -50,10 +50,8 @@ fn loop_scheduling(c: &mut Criterion) {
     let pool = ThreadPool::new(THREADS);
     let mut g = tuned(c, "substrate_for_each_100k");
     let schedules = [
-        ("static", Schedule::Static { chunk: None }),
-        ("static_chunk64", Schedule::Static { chunk: Some(64) }),
+        ("static", Schedule::Static),
         ("dynamic64", Schedule::Dynamic { chunk: 64 }),
-        ("guided", Schedule::Guided { min_chunk: 64 }),
     ];
     for (name, sched) in schedules {
         g.bench_with_input(BenchmarkId::from_parameter(name), &sched, |b, &sched| {

@@ -231,34 +231,31 @@ pub fn thread_sweep(scale: ScaleProfile) -> Vec<usize> {
     }
 }
 
-/// Build a pool of `threads` with the default (passive) wait policy —
-/// active waiting livelocks thread sweeps on machines with fewer cores
-/// than the paper's node; EXPERIMENTS.md discusses the divergence.
+/// Build a pool of `threads`. Its barrier waiters back off from spinning
+/// to yielding and timed parking — pure spinning livelocks thread sweeps
+/// on machines with fewer cores than the paper's node; EXPERIMENTS.md
+/// discusses the divergence.
 pub fn pool(threads: usize) -> ThreadPool {
     ThreadPool::new(threads)
 }
 
-/// Drain `pool`'s telemetry round report and render the three derived-rate
-/// columns every bench row shares (`fast_path_hit_rate`, `cas_retry_rate`,
-/// `steal_ratio`) as a JSON fragment. The pool must have been built with
+/// Drain `pool`'s telemetry round report and render the two derived-rate
+/// columns every bench row shares (`fast_path_hit_rate`, `cas_retry_rate`)
+/// as a JSON fragment. The pool must have been built with
 /// [`pram_exec::PoolConfig::telemetry`]; call right after the *untimed*
 /// profiling run. The rates are computed over the drained per-round
 /// deltas (not the pool-lifetime totals), so one telemetry pool can be
 /// reused across many profiled runs without the windows blending.
 pub fn telemetry_columns(pool: &ThreadPool) -> String {
-    use pram_exec::{CwCounters, ExecCounters};
     let report = pool.take_round_report();
-    let mut cw = CwCounters::default();
-    let mut exec = ExecCounters::default();
+    let mut cw = pram_exec::CwCounters::default();
     for r in &report.rounds {
         cw.add(&r.cw);
-        exec.add(&r.exec);
     }
     format!(
-        "\"fast_path_hit_rate\": {:.4}, \"cas_retry_rate\": {:.4}, \"steal_ratio\": {:.4}",
+        "\"fast_path_hit_rate\": {:.4}, \"cas_retry_rate\": {:.4}",
         cw.fast_path_hit_rate(),
-        cw.cas_retry_rate(),
-        exec.steal_ratio()
+        cw.cas_retry_rate()
     )
 }
 

@@ -11,17 +11,14 @@
 //!   real [`pram_core::CasLtCell`] (the unit tests below pin that), which
 //!   is exactly why stochastic tests pass it most of the time and why a
 //!   schedule-exploring checker is needed at all.
-//! * [`EarlyReleaseBarrier`] is a dissemination barrier built exactly like
-//!   [`pram_exec::DisseminationBarrier`] but running **one signal round
-//!   too few** — each thread synchronizes only with a neighborhood of the
-//!   team instead of all of it, so schedules exist where a thread passes
-//!   the "barrier" before a straggler has arrived. Sequentially (and for a
-//!   single participant) it is indistinguishable from the real thing.
-//! * [`DroppingStealer`] is a work-stealing queue set whose steal takes
-//!   the victim's back half but **forgets to re-queue** everything beyond
-//!   the range it returns — a thief that steals more than one chunk loses
-//!   work. Schedules where every steal moves a single chunk (including
-//!   all single-threaded ones) behave perfectly.
+//! * [`BuggySpinBarrier`] is [`pram_exec::SpinBarrier`] with the
+//!   arrival `fetch_add` split from the last-arriver test: the test
+//!   re-`load`s the counter instead of using the value the `fetch_add`
+//!   returned. That is the same check-then-act shape as
+//!   [`BuggyCasLtCell`]: when two members both load a full count before
+//!   the releaser's store resets it, both are elected (and both run the
+//!   `wait_with` closure). Sequentially (and for a single participant) it
+//!   is indistinguishable from the real barrier.
 //! * [`CountingClaimCell`] is a gatekeeper whose claim **consults a
 //!   counter read** instead of the atomic capture: it loads the counter,
 //!   treats `0` as the win condition, and stores the increment separately.
@@ -34,7 +31,6 @@
 //! under `--cfg pram_check` every racy load and store is a scheduling
 //! point.
 
-use std::collections::VecDeque;
 use std::ops::Range;
 
 use pram_core::sync::{self as psync, AtomicU32, Ordering};
@@ -193,144 +189,52 @@ impl SliceArbiter for CountingClaimCell {
     }
 }
 
-/// A dissemination barrier with one signal round too few (see module
-/// docs). Mirrors `pram_exec::DisseminationBarrier`'s episode-stamp
-/// protocol — monotone flags, `>=` waits, member-0 broadcast for
-/// `wait_with` — so the *only* difference the checker can find is the
-/// missing round.
+/// [`pram_exec::SpinBarrier`] with a re-loaded last-arriver test (see
+/// module docs). Everything else — the packed count/generation word, the
+/// single release store, the park/unpark hints — mirrors the real
+/// barrier, so the *only* difference the checker can find is the split
+/// check.
 #[derive(Debug)]
-pub struct EarlyReleaseBarrier {
-    /// `flags[tid][r]`: episode stamp from `tid`'s round-`r` partner.
-    flags: Box<[Box<[psync::AtomicU64]>]>,
-    /// Per-thread episode counter (thread-private, hence plain std).
-    episode: Box<[std::sync::atomic::AtomicU64]>,
-    /// Broadcast slot for `wait_with`.
-    release: psync::AtomicU64,
-    total: usize,
-    rounds: u32,
+pub struct BuggySpinBarrier {
+    /// Generation (high 32 bits) and arrival count (low 32 bits).
+    word: psync::AtomicU64,
+    total: u64,
 }
 
-impl EarlyReleaseBarrier {
-    /// A broken barrier for `total` participants.
-    pub fn new(total: usize) -> EarlyReleaseBarrier {
-        assert!(total >= 1);
-        let full = if total > 1 {
-            usize::BITS - (total - 1).leading_zeros()
-        } else {
-            0
-        };
-        // BUG (intentional): one dissemination round short. Each thread
-        // now waits on a strict subset of the team's arrivals.
-        let rounds = full.saturating_sub(1);
-        let mk = || {
-            let mut v = Vec::with_capacity(rounds as usize);
-            v.resize_with(rounds as usize, || psync::AtomicU64::new(0));
-            v.into_boxed_slice()
-        };
-        let mut flags = Vec::with_capacity(total);
-        flags.resize_with(total, mk);
-        let mut episode = Vec::with_capacity(total);
-        episode.resize_with(total, || std::sync::atomic::AtomicU64::new(0));
-        EarlyReleaseBarrier {
-            flags: flags.into_boxed_slice(),
-            episode: episode.into_boxed_slice(),
-            release: psync::AtomicU64::new(0),
-            total,
-            rounds,
+impl BuggySpinBarrier {
+    /// A broken barrier for `total` participants (≥ 1).
+    pub fn new(total: u32) -> BuggySpinBarrier {
+        assert!(total >= 1, "a barrier needs at least one participant");
+        BuggySpinBarrier {
+            word: psync::AtomicU64::new(0),
+            total: u64::from(total),
         }
     }
 
-    fn spin_until(&self, flag: &psync::AtomicU64, episode: u64) {
-        let addr = flag as *const psync::AtomicU64 as usize;
-        while flag.load(Ordering::Acquire) < episode {
-            psync::park_hint(addr);
-        }
+    /// Broken rendezvous; `true` on every member that sees the full count.
+    pub fn wait(&self) -> bool {
+        self.wait_with(|| {})
     }
 
-    fn rendezvous(&self, tid: usize) -> u64 {
-        let e = self.episode[tid].load(Ordering::Relaxed) + 1;
-        self.episode[tid].store(e, Ordering::Relaxed);
-        for r in 0..self.rounds {
-            let partner = (tid + (1usize << r)) % self.total;
-            let flag = &self.flags[partner][r as usize];
-            flag.store(e, Ordering::Release);
-            psync::unpark_hint(flag as *const psync::AtomicU64 as usize);
-            self.spin_until(&self.flags[tid][r as usize], e);
-        }
-        e
-    }
-
-    /// Broken rendezvous; `true` on member 0 (the same election contract
-    /// as the real barrier).
-    pub fn wait(&self, tid: usize) -> bool {
-        self.rendezvous(tid);
-        tid == 0
-    }
-
-    /// Broken rendezvous with member-0 closure + broadcast.
-    pub fn wait_with(&self, tid: usize, f: impl FnOnce()) -> bool {
-        let e = self.rendezvous(tid);
-        if tid == 0 {
+    /// Broken rendezvous; every elected member runs `f` before releasing.
+    pub fn wait_with(&self, f: impl FnOnce()) -> bool {
+        let addr = &self.word as *const psync::AtomicU64 as usize;
+        let gen = self.word.fetch_add(1, Ordering::AcqRel) >> 32;
+        // BUG (intentional): the real barrier decides on the count its
+        // fetch_add returned; re-loading lets every member that arrives
+        // before the release store see the full count.
+        if self.word.load(Ordering::Acquire) & 0xFFFF_FFFF == self.total {
             f();
-            self.release.store(e, Ordering::Release);
-            psync::unpark_hint(&self.release as *const psync::AtomicU64 as usize);
+            self.word
+                .store(gen.wrapping_add(1) << 32, Ordering::Release);
+            psync::unpark_hint(addr);
             true
         } else {
-            self.spin_until(&self.release, e);
+            while self.word.load(Ordering::Acquire) >> 32 == gen {
+                psync::park_hint(addr);
+            }
             false
         }
-    }
-}
-
-/// Work-stealing chunk deques whose steal drops everything beyond the
-/// first stolen range (see module docs). Seeded explicitly rather than by
-/// static partitioning so models can force an asymmetric start (one rich
-/// victim, one empty thief) that makes multi-chunk steals reachable in a
-/// small exhaustive tree.
-#[derive(Debug)]
-pub struct DroppingStealer {
-    deques: Box<[psync::Mutex<VecDeque<Range<usize>>>]>,
-}
-
-impl DroppingStealer {
-    /// Empty deques for `workers` threads.
-    pub fn new(workers: usize) -> DroppingStealer {
-        assert!(workers >= 1);
-        let mut v = Vec::with_capacity(workers);
-        v.resize_with(workers, || psync::Mutex::new(VecDeque::new()));
-        DroppingStealer {
-            deques: v.into_boxed_slice(),
-        }
-    }
-
-    /// Seed worker `tid` with ranges (call before exploration starts).
-    pub fn seed(&self, tid: usize, ranges: impl IntoIterator<Item = Range<usize>>) {
-        self.deques[tid].lock().extend(ranges);
-    }
-
-    /// Next range for `tid`: own front, else steal the first non-empty
-    /// victim's back half — **returning only one range and dropping the
-    /// rest of the stolen batch** (the seeded bug).
-    pub fn next(&self, tid: usize) -> Option<Range<usize>> {
-        if let Some(r) = self.deques[tid].lock().pop_front() {
-            return Some(r);
-        }
-        let n = self.deques.len();
-        for k in 1..n {
-            let victim = (tid + k) % n;
-            let mut dq = self.deques[victim].lock();
-            let len = dq.len();
-            if len == 0 {
-                continue;
-            }
-            let mut batch = dq.split_off(len - len.div_ceil(2));
-            drop(dq);
-            // BUG (intentional): a correct stealer re-queues the rest of
-            // the batch on its own deque; this one lets it fall on the
-            // floor.
-            return batch.pop_front();
-        }
-        None
     }
 }
 
@@ -374,34 +278,20 @@ mod tests {
     }
 
     #[test]
-    fn early_release_barrier_skips_synchronization_sequentially() {
-        // The bug is visible even single-threaded: with the truncated
-        // round count, a two-thread barrier performs zero signal rounds,
-        // so one participant sails through with nobody else arrived.
-        let b = EarlyReleaseBarrier::new(2);
-        assert!(b.wait(0)); // returns without thread 1 ever arriving
-        assert!(b.wait_with(0, || {}));
-        // Single participant is degenerate for real and buggy alike.
-        let solo = EarlyReleaseBarrier::new(1);
-        assert!(solo.wait(0));
-    }
-
-    #[test]
-    fn dropping_stealer_loses_work_on_multi_chunk_steals() {
-        let q = DroppingStealer::new(2);
-        q.seed(0, (0..4).map(|i| i..i + 1));
-        // Thief takes the back half (two ranges) but returns only one.
-        let got = q.next(1).expect("victim non-empty");
-        assert_eq!(got, 2..3);
-        // 3..4 is gone: neither deque holds it.
-        let mut rest = vec![];
-        while let Some(r) = q.next(0) {
-            rest.push(r);
+    fn buggy_barrier_sequentially_indistinguishable_from_spin_barrier() {
+        // A single participant runs every episode alone, so the re-load
+        // always sees its own arrival: same elections, same closure runs.
+        let buggy = BuggySpinBarrier::new(1);
+        let real = pram_exec::SpinBarrier::new(1);
+        let (mut buggy_runs, mut real_runs) = (0, 0);
+        for _ in 0..5 {
+            assert_eq!(buggy.wait(), real.wait());
+            assert_eq!(
+                buggy.wait_with(|| buggy_runs += 1),
+                real.wait_with(|| real_runs += 1)
+            );
         }
-        while let Some(r) = q.next(1) {
-            rest.push(r);
-        }
-        assert_eq!(rest, vec![0..1, 1..2], "dropped range resurfaced");
+        assert_eq!((buggy_runs, real_runs), (5, 5));
     }
 
     #[test]

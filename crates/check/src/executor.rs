@@ -70,6 +70,13 @@ impl Ctl {
     }
 }
 
+/// Unwind a blocked thread out of an aborted run. `resume_unwind` skips
+/// the panic hook, and `run_one` catches the unwind; the run's violation
+/// is already recorded, so the payload is never reported.
+fn abandon_run() -> ! {
+    std::panic::resume_unwind(Box::new("pram-check: run aborted"))
+}
+
 /// The per-thread instrumentation sink wired into `pram_core::sync`.
 struct WorkerHook {
     tid: usize,
@@ -108,11 +115,13 @@ impl CheckHook for WorkerHook {
     fn event(&self, event: CheckEvent) {
         let mut st = self.ctl.lock();
         if st.abort {
-            // Free-run mode: no scheduling. Yield on lock contention so a
-            // spinning acquirer lets the holder finish and release.
+            // Free-run mode: no scheduling, and a thread that would block
+            // unwinds out of the model instead. After a violation a wait
+            // may never be satisfied (a broken barrier lost an arrival, a
+            // peer already unwound), and the run must still drain.
             drop(st);
             if matches!(event, CheckEvent::Blocked(_)) {
-                std::thread::yield_now();
+                abandon_run();
             }
             return;
         }
@@ -129,8 +138,7 @@ impl CheckHook for WorkerHook {
                     if st.abort {
                         st.status[self.tid] = Status::Running;
                         drop(st);
-                        std::thread::yield_now();
-                        return;
+                        abandon_run();
                     }
                     if st.granted == Some(self.tid) {
                         st.granted = None;

@@ -35,13 +35,13 @@
 //! [`models`] packages the substrate's invariants as checkable [`models::Model`]s
 //! (single winner, reset/re-arm, priority minimum, payload non-tearing),
 //! [`sync_models`] extends the same treatment to the execution substrate's
-//! own synchronization (the dissemination barrier's no-early-release /
-//! episode-reuse / broadcast-visibility contract, and the work-stealing
-//! loop's no-drop / no-duplicate coverage), and [`buggy`] provides
+//! own synchronization (the team barrier's no-early-release /
+//! generation-reuse / `wait_with`-visibility / single-election contract,
+//! checked on the `SpinBarrier` every kernel runs), and [`buggy`] provides
 //! deliberately broken implementations — a check-then-act CAS-LT, a
-//! gatekeeper that decides on a counter *read*, a dissemination barrier
-//! one signal round short, a stealer that drops part of its stolen batch —
-//! that the checker must *catch*, pinning its own sensitivity.
+//! gatekeeper that decides on a counter *read*, a barrier whose
+//! last-arriver test re-reads the arrival counter — that the checker must
+//! *catch*, pinning its own sensitivity.
 //!
 //! The schedule policies ([`schedule`]) and the buggy arbiters compile and
 //! unit-test in every build; only the executor/explorer/models need the
@@ -66,9 +66,7 @@ pub mod models;
 #[cfg(pram_check)]
 pub mod sync_models;
 
-pub use buggy::{
-    BuggyCasLtArray, BuggyCasLtCell, CountingClaimCell, DroppingStealer, EarlyReleaseBarrier,
-};
+pub use buggy::{BuggyCasLtArray, BuggyCasLtCell, BuggySpinBarrier, CountingClaimCell};
 pub use schedule::{Chooser, DfsChooser, FixedChooser, PctChooser, RandomChooser};
 
 #[cfg(pram_check)]
@@ -81,4 +79,4 @@ pub use explore::{
 #[cfg(pram_check)]
 pub use models::{Model, TelemetryPassive};
 #[cfg(pram_check)]
-pub use sync_models::{BarrierLockstep, ModelBarrier, ModelStealSource, StealCoverage};
+pub use sync_models::{BarrierLockstep, ModelBarrier};

@@ -1,67 +1,55 @@
-//! Checkable models for the execution substrate's synchronization
-//! primitives: the dissemination barrier and the work-stealing loop.
+//! Checkable model for the execution substrate's own synchronization: the
+//! team barrier every kernel runs, [`pram_exec::SpinBarrier`].
 //!
 //! The arbitration models ([`crate::models`]) assume their barrier — the
 //! phase boundary between `run` calls is a total order the executor
-//! provides for free. These models check the *barrier itself* (and the
-//! stealing deques), which therefore must synchronize **inside** a single
-//! phase, through the instrumented `pram_core::sync` facade:
+//! provides for free. [`BarrierLockstep`] checks the *barrier itself*,
+//! which therefore must synchronize **inside** a single phase, through the
+//! instrumented `pram_core::sync` facade: threads run several barrier
+//! episodes in one phase body, checking after every rendezvous that (a)
+//! all participants had arrived before anyone was released, (b) the
+//! `wait_with` closure's effect is visible to every member immediately
+//! after the barrier, and (c) exactly one member is elected per episode.
+//! Running ≥ 2 episodes exercises reuse: the releaser's one store resets
+//! the arrival count and advances the generation, so a stale-release bug
+//! would surface as a thread sailing through episode 2 on episode 1's
+//! generation.
 //!
-//! * [`BarrierLockstep`] — threads run several barrier episodes in one
-//!   phase body, checking after every rendezvous that (a) all
-//!   participants had arrived before anyone was released, (b) the
-//!   `wait_with` closure's effect is visible to every member immediately
-//!   after the barrier, and (c) exactly one member is elected per
-//!   episode. Running ≥ 2 episodes exercises reuse: the episode-stamp
-//!   flags are never reset, so a stale-release bug would surface as a
-//!   thread sailing through episode 2 on episode 1's stamps.
-//! * [`StealCoverage`] — threads drain a pre-seeded set of chunk deques,
-//!   marking every index they execute; afterwards every index must have
-//!   been executed exactly once (no drop, no duplicate), under every
-//!   explored interleaving of pops and steals.
-//!
-//! Both are generic over the primitive so the same program drives the
-//! real implementation (must stay clean) and the seeded bugs in
-//! [`crate::buggy`] (must be caught): [`EarlyReleaseBarrier`] and
-//! [`DroppingStealer`].
-//!
-//! Only the dissemination topology is modelable: the centralized
-//! `SpinBarrier` waits on plain `std` atomics the checker cannot see (a
-//! model thread spinning there would never reach a scheduling point and
-//! the lockstep executor would hang waiting for quiescence).
+//! The model is generic over [`ModelBarrier`], so the same program drives
+//! the real barrier (must stay clean) and the seeded bug in
+//! [`crate::buggy`] (must be caught): [`BuggySpinBarrier`].
 
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 
-use pram_exec::{DisseminationBarrier, StealQueues};
+use pram_exec::SpinBarrier;
 
-use crate::buggy::{DroppingStealer, EarlyReleaseBarrier};
+use crate::buggy::BuggySpinBarrier;
 use crate::models::Model;
 
 /// The barrier surface [`BarrierLockstep`] drives — object-safe so one
 /// model program covers the real barrier and the buggy seed.
 pub trait ModelBarrier: Sync {
-    /// Rendezvous as member `tid`; `true` on exactly one member.
-    fn wait(&self, tid: usize) -> bool;
+    /// Rendezvous; `true` on exactly one member.
+    fn wait(&self) -> bool;
     /// Rendezvous; the elected member runs `f` before any member returns.
-    fn wait_with(&self, tid: usize, f: &mut dyn FnMut()) -> bool;
+    fn wait_with(&self, f: &mut dyn FnMut()) -> bool;
 }
 
-impl ModelBarrier for DisseminationBarrier {
-    fn wait(&self, tid: usize) -> bool {
-        DisseminationBarrier::wait(self, tid)
+impl ModelBarrier for SpinBarrier {
+    fn wait(&self) -> bool {
+        SpinBarrier::wait(self)
     }
-    fn wait_with(&self, tid: usize, f: &mut dyn FnMut()) -> bool {
-        DisseminationBarrier::wait_with(self, tid, || f())
+    fn wait_with(&self, f: &mut dyn FnMut()) -> bool {
+        SpinBarrier::wait_with(self, f)
     }
 }
 
-impl ModelBarrier for EarlyReleaseBarrier {
-    fn wait(&self, tid: usize) -> bool {
-        EarlyReleaseBarrier::wait(self, tid)
+impl ModelBarrier for BuggySpinBarrier {
+    fn wait(&self) -> bool {
+        BuggySpinBarrier::wait(self)
     }
-    fn wait_with(&self, tid: usize, f: &mut dyn FnMut()) -> bool {
-        EarlyReleaseBarrier::wait_with(self, tid, || f())
+    fn wait_with(&self, f: &mut dyn FnMut()) -> bool {
+        BuggySpinBarrier::wait_with(self, f)
     }
 }
 
@@ -112,15 +100,15 @@ impl<B: ModelBarrier> Model for BarrierLockstep<B> {
     fn threads(&self) -> usize {
         self.threads
     }
-    fn run(&self, _phase: usize, tid: usize) {
+    fn run(&self, _phase: usize, _tid: usize) {
         for e in 0..self.episodes {
             self.arrived[e].fetch_add(1, Ordering::Relaxed);
             let elected = if e % 2 == 0 {
-                self.barrier.wait(tid)
+                self.barrier.wait()
             } else {
                 let stamp = e as u32 + 1;
                 self.barrier
-                    .wait_with(tid, &mut || self.slot[e].store(stamp, Ordering::Relaxed))
+                    .wait_with(&mut || self.slot[e].store(stamp, Ordering::Relaxed))
             };
             if elected {
                 self.elections[e].fetch_add(1, Ordering::Relaxed);
@@ -147,75 +135,6 @@ impl<B: ModelBarrier> Model for BarrierLockstep<B> {
             let n = n.load(Ordering::Relaxed);
             if n != 1 {
                 return Err(format!("episode {e}: expected exactly 1 election, got {n}"));
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The queue surface [`StealCoverage`] drains.
-pub trait ModelStealSource: Sync {
-    /// Next range for `tid` to execute, or `None` when the loop is drained.
-    fn next(&self, tid: usize) -> Option<Range<usize>>;
-}
-
-impl ModelStealSource for StealQueues {
-    fn next(&self, tid: usize) -> Option<Range<usize>> {
-        StealQueues::next(self, tid, None)
-    }
-}
-
-impl ModelStealSource for DroppingStealer {
-    fn next(&self, tid: usize) -> Option<Range<usize>> {
-        DroppingStealer::next(self, tid)
-    }
-}
-
-/// No-drop / no-duplicate coverage of a pre-seeded stealing loop (see
-/// module docs). Seed the queues before handing them in — construction
-/// runs on the unhooked main thread, so seeding adds no scheduling
-/// points.
-pub struct StealCoverage<Q> {
-    name: String,
-    queues: Q,
-    threads: usize,
-    hits: Vec<AtomicU32>,
-}
-
-impl<Q: ModelStealSource> StealCoverage<Q> {
-    /// `threads` drainers over index space `0..len`.
-    pub fn new(name: &str, queues: Q, threads: usize, len: usize) -> StealCoverage<Q> {
-        let mut hits = Vec::with_capacity(len);
-        hits.resize_with(len, || AtomicU32::new(0));
-        StealCoverage {
-            name: name.to_string(),
-            queues,
-            threads,
-            hits,
-        }
-    }
-}
-
-impl<Q: ModelStealSource> Model for StealCoverage<Q> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn threads(&self) -> usize {
-        self.threads
-    }
-    fn run(&self, _phase: usize, tid: usize) {
-        while let Some(r) = self.queues.next(tid) {
-            for i in r {
-                self.hits[i].fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    fn check_final(&self) -> Result<(), String> {
-        for (i, h) in self.hits.iter().enumerate() {
-            match h.load(Ordering::Relaxed) {
-                1 => {}
-                0 => return Err(format!("index {i} dropped: never executed")),
-                n => return Err(format!("index {i} duplicated: executed {n} times")),
             }
         }
         Ok(())

@@ -1,10 +1,10 @@
-//! Execution-substrate counters: barrier waits and loop-scheduling
-//! grab/steal traffic, recorded per worker.
+//! Execution-substrate counters: barrier waits and loop-scheduling grabs,
+//! recorded per worker.
 //!
 //! Where [`crate::CwCounters`] attributes *arbitration* cost (fast path vs
 //! RMW), [`ExecStats`] attributes *runtime* cost: how often each worker hit
-//! a barrier, how long it waited there, and how its loop iterations were
-//! acquired (owned grabs vs steals). Snapshots are plain
+//! a barrier, how long it waited there, and how many loop chunks it
+//! grabbed from a shared cursor. Snapshots are plain
 //! [`ExecCounters`], the value type round reports carry.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,8 +35,6 @@ struct WorkerSlots {
     barrier_waits: AtomicU64,
     barrier_wait_ns: AtomicU64,
     grabs: AtomicU64,
-    steal_attempts: AtomicU64,
-    steals: AtomicU64,
 }
 
 impl ExecStats {
@@ -58,22 +56,10 @@ impl ExecStats {
         w.barrier_wait_ns.fetch_add(wait_ns, Ordering::Relaxed);
     }
 
-    /// Record one loop-chunk acquisition by worker `tid` from its own
-    /// share (a shared-cursor grab or an owned-deque pop).
+    /// Record one loop-chunk grab by worker `tid` from a shared cursor.
     #[inline]
     pub fn record_grab(&self, tid: usize) {
         self.workers[tid].grabs.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Record one steal attempt by worker `tid` (its own share was empty);
-    /// `hit` is whether a victim chunk was actually taken.
-    #[inline]
-    pub fn record_steal(&self, tid: usize, hit: bool) {
-        let w = &self.workers[tid];
-        w.steal_attempts.fetch_add(1, Ordering::Relaxed);
-        if hit {
-            w.steals.fetch_add(1, Ordering::Relaxed);
-        }
     }
 
     /// A consistent-enough copy of one worker's counters (exact when the
@@ -84,8 +70,6 @@ impl ExecStats {
             barrier_waits: w.barrier_waits.load(Ordering::Relaxed),
             barrier_wait_ns: w.barrier_wait_ns.load(Ordering::Relaxed),
             grabs: w.grabs.load(Ordering::Relaxed),
-            steal_attempts: w.steal_attempts.load(Ordering::Relaxed),
-            steals: w.steals.load(Ordering::Relaxed),
         }
     }
 
@@ -109,19 +93,17 @@ mod tests {
         s.record_barrier_wait(0, 1_000);
         s.record_barrier_wait(0, 500);
         s.record_grab(0);
-        s.record_steal(1, false);
-        s.record_steal(1, true);
+        s.record_grab(1);
+        s.record_grab(1);
         let w0 = s.worker_snapshot(0);
         assert_eq!(w0.barrier_waits, 2);
         assert_eq!(w0.barrier_wait_ns, 1_500);
         assert_eq!(w0.grabs, 1);
         let w1 = s.worker_snapshot(1);
-        assert_eq!(w1.steal_attempts, 2);
-        assert_eq!(w1.steals, 1);
+        assert_eq!(w1.barrier_waits, 0);
+        assert_eq!(w1.grabs, 2);
         let total = s.totals();
         assert_eq!(total.barrier_waits, 2);
-        assert_eq!(total.grabs, 1);
-        assert_eq!(total.steals, 1);
-        assert!((total.steal_ratio() - 0.5).abs() < 1e-9);
+        assert_eq!(total.grabs, 3);
     }
 }

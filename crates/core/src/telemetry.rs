@@ -161,39 +161,23 @@ impl fmt::Display for CwCounters {
 
 /// Execution-substrate counters, as plain values (the value-type face of
 /// [`crate::ExecStats`]): barrier traffic and loop-scheduling
-/// grab/steal traffic, summed over the team or accrued over one round.
+/// grabs, summed over the team or accrued over one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecCounters {
     /// Barrier rendezvous completed.
     pub barrier_waits: u64,
     /// Nanoseconds spent waiting at barriers (summed over workers).
     pub barrier_wait_ns: u64,
-    /// Loop chunks acquired from a worker's own share.
+    /// Loop chunks grabbed from a shared cursor.
     pub grabs: u64,
-    /// Steal attempts made after an own share drained.
-    pub steal_attempts: u64,
-    /// Steal attempts that took a chunk from a victim.
-    pub steals: u64,
 }
 
 impl ExecCounters {
-    /// Fraction of acquired chunks that were stolen, in `[0, 1]`.
-    pub fn steal_ratio(&self) -> f64 {
-        let total = self.grabs + self.steals;
-        if total == 0 {
-            0.0
-        } else {
-            self.steals as f64 / total as f64
-        }
-    }
-
     /// Field-wise accumulate.
     pub fn add(&mut self, other: &ExecCounters) {
         self.barrier_waits += other.barrier_waits;
         self.barrier_wait_ns += other.barrier_wait_ns;
         self.grabs += other.grabs;
-        self.steal_attempts += other.steal_attempts;
-        self.steals += other.steals;
     }
 
     /// Field-wise `self − baseline` (saturating).
@@ -204,8 +188,6 @@ impl ExecCounters {
                 .barrier_wait_ns
                 .saturating_sub(baseline.barrier_wait_ns),
             grabs: self.grabs.saturating_sub(baseline.grabs),
-            steal_attempts: self.steal_attempts.saturating_sub(baseline.steal_attempts),
-            steals: self.steals.saturating_sub(baseline.steals),
         }
     }
 }
@@ -249,7 +231,7 @@ pub struct RoundReport {
     pub totals_exec: ExecCounters,
 }
 
-const METRICS_SCHEMA: &str = "pram-telemetry-v1";
+const METRICS_SCHEMA: &str = "pram-telemetry-v2";
 
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
@@ -284,17 +266,16 @@ fn cw_json(c: &CwCounters) -> String {
 
 fn exec_json(e: &ExecCounters) -> String {
     format!(
-        "{{\"barrier_waits\": {}, \"barrier_wait_ns\": {}, \"grabs\": {}, \
-         \"steal_attempts\": {}, \"steals\": {}}}",
-        e.barrier_waits, e.barrier_wait_ns, e.grabs, e.steal_attempts, e.steals
+        "{{\"barrier_waits\": {}, \"barrier_wait_ns\": {}, \"grabs\": {}}}",
+        e.barrier_waits, e.barrier_wait_ns, e.grabs
     )
 }
 
 impl RoundReport {
-    /// The stable-schema JSON metrics dump (`pram-telemetry-v1`).
+    /// The stable-schema JSON metrics dump (`pram-telemetry-v2`).
     ///
     /// Field ordering is fixed; counters are exact integers; the derived
-    /// rates (`fast_path_hit_rate`, `cas_retry_rate`, `steal_ratio`) are
+    /// rates (`fast_path_hit_rate`, `cas_retry_rate`) are
     /// redundant conveniences recomputed on parse. The output parses back
     /// to an equal report via [`RoundReport::from_metrics_json`].
     pub fn metrics_json(&self) -> String {
@@ -318,14 +299,13 @@ impl RoundReport {
         format!(
             "{{\n  \"schema\": \"{METRICS_SCHEMA}\",\n  \"threads\": {},\n  \"totals\": {{\n    \
              \"cw\": {},\n    \"exec\": {},\n    \"fast_path_hit_rate\": {:.6},\n    \
-             \"cas_retry_rate\": {:.6},\n    \"steal_ratio\": {:.6}\n  }},\n  \"rounds\": [\n    \
+             \"cas_retry_rate\": {:.6}\n  }},\n  \"rounds\": [\n    \
              {}\n  ]\n}}\n",
             self.threads,
             cw_json(&self.totals_cw),
             exec_json(&self.totals_exec),
             self.totals_cw.fast_path_hit_rate(),
             self.totals_cw.cas_retry_rate(),
-            self.totals_exec.steal_ratio(),
             rounds.join(",\n    ")
         )
     }
@@ -465,8 +445,6 @@ fn parse_exec(v: &mini_json::Value) -> Result<ExecCounters, String> {
         barrier_waits: mini_json::field(o, "barrier_waits")?.as_u64("barrier_waits")?,
         barrier_wait_ns: mini_json::field(o, "barrier_wait_ns")?.as_u64("barrier_wait_ns")?,
         grabs: mini_json::field(o, "grabs")?.as_u64("grabs")?,
-        steal_attempts: mini_json::field(o, "steal_attempts")?.as_u64("steal_attempts")?,
-        steals: mini_json::field(o, "steals")?.as_u64("steals")?,
     })
 }
 
@@ -1064,8 +1042,6 @@ mod tests {
                         barrier_waits: 8,
                         barrier_wait_ns: 900,
                         grabs: 12,
-                        steal_attempts: 2,
-                        steals: 1,
                     },
                 },
                 RoundSnapshot {
@@ -1097,8 +1073,6 @@ mod tests {
                 barrier_waits: 8,
                 barrier_wait_ns: 900,
                 grabs: 12,
-                steal_attempts: 2,
-                steals: 1,
             },
         }
     }
@@ -1123,16 +1097,14 @@ mod tests {
         assert_eq!(CwCounters::default().cas_retry_rate(), 0.0);
         let mut e = ExecCounters {
             grabs: 3,
-            steals: 1,
-            steal_attempts: 2,
+            barrier_waits: 2,
             ..ExecCounters::default()
         };
-        assert!((e.steal_ratio() - 0.25).abs() < 1e-12);
         let e0 = e;
         e.add(&e0);
         assert_eq!(e.grabs, 6);
+        assert_eq!(e.barrier_waits, 4);
         assert_eq!(e.delta_since(&e0), e0);
-        assert_eq!(ExecCounters::default().steal_ratio(), 0.0);
     }
 
     #[test]

@@ -1,107 +1,98 @@
-//! Reusable team barriers: centralized sense-reversing and dissemination.
+//! The team barrier: a centralized sense-reversing rendezvous.
 //!
 //! The barrier is the synchronization point the paper requires between a
 //! concurrent-write round and its dependent reads, and it executes on every
 //! loop boundary — on high-diameter inputs tens of thousands of times per
-//! kernel — so its cost structure matters. Two topologies are provided,
-//! selected by [`crate::PoolConfig::barrier`] and dispatched through
-//! [`TeamBarrier`]:
+//! kernel. [`SpinBarrier`] keeps one cache-line-isolated 64-bit word: the
+//! arrival count in the low 32 bits, the generation in the high 32 bits.
+//! Each arriver does one `fetch_add(1)`, which returns both the count and
+//! the generation it arrived in. The last arriver optionally runs a
+//! caller-supplied closure (the hook [`crate::WorkerCtx`] uses to re-arm
+//! per-round shared state exactly once, race-free), then stores the next
+//! generation with a zero count — one store both resets the count and
+//! releases the waiters. Every pre-barrier action of every participant
+//! happens-before every post-barrier action of every participant (`AcqRel`
+//! arrivals, a `Release` release store, `Acquire` waiter loads).
 //!
-//! * [`SpinBarrier`] — one shared arrival counter plus a generation word,
-//!   both cache-line-isolated. Arrivers increment the counter; the last
-//!   arriver resets it, optionally runs a caller-supplied closure (the
-//!   hook [`crate::WorkerCtx`] uses to re-arm per-round shared state
-//!   exactly once, race-free), and bumps the generation, releasing the
-//!   spinners. Cheapest for small teams; every arrival contends one line.
-//! * [`DisseminationBarrier`] — `ceil(log2 T)` rounds of pairwise
-//!   signaling: in round `r`, thread `i` stamps the flag of thread
-//!   `(i + 2^r) mod T` with the current episode number and waits for its
-//!   own round-`r` flag. Every flag has exactly one writer and one reader
-//!   and sits on its own cache line, so there is no shared hot spot at
-//!   all; reuse across episodes needs no reset (flags carry monotonically
-//!   increasing episode stamps — the sense-reversal generalization).
+//! Waiters escalate through [`WaitBackoff`]: spin, then yield, then park in
+//! exponentially growing timed sleeps. On oversubscribed machines (more
+//! threads than cores, which the thread-scaling sweep deliberately
+//! creates) a tight spin or `yield_now` loop burns the timeslice the
+//! straggler needs.
 //!
-//! Both barriers release *happens-before* edges in both directions: every
-//! pre-barrier action of every participant happens-before every
-//! post-barrier action of every participant (centralized: `AcqRel`
-//! arrivals + a `Release`/`Acquire` generation word; dissemination:
-//! `Release` stores / `Acquire` loads chained along the signal graph,
-//! which spans all `T` participants after `ceil(log2 T)` rounds).
-//!
-//! Waiting escalates through [`crate::WaitPolicy`]: active waiters spin
-//! forever; passive waiters spin briefly, yield for a while, then park in
-//! exponentially growing timed sleeps — on oversubscribed machines
-//! (threads > cores, which the thread-scaling sweep deliberately creates)
-//! a tight `yield_now` loop burns the timeslice the straggler needs.
-//!
-//! The dissemination barrier's cross-thread flags go through the
-//! [`pram_core::sync`] facade, so under `--cfg pram_check` the
-//! `pram-check` crate can model-check it (no early release, episode reuse)
-//! exactly like the arbiters; its spin loops emit
-//! [`pram_core::sync::park_hint`] so the lockstep scheduler parks waiters
-//! instead of exploring unbounded re-reads.
+//! The word goes through the [`pram_core::sync`] facade, so under
+//! `--cfg pram_check` the `pram-check` crate model-checks this barrier (no
+//! early release, generation reuse, `wait_with` visibility, one election
+//! per episode) exactly like the arbiters. Packing count and generation
+//! into one word keeps each arrival to one instrumented operation, which
+//! keeps the exhaustive multi-episode model small enough to finish. The wait loop emits [`pram_core::sync::park_hint`] and the
+//! releaser [`pram_core::sync::unpark_hint`], so the lockstep scheduler
+//! parks waiters instead of exploring unbounded re-reads. In normal builds
+//! both hints are no-ops and the facade atomics are `std` atomics.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::sync::atomic::AtomicBool;
 
 use crossbeam_utils::CachePadded;
-use pram_core::sync as psync;
+use pram_core::sync::{self as psync, Ordering};
 
-use crate::config::{BarrierKind, WaitPolicy};
-
+/// Spin iterations before a waiter starts yielding. This first phase is
+/// what OpenMP's active wait policy does forever.
+const SPIN_BEFORE_YIELD: u32 = 128;
 /// Yield attempts after the spin budget, before timed parking starts.
+#[cfg(not(pram_check))]
 const YIELDS_BEFORE_PARK: u32 = 64;
 /// First timed-park duration, doubled per retry up to the cap.
+#[cfg(not(pram_check))]
 const PARK_START_US: u64 = 5;
 /// Longest single timed park — bounds release-observation latency.
+#[cfg(not(pram_check))]
 const PARK_CAP_US: u64 = 100;
 
-/// Escalating wait-loop body shared by both barrier topologies (and any
-/// other bounded spin in this crate): spin → yield → exponentially growing
-/// `park_timeout`, per [`WaitPolicy`].
+/// Low half of the barrier word: the arrival count.
+const COUNT_MASK: u64 = 0xFFFF_FFFF;
+/// The generation lives in the high half of the barrier word.
+const GENERATION_SHIFT: u32 = 32;
+
+/// Escalating wait-loop body: spin → yield → exponentially growing
+/// `park_timeout`.
 ///
 /// The third stage is the oversubscription fix: a waiter that has yielded
-/// [`YIELDS_BEFORE_PARK`] times is almost certainly waiting on a straggler
-/// that needs the core, so it sleeps — first [`PARK_START_US`] µs,
-/// doubling to [`PARK_CAP_US`] µs — instead of re-contending the run
-/// queue. The cap keeps worst-case wakeup latency bounded (a poisoned or
-/// released barrier is observed within one cap interval).
-#[derive(Debug)]
+/// `YIELDS_BEFORE_PARK` times is almost certainly waiting on a straggler
+/// that needs the core, so it sleeps — first `PARK_START_US` µs, doubling
+/// to `PARK_CAP_US` µs — instead of re-contending the run queue. The cap
+/// keeps worst-case wakeup latency bounded (a poisoned or released barrier
+/// is observed within one cap interval).
+///
+/// Under `--cfg pram_check` a step does nothing: the checker's
+/// [`pram_core::sync::park_hint`] is the wait.
+#[derive(Debug, Default)]
 pub struct WaitBackoff {
-    policy: WaitPolicy,
-    spin_before_yield: u32,
     step: u32,
 }
 
 impl WaitBackoff {
     /// A fresh backoff at the start of its spin stage.
-    pub fn new(policy: WaitPolicy, spin_before_yield: u32) -> WaitBackoff {
-        WaitBackoff {
-            policy,
-            spin_before_yield,
-            step: 0,
-        }
+    pub fn new() -> WaitBackoff {
+        WaitBackoff::default()
     }
 
     /// Perform one wait step and escalate.
     #[inline]
     pub fn wait(&mut self) {
-        match self.policy {
-            WaitPolicy::Active => std::hint::spin_loop(),
-            WaitPolicy::Passive => {
-                let s = self.step;
-                self.step = s.saturating_add(1);
-                if s < self.spin_before_yield {
-                    std::hint::spin_loop();
-                } else if s < self.spin_before_yield.saturating_add(YIELDS_BEFORE_PARK) {
-                    std::thread::yield_now();
-                } else {
-                    let exp = s - self.spin_before_yield - YIELDS_BEFORE_PARK;
-                    let us = PARK_START_US
-                        .saturating_mul(1 << exp.min(5))
-                        .min(PARK_CAP_US);
-                    std::thread::park_timeout(Duration::from_micros(us));
-                }
+        #[cfg(not(pram_check))]
+        {
+            let s = self.step;
+            self.step = s.saturating_add(1);
+            if s < SPIN_BEFORE_YIELD {
+                std::hint::spin_loop();
+            } else if s < SPIN_BEFORE_YIELD + YIELDS_BEFORE_PARK {
+                std::thread::yield_now();
+            } else {
+                let exp = s - SPIN_BEFORE_YIELD - YIELDS_BEFORE_PARK;
+                let us = PARK_START_US
+                    .saturating_mul(1 << exp.min(5))
+                    .min(PARK_CAP_US);
+                std::thread::park_timeout(std::time::Duration::from_micros(us));
             }
         }
     }
@@ -109,7 +100,7 @@ impl WaitBackoff {
     /// Whether this backoff has escalated past pure spinning (diagnostic;
     /// used by tests to pin the escalation order).
     pub fn is_yielding(&self) -> bool {
-        matches!(self.policy, WaitPolicy::Passive) && self.step > self.spin_before_yield
+        self.step > SPIN_BEFORE_YIELD
     }
 }
 
@@ -120,12 +111,10 @@ impl WaitBackoff {
 /// all participants form the k-th rendezvous.
 #[derive(Debug)]
 pub struct SpinBarrier {
-    arrived: CachePadded<AtomicUsize>,
-    generation: CachePadded<AtomicU64>,
-    total: usize,
-    policy: WaitPolicy,
-    spin_before_yield: u32,
-    /// Set by the pool when a sibling worker panics; spinners convert it
+    /// Generation (high 32 bits) and arrival count (low 32 bits).
+    word: CachePadded<psync::AtomicU64>,
+    total: u64,
+    /// Set by the pool when a sibling worker panics; waiters convert it
     /// into a panic of their own instead of waiting forever for a
     /// participant that will never arrive.
     poisoned: CachePadded<AtomicBool>,
@@ -133,14 +122,15 @@ pub struct SpinBarrier {
 
 impl SpinBarrier {
     /// A barrier for `total` participants (≥ 1).
-    pub fn new(total: usize, policy: WaitPolicy, spin_before_yield: u32) -> SpinBarrier {
+    pub fn new(total: usize) -> SpinBarrier {
         assert!(total >= 1, "a barrier needs at least one participant");
+        assert!(
+            total as u64 <= COUNT_MASK,
+            "barrier team exceeds the 32-bit arrival count"
+        );
         SpinBarrier {
-            arrived: CachePadded::new(AtomicUsize::new(0)),
-            generation: CachePadded::new(AtomicU64::new(0)),
-            total,
-            policy,
-            spin_before_yield,
+            word: CachePadded::new(psync::AtomicU64::new(0)),
+            total: total as u64,
             poisoned: CachePadded::new(AtomicBool::new(false)),
         }
     }
@@ -148,7 +138,7 @@ impl SpinBarrier {
     /// Number of participants.
     #[inline]
     pub fn participants(&self) -> usize {
-        self.total
+        self.total as usize
     }
 
     /// Rendezvous. Returns `true` on the single thread that released the
@@ -165,173 +155,27 @@ impl SpinBarrier {
     /// post-barrier code — the race-free slot for resetting shared
     /// per-round state (cursors, convergence flags, gatekeeper arrays).
     pub fn wait_with(&self, f: impl FnOnce()) -> bool {
-        let gen = self.generation.load(Ordering::Acquire);
-        let arrived = self.arrived.fetch_add(1, Ordering::AcqRel) + 1;
+        let addr = &*self.word as *const psync::AtomicU64 as usize;
+        let old = self.word.fetch_add(1, Ordering::AcqRel);
+        let gen = old >> GENERATION_SHIFT;
+        let arrived = (old & COUNT_MASK) + 1;
         debug_assert!(arrived <= self.total, "barrier called by a non-participant");
         if arrived == self.total {
             f();
-            self.arrived.store(0, Ordering::Relaxed);
-            self.generation
-                .store(gen.wrapping_add(1), Ordering::Release);
+            // Next generation (wrapping at 32 bits), count back to zero.
+            self.word
+                .store(gen.wrapping_add(1) << GENERATION_SHIFT, Ordering::Release);
+            psync::unpark_hint(addr);
             true
         } else {
-            let mut backoff = WaitBackoff::new(self.policy, self.spin_before_yield);
-            while self.generation.load(Ordering::Acquire) == gen {
+            let mut backoff = WaitBackoff::new();
+            while self.word.load(Ordering::Acquire) >> GENERATION_SHIFT == gen {
                 if self.poisoned.load(Ordering::Relaxed) {
                     panic!("barrier poisoned: a sibling worker panicked");
                 }
                 backoff.wait();
+                psync::park_hint(addr);
             }
-            false
-        }
-    }
-
-    /// Poison the barrier: current and future waiters panic instead of
-    /// spinning forever. Called by the pool's panic propagation.
-    pub fn poison(&self) {
-        self.poisoned.store(true, Ordering::Relaxed);
-    }
-
-    /// Whether the barrier has been poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Relaxed)
-    }
-}
-
-/// A reusable dissemination barrier: O(log T) pairwise-signal rounds, no
-/// shared counter (see module docs for the topology and memory-ordering
-/// argument).
-///
-/// Unlike [`SpinBarrier`], participants are *identified*: every thread
-/// passes its stable team id (`0..total`) to [`DisseminationBarrier::wait`]
-/// — the signal partners are a function of the id. The k-th calls of all
-/// participants form the k-th rendezvous (episode), and a thread must
-/// never skip an episode other threads complete.
-#[derive(Debug)]
-pub struct DisseminationBarrier {
-    /// `flags[tid][r]`: episode stamp written by `tid`'s round-`r` partner
-    /// `(tid - 2^r) mod T`. One writer, one reader, own cache line;
-    /// routed through the sync facade so the checker can explore it.
-    flags: Box<[Box<[CachePadded<psync::AtomicU64>]>]>,
-    /// Per-thread episode counter. Thread-private bookkeeping (slot `tid`
-    /// is only ever touched by thread `tid`), so it stays a plain atomic —
-    /// instrumenting it would add scheduling points without adding any
-    /// cross-thread interaction.
-    episode: Box<[CachePadded<AtomicU64>]>,
-    /// Broadcast slot for [`DisseminationBarrier::wait_with`]: member 0
-    /// stamps the episode here after running the closure.
-    release: CachePadded<psync::AtomicU64>,
-    total: usize,
-    rounds: u32,
-    policy: WaitPolicy,
-    spin_before_yield: u32,
-    poisoned: CachePadded<AtomicBool>,
-}
-
-impl DisseminationBarrier {
-    /// A barrier for `total` participants (≥ 1).
-    pub fn new(total: usize, policy: WaitPolicy, spin_before_yield: u32) -> DisseminationBarrier {
-        assert!(total >= 1, "a barrier needs at least one participant");
-        let rounds = if total > 1 {
-            usize::BITS - (total - 1).leading_zeros()
-        } else {
-            0
-        };
-        let mk_flags = || {
-            let mut v = Vec::with_capacity(rounds as usize);
-            v.resize_with(rounds as usize, || {
-                CachePadded::new(psync::AtomicU64::new(0))
-            });
-            v.into_boxed_slice()
-        };
-        let mut flags = Vec::with_capacity(total);
-        flags.resize_with(total, mk_flags);
-        let mut episode = Vec::with_capacity(total);
-        episode.resize_with(total, || CachePadded::new(AtomicU64::new(0)));
-        DisseminationBarrier {
-            flags: flags.into_boxed_slice(),
-            episode: episode.into_boxed_slice(),
-            release: CachePadded::new(psync::AtomicU64::new(0)),
-            total,
-            rounds,
-            policy,
-            spin_before_yield,
-            poisoned: CachePadded::new(AtomicBool::new(false)),
-        }
-    }
-
-    /// Number of participants.
-    #[inline]
-    pub fn participants(&self) -> usize {
-        self.total
-    }
-
-    /// Signal rounds: `ceil(log2 participants)`.
-    #[inline]
-    pub fn rounds(&self) -> u32 {
-        self.rounds
-    }
-
-    /// Spin (with escalation) until `flag >= episode`, converting poison
-    /// into a panic. The `>=` is what makes episode reuse reset-free: a
-    /// fast partner may already have stamped a *later* episode, which
-    /// subsumes the awaited arrival.
-    fn spin_until(&self, flag: &psync::AtomicU64, episode: u64) {
-        let addr = flag as *const psync::AtomicU64 as usize;
-        let mut backoff = WaitBackoff::new(self.policy, self.spin_before_yield);
-        loop {
-            if flag.load(Ordering::Acquire) >= episode {
-                return;
-            }
-            if self.poisoned.load(Ordering::Relaxed) {
-                panic!("barrier poisoned: a sibling worker panicked");
-            }
-            backoff.wait();
-            psync::park_hint(addr);
-        }
-    }
-
-    /// Advance and return this thread's episode, then run the signal
-    /// rounds. On return, every participant has entered this episode.
-    fn rendezvous(&self, tid: usize) -> u64 {
-        assert!(tid < self.total, "barrier wait from a non-participant id");
-        let e = self.episode[tid].load(Ordering::Relaxed) + 1;
-        self.episode[tid].store(e, Ordering::Relaxed);
-        for r in 0..self.rounds {
-            let partner = (tid + (1usize << r)) % self.total;
-            let flag = &*self.flags[partner][r as usize];
-            flag.store(e, Ordering::Release);
-            psync::unpark_hint(flag as *const psync::AtomicU64 as usize);
-            self.spin_until(&self.flags[tid][r as usize], e);
-        }
-        e
-    }
-
-    /// Rendezvous. Returns `true` on exactly one member (member 0) — the
-    /// same OpenMP-`single`-like election [`SpinBarrier::wait`] provides.
-    /// Like the centralized barrier's releaser, the elected member returns
-    /// only after every participant has arrived.
-    #[inline]
-    pub fn wait(&self, tid: usize) -> bool {
-        self.rendezvous(tid);
-        tid == 0
-    }
-
-    /// Rendezvous; member 0 runs `f` after all participants arrive and
-    /// *before* any other member returns (a rendezvous plus a broadcast
-    /// phase — one extra flag hop over [`DisseminationBarrier::wait`]).
-    ///
-    /// Everything `f` does happens-before every participant's post-barrier
-    /// code, matching [`SpinBarrier::wait_with`]'s contract.
-    pub fn wait_with(&self, tid: usize, f: impl FnOnce()) -> bool {
-        let e = self.rendezvous(tid);
-        if tid == 0 {
-            f();
-            self.release.store(e, Ordering::Release);
-            psync::unpark_hint(&*self.release as *const psync::AtomicU64 as usize);
-            true
-        } else {
-            self.spin_until(&self.release, e);
             false
         }
     }
@@ -349,100 +193,17 @@ impl DisseminationBarrier {
     }
 }
 
-/// The barrier a [`crate::ThreadPool`] actually synchronizes on: one of
-/// the two topologies, selected by [`BarrierKind`] at pool construction
-/// and dispatched per call.
-///
-/// Callers pass their team id; the centralized topology ignores it, the
-/// dissemination topology requires it. The enum (rather than a trait
-/// object) keeps the per-round dispatch a predictable branch instead of an
-/// indirect call on the hottest path in the crate.
-#[derive(Debug)]
-pub enum TeamBarrier {
-    /// Centralized sense-reversing barrier.
-    Central(SpinBarrier),
-    /// Dissemination barrier.
-    Dissemination(DisseminationBarrier),
-}
-
-impl TeamBarrier {
-    /// A barrier of the given topology for `total` participants.
-    pub fn new(
-        kind: BarrierKind,
-        total: usize,
-        policy: WaitPolicy,
-        spin_before_yield: u32,
-    ) -> TeamBarrier {
-        match kind {
-            BarrierKind::Central => {
-                TeamBarrier::Central(SpinBarrier::new(total, policy, spin_before_yield))
-            }
-            BarrierKind::Dissemination => TeamBarrier::Dissemination(DisseminationBarrier::new(
-                total,
-                policy,
-                spin_before_yield,
-            )),
-        }
-    }
-
-    /// Number of participants.
-    pub fn participants(&self) -> usize {
-        match self {
-            TeamBarrier::Central(b) => b.participants(),
-            TeamBarrier::Dissemination(b) => b.participants(),
-        }
-    }
-
-    /// Rendezvous as team member `tid`; `true` on exactly one member.
-    #[inline]
-    pub fn wait(&self, tid: usize) -> bool {
-        match self {
-            TeamBarrier::Central(b) => b.wait(),
-            TeamBarrier::Dissemination(b) => b.wait(tid),
-        }
-    }
-
-    /// Rendezvous; the elected member runs `f` after all arrive and before
-    /// any other member returns.
-    #[inline]
-    pub fn wait_with(&self, tid: usize, f: impl FnOnce()) -> bool {
-        match self {
-            TeamBarrier::Central(b) => b.wait_with(f),
-            TeamBarrier::Dissemination(b) => b.wait_with(tid, f),
-        }
-    }
-
-    /// Poison: current and future waiters panic.
-    pub fn poison(&self) {
-        match self {
-            TeamBarrier::Central(b) => b.poison(),
-            TeamBarrier::Dissemination(b) => b.poison(),
-        }
-    }
-
-    /// Whether the barrier has been poisoned.
-    pub fn is_poisoned(&self) -> bool {
-        match self {
-            TeamBarrier::Central(b) => b.is_poisoned(),
-            TeamBarrier::Dissemination(b) => b.is_poisoned(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU32;
 
-    fn barrier(n: usize) -> SpinBarrier {
-        SpinBarrier::new(n, WaitPolicy::Passive, 64)
-    }
-
     #[test]
     fn single_participant_never_blocks() {
-        let b = barrier(1);
+        let b = SpinBarrier::new(1);
         for _ in 0..10 {
             assert!(b.wait());
+            assert!(b.wait_with(|| {}));
         }
     }
 
@@ -452,7 +213,7 @@ mod tests {
         // anyone proceeds to the next phase.
         const THREADS: usize = 8;
         const PHASES: usize = 50;
-        let b = barrier(THREADS);
+        let b = SpinBarrier::new(THREADS);
         let counters: Vec<AtomicU32> = (0..PHASES).map(|_| AtomicU32::new(0)).collect();
         std::thread::scope(|s| {
             for _ in 0..THREADS {
@@ -484,7 +245,7 @@ mod tests {
     fn exactly_one_releaser_per_phase() {
         const THREADS: usize = 6;
         const PHASES: usize = 40;
-        let b = barrier(THREADS);
+        let b = SpinBarrier::new(THREADS);
         let releases = AtomicU32::new(0);
         std::thread::scope(|s| {
             for _ in 0..THREADS {
@@ -503,7 +264,7 @@ mod tests {
     #[test]
     fn wait_with_runs_before_release() {
         const THREADS: usize = 4;
-        let b = barrier(THREADS);
+        let b = SpinBarrier::new(THREADS);
         let slot = AtomicU32::new(0);
         std::thread::scope(|s| {
             for _ in 0..THREADS {
@@ -521,23 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn active_policy_works_too() {
-        let b = SpinBarrier::new(4, WaitPolicy::Active, 0);
-        let hits = AtomicU32::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    hits.fetch_add(1, Ordering::Relaxed);
-                    b.wait();
-                    assert_eq!(hits.load(Ordering::Relaxed), 4);
-                });
-            }
-        });
-    }
-
-    #[test]
     fn poison_releases_waiters_as_panics() {
-        let b = barrier(2);
+        let b = SpinBarrier::new(2);
         let r = std::thread::scope(|s| {
             let h = s.spawn(|| b.wait()); // will never be joined by a peer
             std::thread::sleep(std::time::Duration::from_millis(10));
@@ -551,15 +297,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one participant")]
     fn zero_participants_rejected() {
-        let _ = barrier(0);
+        let _ = SpinBarrier::new(0);
     }
 
     #[test]
+    #[cfg(not(pram_check))]
     fn backoff_escalates_in_order() {
-        // spin_before_yield spins, then yields, then timed parks — the
+        // SPIN_BEFORE_YIELD spins, then yields, then timed parks — the
         // escalation must be monotone and never panic far into the tail.
-        let mut b = WaitBackoff::new(WaitPolicy::Passive, 4);
-        for _ in 0..4 {
+        let mut b = WaitBackoff::new();
+        for _ in 0..SPIN_BEFORE_YIELD {
             b.wait();
             assert!(!b.is_yielding());
         }
@@ -567,135 +314,5 @@ mod tests {
             b.wait();
         }
         assert!(b.is_yielding());
-        // Active never escalates.
-        let mut a = WaitBackoff::new(WaitPolicy::Active, 0);
-        for _ in 0..1000 {
-            a.wait();
-        }
-        assert!(!a.is_yielding());
-    }
-
-    #[test]
-    fn dissemination_round_counts() {
-        for (total, rounds) in [(1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4)] {
-            let b = DisseminationBarrier::new(total, WaitPolicy::Passive, 8);
-            assert_eq!(b.rounds(), rounds, "total={total}");
-            assert_eq!(b.participants(), total);
-        }
-    }
-
-    #[test]
-    fn dissemination_single_participant_never_blocks() {
-        let b = DisseminationBarrier::new(1, WaitPolicy::Passive, 8);
-        for _ in 0..10 {
-            assert!(b.wait(0));
-            assert!(b.wait_with(0, || {}));
-        }
-    }
-
-    #[test]
-    fn dissemination_phases_are_totally_separated() {
-        const THREADS: usize = 5; // non-power-of-two exercises the mod wrap
-        const PHASES: usize = 50;
-        let b = DisseminationBarrier::new(THREADS, WaitPolicy::Passive, 64);
-        let counters: Vec<AtomicU32> = (0..PHASES).map(|_| AtomicU32::new(0)).collect();
-        std::thread::scope(|s| {
-            for tid in 0..THREADS {
-                let b = &b;
-                let counters = &counters;
-                s.spawn(move || {
-                    for (phase, counter) in counters.iter().enumerate() {
-                        counter.fetch_add(1, Ordering::Relaxed);
-                        b.wait(tid);
-                        assert_eq!(
-                            counter.load(Ordering::Relaxed),
-                            THREADS as u32,
-                            "phase {phase} leaked past the barrier"
-                        );
-                        if phase + 1 < PHASES {
-                            assert!(
-                                counters[phase + 1].load(Ordering::Relaxed) < THREADS as u32,
-                                "phase {} completed before phase {phase} released",
-                                phase + 1
-                            );
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn dissemination_wait_with_closure_visible_to_all() {
-        const THREADS: usize = 4;
-        let b = DisseminationBarrier::new(THREADS, WaitPolicy::Passive, 64);
-        let slot = AtomicU32::new(0);
-        let elections = AtomicU32::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..THREADS {
-                let b = &b;
-                let slot = &slot;
-                let elections = &elections;
-                s.spawn(move || {
-                    for phase in 1..=20u32 {
-                        if b.wait_with(tid, || slot.store(phase, Ordering::Relaxed)) {
-                            elections.fetch_add(1, Ordering::Relaxed);
-                        }
-                        assert_eq!(slot.load(Ordering::Relaxed), phase);
-                        b.wait(tid); // keep phases aligned for the assert
-                    }
-                });
-            }
-        });
-        assert_eq!(elections.load(Ordering::Relaxed), 20);
-    }
-
-    #[test]
-    fn dissemination_poison_releases_parked_waiters() {
-        let b = DisseminationBarrier::new(2, WaitPolicy::Passive, 4);
-        let r = std::thread::scope(|s| {
-            let h = s.spawn(|| b.wait(0)); // peer (tid 1) never arrives
-            std::thread::sleep(std::time::Duration::from_millis(10));
-            b.poison();
-            h.join()
-        });
-        assert!(r.is_err(), "waiter should have panicked on poison");
-        assert!(b.is_poisoned());
-    }
-
-    #[test]
-    #[should_panic(expected = "non-participant id")]
-    fn dissemination_out_of_range_id_rejected() {
-        let b = DisseminationBarrier::new(2, WaitPolicy::Passive, 4);
-        b.wait(2);
-    }
-
-    #[test]
-    fn team_barrier_dispatches_both_kinds() {
-        for kind in [BarrierKind::Central, BarrierKind::Dissemination] {
-            let b = TeamBarrier::new(kind, 3, WaitPolicy::Passive, 32);
-            assert_eq!(b.participants(), 3);
-            assert!(!b.is_poisoned());
-            let hits = AtomicU32::new(0);
-            let elections = AtomicU32::new(0);
-            std::thread::scope(|s| {
-                for tid in 0..3 {
-                    let b = &b;
-                    let hits = &hits;
-                    let elections = &elections;
-                    s.spawn(move || {
-                        for _ in 0..25 {
-                            hits.fetch_add(1, Ordering::Relaxed);
-                            if b.wait(tid) {
-                                elections.fetch_add(1, Ordering::Relaxed);
-                            }
-                            b.wait_with(tid, || {});
-                        }
-                    });
-                }
-            });
-            assert_eq!(hits.load(Ordering::Relaxed), 75);
-            assert_eq!(elections.load(Ordering::Relaxed), 25, "{kind:?}");
-        }
     }
 }

@@ -3,33 +3,25 @@
 //! The paper implements its kernels with OpenMP: a team of threads enters a
 //! parallel region once, then repeatedly loop-schedules an index space and
 //! meets at barriers between lock-step rounds
-//! (`#pragma omp parallel` / `#pragma omp for` / implicit barriers, with
-//! `OMP_WAIT_POLICY` controlling how waiting threads behave). This crate is
-//! that runtime rebuilt from scratch on `std::thread` + atomics, so the
-//! concurrent-write methods of `pram-core` are exercised under the same
-//! execution structure the paper measured:
+//! (`#pragma omp parallel` / `#pragma omp for` / implicit barriers). This
+//! crate is that runtime rebuilt from scratch on `std::thread` + atomics,
+//! so the concurrent-write methods of `pram-core` are exercised under the
+//! same execution structure the paper measured:
 //!
 //! * [`ThreadPool`] — a persistent team of workers. [`ThreadPool::run`]
 //!   executes one closure on **every** thread of the team (SPMD), like
 //!   entering `#pragma omp parallel`.
 //! * [`WorkerCtx`] — the per-thread view inside a region:
-//!   [`WorkerCtx::for_each`] (OpenMP `for` with [`Schedule`]
-//!   static/dynamic/guided clauses and the implicit ending barrier),
+//!   [`WorkerCtx::for_each`] (OpenMP `for` with a [`Schedule`] — blocked
+//!   static or shared-cursor dynamic — and the implicit ending barrier),
 //!   [`WorkerCtx::barrier`], [`WorkerCtx::converge_rounds`] (the
 //!   `while(!done)` lock-step pattern of the paper's BFS and CC kernels,
 //!   with barrier-separated [`pram_core::Round`]s supplied automatically).
-//! * [`SpinBarrier`] / [`DisseminationBarrier`] — the team rendezvous, in
-//!   two topologies selected by [`BarrierKind`]: a sense-reversing
-//!   centralized barrier (one shared arrival counter) and an O(log T)
-//!   dissemination barrier (pairwise signaling through padded per-thread
-//!   flags, no shared hot spot). Both support an active (pure spin,
-//!   `OMP_WAIT_POLICY=active`) or passive (spin → yield → timed park)
-//!   [`WaitPolicy`].
-//! * [`StealQueues`] — per-worker chunk deques with steal-half
-//!   rebalancing, backing [`Schedule::Stealing`]: locality-preserving
-//!   static seeding with dynamic rebalancing only under skew, as an
-//!   alternative to the shared-cursor dynamic schedule for irregular
-//!   loops ([`PoolConfig::irregular`] picks the family pool-wide).
+//! * [`SpinBarrier`] — the team rendezvous: a centralized barrier (one
+//!   shared word holding the arrival count and the generation) whose
+//!   waiters spin, then yield, then park in short timed sleeps
+//!   ([`WaitBackoff`]). Its word goes through [`pram_core::sync`], so
+//!   `pram-check` model-checks the barrier the kernels run.
 //! * [`FrontierBuffer`] / [`LocalBuffer`] — grow-local,
 //!   publish-with-one-`fetch_add` shared worklists for frontier-centric
 //!   kernels, consumed through the degree-weighted
@@ -68,14 +60,12 @@ pub mod config;
 pub mod frontier;
 pub mod pool;
 pub mod schedule;
-pub mod steal;
 
-pub use barrier::{DisseminationBarrier, SpinBarrier, TeamBarrier, WaitBackoff};
-pub use config::{BarrierKind, PoolConfig, WaitPolicy};
+pub use barrier::{SpinBarrier, WaitBackoff};
+pub use config::PoolConfig;
 // Telemetry vocabulary re-exported so pool users need not depend on
 // pram-core directly for reports.
 pub use frontier::{FrontierBuffer, LocalBuffer};
 pub use pool::{ChangedFlag, ThreadPool, WorkerCtx, FRONTIER_GRAIN_EDGES};
 pub use pram_core::{CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot};
-pub use schedule::{Schedule, ScheduleKind};
-pub use steal::StealQueues;
+pub use schedule::Schedule;

@@ -30,11 +30,10 @@ use pram_core::{
     CwCounters, CwTelemetry, ExecCounters, ExecStats, Round, RoundReport, RoundSnapshot, ShardGuard,
 };
 
-use crate::barrier::TeamBarrier;
+use crate::barrier::SpinBarrier;
 use crate::config::PoolConfig;
 use crate::frontier::FrontierBuffer;
-use crate::schedule::{guided_grab, static_block, static_chunks, Schedule, ScheduleKind};
-use crate::steal::StealQueues;
+use crate::schedule::{static_block, Schedule};
 
 /// Default per-grab edge budget for [`WorkerCtx::for_each_frontier`]:
 /// enough edge work to amortize one shared-cursor `fetch_add`, small
@@ -70,17 +69,10 @@ struct DispatchState {
 
 struct PoolShared {
     threads: usize,
-    barrier: TeamBarrier,
-    /// Shared loop cursor for dynamic/guided scheduling. Reset by the
-    /// barrier releaser at loop entry, so no reset/grab race exists.
+    barrier: SpinBarrier,
+    /// Shared loop cursor for dynamic scheduling. Reset by the barrier
+    /// releaser at loop entry, so no reset/grab race exists.
     cursor: CachePadded<AtomicUsize>,
-    /// Per-worker chunk deques for `Schedule::Stealing`. Reuse across
-    /// loops is barrier-separated (see the stealing arm of
-    /// `for_each_nowait`), so one set serves every loop.
-    steal: StealQueues,
-    /// Pool-wide preference for irregular loops
-    /// (`WorkerCtx::irregular_schedule`).
-    irregular: ScheduleKind,
     /// Per-worker execution counters, when `PoolConfig::telemetry`;
     /// folded into round reports.
     stats: Option<ExecStats>,
@@ -154,15 +146,8 @@ impl ThreadPool {
         assert!(config.threads >= 1, "a team needs at least one thread");
         let shared = Arc::new(PoolShared {
             threads: config.threads,
-            barrier: TeamBarrier::new(
-                config.barrier,
-                config.threads,
-                config.wait_policy,
-                config.spin_before_yield,
-            ),
+            barrier: SpinBarrier::new(config.threads),
             cursor: CachePadded::new(AtomicUsize::new(0)),
-            steal: StealQueues::new(config.threads),
-            irregular: config.irregular,
             stats: config.telemetry.then(|| ExecStats::new(config.threads)),
             telem: config.telemetry.then(|| CwTelemetry::new(config.threads)),
             round_log: Mutex::new(Vec::new()),
@@ -218,7 +203,7 @@ impl ThreadPool {
     /// pool-lifetime counter totals into a [`RoundReport`].
     ///
     /// Totals cover every claim routed through this pool's shards and
-    /// every recorded barrier wait / grab / steal — including work outside
+    /// every recorded barrier wait and grab — including work outside
     /// `converge_rounds` — so they can exceed the per-round sums.
     /// Returns an empty report when telemetry is disabled.
     pub fn take_round_report(&self) -> RoundReport {
@@ -399,27 +384,18 @@ impl WorkerCtx<'_> {
         self.shared.threads
     }
 
-    /// The pool's irregular-loop schedule ([`PoolConfig::irregular`])
-    /// instantiated at `chunk` — what [`WorkerCtx::for_each_frontier`]
-    /// passes to [`WorkerCtx::for_each`].
-    #[inline]
-    pub fn irregular_schedule(&self, chunk: usize) -> Schedule {
-        self.shared.irregular.with_chunk(chunk)
-    }
-
-    /// Team-wide barrier. Returns `true` on the electing member (the
-    /// releaser for the central topology, member 0 for dissemination —
-    /// either way, exactly one member, and only after all have arrived).
+    /// Team-wide barrier. Returns `true` on exactly one member, the last
+    /// to arrive.
     ///
     /// This is the "synchronization point" the paper requires between a
     /// concurrent-write round and dependent reads.
     #[inline]
     pub fn barrier(&self) -> bool {
         match &self.shared.stats {
-            None => self.shared.barrier.wait(self.id),
+            None => self.shared.barrier.wait(),
             Some(st) => {
                 let t0 = std::time::Instant::now();
-                let r = self.shared.barrier.wait(self.id);
+                let r = self.shared.barrier.wait();
                 st.record_barrier_wait(self.id, t0.elapsed().as_nanos() as u64);
                 r
             }
@@ -433,10 +409,10 @@ impl WorkerCtx<'_> {
     #[inline]
     pub fn barrier_with(&self, f: impl FnOnce()) -> bool {
         match &self.shared.stats {
-            None => self.shared.barrier.wait_with(self.id, f),
+            None => self.shared.barrier.wait_with(f),
             Some(st) => {
                 let t0 = std::time::Instant::now();
-                let r = self.shared.barrier.wait_with(self.id, f);
+                let r = self.shared.barrier.wait_with(f);
                 st.record_barrier_wait(self.id, t0.elapsed().as_nanos() as u64);
                 r
             }
@@ -458,11 +434,9 @@ impl WorkerCtx<'_> {
 
     /// [`WorkerCtx::for_each`] without the ending barrier (`nowait`).
     ///
-    /// Dynamic and guided schedules still synchronize once at loop *entry*
-    /// (the shared cursor must be reset by a full rendezvous), and the
-    /// stealing schedule twice (quiesce the previous loop's deque users,
-    /// then publish the seeded deques); static schedules are entirely
-    /// synchronization-free.
+    /// The dynamic schedule still synchronizes once at loop *entry* (the
+    /// shared cursor must be reset by a full rendezvous); the static
+    /// schedule is entirely synchronization-free.
     pub fn for_each_nowait(
         &self,
         range: Range<usize>,
@@ -472,16 +446,9 @@ impl WorkerCtx<'_> {
         let base = range.start;
         let len = range.end.saturating_sub(range.start);
         match schedule {
-            Schedule::Static { chunk: None } => {
+            Schedule::Static => {
                 for i in static_block(len, self.shared.threads, self.id) {
                     f(base + i);
-                }
-            }
-            Schedule::Static { chunk: Some(c) } => {
-                for r in static_chunks(len, self.shared.threads, c, self.id) {
-                    for i in r {
-                        f(base + i);
-                    }
                 }
             }
             Schedule::Dynamic { chunk } => {
@@ -499,52 +466,6 @@ impl WorkerCtx<'_> {
                     }
                     for i in start..(start + chunk).min(len) {
                         f(base + i);
-                    }
-                }
-            }
-            Schedule::Stealing { chunk } => {
-                let chunk = chunk.max(1);
-                let queues = &self.shared.steal;
-                // Quiesce: a member of a *previous* stealing loop may still
-                // be scanning these deques (it exits its grab loop only
-                // after observing every deque empty); nobody repopulates
-                // until every member has reached this rendezvous.
-                self.barrier();
-                queues.populate(self.id, len, chunk);
-                // Publish: every deque is seeded before anyone grabs, so a
-                // thief cannot observe a not-yet-populated deque as "done".
-                self.barrier();
-                let stats = self.shared.stats.as_ref();
-                while let Some(r) = queues.next(self.id, stats) {
-                    if let Some(st) = stats {
-                        st.record_grab(self.id);
-                    }
-                    for i in r {
-                        f(base + i);
-                    }
-                }
-            }
-            Schedule::Guided { min_chunk } => {
-                let cursor = &self.shared.cursor;
-                self.barrier_with(|| cursor.store(0, Ordering::Relaxed));
-                loop {
-                    let cur = cursor.load(Ordering::Relaxed);
-                    if cur >= len {
-                        break;
-                    }
-                    let take = guided_grab(len - cur, self.shared.threads, min_chunk);
-                    if cursor
-                        .compare_exchange_weak(
-                            cur,
-                            cur + take,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        )
-                        .is_ok()
-                    {
-                        for i in cur..cur + take {
-                            f(base + i);
-                        }
                     }
                 }
             }
@@ -665,9 +586,7 @@ impl WorkerCtx<'_> {
         // Keep at least a few grabs per member so dynamic assignment can
         // actually balance.
         let chunk = chunk.min(len / (4 * self.shared.threads) + 1);
-        self.for_each(0..len, self.irregular_schedule(chunk), |i| {
-            f(frontier.get(i))
-        });
+        self.for_each(0..len, Schedule::Dynamic { chunk }, |i| f(frontier.get(i)));
     }
 
     /// The lock-step convergence loop of the paper's BFS and CC kernels
@@ -828,47 +747,28 @@ mod tests {
     }
 
     #[test]
-    fn for_each_static_blocked_covers_exactly_once() {
-        check_for_each(4, 103, Schedule::Static { chunk: None });
-    }
-
-    #[test]
-    fn for_each_static_chunked_covers_exactly_once() {
-        check_for_each(3, 100, Schedule::Static { chunk: Some(7) });
+    fn for_each_static_covers_exactly_once() {
+        check_for_each(4, 103, Schedule::Static);
+        check_for_each(3, 2, Schedule::Static);
     }
 
     #[test]
     fn for_each_dynamic_covers_exactly_once() {
         check_for_each(4, 101, Schedule::Dynamic { chunk: 3 });
+        check_for_each(3, 7, Schedule::Dynamic { chunk: 100 });
+        check_for_each(1, 50, Schedule::Dynamic { chunk: 4 });
     }
 
     #[test]
-    fn for_each_guided_covers_exactly_once() {
-        check_for_each(4, 257, Schedule::Guided { min_chunk: 2 });
-    }
-
-    #[test]
-    fn for_each_stealing_covers_exactly_once() {
-        check_for_each(4, 101, Schedule::Stealing { chunk: 3 });
-        check_for_each(3, 7, Schedule::Stealing { chunk: 100 });
-        check_for_each(1, 50, Schedule::Stealing { chunk: 4 });
-    }
-
-    #[test]
-    fn stealing_rebalances_skewed_work() {
-        // One worker's static block carries almost all the work; with
-        // stealing the loop still covers everything exactly once, and the
-        // heavy block's chunks end up spread across the team.
-        let pool = ThreadPool::with_config(
-            PoolConfig::new(4)
-                .irregular(ScheduleKind::Stealing)
-                .telemetry(true),
-        );
+    fn dynamic_grabs_count_chunks_on_skewed_work() {
+        // The first quarter of the range is 100x heavier; dynamic grabs
+        // still cover everything exactly once, and every chunk is grabbed
+        // exactly once team-wide.
+        let pool = ThreadPool::with_config(PoolConfig::new(4).telemetry(true));
         let len = 4096;
         let counts: Vec<AtomicU64> = (0..len).map(|_| AtomicU64::new(0)).collect();
         pool.run(|ctx| {
-            ctx.for_each(0..len, ctx.irregular_schedule(8), |i| {
-                // Worker 0's static block (first quarter) is 100x heavier.
+            ctx.for_each(0..len, Schedule::Dynamic { chunk: 8 }, |i| {
                 if i < len / 4 {
                     std::hint::black_box((0..100).sum::<u64>());
                 }
@@ -878,20 +778,19 @@ mod tests {
         for (i, c) in counts.iter().enumerate() {
             assert_eq!(c.load(Ordering::Relaxed), 1, "index {i}");
         }
-        // Every chunk grabbed exactly once team-wide.
         let total = pool.take_round_report().totals_exec;
         assert_eq!(total.grabs, (len / 8) as u64);
     }
 
     #[test]
-    fn repeated_stealing_loops_are_isolated() {
-        // Back-to-back stealing loops over different ranges: the entry
-        // barriers must keep one loop's deques from bleeding into the next.
+    fn repeated_dynamic_loops_are_isolated() {
+        // Back-to-back dynamic loops: the entry barrier's cursor reset
+        // must keep one loop's grabs from bleeding into the next.
         let pool = ThreadPool::new(4);
         let a: Vec<AtomicU64> = (0..300).map(|_| AtomicU64::new(0)).collect();
         pool.run(|ctx| {
             for round in 0..20u64 {
-                ctx.for_each(0..a.len(), Schedule::Stealing { chunk: 2 }, |i| {
+                ctx.for_each(0..a.len(), Schedule::Dynamic { chunk: 2 }, |i| {
                     a[i].fetch_add(round + 1, Ordering::Relaxed);
                 });
             }
@@ -903,13 +802,8 @@ mod tests {
     }
 
     #[test]
-    fn dissemination_pool_runs_all_constructs() {
-        use crate::config::BarrierKind;
-        let pool = ThreadPool::with_config(
-            PoolConfig::new(4)
-                .barrier(BarrierKind::Dissemination)
-                .telemetry(true),
-        );
+    fn telemetry_pool_runs_all_constructs() {
+        let pool = ThreadPool::with_config(PoolConfig::new(4).telemetry(true));
         let sum = AtomicU64::new(0);
         pool.run(|ctx| {
             ctx.for_each(0..1000, Schedule::Dynamic { chunk: 7 }, |i| {
@@ -932,23 +826,6 @@ mod tests {
             waits > 0 && waits.is_multiple_of(4),
             "barrier_waits = {waits}"
         );
-    }
-
-    #[test]
-    fn dissemination_pool_panic_propagates_and_poisons() {
-        use crate::config::BarrierKind;
-        let pool = ThreadPool::with_config(PoolConfig::new(4).barrier(BarrierKind::Dissemination));
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            pool.run(|ctx| {
-                if ctx.thread_id() == 2 {
-                    panic!("boom in worker");
-                }
-                ctx.barrier();
-            });
-        }));
-        assert!(r.is_err());
-        let r2 = catch_unwind(AssertUnwindSafe(|| pool.run(|_| {})));
-        assert!(r2.is_err());
     }
 
     #[test]

@@ -3,17 +3,13 @@
 //! [`Schedule`] selects how [`crate::WorkerCtx::for_each`] partitions an
 //! index space across the team:
 //!
-//! * **Static** — indices are partitioned up front, no shared state, no
-//!   atomics. With no chunk size, each thread gets one contiguous block
-//!   (OpenMP's default); with a chunk size, chunks are dealt round-robin.
-//!   The paper's kernels all use OpenMP's default static schedule.
+//! * **Static** — each thread gets one contiguous block, computed up front:
+//!   no shared state, no atomics. This is OpenMP's default schedule, and
+//!   the one the paper's kernels all use.
 //! * **Dynamic** — threads repeatedly grab the next `chunk` indices from a
 //!   shared cursor. Load-balances irregular iterations (e.g. BFS frontier
 //!   expansion over skewed degree distributions) at the cost of one atomic
 //!   RMW per chunk.
-//! * **Guided** — like dynamic, but the grabbed chunk shrinks as the loop
-//!   drains (`remaining / 2T`, floored at `min_chunk`), amortizing the
-//!   atomic over big early chunks while keeping tail balance.
 //!
 //! The pure partitioning arithmetic lives here, separately testable; the
 //! shared-cursor choreography lives in [`crate::pool`].
@@ -21,42 +17,16 @@
 use std::ops::Range;
 
 /// Loop scheduling policy (see module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Schedule {
-    /// Compile-time partitioning; `chunk: None` = one block per thread.
-    Static {
-        /// Round-robin chunk size, or `None` for blocked partitioning.
-        chunk: Option<usize>,
-    },
+    /// Blocked partitioning: one contiguous block per thread.
+    #[default]
+    Static,
     /// Shared-cursor chunking with a fixed grab size.
     Dynamic {
         /// Indices grabbed per atomic operation (≥ 1).
         chunk: usize,
     },
-    /// Shared-cursor chunking with geometrically shrinking grabs.
-    Guided {
-        /// Smallest grab size (≥ 1).
-        min_chunk: usize,
-    },
-    /// Per-worker chunk deques with steal-half rebalancing
-    /// ([`crate::StealQueues`]): each worker seeds its deque with its
-    /// static block split into `chunk`-sized ranges, drains it in order
-    /// (preserving the cache locality dynamic scheduling destroys), and
-    /// only when its own deque is empty steals the back half of a
-    /// victim's. Uncontended loops touch no shared state after seeding;
-    /// skewed loops rebalance without funneling every grab through one
-    /// shared cursor.
-    Stealing {
-        /// Indices per deque chunk (≥ 1).
-        chunk: usize,
-    },
-}
-
-impl Default for Schedule {
-    /// OpenMP's default: blocked static.
-    fn default() -> Schedule {
-        Schedule::Static { chunk: None }
-    }
 }
 
 impl Schedule {
@@ -64,40 +34,6 @@ impl Schedule {
     /// extreme; useful in tests.
     pub fn dynamic() -> Schedule {
         Schedule::Dynamic { chunk: 1 }
-    }
-
-    /// Guided with min chunk 1.
-    pub fn guided() -> Schedule {
-        Schedule::Guided { min_chunk: 1 }
-    }
-
-    /// Stealing with chunk 1 — maximal rebalancing granularity; useful in
-    /// tests.
-    pub fn stealing() -> Schedule {
-        Schedule::Stealing { chunk: 1 }
-    }
-}
-
-/// The *family* of schedule an irregular loop should use, with the chunk
-/// size left to the call site (frontier loops compute a degree-weighted
-/// chunk per round). [`crate::PoolConfig::irregular`] selects this
-/// pool-wide; [`crate::WorkerCtx::irregular_schedule`] instantiates it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScheduleKind {
-    /// One shared cursor, `fetch_add` per grab ([`Schedule::Dynamic`]).
-    #[default]
-    Dynamic,
-    /// Per-worker deques with steal-half ([`Schedule::Stealing`]).
-    Stealing,
-}
-
-impl ScheduleKind {
-    /// The concrete [`Schedule`] for this kind at the given chunk size.
-    pub fn with_chunk(self, chunk: usize) -> Schedule {
-        match self {
-            ScheduleKind::Dynamic => Schedule::Dynamic { chunk },
-            ScheduleKind::Stealing => Schedule::Stealing { chunk },
-        }
     }
 }
 
@@ -113,58 +49,19 @@ pub fn static_block(len: usize, threads: usize, tid: usize) -> Range<usize> {
     start..start + size
 }
 
-/// Iterator over the chunks thread `tid` owns under round-robin static
-/// scheduling with the given chunk size.
-pub fn static_chunks(
-    len: usize,
-    threads: usize,
-    chunk: usize,
-    tid: usize,
-) -> impl Iterator<Item = Range<usize>> {
-    debug_assert!(tid < threads);
-    assert!(chunk >= 1, "static chunk size must be >= 1");
-    let stride = chunk
-        .checked_mul(threads)
-        .expect("chunk * threads overflowed");
-    (0..)
-        .map(move |k| {
-            let start = k * stride + tid * chunk;
-            start..(start + chunk).min(len)
-        })
-        .take_while(move |r| r.start < len)
-}
-
-/// Next grab size for guided scheduling: `remaining / (2 * threads)`,
-/// clamped to `[min_chunk, remaining]`.
-pub fn guided_grab(remaining: usize, threads: usize, min_chunk: usize) -> usize {
-    debug_assert!(remaining > 0);
-    (remaining / (2 * threads.max(1)))
-        .max(min_chunk.max(1))
-        .min(remaining)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn assert_partition(pieces: Vec<Range<usize>>, len: usize) {
-        let mut seen = vec![false; len];
-        for r in pieces {
-            for i in r {
-                assert!(!seen[i], "index {i} assigned twice");
-                seen[i] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "some index unassigned");
-    }
-
     #[test]
     fn static_block_is_a_partition() {
         for &(len, threads) in &[(0, 1), (1, 4), (10, 3), (100, 7), (5, 8), (64, 64)] {
-            let pieces = (0..threads)
-                .map(|t| static_block(len, threads, t))
-                .collect();
-            assert_partition(pieces, len);
+            let mut seen = vec![false; len];
+            for i in (0..threads).flat_map(|t| static_block(len, threads, t)) {
+                assert!(!seen[i], "index {i} assigned twice");
+                seen[i] = true;
+            }
+            assert!(seen.iter().all(|&s| s), "some index unassigned");
         }
     }
 
@@ -177,75 +74,8 @@ mod tests {
     }
 
     #[test]
-    fn static_chunks_is_a_partition() {
-        for &(len, threads, chunk) in &[(0, 2, 3), (10, 3, 2), (100, 4, 7), (9, 2, 100), (16, 4, 4)]
-        {
-            let pieces = (0..threads)
-                .flat_map(|t| static_chunks(len, threads, chunk, t))
-                .collect();
-            assert_partition(pieces, len);
-        }
-    }
-
-    #[test]
-    fn static_chunks_round_robin_order() {
-        // threads=2, chunk=2, len=10: thread 0 owns [0,2),[4,6),[8,10).
-        let t0: Vec<_> = static_chunks(10, 2, 2, 0).collect();
-        assert_eq!(t0, vec![0..2, 4..6, 8..10]);
-        let t1: Vec<_> = static_chunks(10, 2, 2, 1).collect();
-        assert_eq!(t1, vec![2..4, 6..8]);
-    }
-
-    #[test]
-    fn guided_grab_shrinks_and_respects_bounds() {
-        let mut remaining = 1000usize;
-        let mut grabs = vec![];
-        while remaining > 0 {
-            let g = guided_grab(remaining, 4, 3);
-            assert!(g >= 1 && g <= remaining);
-            grabs.push(g);
-            remaining -= g;
-        }
-        assert_eq!(grabs.iter().sum::<usize>(), 1000);
-        // Monotone non-increasing until the min_chunk floor.
-        for w in grabs.windows(2) {
-            assert!(w[1] <= w[0].max(3));
-        }
-        assert_eq!(*grabs.last().unwrap(), grabs.last().copied().unwrap());
-        assert!(grabs.last().copied().unwrap() <= 3);
-    }
-
-    #[test]
-    fn guided_grab_edge_cases() {
-        assert_eq!(guided_grab(1, 8, 1), 1);
-        assert_eq!(guided_grab(5, 1, 10), 5); // min_chunk larger than rest
-        assert_eq!(guided_grab(100, 0, 1), 50); // degenerate team treated as 1
-    }
-
-    #[test]
     fn default_is_blocked_static() {
-        assert_eq!(Schedule::default(), Schedule::Static { chunk: None });
+        assert_eq!(Schedule::default(), Schedule::Static);
         assert_eq!(Schedule::dynamic(), Schedule::Dynamic { chunk: 1 });
-        assert_eq!(Schedule::guided(), Schedule::Guided { min_chunk: 1 });
-        assert_eq!(Schedule::stealing(), Schedule::Stealing { chunk: 1 });
-    }
-
-    #[test]
-    fn schedule_kind_instantiates_with_chunk() {
-        assert_eq!(ScheduleKind::default(), ScheduleKind::Dynamic);
-        assert_eq!(
-            ScheduleKind::Dynamic.with_chunk(7),
-            Schedule::Dynamic { chunk: 7 }
-        );
-        assert_eq!(
-            ScheduleKind::Stealing.with_chunk(3),
-            Schedule::Stealing { chunk: 3 }
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be")]
-    fn zero_static_chunk_rejected() {
-        let _ = static_chunks(10, 2, 0, 0).count();
     }
 }

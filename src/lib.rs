@@ -32,6 +32,6 @@ pub mod prelude {
         Arbiter, CasLtArray, CasLtCell, ConCell, ConVec, GatekeeperArray, GatekeeperCell,
         NaiveArbiter, Round, RoundCounter, SliceArbiter,
     };
-    pub use pram_exec::{Schedule, ThreadPool, WaitPolicy};
+    pub use pram_exec::{Schedule, ThreadPool};
     pub use pram_graph::{CsrGraph, GraphGen};
 }

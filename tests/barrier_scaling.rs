@@ -1,38 +1,30 @@
-//! Integration tests for the barrier topologies under contention: heavy
+//! Integration tests for the team barrier under contention: heavy
 //! generation reuse (≥ 1k back-to-back rendezvous on the same barrier
 //! object), oversubscribed teams, mixed `wait`/`wait_with` episode
-//! sequences, panic poisoning, and both wait policies — for both the
-//! centralized sense-reversing barrier and the dissemination barrier,
-//! driven directly and through the pool.
+//! sequences and panic poisoning — on [`SpinBarrier`] driven directly and
+//! through the pool.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use pram_exec::{
-    BarrierKind, DisseminationBarrier, PoolConfig, Schedule, SpinBarrier, TeamBarrier, ThreadPool,
-    WaitPolicy,
-};
-
-const KINDS: [BarrierKind; 2] = [BarrierKind::Central, BarrierKind::Dissemination];
-const POLICIES: [WaitPolicy; 2] = [WaitPolicy::Active, WaitPolicy::Passive];
+use pram_exec::{Schedule, SpinBarrier, ThreadPool};
 
 /// Drive `episodes` back-to-back rendezvous on one barrier object with
 /// `threads` OS threads, checking after every episode that no member was
 /// released before all arrived (the global arrival counter is monotone:
 /// fewer than `threads * (e + 1)` arrivals after episode `e`'s barrier
 /// proves an early release).
-fn reuse_torture(barrier: &TeamBarrier, threads: usize, episodes: usize) {
+fn reuse_torture(threads: usize, episodes: usize) {
+    let barrier = SpinBarrier::new(threads);
     let arrivals = AtomicUsize::new(0);
     let elections = AtomicUsize::new(0);
     std::thread::scope(|s| {
-        for tid in 0..threads {
-            let arrivals = &arrivals;
-            let elections = &elections;
-            s.spawn(move || {
+        for _ in 0..threads {
+            s.spawn(|| {
                 for e in 0..episodes {
                     arrivals.fetch_add(1, Ordering::Relaxed);
-                    if barrier.wait(tid) {
+                    if barrier.wait() {
                         elections.fetch_add(1, Ordering::Relaxed);
                     }
                     let seen = arrivals.load(Ordering::Relaxed);
@@ -50,94 +42,58 @@ fn reuse_torture(barrier: &TeamBarrier, threads: usize, episodes: usize) {
 }
 
 #[test]
-fn generation_reuse_1k_rounds_both_kinds() {
-    // ≥ 1k rendezvous on the same object: the central barrier's sense
-    // reversal and the dissemination barrier's monotone episode stamps
-    // must both survive unbounded reuse without any reset step.
-    for kind in KINDS {
-        let barrier = TeamBarrier::new(kind, 3, WaitPolicy::Passive, 64);
-        reuse_torture(&barrier, 3, 1200);
-    }
+fn generation_reuse_1k_rounds() {
+    // ≥ 1k rendezvous on the same object: the arrival reset and the
+    // generation bump must survive unbounded reuse without any external
+    // reset step.
+    reuse_torture(3, 1200);
 }
 
 #[test]
-fn oversubscribed_contention_both_kinds_both_policies() {
+fn oversubscribed_contention() {
     // More threads than this box has cores (CI boxes here have very few):
-    // every combination must still rendezvous correctly, with the passive
-    // arm exercising the yield → park backoff escalation.
-    for kind in KINDS {
-        for policy in POLICIES {
-            let threads = 8;
-            let barrier = TeamBarrier::new(kind, threads, policy, 32);
-            reuse_torture(&barrier, threads, 60);
-        }
-    }
+    // the team must still rendezvous correctly, with waiters running
+    // through the spin → yield → park backoff escalation.
+    reuse_torture(8, 60);
 }
 
 #[test]
 fn mixed_wait_and_wait_with_episodes() {
-    // Alternating plain waits and closure waits on one object: the
-    // broadcast slot lags on plain episodes, so the `>=`-stamp release
-    // protocol must not confuse a stale broadcast for a fresh one.
-    for kind in KINDS {
-        let threads = 4;
-        let episodes = 300usize;
-        let barrier = TeamBarrier::new(kind, threads, WaitPolicy::Passive, 64);
-        let stamp = AtomicU32::new(0);
-        std::thread::scope(|s| {
-            for tid in 0..threads {
-                let barrier = &barrier;
-                let stamp = &stamp;
-                s.spawn(move || {
-                    for e in 0..episodes {
-                        if e % 2 == 0 {
-                            barrier.wait(tid);
-                        } else {
-                            let want = e as u32 + 1;
-                            barrier.wait_with(tid, || stamp.store(want, Ordering::Relaxed));
-                            // The elected member ran the closure before
-                            // anyone was released.
-                            assert_eq!(
-                                stamp.load(Ordering::Relaxed),
-                                want,
-                                "{kind:?}: stale broadcast at episode {e}"
-                            );
-                        }
-                    }
-                });
-            }
-        });
-    }
-}
-
-#[test]
-fn dissemination_poison_releases_all_waiters() {
-    // One member poisons instead of arriving: every parked waiter must be
-    // woken and panic rather than hang.
+    // Alternating plain waits and closure waits on one object: every
+    // closure episode's effect must be visible to every member on release.
     let threads = 4;
-    let barrier = Arc::new(DisseminationBarrier::new(threads, WaitPolicy::Passive, 16));
-    let panicked = AtomicUsize::new(0);
+    let episodes = 300usize;
+    let barrier = SpinBarrier::new(threads);
+    let stamp = AtomicU32::new(0);
     std::thread::scope(|s| {
-        for tid in 1..threads {
-            let barrier = Arc::clone(&barrier);
-            let panicked = &panicked;
-            s.spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| barrier.wait(tid)));
-                if r.is_err() {
-                    panicked.fetch_add(1, Ordering::Relaxed);
+        for _ in 0..threads {
+            s.spawn(|| {
+                for e in 0..episodes {
+                    if e % 2 == 0 {
+                        barrier.wait();
+                    } else {
+                        let want = e as u32 + 1;
+                        barrier.wait_with(|| stamp.store(want, Ordering::Relaxed));
+                        // The elected member ran the closure before
+                        // anyone was released.
+                        assert_eq!(
+                            stamp.load(Ordering::Relaxed),
+                            want,
+                            "stale closure effect at episode {e}"
+                        );
+                    }
                 }
             });
         }
-        barrier.poison();
     });
-    assert_eq!(panicked.load(Ordering::Relaxed), threads - 1);
-    assert!(barrier.is_poisoned());
 }
 
 #[test]
 fn central_poison_releases_all_waiters() {
+    // One member poisons instead of arriving: every parked waiter must be
+    // woken and panic rather than hang.
     let threads = 4;
-    let barrier = Arc::new(SpinBarrier::new(threads, WaitPolicy::Passive, 16));
+    let barrier = Arc::new(SpinBarrier::new(threads));
     let panicked = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 1..threads {
@@ -159,38 +115,31 @@ fn central_poison_releases_all_waiters() {
 #[test]
 fn pool_loops_correct_under_every_barrier_schedule_policy_combo() {
     // End-to-end through the pool: dependent back-to-back loops (loop 2
-    // reads loop 1's writes in reverse) across the full config matrix.
+    // reads loop 1's writes in reverse) under every combination the pool
+    // offers — one barrier, one wait policy, both schedules, mixed.
     let len = 512usize;
-    for kind in KINDS {
-        for policy in POLICIES {
-            for schedule in [Schedule::dynamic(), Schedule::stealing()] {
-                let pool =
-                    ThreadPool::with_config(PoolConfig::new(4).barrier(kind).wait_policy(policy));
-                let a: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-                let ok = AtomicUsize::new(0);
-                pool.run(|ctx| {
-                    ctx.for_each(0..len, schedule, |i| {
-                        a[i].store(i as u32 + 1, Ordering::Relaxed)
-                    });
-                    ctx.for_each(0..len, schedule, |i| {
-                        if a[len - 1 - i].load(Ordering::Relaxed) == (len - i) as u32 {
-                            ok.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
+    let schedules = [Schedule::Static, Schedule::dynamic()];
+    for s1 in schedules {
+        for s2 in schedules {
+            let pool = ThreadPool::new(4);
+            let a: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
+            let ok = AtomicUsize::new(0);
+            pool.run(|ctx| {
+                ctx.for_each(0..len, s1, |i| a[i].store(i as u32 + 1, Ordering::Relaxed));
+                ctx.for_each(0..len, s2, |i| {
+                    if a[len - 1 - i].load(Ordering::Relaxed) == (len - i) as u32 {
+                        ok.fetch_add(1, Ordering::Relaxed);
+                    }
                 });
-                assert_eq!(
-                    ok.load(Ordering::Relaxed),
-                    len,
-                    "{kind:?}/{policy:?}/{schedule:?}"
-                );
-            }
+            });
+            assert_eq!(ok.load(Ordering::Relaxed), len, "{s1:?} then {s2:?}");
         }
     }
 }
 
 #[test]
-fn pool_panic_poisons_dissemination_team() {
-    let pool = ThreadPool::with_config(PoolConfig::new(3).barrier(BarrierKind::Dissemination));
+fn pool_panic_poisons_team() {
+    let pool = ThreadPool::new(3);
     let r = catch_unwind(AssertUnwindSafe(|| {
         pool.run(|ctx| {
             if ctx.thread_id() == 1 {
@@ -200,4 +149,6 @@ fn pool_panic_poisons_dissemination_team() {
         });
     }));
     assert!(r.is_err(), "worker panic must propagate to the caller");
+    let r2 = catch_unwind(AssertUnwindSafe(|| pool.run(|_| {})));
+    assert!(r2.is_err(), "a poisoned pool refuses further regions");
 }

@@ -1,5 +1,5 @@
-//! Model-checking tier for the execution substrate's synchronization:
-//! the dissemination barrier and the work-stealing loop.
+//! Model-checking tier for the execution substrate's synchronization: the
+//! team barrier every kernel runs, `pram_exec::SpinBarrier`.
 //!
 //! Compiled (and meaningful) only under the instrumented shim:
 //!
@@ -9,58 +9,41 @@
 //!
 //! Same two families as `check_arbiters`:
 //!
-//! * **Soundness** — under every schedule within the bound, the
-//!   dissemination barrier never releases a member before all arrive,
-//!   reuses its episode-stamp flags correctly across back-to-back
-//!   rendezvous, makes the `wait_with` closure visible to every released
-//!   member, and elects exactly one member per episode; the stealing
-//!   deques execute every index exactly once however pops and steals
-//!   interleave.
-//! * **Sensitivity** — the seeded bugs (a barrier one signal round short,
-//!   a stealer that drops part of its stolen batch) are *found*, and the
-//!   reported schedules replay to the same violations.
+//! * **Soundness** — under every schedule within the bound, the barrier
+//!   never releases a member before all arrive, survives reuse across
+//!   back-to-back rendezvous (arrival reset + generation bump), makes the
+//!   `wait_with` closure visible to every released member, and elects
+//!   exactly one member per episode.
+//! * **Sensitivity** — the seeded bug (a last-arriver test that re-loads
+//!   the arrival count, electing two members) is *found* by both tiers,
+//!   and the reported schedule or seed replays to the same violation. A
+//!   schedule where the bug loses an arrival is reported as a deadlock
+//!   instead of hanging the executor.
 //!
-//! Exhaustive models stay at 2 threads (the barrier episodes and the
-//! per-chunk lock operations multiply scheduling points faster than the
-//! claim models); 3-thread configurations go through the seeded-random
-//! tier.
+//! Exhaustive models stay at 2 threads (barrier episodes multiply
+//! scheduling points faster than the claim models); 3-thread
+//! configurations go through the seeded-random tier.
 #![cfg(pram_check)]
 
-use pram_check::sync_models::{BarrierLockstep, StealCoverage};
+use pram_check::sync_models::BarrierLockstep;
 use pram_check::{
-    explore_exhaustive, explore_random, replay, DroppingStealer, EarlyReleaseBarrier,
-    ExploreOptions,
+    explore_exhaustive, explore_random, replay, replay_seed, BuggySpinBarrier, ExploreOptions,
 };
-use pram_exec::{DisseminationBarrier, StealQueues, WaitPolicy};
+use pram_exec::SpinBarrier;
 
 fn opts() -> ExploreOptions {
     ExploreOptions::default()
 }
 
-/// The real barrier, configured so waits never time-park (the checker
-/// parks via `park_hint`; the backoff must stay a pure spin).
-fn real_barrier(threads: usize) -> DisseminationBarrier {
-    DisseminationBarrier::new(threads, WaitPolicy::Active, 0)
-}
-
-/// The real stealing deques, seeded with a blocked-static partition.
-fn balanced_queues(threads: usize, len: usize, chunk: usize) -> StealQueues {
-    let q = StealQueues::new(threads);
-    for t in 0..threads {
-        q.populate(t, len, chunk);
-    }
-    q
-}
-
 // ---------------------------------------------------------------- soundness
 
 #[test]
-fn dissemination_barrier_exhaustive_two_threads() {
-    // Two members, three episodes (wait / wait_with / wait): every
-    // interleaving must respect arrival-before-release, broadcast
-    // visibility, flag reuse across episodes, and one election each.
+fn spin_barrier_exhaustive_two_threads() {
+    // Two members, four episodes (wait / wait_with / wait / wait_with):
+    // every interleaving must respect arrival-before-release, closure
+    // visibility, generation reuse across episodes, and one election each.
     let report = explore_exhaustive(
-        || BarrierLockstep::new("dissemination-2t", real_barrier(2), 2, 3),
+        || BarrierLockstep::new("spin-barrier-2t", SpinBarrier::new(2), 2, 4),
         &opts(),
     );
     report.assert_clean();
@@ -73,42 +56,13 @@ fn dissemination_barrier_exhaustive_two_threads() {
 }
 
 #[test]
-fn dissemination_barrier_random_three_threads() {
-    // Three members (two signal rounds, non-trivial mod wrap) via the
-    // seeded-random tier — the exhaustive tree is past the sweet spot.
+fn spin_barrier_random_three_threads() {
+    // Three members via the seeded-random tier — the exhaustive tree is
+    // past the sweet spot.
     let report = explore_random(
-        || BarrierLockstep::new("dissemination-3t", real_barrier(3), 3, 2),
+        || BarrierLockstep::new("spin-barrier-3t", SpinBarrier::new(3), 3, 3),
         300,
         0xBA221E2,
-        &opts(),
-    );
-    report.assert_clean();
-    assert_eq!(report.executions, 300);
-}
-
-#[test]
-fn stealing_coverage_exhaustive_two_threads() {
-    // Four unit chunks across two workers: every interleaving of pops and
-    // steal-half transfers must execute each index exactly once.
-    let report = explore_exhaustive(
-        || StealCoverage::new("stealing-2t", balanced_queues(2, 4, 1), 2, 4),
-        &opts(),
-    );
-    report.assert_clean();
-    assert!(
-        report.complete,
-        "stealing schedule tree not exhausted within {} executions",
-        report.executions
-    );
-    assert!(report.executions > 1, "expected schedule branching");
-}
-
-#[test]
-fn stealing_coverage_random_three_threads() {
-    let report = explore_random(
-        || StealCoverage::new("stealing-3t", balanced_queues(3, 9, 2), 3, 9),
-        300,
-        0x57EA1,
         &opts(),
     );
     report.assert_clean();
@@ -118,61 +72,16 @@ fn stealing_coverage_random_three_threads() {
 // -------------------------------------------------------------- sensitivity
 
 #[test]
-fn early_release_barrier_is_detected_and_replays() {
-    // One signal round short: with two members that means *zero* rounds,
-    // so some schedule releases a member before its peer arrives.
-    let make = || BarrierLockstep::new("early-release-2t", EarlyReleaseBarrier::new(2), 2, 2);
+fn buggy_barrier_is_detected_exhaustively_and_replays() {
+    // Both members load `arrived == 2` before the releaser resets it: two
+    // elections in one episode.
+    let make = || BarrierLockstep::new("buggy-barrier-2t", BuggySpinBarrier::new(2), 2, 3);
     let report = explore_exhaustive(make, &opts());
     let v = report
         .violation
-        .expect("checker failed to find the early-release barrier bug");
+        .expect("checker failed to find the re-loaded last-arriver bug");
     assert!(
-        v.message.contains("released early") || v.message.contains("not visible"),
-        "unexpected violation: {}",
-        v.message
-    );
-    let replayed = replay(make, &v.schedule);
-    assert!(
-        replayed.violation.is_some(),
-        "schedule {:?} did not reproduce: {v}",
-        v.schedule
-    );
-}
-
-#[test]
-fn early_release_barrier_three_threads_random_tier() {
-    // With three members the truncated barrier still runs one round —
-    // each thread syncs with one neighbor only; the random tier must
-    // find a schedule that slips a member through.
-    let make = || BarrierLockstep::new("early-release-3t", EarlyReleaseBarrier::new(3), 3, 2);
-    let report = explore_random(make, 500, 7, &opts());
-    let v = report
-        .violation
-        .expect("random tier failed to find the early-release bug");
-    let seed = v.seed.expect("random-tier violation must carry its seed");
-    let replayed = pram_check::replay_seed(make, seed, &opts());
-    assert!(
-        replayed.violation.is_some(),
-        "seed {seed:#x} did not replay to a violation"
-    );
-}
-
-#[test]
-fn dropping_stealer_is_detected_and_replays() {
-    // Rich victim, empty thief: any schedule where the thief steals while
-    // the victim holds ≥ 3 chunks takes a multi-chunk batch and drops all
-    // but one — a dropped index the coverage check must flag.
-    let make = || {
-        let q = DroppingStealer::new(2);
-        q.seed(0, (0..4).map(|i| i..i + 1));
-        StealCoverage::new("dropping-stealer", q, 2, 4)
-    };
-    let report = explore_exhaustive(make, &opts());
-    let v = report
-        .violation
-        .expect("checker failed to find the dropping-stealer bug");
-    assert!(
-        v.message.contains("dropped"),
+        v.message.contains("election"),
         "unexpected violation: {}",
         v.message
     );
@@ -180,5 +89,39 @@ fn dropping_stealer_is_detected_and_replays() {
     let msg = replayed
         .violation
         .unwrap_or_else(|| panic!("schedule {:?} did not reproduce: {v}", v.schedule));
-    assert!(msg.contains("dropped"), "replay diverged: {msg}");
+    assert_eq!(msg, v.message, "replay diverged");
+}
+
+#[test]
+fn buggy_barrier_is_detected_by_random_tier_and_replays() {
+    let make = || BarrierLockstep::new("buggy-barrier-3t", BuggySpinBarrier::new(3), 3, 3);
+    let report = explore_random(make, 500, 7, &opts());
+    let v = report
+        .violation
+        .expect("random tier failed to find the re-loaded last-arriver bug");
+    assert!(
+        v.message.contains("election"),
+        "unexpected violation: {}",
+        v.message
+    );
+    let seed = v.seed.expect("random-tier violation must carry its seed");
+    let replayed = replay_seed(make, seed, &opts());
+    let msg = replayed
+        .violation
+        .unwrap_or_else(|| panic!("seed {seed:#x} did not replay to a violation"));
+    assert_eq!(msg, v.message, "seed replay diverged");
+}
+
+#[test]
+fn lost_arrival_deadlock_is_reported_not_hung() {
+    // Both members elected in episode 0; member 1's release store then
+    // wipes member 0's episode-1 arrival, so both wait for a release that
+    // never comes. The executor must report the deadlock and unwind both
+    // waiters instead of spinning them forever.
+    let make = || BarrierLockstep::new("lost-arrival-2t", BuggySpinBarrier::new(2), 2, 2);
+    let schedule = [0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0, 0];
+    let msg = replay(make, &schedule)
+        .violation
+        .expect("lost arrival must be reported");
+    assert!(msg.contains("deadlock"), "unexpected violation: {msg}");
 }

@@ -191,7 +191,6 @@ fn facade_prelude_exposes_the_working_surface() {
     let naive = NaiveArbiter::new(2);
     assert!(naive.try_claim(1, Round::FIRST));
     let _ = Schedule::default();
-    let _ = WaitPolicy::Passive;
 }
 
 #[test]

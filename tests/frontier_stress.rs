@@ -16,7 +16,7 @@ use std::collections::HashSet;
 
 use pram_algos::bfs::{bfs_with_strategy, verify_bfs_levels, verify_bfs_tree, BfsStrategy};
 use pram_algos::CwMethod;
-use pram_exec::{FrontierBuffer, LocalBuffer, SpinBarrier, ThreadPool, WaitPolicy};
+use pram_exec::{FrontierBuffer, LocalBuffer, SpinBarrier, ThreadPool};
 use pram_graph::{CsrGraph, GraphGen};
 
 /// Repetitions per configuration; raise via STRESS_REPS for soak runs.
@@ -144,45 +144,43 @@ fn contended_local_buffer_flush_neither_drops_nor_duplicates() {
 /// The frontier's reuse cycle across rounds, synchronized the way the
 /// kernels do it: publish — barrier (last arriver snapshots and clears) —
 /// publish again. Clearing in the `wait_with` closure is the race-free
-/// slot, so every round must see exactly its own entries, for both wait
-/// policies and across many reuses of the same barrier object.
+/// slot, so every round must see exactly its own entries across many
+/// reuses of the same barrier object.
 #[test]
 fn barrier_reuse_across_rounds_isolates_frontier_generations() {
-    for policy in [WaitPolicy::Active, WaitPolicy::Passive] {
-        let threads = 6u64;
-        let rounds = 200u64;
-        let fb = FrontierBuffer::with_capacity((threads * rounds) as usize);
-        let barrier = SpinBarrier::new(threads as usize, policy, 64);
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let fb = &fb;
-                let barrier = &barrier;
-                s.spawn(move || {
-                    for round in 0..rounds {
-                        // Round-opening rendezvous: the previous round's
-                        // clear happens-before these publishes.
-                        barrier.wait();
-                        fb.publish(&[round * threads + t]);
-                        // Round-closing rendezvous: the last arriver
-                        // checks this round's frontier and recycles it.
-                        barrier.wait_with(|| {
-                            let mut seen = fb.to_vec();
-                            seen.sort_unstable();
-                            let expected: Vec<u64> =
-                                (0..threads).map(|u| round * threads + u).collect();
-                            assert_eq!(
-                                seen, expected,
-                                "round {round}: frontier polluted across reuse"
-                            );
-                            fb.clear();
-                        });
-                    }
-                });
-            }
-        });
-        assert!(fb.is_empty(), "final clear must leave the buffer empty");
-        assert!(!barrier.is_poisoned());
-    }
+    let threads = 6u64;
+    let rounds = 200u64;
+    let fb = FrontierBuffer::with_capacity((threads * rounds) as usize);
+    let barrier = SpinBarrier::new(threads as usize);
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            let fb = &fb;
+            let barrier = &barrier;
+            s.spawn(move || {
+                for round in 0..rounds {
+                    // Round-opening rendezvous: the previous round's
+                    // clear happens-before these publishes.
+                    barrier.wait();
+                    fb.publish(&[round * threads + t]);
+                    // Round-closing rendezvous: the last arriver
+                    // checks this round's frontier and recycles it.
+                    barrier.wait_with(|| {
+                        let mut seen = fb.to_vec();
+                        seen.sort_unstable();
+                        let expected: Vec<u64> =
+                            (0..threads).map(|u| round * threads + u).collect();
+                        assert_eq!(
+                            seen, expected,
+                            "round {round}: frontier polluted across reuse"
+                        );
+                        fb.clear();
+                    });
+                }
+            });
+        }
+    });
+    assert!(fb.is_empty(), "final clear must leave the buffer empty");
+    assert!(!barrier.is_poisoned());
 }
 
 /// Naive writes stay correct on the *common*-write component (levels) even

@@ -5,16 +5,13 @@
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
-use pram_exec::{PoolConfig, Schedule, ThreadPool, WaitPolicy};
+use pram_exec::{Schedule, ThreadPool};
 use proptest::prelude::*;
 
 fn arb_schedule() -> impl Strategy<Value = Schedule> {
     prop_oneof![
-        Just(Schedule::Static { chunk: None }),
-        (1usize..9).prop_map(|c| Schedule::Static { chunk: Some(c) }),
+        Just(Schedule::Static),
         (1usize..9).prop_map(|c| Schedule::Dynamic { chunk: c }),
-        (1usize..9).prop_map(|c| Schedule::Guided { min_chunk: c }),
-        (1usize..9).prop_map(|c| Schedule::Stealing { chunk: c }),
     ]
 }
 
@@ -91,39 +88,19 @@ proptest! {
     }
 
     #[test]
-    fn active_wait_policy_is_equivalent(
-        len in 1usize..150,
-        schedule in arb_schedule(),
-    ) {
-        // Small team to avoid oversubscribed pure spinning on tiny CI boxes.
-        let pool = ThreadPool::with_config(
-            PoolConfig::new(2).wait_policy(WaitPolicy::Active),
-        );
-        let counts: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
-        pool.run(|ctx| {
-            ctx.for_each(0..len, schedule, |i| {
-                counts[i].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        for c in &counts {
-            prop_assert_eq!(c.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn stealing_covers_skewed_work_exactly_once(
+    fn dynamic_covers_skewed_work_exactly_once(
         threads in 2usize..7,
         len in 1usize..400,
         chunk in 1usize..9,
         skew_pow in 0u32..6,
     ) {
         // Body cost grows with the index (2^skew_pow spins at the top end),
-        // so the worker that seeded the tail runs dry last and everyone
-        // else must steal — coverage must still be exactly-once.
+        // so members holding tail chunks finish last while the others keep
+        // grabbing — coverage must still be exactly-once.
         let pool = ThreadPool::new(threads);
         let counts: Vec<AtomicU32> = (0..len).map(|_| AtomicU32::new(0)).collect();
         pool.run(|ctx| {
-            ctx.for_each(0..len, Schedule::Stealing { chunk }, |i| {
+            ctx.for_each(0..len, Schedule::Dynamic { chunk }, |i| {
                 let spins = (i * (1usize << skew_pow)) / len.max(1);
                 for _ in 0..spins {
                     std::hint::spin_loop();
@@ -134,7 +111,7 @@ proptest! {
         for (i, c) in counts.iter().enumerate() {
             prop_assert_eq!(
                 c.load(Ordering::Relaxed), 1,
-                "index {} under stealing chunk {}", i, chunk
+                "index {} under dynamic chunk {}", i, chunk
             );
         }
     }

@@ -25,12 +25,10 @@ fn sample_report() -> RoundReport {
         lock_acquisitions: 0,
         rearm_resets: 0,
     };
-    let exec = |waits, wait_ns, grabs, attempts, steals| ExecCounters {
+    let exec = |waits, wait_ns, grabs| ExecCounters {
         barrier_waits: waits,
         barrier_wait_ns: wait_ns,
         grabs,
-        steal_attempts: attempts,
-        steals,
     };
     let rounds = vec![
         RoundSnapshot {
@@ -40,7 +38,7 @@ fn sample_report() -> RoundReport {
             start_ns: 1_000,
             wall_ns: 2_500,
             cw: cw(3, 5, 1, 4),
-            exec: exec(4, 700, 6, 2, 1),
+            exec: exec(4, 700, 6),
         },
         RoundSnapshot {
             epoch: 0,
@@ -49,7 +47,7 @@ fn sample_report() -> RoundReport {
             start_ns: 4_000,
             wall_ns: 1_250,
             cw: cw(7, 1, 0, 1),
-            exec: exec(4, 300, 5, 0, 0),
+            exec: exec(4, 300, 5),
         },
         RoundSnapshot {
             epoch: 1,
@@ -63,7 +61,7 @@ fn sample_report() -> RoundReport {
                 rearm_resets: 2,
                 ..CwCounters::default()
             },
-            exec: exec(2, 150, 4, 1, 0),
+            exec: exec(2, 150, 4),
         },
     ];
     let mut totals_cw = CwCounters::default();
@@ -162,7 +160,7 @@ fn metrics_json_round_trips() {
 fn metrics_json_rejects_foreign_or_malformed_input() {
     let r = sample_report();
     let json = r.metrics_json();
-    let foreign = json.replace("pram-telemetry-v1", "pram-telemetry-v999");
+    let foreign = json.replace("pram-telemetry-v2", "pram-telemetry-v999");
     let err = RoundReport::from_metrics_json(&foreign).unwrap_err();
     assert!(err.contains("schema"), "unhelpful error: {err}");
     assert!(RoundReport::from_metrics_json("not json").is_err());
