@@ -31,14 +31,24 @@
 //!   in-edges and stops at the first frontier neighbor), and drop back to
 //!   top-down when the frontier shrinks below `n / β`.
 //!
-//! In every strategy the winner-claim `arb.try_claim(target, round)`
-//! remains the **single point of frontier insertion**, so all
-//! concurrent-write methods dispatch unchanged and the four-word write
-//! keeps its single-winner consistency guarantee. The bottom-up sweep
-//! records `sel_edge` through [`pram_graph::ReverseCsr`]'s edge
-//! provenance, so the discovered edge is still an index owned by the
-//! parent — the same invariant [`verify_bfs_tree`] checks for every
-//! strategy.
+//! Push (top-down) and dense-scan rounds are concurrent writes: several
+//! expanders can reach the same unvisited `u`, so the winner claim
+//! `arb.try_claim(u, round)` is their single point of frontier insertion,
+//! every concurrent-write method dispatches unchanged, and the four-word
+//! write keeps its single-winner consistency guarantee. Pull rounds are
+//! not: each worker owns whole 64-vertex words of the next-frontier
+//! bitmap, and only the owner of `v`'s word ever writes `v`. That write is
+//! *exclusive*, and by the paper's own argument an exclusive write needs
+//! no arbitration — the owner commits the four words with plain stores
+//! and publishes the word with one [`pram_core::AtomicBitmap::store_word`].
+//! The bottom-up sweep records `sel_edge` through
+//! [`pram_graph::ReverseCsr`]'s edge provenance, so the discovered edge is
+//! still an index owned by the parent — the same invariant
+//! [`verify_bfs_tree`] checks for every strategy.
+//!
+//! Every strategy records progress in a member-local `bool` and sets the
+//! shared [`pram_exec::ChangedFlag`] at most once per member per round, so
+//! discoveries never store to the flag's shared line.
 //!
 //! The per-level round ID is the level itself — the paper's "round could be
 //! substituted by the loop iteration" remark — supplied here by
@@ -70,9 +80,13 @@ pub const DIRECTION_ALPHA: usize = 14;
 /// push when the frontier size drops below `n / β`.
 pub const DIRECTION_BETA: usize = 24;
 
+/// Next-frontier bitmap words a pull round hands out per shared-cursor
+/// grab: 512 vertices, one cache line of the bitmap.
+const PULL_CHUNK_WORDS: usize = 8;
+
 /// How BFS represents and expands its frontier. Orthogonal to the
-/// concurrent-write method: every strategy funnels discovery through the
-/// same `try_claim` arbitration.
+/// concurrent-write method: push and dense-scan discovery goes through
+/// the same `try_claim` arbitration, and pull discovery needs none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BfsStrategy {
     /// The paper's Figure 3 kernel: scan all `n` vertices every level.
@@ -267,7 +281,8 @@ impl BfsState {
         }
     }
 
-    /// The guarded four-word write. Call only as the claim winner.
+    /// The guarded four-word write. Call only as the claim winner, or as
+    /// the exclusive writer of `u` (a pull round's word owner).
     #[inline]
     fn commit(&self, u: usize, parent: u32, edge: usize, level: u32) {
         self.parent[u].store(parent, Ordering::Relaxed);
@@ -285,6 +300,8 @@ fn member_slice(len: usize, threads: usize, id: usize) -> Range<usize> {
 
 /// Gatekeeper methods need their cells re-zeroed before the next round;
 /// round-rearming methods just need the barrier `converge_rounds` requires.
+/// Call after every round that claimed (a pull round claims nothing, so
+/// it passes only the barrier).
 fn rearm<A: SliceArbiter>(ctx: &WorkerCtx<'_>, arb: &A, n: usize) {
     ctx.barrier();
     if !arb.rearms_on_new_round() {
@@ -307,6 +324,7 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
         let c = ctx.converge_rounds(max_rounds, |round, flag| {
             ctx.annotate_round("expand");
             let l = round.get() - 1; // the level being expanded
+            let mut changed = false;
             ctx.for_each_nowait(0..n, Schedule::default(), |v| {
                 if st.level[v].load(Ordering::Relaxed) != l {
                     return;
@@ -319,11 +337,14 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
                         // level, then perform the four-word update.
                         if arb.try_claim(u, round) {
                             st.commit(u, v as u32, j, l + 1);
-                            flag.set(); // the paper's `done = false`
+                            changed = true;
                         }
                     }
                 }
             });
+            if changed {
+                flag.set(); // the paper's `done = false`
+            }
             rearm(ctx, arb, n);
         });
         // Every member observed the same convergence result.
@@ -380,6 +401,7 @@ fn bfs_frontier<A: SliceArbiter>(
 
         let c = ctx.converge_rounds(max_rounds, |round, flag| {
             let l = round.get() - 1;
+            let mut changed = false;
 
             // Frontier stats (size, out-edges) — O(1) per vertex thanks to
             // the CSR degree prefix sum; team-combined by one reduction.
@@ -415,7 +437,7 @@ fn bfs_frontier<A: SliceArbiter>(
                 let bits = &bitmaps[bi];
                 let q = &queues[qi];
                 ctx.for_each(0..bits.num_words(), Schedule::default(), |w| {
-                    bits.clear_word(w);
+                    bits.store_word(w, 0);
                 });
                 ctx.for_each(0..q.len(), Schedule::default(), |i| {
                     bits.insert(q.get(i) as usize);
@@ -435,34 +457,40 @@ fn bfs_frontier<A: SliceArbiter>(
             }
 
             if pull {
-                // Bottom-up: every unvisited vertex scans its in-edges and
-                // stops at the first frontier neighbor. The claim still
-                // arbitrates the four-word write (and is the sole frontier
-                // insertion point), though in pull form each target has a
-                // single prospective writer.
+                // Bottom-up: each member owns whole words of the next
+                // frontier. For every unvisited vertex of a word it owns
+                // it scans the in-edges and stops at the first frontier
+                // neighbor. Nobody else can discover that vertex this
+                // round, so the four-word write is exclusive and needs no
+                // claim; the word's bits gather in a register and go out
+                // in one store, which also overwrites the stale frontier
+                // two rounds old (no clear pass).
                 ctx.annotate_round("pull");
                 let rev = rev.expect("pull implies reverse view");
                 let cur = &bitmaps[bi];
                 let next = &bitmaps[1 - bi];
-                ctx.for_each(0..next.num_words(), Schedule::default(), |w| {
-                    next.clear_word(w);
-                });
-                ctx.for_each_nowait(0..n, Schedule::Dynamic { chunk: 64 }, |v| {
-                    if st.visited[v].load(Ordering::Relaxed) != 0 {
-                        return;
-                    }
-                    for (w, e) in rev.in_edges(v as u32) {
-                        if cur.contains(w as usize) {
-                            if arb.try_claim(v, round) {
-                                st.commit(v, w, e, l + 1);
-                                next.insert(v);
-                                flag.set();
+                let by_words = Schedule::Dynamic {
+                    chunk: PULL_CHUNK_WORDS,
+                };
+                ctx.for_each_nowait(0..next.num_words(), by_words, |w| {
+                    let mut bits = 0u64;
+                    for v in 64 * w..(64 * w + 64).min(n) {
+                        if st.visited[v].load(Ordering::Relaxed) != 0 {
+                            continue;
+                        }
+                        for (p, e) in rev.in_edges(v as u32) {
+                            if cur.contains(p as usize) {
+                                st.commit(v, p, e, l + 1);
+                                bits |= 1 << (v % 64);
+                                break;
                             }
-                            break;
                         }
                     }
+                    next.store_word(w, bits);
+                    changed |= bits != 0;
                 });
-                rearm(ctx, arb, n);
+                // Nothing was claimed, so gatekeeper cells are still armed.
+                ctx.barrier();
                 bi = 1 - bi;
                 cur_is_bits = true;
             } else {
@@ -481,7 +509,7 @@ fn bfs_frontier<A: SliceArbiter>(
                         if st.visited[u].load(Ordering::Relaxed) == 0 && arb.try_claim(u, round) {
                             st.commit(u, v as u32, j, l + 1);
                             local.push(u as u64, next);
-                            flag.set();
+                            changed = true;
                         }
                     }
                 });
@@ -491,6 +519,9 @@ fn bfs_frontier<A: SliceArbiter>(
                 rearm(ctx, arb, n);
                 qi = 1 - qi;
                 cur_is_bits = false;
+            }
+            if changed {
+                flag.set();
             }
         });
         ctx.master(|| rounds.store(c.rounds, Ordering::Relaxed));
@@ -570,6 +601,7 @@ pub fn verify_bfs_tree(g: &CsrGraph, source: u32, r: &BfsResult) -> Result<(), S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pram_exec::PoolConfig;
     use pram_graph::GraphGen;
 
     fn graph(n: usize, edges: &[(u32, u32)]) -> CsrGraph {
@@ -645,6 +677,43 @@ mod tests {
             let r = bfs_with_strategy(&g, 0, m, BfsStrategy::DirectionOptimizing, &pool);
             verify_bfs_tree(&g, 0, &r).unwrap_or_else(|e| panic!("{m}: {e}"));
             assert!(r.level[1..].iter().all(|&l| l == 1));
+        }
+    }
+
+    #[test]
+    fn pull_rounds_are_exclusive_writes_without_claims() {
+        // Stars whose leaves end one short of, exactly on, and one past a
+        // bitmap word, a multi-word star, and a skewed graph whose hub
+        // levels pull. Pull rounds must build valid trees without one
+        // claim resolution, under every single-winner method.
+        let mut cases: Vec<(String, CsrGraph)> = [63, 64, 65, 2000]
+            .into_iter()
+            .map(|n| (format!("star{n}"), graph(n, &GraphGen::star(n))))
+            .collect();
+        cases.push((
+            "rmat10".to_string(),
+            graph(1024, &GraphGen::new(5).rmat_standard(10, 8000)),
+        ));
+        for t in 1..=3 {
+            let pool = ThreadPool::with_config(PoolConfig::new(t).telemetry(true));
+            for (name, g) in &cases {
+                for m in CwMethod::ALL.into_iter().filter(|m| m.single_winner()) {
+                    let r = bfs_with_strategy(g, 0, m, BfsStrategy::DirectionOptimizing, &pool);
+                    verify_bfs_tree(g, 0, &r).unwrap_or_else(|e| panic!("{name}/{m}/T={t}: {e}"));
+                    let report = pool.take_round_report();
+                    let pulls: Vec<_> =
+                        report.rounds.iter().filter(|r| r.label == "pull").collect();
+                    assert!(!pulls.is_empty(), "{name}/{m}/T={t}: no pull round");
+                    for p in pulls {
+                        assert_eq!(
+                            p.cw.resolutions(),
+                            0,
+                            "{name}/{m}/T={t}: pull round {} arbitrated",
+                            p.round
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -12,8 +12,14 @@
 //! winner).
 //!
 //! The same packed representation is what a direction-optimizing BFS wants
-//! for its *dense frontier* (one membership bit per vertex, test-and-set
-//! insertion, per-word iteration during the bottom-up pull), so the word
+//! for its *dense frontier*: one membership bit per vertex, iterated a word
+//! at a time. Its bottom-up pull does not insert bit by bit. Each word of
+//! the next frontier has one owning worker, so its bits are exclusive
+//! writes: the owner collects them in a register and publishes the word
+//! with one plain [`AtomicBitmap::store_word`] — the paper's point that
+//! only *concurrent* writes need arbitration. The test-and-set
+//! [`AtomicBitmap::insert`] is for writers that do collide (the gatekeeper
+//! below, a frontier queue scattered into the bitmap). So the word
 //! machinery lives in [`AtomicBitmap`] and the gatekeeper is a thin
 //! arbitration wrapper over it.
 
@@ -113,15 +119,23 @@ impl AtomicBitmap {
         self.words[w].load(Ordering::Relaxed)
     }
 
-    /// Clear word `w` (elements `64 * w .. 64 * (w + 1)`), for
-    /// word-parallel clears.
+    /// Overwrite word `w` (elements `64 * w .. 64 * (w + 1)`) with `bits`
+    /// in one plain store — how the word's exclusive owner publishes it,
+    /// and, with `bits == 0`, a word-parallel clear. Bits at or past
+    /// [`AtomicBitmap::len`] must be clear.
     #[inline]
-    pub fn clear_word(&self, w: usize) {
-        self.words[w].store(0, Ordering::Relaxed);
+    pub fn store_word(&self, w: usize, bits: u64) {
+        debug_assert!(
+            bits == 0 || 64 * w + (63 - bits.leading_zeros() as usize) < self.len,
+            "word {w} sets bits past len {}",
+            self.len
+        );
+        self.words[w].store(bits, Ordering::Relaxed);
     }
 
     /// Clear the whole set (single-threaded; for the parallel variant,
-    /// partition `0..num_words()` and call [`AtomicBitmap::clear_word`]).
+    /// partition `0..num_words()` and call [`AtomicBitmap::store_word`]
+    /// with `0`).
     pub fn clear(&self) {
         for w in self.words.iter() {
             w.store(0, Ordering::Relaxed);
@@ -350,8 +364,11 @@ mod tests {
         for i in 0..128 {
             s.insert(i);
         }
-        s.clear_word(0);
+        s.store_word(0, 0);
         assert_eq!(s.count_ones(), 64);
+        s.store_word(0, 1 << 63 | 1);
+        assert!(s.contains(0) && s.contains(63) && !s.contains(1));
+        assert_eq!(s.count_ones(), 66);
         s.clear();
         assert_eq!(s.count_ones(), 0);
     }

@@ -15,6 +15,7 @@
 //! happens-before edge for readers, the same discipline every
 //! concurrent-write target in this workspace follows.
 
+use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
@@ -34,11 +35,13 @@ pub struct FrontierBuffer {
 
 impl FrontierBuffer {
     /// An empty buffer able to hold `capacity` entries.
+    ///
+    /// The slots come from `alloc_zeroed`, so a large buffer is lazily
+    /// zeroed pages: it costs no O(capacity) fill, and only the pages its
+    /// entries actually reach are ever touched.
     pub fn with_capacity(capacity: usize) -> FrontierBuffer {
-        let mut v = Vec::with_capacity(capacity);
-        v.resize_with(capacity, || AtomicU64::new(0));
         FrontierBuffer {
-            slots: v.into_boxed_slice(),
+            slots: zeroed_slots(capacity),
             len: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -106,6 +109,26 @@ impl FrontierBuffer {
     /// Copy the published entries out (diagnostics/tests).
     pub fn to_vec(&self) -> Vec<u64> {
         self.iter().collect()
+    }
+}
+
+/// `capacity` zero-valued slots, allocated zeroed rather than filled.
+fn zeroed_slots(capacity: usize) -> Box<[AtomicU64]> {
+    if capacity == 0 {
+        return Box::new([]);
+    }
+    let layout = Layout::array::<AtomicU64>(capacity).expect("frontier capacity overflows");
+    // SAFETY: `layout` has nonzero size. `AtomicU64` has the size,
+    // alignment and bit validity of `u64`, so `capacity` zeroed words are
+    // `capacity` initialized `AtomicU64::new(0)`s. The allocation comes
+    // from the global allocator with the layout of `[AtomicU64; capacity]`,
+    // which is the layout the returned box frees it with.
+    unsafe {
+        let ptr = alloc_zeroed(layout).cast::<AtomicU64>();
+        if ptr.is_null() {
+            handle_alloc_error(layout);
+        }
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, capacity))
     }
 }
 
@@ -190,25 +213,56 @@ mod tests {
 
     #[test]
     fn concurrent_publication_loses_nothing() {
-        let fb = FrontierBuffer::with_capacity(8 * 1000);
+        // Miri interprets every access; a shorter run covers the same races.
+        let per: u64 = if cfg!(miri) { 40 } else { 1000 };
+        let fb = FrontierBuffer::with_capacity(8 * per as usize);
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let fb = &fb;
                 s.spawn(move || {
                     let mut local = LocalBuffer::with_threshold(13);
-                    for i in 0..1000u64 {
-                        local.push(t * 1000 + i, fb);
+                    for i in 0..per {
+                        local.push(t * per + i, fb);
                     }
                     local.flush(fb);
                 });
             }
         });
         let mut all = fb.to_vec();
-        assert_eq!(all.len(), 8000);
+        assert_eq!(all.len(), 8 * per as usize);
         all.sort_unstable();
         for (i, &x) in all.iter().enumerate() {
             assert_eq!(x, i as u64);
         }
+    }
+
+    #[test]
+    fn zero_capacity_buffer_works() {
+        let fb = FrontierBuffer::with_capacity(0);
+        assert_eq!(fb.capacity(), 0);
+        assert!(fb.is_empty());
+        assert_eq!(fb.publish(&[]), 0);
+        assert_eq!(fb.to_vec(), Vec::<u64>::new());
+        fb.clear();
+        assert_eq!(fb.len(), 0);
+    }
+
+    #[test]
+    fn fresh_buffer_is_empty_and_zeroed() {
+        let fb = FrontierBuffer::with_capacity(1000);
+        assert_eq!(fb.len(), 0);
+        assert_eq!(fb.capacity(), 1000);
+        assert!((0..1000).all(|i| fb.get(i) == 0));
+    }
+
+    #[test]
+    fn publish_into_last_slot_reads_back() {
+        let fb = FrontierBuffer::with_capacity(5);
+        fb.publish(&[1, 2, 3, 4]);
+        assert_eq!(fb.publish(&[u64::MAX]), 4);
+        assert_eq!(fb.len(), 5);
+        assert_eq!(fb.get(4), u64::MAX);
+        assert_eq!(fb.to_vec(), vec![1, 2, 3, 4, u64::MAX]);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 //!   tiebreak index exactly; under naive (every writer "wins", last store
 //!   lands) only the *value* at the returned index is pinned.
 //! * BFS levels are common writes (all writers agree) — equal under every
-//!   method. Parents are arbitrary: any previous-level neighbor is
-//!   admissible, so parents are checked as members of the writer set, and
-//!   only for single-winner methods (naive tears the multi-word commit).
+//!   method and every frontier strategy. Parents are arbitrary: any
+//!   previous-level neighbor is admissible, so parents are checked as
+//!   members of the writer set, and only for single-winner methods (naive
+//!   tears the multi-word commit).
 //! * CC labels are canonicalized by the kernel (component minima), so
 //!   single-winner methods must match union–find exactly; naive is
 //!   excluded (multi-word hook writes tear).
@@ -30,8 +31,8 @@
 use pram_algos::list_rank::{list_rank_serial, random_list};
 use pram_algos::scan::exclusive_scan_serial;
 use pram_algos::{
-    bfs, connected_components, exclusive_scan, inclusive_scan, list_rank, logical_or, max_index,
-    CwMethod,
+    bfs, bfs_with_strategy, connected_components, exclusive_scan, inclusive_scan, list_rank,
+    logical_or, max_index, BfsStrategy, CwMethod,
 };
 use pram_exec::{PoolConfig, ThreadPool};
 use pram_graph::{serial, CsrGraph, GraphGen};
@@ -152,41 +153,48 @@ fn oracle_max_all_methods_vs_serial_and_sim() {
 
 #[test]
 fn oracle_bfs_levels_all_methods_and_parents_in_writer_set() {
+    // Every frontier strategy: dense-scan and push rounds arbitrate,
+    // pull rounds are exclusive owner writes, and all must agree.
+    let mut pulled = false;
     for (name, n, edges) in corpus() {
         let g = CsrGraph::from_edges(n, &edges, true);
         let reference = serial::bfs_levels(&g, 0);
         for pool in pools() {
+            let t = pool.num_threads();
             for m in CwMethod::ALL {
-                let r = bfs(&g, 0, m, &pool);
-                assert_eq!(
-                    r.level,
-                    reference,
-                    "{name}: {m} levels on {} threads",
-                    pool.num_threads()
-                );
-                if !m.single_winner() {
-                    continue; // naive tears the multi-word commit
-                }
-                // Arbitrary-CW winner set: parent[u] must be *some*
-                // previous-level neighbor of u — which one is free.
-                for u in 1..n {
-                    if reference[u] == u32::MAX {
-                        continue;
+                for s in BfsStrategy::ALL {
+                    let r = bfs_with_strategy(&g, 0, m, s, &pool);
+                    if pool.telemetry().is_some() {
+                        let report = pool.take_round_report();
+                        pulled |= report.rounds.iter().any(|r| r.label == "pull");
                     }
-                    let p = r.parent[u];
-                    assert!(
-                        g.neighbors(p).contains(&(u as u32)),
-                        "{name}: {m} parent {p} of {u} not adjacent"
-                    );
-                    assert_eq!(
-                        reference[p as usize] + 1,
-                        reference[u],
-                        "{name}: {m} parent {p} of {u} not a previous-level writer"
-                    );
+                    assert_eq!(r.level, reference, "{name}: {m}/{s} levels on {t} threads");
+                    if !m.single_winner() {
+                        continue; // naive tears the multi-word commit
+                    }
+                    // Arbitrary-CW winner set: parent[u] must be *some*
+                    // previous-level neighbor of u — which one is free.
+                    for u in 1..n {
+                        if reference[u] == u32::MAX {
+                            continue;
+                        }
+                        let p = r.parent[u];
+                        assert!(
+                            g.neighbors(p).contains(&(u as u32)),
+                            "{name}: {m}/{s} parent {p} of {u} not adjacent on {t} threads"
+                        );
+                        assert_eq!(
+                            reference[p as usize] + 1,
+                            reference[u],
+                            "{name}: {m}/{s} parent {p} of {u} not a previous-level writer \
+                             on {t} threads"
+                        );
+                    }
                 }
             }
         }
     }
+    assert!(pulled, "no corpus instance ran a pull round");
 }
 
 #[test]
