@@ -7,49 +7,35 @@ use pram_algos::max::max_index_with_arbiter;
 use pram_algos::{bfs, CwMethod};
 use pram_core::{
     AlwaysRmwCasLtArray, CasLtArray, CasLtArray64, CwCounters, GatekeeperArray, LockArray,
-    PaddedCasLtArray,
+    PaddedCasLtArray, SliceArbiter,
 };
 use pram_exec::{PoolConfig, ThreadPool};
 
-use crate::{make_graph, ms, pool, time_median, BenchConfig, FigureResult, ScaleProfile, Series};
+use crate::{
+    make_graph, max_values, single_point, sweep, BenchConfig, FigureResult, ScaleProfile, Variant,
+};
 
-fn max_values(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
-        .collect()
-}
-
-fn scale_n(cfg: &BenchConfig) -> usize {
-    match cfg.scale {
+/// The Max-kernel ablations' input: `n` pseudo-random values and a pool.
+fn max_setup(cfg: &BenchConfig) -> (usize, Vec<u64>, ThreadPool) {
+    let n = match cfg.scale {
         ScaleProfile::Quick => 800,
         ScaleProfile::Default => 4_000,
         ScaleProfile::Paper => 30_000,
-    }
+    };
+    (n, max_values(n), ThreadPool::new(cfg.threads))
 }
 
-/// A named timed variant within a single-point ablation.
-type Variant<'a> = (&'a str, Box<dyn FnMut() + 'a>);
-
-/// Time one closure per variant at a single operating point.
-fn single_point(
-    id: &str,
-    title: &str,
-    cfg: &BenchConfig,
-    variants: Vec<Variant<'_>>,
-) -> FigureResult {
-    let series = variants
-        .into_iter()
-        .map(|(name, mut f)| Series {
-            name: name.into(),
-            points: vec![(1.0, ms(time_median(cfg.reps, &mut f)))],
-        })
-        .collect();
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        x_label: "point".into(),
-        series,
-    }
+/// A Max-kernel variant that claims through a fresh `A` on every call.
+pub(crate) fn max_variant<'a, A: SliceArbiter + 'a>(
+    name: &'a str,
+    values: &'a [u64],
+    pool: &'a ThreadPool,
+    new: fn(usize) -> A,
+) -> Variant<'a> {
+    let run = move || {
+        max_index_with_arbiter(values, &new(values.len()), pool);
+    };
+    (name, Box::new(run))
 }
 
 /// `ablate_fastpath` — is the pre-CAS load check the win? Max kernel with
@@ -57,40 +43,15 @@ fn single_point(
 /// (`fetch_max`) vs the gatekeeper. If the paper's §5 mechanism is right,
 /// full CAS-LT ≪ always-RMW ≈ gatekeeper.
 pub fn ablate_fastpath(cfg: &BenchConfig) -> FigureResult {
-    let n = scale_n(cfg);
-    let values = max_values(n);
-    let p = pool(cfg.threads);
-    let v1 = values.clone();
-    let v2 = values.clone();
-    let v3 = values;
-    let p1 = pool(cfg.threads);
-    let p2 = pool(cfg.threads);
+    let (n, v, p) = max_setup(cfg);
     single_point(
         "ablate_fastpath",
         &format!("max (n = {n}): CAS-LT fast path on/off vs gatekeeper"),
         cfg,
         vec![
-            (
-                "gatekeeper",
-                Box::new(move || {
-                    let arb = GatekeeperArray::new(v1.len());
-                    max_index_with_arbiter(&v1, &arb, &p);
-                }),
-            ),
-            (
-                "caslt-always-rmw",
-                Box::new(move || {
-                    let arb = AlwaysRmwCasLtArray::new(v2.len());
-                    max_index_with_arbiter(&v2, &arb, &p1);
-                }),
-            ),
-            (
-                "caslt",
-                Box::new(move || {
-                    let arb = CasLtArray::new(v3.len());
-                    max_index_with_arbiter(&v3, &arb, &p2);
-                }),
-            ),
+            max_variant("gatekeeper", &v, &p, GatekeeperArray::new),
+            max_variant("caslt-always-rmw", &v, &p, AlwaysRmwCasLtArray::new),
+            max_variant("caslt", &v, &p, CasLtArray::new),
         ],
     )
 }
@@ -99,31 +60,14 @@ pub fn ablate_fastpath(cfg: &BenchConfig) -> FigureResult {
 /// kernel (dense targets: padding hurts reach) — the layout choice
 /// [`pram_core::PaddedCasLtArray`] documents.
 pub fn ablate_padding(cfg: &BenchConfig) -> FigureResult {
-    let n = scale_n(cfg);
-    let values = max_values(n);
-    let v1 = values.clone();
-    let v2 = values;
-    let p1 = pool(cfg.threads);
-    let p2 = pool(cfg.threads);
+    let (n, v, p) = max_setup(cfg);
     single_point(
         "ablate_padding",
         &format!("max (n = {n}): packed vs cache-line-padded claim words"),
         cfg,
         vec![
-            (
-                "caslt-packed",
-                Box::new(move || {
-                    let arb = CasLtArray::new(v1.len());
-                    max_index_with_arbiter(&v1, &arb, &p1);
-                }),
-            ),
-            (
-                "caslt-padded",
-                Box::new(move || {
-                    let arb = PaddedCasLtArray::new(v2.len());
-                    max_index_with_arbiter(&v2, &arb, &p2);
-                }),
-            ),
+            max_variant("caslt-packed", &v, &p, CasLtArray::new),
+            max_variant("caslt-padded", &v, &p, PaddedCasLtArray::new),
         ],
     )
 }
@@ -138,23 +82,21 @@ pub fn ablate_gatekeeper_skip(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Paper => (100_000, 10_000_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    let p = pool(cfg.threads);
-    let series = [
+    let p = ThreadPool::new(cfg.threads);
+    let methods = [
         CwMethod::Gatekeeper,
         CwMethod::GatekeeperSkip,
         CwMethod::CasLt,
-    ]
-    .iter()
-    .map(|&m| Series {
-        name: m.to_string(),
-        points: vec![(
-            1.0,
-            ms(time_median(cfg.reps, || {
-                bfs(&g, 0, m, &p);
-            })),
-        )],
-    })
-    .collect();
+    ];
+    let series = sweep(
+        cfg,
+        &methods,
+        &[1],
+        |_| (),
+        |_, m| {
+            bfs(&g, 0, m, &p);
+        },
+    );
     FigureResult {
         id: "ablate_gatekeeper_skip".into(),
         title: format!("BFS ({v} vertices, {e} edges): gatekeeper skip mitigation"),
@@ -166,31 +108,14 @@ pub fn ablate_gatekeeper_skip(cfg: &BenchConfig) -> FigureResult {
 /// `ablate_lock` — the critical-section strawman (§4's "trivial but bad
 /// solution") against CAS-LT on the Max kernel.
 pub fn ablate_lock(cfg: &BenchConfig) -> FigureResult {
-    let n = scale_n(cfg);
-    let values = max_values(n);
-    let v1 = values.clone();
-    let v2 = values;
-    let p1 = pool(cfg.threads);
-    let p2 = pool(cfg.threads);
+    let (n, v, p) = max_setup(cfg);
     single_point(
         "ablate_lock",
         &format!("max (n = {n}): per-cell mutex vs CAS-LT"),
         cfg,
         vec![
-            (
-                "lock",
-                Box::new(move || {
-                    let arb = LockArray::new(v1.len());
-                    max_index_with_arbiter(&v1, &arb, &p1);
-                }),
-            ),
-            (
-                "caslt",
-                Box::new(move || {
-                    let arb = CasLtArray::new(v2.len());
-                    max_index_with_arbiter(&v2, &arb, &p2);
-                }),
-            ),
+            max_variant("lock", &v, &p, LockArray::new),
+            max_variant("caslt", &v, &p, CasLtArray::new),
         ],
     )
 }
@@ -198,31 +123,14 @@ pub fn ablate_lock(cfg: &BenchConfig) -> FigureResult {
 /// `ablate_width` — 32-bit vs 64-bit claim words (half the cache reach vs
 /// an inexhaustible round space).
 pub fn ablate_width(cfg: &BenchConfig) -> FigureResult {
-    let n = scale_n(cfg);
-    let values = max_values(n);
-    let v1 = values.clone();
-    let v2 = values;
-    let p1 = pool(cfg.threads);
-    let p2 = pool(cfg.threads);
+    let (n, v, p) = max_setup(cfg);
     single_point(
         "ablate_width",
         &format!("max (n = {n}): u32 vs u64 claim words"),
         cfg,
         vec![
-            (
-                "caslt-u32",
-                Box::new(move || {
-                    let arb = CasLtArray::new(v1.len());
-                    max_index_with_arbiter(&v1, &arb, &p1);
-                }),
-            ),
-            (
-                "caslt-u64",
-                Box::new(move || {
-                    let arb = CasLtArray64::new(v2.len());
-                    max_index_with_arbiter(&v2, &arb, &p2);
-                }),
-            ),
+            max_variant("caslt-u32", &v, &p, CasLtArray::new),
+            max_variant("caslt-u64", &v, &p, CasLtArray64::new),
         ],
     )
 }
@@ -241,8 +149,7 @@ pub fn claim_statistics(cfg: &BenchConfig) -> String {
     use std::fmt::Write;
     let mut out = String::from("== claim statistics under CAS-LT (telemetry) ==\n");
 
-    let n = scale_n(cfg);
-    let values = max_values(n);
+    let (n, values, _) = max_setup(cfg);
     let s = claim_counts(cfg.threads, |p| {
         max_index_with_arbiter(&values, &CasLtArray::new(n), p);
     });

@@ -1,43 +1,101 @@
-//! Regenerate the paper's evaluation figures (and this workspace's
-//! ablations) as tables + CSV files.
+//! The one bench entry point: regenerate the paper's evaluation figures,
+//! this workspace's ablations and the `BENCH_*.json` files, and compare
+//! two such files.
 //!
 //! ```text
 //! Usage: figures [OPTIONS] <TARGET>...
+//!        figures compare OLD.json NEW.json
 //!
-//! Targets:
+//! Targets (tables + CSV):
 //!   fig5 .. fig12   one figure (paper §7, Figures 5–12)
 //!   figures         all eight figures
 //!   ablations       the design-choice ablation suite
 //!   extensions      future-work extension experiments (§8)
 //!   stats           claim-level statistics report (profiling, untimed)
-//!   all             everything above
+//!   all             every target above
+//! Targets (BENCH_<target>.json; thread counts come from the host):
+//!   frontier        BFS strategies x methods, and CC, at T = 1, 2, 4, .., nproc
+//!   scaling         self-relative thread scaling + telemetry overhead guard
+//!   micro           arbitration primitives, ns per operation
 //!
 //! Options:
 //!   --paper-scale   the paper's published workload sizes (hours on a laptop)
-//!   --quick         smoke-test sizes
+//!   --quick         smoke-test sizes (frontier/scaling at T = 1, 2)
 //!   --threads <T>   team size for fixed-thread figures   [default: 4]
-//!   --reps <R>      repetitions per point (median kept)  [default: 3]
+//!   --reps <R>      interleaved timed passes per config  [default: 10]
 //!   --seed <S>      workload seed                        [default: 42]
-//!   --out <DIR>     CSV output directory                 [default: results]
+//!   --out <DIR>     CSV and JSON output directory        [default: results]
+//!
+//! `compare` matches rows by key and calls a row faster or slower only
+//! when the two p10-p90 intervals do not overlap.
 //! ```
 
 use std::process::ExitCode;
 
-use pram_bench::{ablations, ext, figures, BenchConfig, ScaleProfile};
+use pram_bench::runner::{compare, Report};
+use pram_bench::{ablations, ext, figures, frontier, micro, scaling, BenchConfig, ScaleProfile};
 
 fn usage() -> ExitCode {
     eprintln!(
-        "Usage: figures [--paper-scale|--quick] [--threads T] [--reps R] \
-         [--seed S] [--out DIR] <fig5..fig12|figures|ablations|extensions|stats|all>..."
+        "Usage: figures [--paper-scale|--quick] [--threads T] [--reps R] [--seed S] \
+         [--out DIR] <fig5..fig12|figures|ablations|extensions|stats|all|frontier|scaling|micro>...\n       \
+         figures compare OLD.json NEW.json"
     );
     ExitCode::FAILURE
+}
+
+/// Print `OLD` → `NEW` verdicts, one row per line.
+fn run_compare(old: &str, new: &str) -> ExitCode {
+    let read = |p: &str| std::fs::read_to_string(p).map_err(|e| eprintln!("{p}: {e}"));
+    let (Ok(old), Ok(new)) = (read(old), read(new)) else {
+        return ExitCode::FAILURE;
+    };
+    let span = |s: Option<[f64; 3]>| {
+        s.map_or("-".to_string(), |[p10, m, p90]| {
+            format!("{m:.4} [{p10:.4}, {p90:.4}]")
+        })
+    };
+    let rows = compare(&old, &new);
+    for c in &rows {
+        println!(
+            "{:<11} {}: {} -> {}",
+            format!("{:?}", c.verdict).to_lowercase(),
+            c.key,
+            span(c.old),
+            span(c.new)
+        );
+    }
+    ExitCode::SUCCESS
+}
+
+/// Print a report's timing rows and write it under `cfg.out_dir`.
+fn emit(report: &Report, cfg: &BenchConfig) -> bool {
+    for row in report.section("results") {
+        println!("{row}");
+    }
+    match report.write(&cfg.out_dir) {
+        Ok(p) => {
+            println!("wrote {}\n", p.display());
+            true
+        }
+        Err(e) => {
+            eprintln!("json write failed for {}: {e}", report.name);
+            false
+        }
+    }
 }
 
 fn main() -> ExitCode {
     let mut cfg = BenchConfig::default();
     let mut targets: Vec<String> = Vec::new();
 
-    let mut args = std::env::args().skip(1);
+    let mut args = std::env::args().skip(1).peekable();
+    if args.peek().map(String::as_str) == Some("compare") {
+        return match (args.nth(1), args.next(), args.next()) {
+            (Some(old), Some(new), None) => run_compare(&old, &new),
+            _ => usage(),
+        };
+    }
     while let Some(a) = args.next() {
         match a.as_str() {
             "--paper-scale" => cfg.scale = ScaleProfile::Paper,
@@ -84,8 +142,19 @@ fn main() -> ExitCode {
     );
 
     let mut results = Vec::new();
+    let mut ok = true;
     for t in &targets {
         match t.as_str() {
+            "frontier" => ok &= emit(&frontier::run(&cfg), &cfg),
+            "micro" => ok &= emit(&micro::run(&cfg), &cfg),
+            "scaling" => {
+                let (report, guard) = scaling::run(&cfg);
+                ok &= emit(&report, &cfg);
+                if let Err(e) = guard {
+                    eprintln!("{e}");
+                    ok = false;
+                }
+            }
             "figures" => results.extend(figures::all(&cfg)),
             "ablations" => results.extend(ablations::all(&cfg)),
             "extensions" => results.extend(ext::all(&cfg)),
@@ -120,5 +189,9 @@ fn main() -> ExitCode {
             Err(e) => eprintln!("csv write failed for {}: {e}", fig.id),
         }
     }
-    ExitCode::SUCCESS
+    if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -2,18 +2,14 @@
 //! directions §8 proposes, made measurable.
 
 use pram_algos::matching::maximal_matching;
-use pram_algos::max::max_index_with_arbiter;
 use pram_algos::reduce::max_index_tournament;
 use pram_algos::{list_rank, max_index, CwMethod};
-use pram_core::BitGatekeeperArray;
+use pram_core::{BitGatekeeperArray, CasLtArray, GatekeeperArray};
+use pram_exec::ThreadPool;
 
-use crate::{ms, pool, time_median, BenchConfig, FigureResult, ScaleProfile, Series};
-
-fn max_values(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
-        .collect()
-}
+use crate::ablations::max_variant;
+use crate::runner::time_interleaved;
+use crate::{max_values, single_point, sweep, BenchConfig, FigureResult, ScaleProfile, Series};
 
 /// `ext_crew_vs_crcw` — the paper's §8 proposal: an exclusive-write
 /// algorithm in current use (EREW tournament maximum: depth O(log n),
@@ -29,7 +25,7 @@ pub fn ext_crew_vs_crcw(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Default => vec![64, 256, 1_024, 4_096, 16_384],
         ScaleProfile::Paper => vec![256, 1_024, 4_096, 16_384, 65_536],
     };
-    let p = pool(cfg.threads);
+    let p = ThreadPool::new(cfg.threads);
     let mut crcw = Series {
         name: "crcw-max-caslt".into(),
         points: vec![],
@@ -40,14 +36,15 @@ pub fn ext_crew_vs_crcw(cfg: &BenchConfig) -> FigureResult {
     };
     for &n in &sizes {
         let values = max_values(n);
-        let t = time_median(cfg.reps, || {
-            max_index(&values, CwMethod::CasLt, &p);
+        let t = time_interleaved(cfg.reps, 2, |i| {
+            if i == 0 {
+                max_index(&values, CwMethod::CasLt, &p);
+            } else {
+                max_index_tournament(&values, &p);
+            }
         });
-        crcw.points.push((n as f64, ms(t)));
-        let t = time_median(cfg.reps, || {
-            max_index_tournament(&values, &p);
-        });
-        erew.points.push((n as f64, ms(t)));
+        crcw.points.push((n as f64, t[0].median()));
+        erew.points.push((n as f64, t[1].median()));
     }
     FigureResult {
         id: "ext_crew_vs_crcw".into(),
@@ -69,17 +66,17 @@ pub fn ext_list_rank(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Default => vec![10_000, 40_000, 160_000],
         ScaleProfile::Paper => vec![100_000, 400_000, 1_600_000],
     };
-    let p = pool(cfg.threads);
+    let p = ThreadPool::new(cfg.threads);
     let mut series = Series {
         name: "pointer-jumping".into(),
         points: vec![],
     };
     for &n in &sizes {
         let (next, _head) = pram_algos::list_rank::random_list(n, cfg.seed);
-        let t = time_median(cfg.reps, || {
+        let t = time_interleaved(cfg.reps, 1, |_| {
             list_rank(&next, &p);
         });
-        series.points.push((n as f64, ms(t)));
+        series.points.push((n as f64, t[0].median()));
     }
     FigureResult {
         id: "ext_list_rank".into(),
@@ -99,19 +96,16 @@ pub fn ext_matching(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Paper => (100_000, 3_000_000),
     };
     let g = crate::make_graph(v, e, cfg.seed);
-    let p = pool(cfg.threads);
-    let series = [CwMethod::Gatekeeper, CwMethod::Lock, CwMethod::CasLt]
-        .iter()
-        .map(|&m| Series {
-            name: m.to_string(),
-            points: vec![(
-                1.0,
-                ms(time_median(cfg.reps, || {
-                    maximal_matching(&g, m, &p);
-                })),
-            )],
-        })
-        .collect();
+    let p = ThreadPool::new(cfg.threads);
+    let series = sweep(
+        cfg,
+        &[CwMethod::Gatekeeper, CwMethod::Lock, CwMethod::CasLt],
+        &[1],
+        |_| (),
+        |_, m| {
+            maximal_matching(&g, m, &p);
+        },
+    );
     FigureResult {
         id: "ext_matching".into(),
         title: format!("maximal matching ({v} vertices, {e} edges)"),
@@ -129,48 +123,17 @@ pub fn ablate_bitmap(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Default => 4_000,
         ScaleProfile::Paper => 30_000,
     };
-    let values = max_values(n);
-    let p1 = pool(cfg.threads);
-    let p2 = pool(cfg.threads);
-    let p3 = pool(cfg.threads);
-    let series = vec![
-        Series {
-            name: "gatekeeper-u32".into(),
-            points: vec![(
-                1.0,
-                ms(time_median(cfg.reps, || {
-                    let arb = pram_core::GatekeeperArray::new(n);
-                    max_index_with_arbiter(&values, &arb, &p1);
-                })),
-            )],
-        },
-        Series {
-            name: "gatekeeper-bitmap".into(),
-            points: vec![(
-                1.0,
-                ms(time_median(cfg.reps, || {
-                    let arb = BitGatekeeperArray::new(n);
-                    max_index_with_arbiter(&values, &arb, &p2);
-                })),
-            )],
-        },
-        Series {
-            name: "caslt".into(),
-            points: vec![(
-                1.0,
-                ms(time_median(cfg.reps, || {
-                    let arb = pram_core::CasLtArray::new(n);
-                    max_index_with_arbiter(&values, &arb, &p3);
-                })),
-            )],
-        },
-    ];
-    FigureResult {
-        id: "ablate_bitmap".into(),
-        title: format!("max (n = {n}): bitmap vs word gatekeeper vs CAS-LT"),
-        x_label: "point".into(),
-        series,
-    }
+    let (v, p) = (max_values(n), ThreadPool::new(cfg.threads));
+    single_point(
+        "ablate_bitmap",
+        &format!("max (n = {n}): bitmap vs word gatekeeper vs CAS-LT"),
+        cfg,
+        vec![
+            max_variant("gatekeeper-u32", &v, &p, GatekeeperArray::new),
+            max_variant("gatekeeper-bitmap", &v, &p, BitGatekeeperArray::new),
+            max_variant("caslt", &v, &p, CasLtArray::new),
+        ],
+    )
 }
 
 /// All extension experiments.

@@ -5,19 +5,9 @@
 //! default back to the published parameters).
 
 use pram_algos::{bfs, connected_components, max_index, CwMethod};
+use pram_exec::ThreadPool;
 
-use crate::{
-    make_graph, ms, pool, sweep, thread_sweep, time_median, BenchConfig, FigureResult,
-    ScaleProfile, Series,
-};
-
-/// Pseudo-random list values for the Max kernel (fixed multiplier hash of
-/// the index — reproducible without touching the seed).
-fn max_values(n: usize) -> Vec<u64> {
-    (0..n as u64)
-        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
-        .collect()
-}
+use crate::{make_graph, max_values, sweep, thread_sweep, BenchConfig, FigureResult, ScaleProfile};
 
 fn list_sizes(scale: ScaleProfile) -> Vec<usize> {
     match scale {
@@ -31,7 +21,7 @@ fn list_sizes(scale: ScaleProfile) -> Vec<usize> {
 /// Figure 5 — Max: execution time vs list size at a fixed thread count
 /// (paper: 32 threads, naive / prefix-sum / CAS-LT).
 pub fn fig5(cfg: &BenchConfig) -> FigureResult {
-    let p = pool(cfg.threads);
+    let p = ThreadPool::new(cfg.threads);
     let series = sweep(
         cfg,
         &CwMethod::PAPER,
@@ -61,22 +51,15 @@ pub fn fig6(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Paper => 60_000,
     };
     let values = max_values(n);
-    let mut series: Vec<Series> = CwMethod::PAPER
-        .iter()
-        .map(|m| Series {
-            name: m.to_string(),
-            points: vec![],
-        })
-        .collect();
-    for &t in &thread_sweep(cfg.scale) {
-        let p = pool(t);
-        for (mi, &m) in CwMethod::PAPER.iter().enumerate() {
-            let d = time_median(cfg.reps, || {
-                max_index(&values, m, &p);
-            });
-            series[mi].points.push((t as f64, ms(d)));
-        }
-    }
+    let series = sweep(
+        cfg,
+        &CwMethod::PAPER,
+        &thread_sweep(cfg.scale),
+        ThreadPool::new,
+        |p, m| {
+            max_index(&values, m, p);
+        },
+    );
     FigureResult {
         id: "fig6".into(),
         title: format!("constant-time maximum: time vs threads (n = {n})"),
@@ -103,7 +86,7 @@ fn bfs_edge_sweep(scale: ScaleProfile) -> (usize, Vec<usize>) {
 /// random graphs, 32 threads).
 pub fn fig7(cfg: &BenchConfig) -> FigureResult {
     let (v, es) = bfs_edge_sweep(cfg.scale);
-    let p = pool(cfg.threads);
+    let p = ThreadPool::new(cfg.threads);
     let series = sweep(
         cfg,
         &CwMethod::PAPER,
@@ -134,7 +117,7 @@ fn bfs_vertex_sweep(scale: ScaleProfile) -> (Vec<usize>, usize) {
 /// (paper: 30 M edges, 32 threads).
 pub fn fig8(cfg: &BenchConfig) -> FigureResult {
     let (vs, e) = bfs_vertex_sweep(cfg.scale);
-    let p = pool(cfg.threads);
+    let p = ThreadPool::new(cfg.threads);
     let series = sweep(
         cfg,
         &CwMethod::PAPER,
@@ -161,22 +144,15 @@ pub fn fig9(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Paper => (100_000, 30_000_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    let mut series: Vec<Series> = CwMethod::PAPER
-        .iter()
-        .map(|m| Series {
-            name: m.to_string(),
-            points: vec![],
-        })
-        .collect();
-    for &t in &thread_sweep(cfg.scale) {
-        let p = pool(t);
-        for (mi, &m) in CwMethod::PAPER.iter().enumerate() {
-            let d = time_median(cfg.reps, || {
-                bfs(&g, 0, m, &p);
-            });
-            series[mi].points.push((t as f64, ms(d)));
-        }
-    }
+    let series = sweep(
+        cfg,
+        &CwMethod::PAPER,
+        &thread_sweep(cfg.scale),
+        ThreadPool::new,
+        |p, m| {
+            bfs(&g, 0, m, p);
+        },
+    );
     FigureResult {
         id: "fig9".into(),
         title: format!("BFS: time vs threads ({v} vertices, {e} edges)"),
@@ -202,7 +178,7 @@ pub fn fig10(cfg: &BenchConfig) -> FigureResult {
             ],
         ),
     };
-    let p = pool(cfg.threads);
+    let p = ThreadPool::new(cfg.threads);
     let series = sweep(
         cfg,
         &CC_METHODS,
@@ -228,7 +204,7 @@ pub fn fig11(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Default => (vec![2_000, 5_000, 10_000, 20_000], 100_000),
         ScaleProfile::Paper => (vec![50_000, 100_000, 200_000, 400_000], 30_000_000),
     };
-    let p = pool(cfg.threads);
+    let p = ThreadPool::new(cfg.threads);
     let series = sweep(
         cfg,
         &CC_METHODS,
@@ -255,22 +231,15 @@ pub fn fig12(cfg: &BenchConfig) -> FigureResult {
         ScaleProfile::Paper => (100_000, 30_000_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    let mut series: Vec<Series> = CC_METHODS
-        .iter()
-        .map(|m| Series {
-            name: m.to_string(),
-            points: vec![],
-        })
-        .collect();
-    for &t in &thread_sweep(cfg.scale) {
-        let p = pool(t);
-        for (mi, &m) in CC_METHODS.iter().enumerate() {
-            let d = time_median(cfg.reps, || {
-                connected_components(&g, m, &p);
-            });
-            series[mi].points.push((t as f64, ms(d)));
-        }
-    }
+    let series = sweep(
+        cfg,
+        &CC_METHODS,
+        &thread_sweep(cfg.scale),
+        ThreadPool::new,
+        |p, m| {
+            connected_components(&g, m, p);
+        },
+    );
     FigureResult {
         id: "fig12".into(),
         title: format!("CC: time vs threads ({v} vertices, {e} edges)"),

@@ -7,8 +7,9 @@
 //! count. [`figures`] contains one function per figure that reruns the
 //! same sweep and returns a [`FigureResult`] (printable table + CSV);
 //! [`ablations`] adds the design-choice experiments DESIGN.md calls out.
-//! The `figures` binary drives both; `benches/` holds the Criterion
-//! counterparts.
+//! [`frontier`], [`scaling`] and [`micro`] write `BENCH_*.json` files
+//! through [`runner`], which also holds the one timing primitive every
+//! target uses. The `figures` binary is the entry point for all of them.
 //!
 //! Scales: the paper ran 32 threads on a 2×16-core Andes node with up to
 //! 60 K-element lists and 100 K-vertex / 30 M-edge graphs. Default scales
@@ -22,14 +23,19 @@
 pub mod ablations;
 pub mod ext;
 pub mod figures;
+pub mod frontier;
+pub mod micro;
+pub mod runner;
+pub mod scaling;
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::{Duration, Instant};
 
 use pram_algos::CwMethod;
-use pram_exec::ThreadPool;
-use pram_graph::{CsrGraph, GraphGen};
+use pram_exec::{CwCounters, ThreadPool};
+use pram_graph::{CsrGraph, GraphGen, ReverseCsr};
+
+use runner::time_interleaved;
 
 /// Which parameter scale a sweep runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,9 +55,9 @@ pub struct BenchConfig {
     pub scale: ScaleProfile,
     /// Team size for fixed-thread figures (the paper uses 32).
     pub threads: usize,
-    /// Repetitions per point; the median is reported.
+    /// Timed passes per config (see [`runner::time_interleaved`]).
     pub reps: usize,
-    /// Directory for CSV output.
+    /// Directory for CSV and JSON output.
     pub out_dir: PathBuf,
     /// Workload seed (recorded so runs are reproducible).
     pub seed: u64,
@@ -62,7 +68,7 @@ impl Default for BenchConfig {
         BenchConfig {
             scale: ScaleProfile::Default,
             threads: 4,
-            reps: 3,
+            reps: 10,
             out_dir: PathBuf::from("results"),
             seed: 42,
         }
@@ -170,24 +176,12 @@ fn format_x(x: f64) -> String {
     }
 }
 
-/// Median wall time of `reps` runs of `f` (one warm-up run first).
-pub fn time_median(reps: usize, mut f: impl FnMut()) -> Duration {
-    let reps = reps.max(1);
-    f(); // warm-up: pages faulted in, pool woken
-    let mut samples: Vec<Duration> = (0..reps)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed()
-        })
-        .collect();
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
-/// Duration → fractional milliseconds.
-pub fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
+/// Pseudo-random list values for the Max kernel (fixed multiplier hash of
+/// the index — reproducible without touching the seed).
+pub(crate) fn max_values(n: usize) -> Vec<u64> {
+    (0..n as u64)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(17))
+        .collect()
 }
 
 /// A reproducible uniform random undirected graph (the paper's workload).
@@ -197,7 +191,8 @@ pub fn make_graph(vertices: usize, edges: usize, seed: u64) -> CsrGraph {
 }
 
 /// Run one method sweep: for each x in `xs`, build the workload once and
-/// time `run(workload, method)` for every method.
+/// time `run(workload, method)` for every method, interleaved. Each point
+/// is the median in milliseconds.
 pub fn sweep<W>(
     cfg: &BenchConfig,
     methods: &[CwMethod],
@@ -214,12 +209,39 @@ pub fn sweep<W>(
         .collect();
     for &x in xs {
         let w = workload(x);
-        for (mi, &m) in methods.iter().enumerate() {
-            let t = time_median(cfg.reps, || run(&w, m));
-            series[mi].points.push((x as f64, ms(t)));
+        let times = time_interleaved(cfg.reps, methods.len(), |i| run(&w, methods[i]));
+        for (s, t) in series.iter_mut().zip(times) {
+            s.points.push((x as f64, t.median()));
         }
     }
     series
+}
+
+/// A named timed variant within a single-point experiment.
+pub(crate) type Variant<'a> = (&'a str, Box<dyn FnMut() + 'a>);
+
+/// Time one closure per variant at a single operating point, interleaved.
+pub(crate) fn single_point(
+    id: &str,
+    title: &str,
+    cfg: &BenchConfig,
+    mut variants: Vec<Variant<'_>>,
+) -> FigureResult {
+    let times = time_interleaved(cfg.reps, variants.len(), |i| (variants[i].1)());
+    let series = variants
+        .iter()
+        .zip(times)
+        .map(|((name, _), t)| Series {
+            name: name.to_string(),
+            points: vec![(1.0, t.median())],
+        })
+        .collect();
+    FigureResult {
+        id: id.into(),
+        title: title.into(),
+        x_label: "point".into(),
+        series,
+    }
 }
 
 /// Thread counts for a thread-sweep figure under the given scale.
@@ -231,12 +253,65 @@ pub fn thread_sweep(scale: ScaleProfile) -> Vec<usize> {
     }
 }
 
-/// Build a pool of `threads`. Its barrier waiters back off from spinning
-/// to yielding and timed parking — pure spinning livelocks thread sweeps
-/// on machines with fewer cores than the paper's node; EXPERIMENTS.md
-/// discusses the divergence.
-pub fn pool(threads: usize) -> ThreadPool {
-    ThreadPool::new(threads)
+/// A `BENCH_*.json` graph: its name carries the log2 of the vertex count
+/// actually built (`rmat12` under `--quick`, `rmat18` at full size).
+pub(crate) struct Workload {
+    /// Name recorded in every row, e.g. `"path14"`.
+    pub name: String,
+    /// The undirected CSR.
+    pub graph: CsrGraph,
+    /// Its in-edge view: graph preparation, built once and never timed.
+    pub rev: ReverseCsr,
+    /// BFS source: the highest-degree vertex for R-MAT, vertex 0 otherwise.
+    pub source: u32,
+}
+
+impl Workload {
+    /// Standard R-MAT with 2^`scale` vertices and 16 edges per vertex.
+    pub fn rmat(scale: u32) -> Workload {
+        let n = 1usize << scale;
+        let graph = CsrGraph::from_edges(n, &GraphGen::new(42).rmat_standard(scale, n * 16), true);
+        // Highest-degree vertex: deterministic and always connected.
+        let source = (0..n)
+            .max_by_key(|&v| graph.offsets()[v + 1] - graph.offsets()[v])
+            .unwrap_or(0) as u32;
+        Workload::new(format!("rmat{scale}"), graph, source)
+    }
+
+    /// A path on 2^`log_n` vertices.
+    pub fn path(log_n: u32) -> Workload {
+        let n = 1usize << log_n;
+        let graph = CsrGraph::from_edges(n, &GraphGen::path(n), true);
+        Workload::new(format!("path{log_n}"), graph, 0)
+    }
+
+    /// A star on 2^`log_n` vertices, centred on vertex 0.
+    pub fn star(log_n: u32) -> Workload {
+        let n = 1usize << log_n;
+        let graph = CsrGraph::from_edges(n, &GraphGen::star(n), true);
+        Workload::new(format!("star{log_n}"), graph, 0)
+    }
+
+    fn new(name: String, graph: CsrGraph, source: u32) -> Workload {
+        let rev = graph.reverse();
+        Workload {
+            name,
+            graph,
+            rev,
+            source,
+        }
+    }
+
+    /// The `graphs` row: name, sizes, then `extra` columns if any.
+    pub fn json(&self, extra: &str) -> String {
+        let sep = if extra.is_empty() { "" } else { ", " };
+        format!(
+            "{{\"name\": \"{}\", \"vertices\": {}, \"directed_edges\": {}{sep}{extra}}}",
+            self.name,
+            self.graph.num_vertices(),
+            self.graph.num_directed_edges()
+        )
+    }
 }
 
 /// Drain `pool`'s telemetry round report and render the two derived-rate
@@ -247,16 +322,21 @@ pub fn pool(threads: usize) -> ThreadPool {
 /// deltas (not the pool-lifetime totals), so one telemetry pool can be
 /// reused across many profiled runs without the windows blending.
 pub fn telemetry_columns(pool: &ThreadPool) -> String {
-    let report = pool.take_round_report();
-    let mut cw = pram_exec::CwCounters::default();
-    for r in &report.rounds {
-        cw.add(&r.cw);
-    }
+    let cw = drain_round_cw(pool);
     format!(
         "\"fast_path_hit_rate\": {:.4}, \"cas_retry_rate\": {:.4}",
         cw.fast_path_hit_rate(),
         cw.cas_retry_rate()
     )
+}
+
+/// Drain `pool`'s round report and sum its per-round claim counters.
+pub(crate) fn drain_round_cw(pool: &ThreadPool) -> CwCounters {
+    let mut cw = CwCounters::default();
+    for r in &pool.take_round_report().rounds {
+        cw.add(&r.cw);
+    }
+    cw
 }
 
 #[cfg(test)]
@@ -265,10 +345,10 @@ mod tests {
 
     #[test]
     fn median_is_stable_and_warm() {
-        let mut calls = 0;
-        let d = time_median(3, || calls += 1);
-        assert_eq!(calls, 4); // 1 warm-up + 3 timed
-        assert!(d.as_nanos() < 1_000_000_000);
+        let mut calls = [0; 2];
+        let t = time_interleaved(3, 2, |i| calls[i] += 1);
+        assert_eq!(calls, [4, 4]); // 1 warm-up + 3 timed, per config
+        assert!(t.iter().all(|s| s.median() < 1e3));
     }
 
     #[test]
@@ -305,18 +385,65 @@ mod tests {
     #[test]
     fn sweep_shapes_match() {
         let cfg = BenchConfig {
-            reps: 1,
+            reps: 2,
             ..BenchConfig::default()
         };
+        let mut calls = Vec::new();
         let s = sweep(
             &cfg,
             &[CwMethod::Naive, CwMethod::CasLt],
             &[10, 20],
             |x| x,
-            |_, _| {},
+            |&x, m| calls.push((x, m)),
         );
         assert_eq!(s.len(), 2);
         assert_eq!(s[0].points.len(), 2);
         assert_eq!(s[1].points[1].0, 20.0);
+        // Methods alternate within each point: warm-up pass + two timed.
+        let pass = |x| [(x, CwMethod::Naive), (x, CwMethod::CasLt)];
+        assert_eq!(calls, [pass(10).repeat(3), pass(20).repeat(3)].concat());
+    }
+
+    #[test]
+    fn quick_json_files_have_host_ordered_rows_and_sized_graph_names() {
+        let cfg = BenchConfig {
+            scale: ScaleProfile::Quick,
+            reps: 2,
+            ..BenchConfig::default()
+        };
+        let (scaling, _guard) = scaling::run(&cfg);
+        for report in [frontier::run(&cfg), scaling, micro::run(&cfg)] {
+            let json = report.to_json();
+            assert!(json.contains("\n  \"host\": {\"nproc\": "), "{json}");
+            let field = |row, name| runner::field(row, name).map(String::from);
+            let num = |row, name| -> f64 { field(row, name).unwrap().parse().unwrap() };
+            let rows: Vec<&str> = json.lines().filter(|l| l.contains("\"p10\"")).collect();
+            assert_eq!(rows.len(), report.section("results").len());
+            for row in rows {
+                assert!(num(row, "samples") >= 2.0, "{row}");
+                assert!(num(row, "p10") <= num(row, "median"), "{row}");
+                assert!(num(row, "median") <= num(row, "p90"), "{row}");
+            }
+
+            let graphs: Vec<String> = report
+                .section("graphs")
+                .iter()
+                .map(|g| {
+                    let name = field(g, "name").unwrap();
+                    let log2: u32 = name
+                        .trim_start_matches(char::is_alphabetic)
+                        .parse()
+                        .unwrap();
+                    let vertices: usize = field(g, "vertices").unwrap().parse().unwrap();
+                    assert_eq!(vertices, 1 << log2, "{name} built with {vertices} vertices");
+                    name
+                })
+                .collect();
+            for row in report.section("results") {
+                if let Some(g) = field(row, "graph") {
+                    assert!(graphs.contains(&g), "{g} is not in the graphs block");
+                }
+            }
+        }
     }
 }
