@@ -6,7 +6,8 @@
 //! CSR. This crate provides:
 //!
 //! * [`CsrGraph`] — compressed sparse row adjacency with `u32` vertex ids
-//!   (ample for the paper's scales) built by counting sort.
+//!   (ample for the paper's scales) built by a member-parallel counting
+//!   sort whose output is byte-identical to the serial one.
 //! * [`GraphGen`] — seeded generators: uniform G(n, m) multigraphs (the
 //!   Rodinia-style random generator), R-MAT skewed graphs, and structured
 //!   families (paths, stars, grids, cliques, forests) for tests.
