@@ -438,7 +438,7 @@ impl Model for TelemetryPassive {
             ));
         }
         if let Some(t) = &self.telem {
-            let c = t.totals();
+            let (c, _) = t.totals();
             let threads = self.wins.len() as u64;
             if c.fast_path_skips + c.cas_attempts != threads {
                 return Err(format!(

@@ -88,7 +88,6 @@ pub mod ordering;
 pub mod payload;
 pub mod priority;
 pub mod round;
-pub mod stats;
 pub mod sync;
 pub mod telemetry;
 pub mod traits;
@@ -103,7 +102,6 @@ pub use naive::{NaiveArbiter, NaiveCell};
 pub use payload::{ConCell, ConVec};
 pub use priority::{PriorityArray, PriorityCell};
 pub use round::{Round, RoundCounter, RoundOverflow};
-pub use stats::ExecStats;
 pub use telemetry::{
     CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot, ShardGuard, TelemetryShard,
 };

@@ -1,45 +1,49 @@
-//! Per-round arbitration telemetry: sharded counters, round snapshots,
-//! and exporters.
+//! Per-round telemetry: sharded counters, round snapshots, and exporters.
 //!
 //! The paper's performance argument is mechanistic — CAS-LT wins because
 //! most competitors take a contention-free read-only fast path and skip
 //! both the atomic and the write, while the gatekeeper funnels *every*
 //! claim through an RMW. This module makes that observable for the real
-//! kernels, per round, with zero cost when disabled:
+//! kernels, per round:
 //!
 //! * **Recording** ([`CwTelemetry`] / [`TelemetryShard`] / [`ShardGuard`]):
-//!   one cache-padded shard of counters per worker. A worker installs its
-//!   shard into thread-local storage with a [`ShardGuard`]; the arbiters'
-//!   claim paths call the `record_*` hooks in this module, which increment
-//!   the installed shard with `Relaxed` adds (and are no-ops when no shard
-//!   is installed). The counter atomics are routed through
+//!   one cache-padded shard of counters per worker, holding both the claim
+//!   counters ([`CwCounters`]) and the execution-substrate counters
+//!   ([`ExecCounters`]: barrier waits and loop grabs). A worker installs
+//!   its shard into thread-local storage with a [`ShardGuard`]; the
+//!   arbiters' claim paths call the `record_*` hooks in this module, which
+//!   increment the installed shard with `Relaxed` adds (and are no-ops
+//!   when no shard is installed). The execution substrate, which knows
+//!   each member's id, records barrier waits and grabs into that member's
+//!   shard directly. The counter atomics are routed through
 //!   [`crate::sync`], so under `--cfg pram_check` the checker can verify
 //!   the instrumentation is *passive* — recording never changes
 //!   arbitration outcomes.
 //! * **Snapshots** ([`RoundSnapshot`] / [`RoundReport`]): the execution
-//!   substrate collects per-round counter deltas at barrier boundaries
-//!   (where the team is quiescent, so deltas are exact) and merges them
-//!   with the substrate's own [`crate::ExecStats`] counters.
+//!   substrate sums the shards inside barrier rendezvous (where the whole
+//!   team is parked, so per-round deltas are exact).
 //! * **Exporters**: [`RoundReport::metrics_json`] (a stable-schema JSON
-//!   dump with derived rates, consumed by the bench tier and parseable
-//!   back via [`RoundReport::from_metrics_json`]) and
-//!   [`RoundReport::chrome_trace`] (a `chrome://tracing` /
-//!   [Perfetto](https://ui.perfetto.dev) span export of epochs, rounds,
-//!   and barrier waits). Both serialize only timestamps recorded earlier
-//!   by the collector — no clock is read during export, so output is a
-//!   pure function of the report.
+//!   dump with derived rates) and [`RoundReport::chrome_trace`] (a
+//!   `chrome://tracing` / [Perfetto](https://ui.perfetto.dev) span export
+//!   of epochs, rounds, and barrier waits). Both serialize only timestamps
+//!   recorded earlier by the collector — no clock is read during export,
+//!   so output is a pure function of the report; golden files pin both.
 //!
-//! With the `telemetry` cargo feature **disabled**, the recording types
-//! are zero-sized and every `record_*` hook is an empty `#[inline(always)]`
-//! function: the arbitration hot path compiles to the exact status quo
-//! (no added atomics, no TLS access, unchanged cell layout — asserted by
-//! `tests/telemetry_conservation.rs`). The report/exporter types remain
-//! available so downstream code compiles identically either way.
+//! Recording is opt-in per team: a pool without telemetry holds no shards
+//! and installs no guard, so its claim hooks find no sink.
 
+use std::cell::Cell;
 use std::fmt;
 
+use crossbeam_utils::CachePadded;
+
+// Routed through the facade so `--cfg pram_check` sees (and can schedule
+// around) every telemetry increment — that is how the passivity model
+// proves recording never perturbs arbitration.
+use crate::sync::{AtomicU64, Ordering};
+
 // ---------------------------------------------------------------------------
-// Counter value types (always compiled; plain data, no atomics)
+// Counter value types (plain data, no atomics)
 // ---------------------------------------------------------------------------
 
 /// Concurrent-write claim counters, as plain values.
@@ -159,9 +163,8 @@ impl fmt::Display for CwCounters {
     }
 }
 
-/// Execution-substrate counters, as plain values (the value-type face of
-/// [`crate::ExecStats`]): barrier traffic and loop-scheduling
-/// grabs, summed over the team or accrued over one round.
+/// Execution-substrate counters, as plain values: barrier traffic and
+/// loop-scheduling grabs, summed over the team or accrued over one round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecCounters {
     /// Barrier rendezvous completed.
@@ -275,9 +278,9 @@ impl RoundReport {
     /// The stable-schema JSON metrics dump (`pram-telemetry-v2`).
     ///
     /// Field ordering is fixed; counters are exact integers; the derived
-    /// rates (`fast_path_hit_rate`, `cas_retry_rate`) are
-    /// redundant conveniences recomputed on parse. The output parses back
-    /// to an equal report via [`RoundReport::from_metrics_json`].
+    /// rates (`fast_path_hit_rate`, `cas_retry_rate`) are redundant
+    /// conveniences. Output is a pure function of the report (the
+    /// golden-file test pins it).
     pub fn metrics_json(&self) -> String {
         let rounds: Vec<String> = self
             .rounds
@@ -308,48 +311,6 @@ impl RoundReport {
             self.totals_cw.cas_retry_rate(),
             rounds.join(",\n    ")
         )
-    }
-
-    /// Parse a [`RoundReport::metrics_json`] dump back into a report.
-    ///
-    /// Tolerates unknown extra fields; rejects a missing/mismatched
-    /// `schema` tag and malformed JSON.
-    pub fn from_metrics_json(s: &str) -> Result<RoundReport, String> {
-        let root = mini_json::parse(s)?;
-        let obj = root.as_obj("root")?;
-        let schema = mini_json::field(obj, "schema")?.as_str("schema")?;
-        if schema != METRICS_SCHEMA {
-            return Err(format!(
-                "unsupported telemetry schema {schema:?} (expected {METRICS_SCHEMA:?})"
-            ));
-        }
-        let threads = mini_json::field(obj, "threads")?.as_u64("threads")? as usize;
-        let totals = mini_json::field(obj, "totals")?.as_obj("totals")?;
-        let totals_cw = parse_cw(mini_json::field(totals, "cw")?)?;
-        let totals_exec = parse_exec(mini_json::field(totals, "exec")?)?;
-        let mut rounds = Vec::new();
-        for (i, r) in mini_json::field(obj, "rounds")?
-            .as_arr("rounds")?
-            .iter()
-            .enumerate()
-        {
-            let ro = r.as_obj(&format!("rounds[{i}]"))?;
-            rounds.push(RoundSnapshot {
-                epoch: mini_json::field(ro, "epoch")?.as_u64("epoch")? as u32,
-                round: mini_json::field(ro, "round")?.as_u64("round")? as u32,
-                label: mini_json::field(ro, "label")?.as_str("label")?.to_string(),
-                start_ns: mini_json::field(ro, "start_ns")?.as_u64("start_ns")?,
-                wall_ns: mini_json::field(ro, "wall_ns")?.as_u64("wall_ns")?,
-                cw: parse_cw(mini_json::field(ro, "cw")?)?,
-                exec: parse_exec(mini_json::field(ro, "exec")?)?,
-            });
-        }
-        Ok(RoundReport {
-            threads,
-            rounds,
-            totals_cw,
-            totals_exec,
-        })
     }
 
     /// Export as `chrome://tracing` "Trace Event Format" JSON (load in
@@ -426,594 +387,250 @@ impl RoundReport {
     }
 }
 
-fn parse_cw(v: &mini_json::Value) -> Result<CwCounters, String> {
-    let o = v.as_obj("cw")?;
-    Ok(CwCounters {
-        fast_path_skips: mini_json::field(o, "fast_path_skips")?.as_u64("fast_path_skips")?,
-        cas_attempts: mini_json::field(o, "cas_attempts")?.as_u64("cas_attempts")?,
-        cas_failures: mini_json::field(o, "cas_failures")?.as_u64("cas_failures")?,
-        wins: mini_json::field(o, "wins")?.as_u64("wins")?,
-        gatekeeper_rmws: mini_json::field(o, "gatekeeper_rmws")?.as_u64("gatekeeper_rmws")?,
-        lock_acquisitions: mini_json::field(o, "lock_acquisitions")?.as_u64("lock_acquisitions")?,
-        rearm_resets: mini_json::field(o, "rearm_resets")?.as_u64("rearm_resets")?,
-    })
+// ---------------------------------------------------------------------------
+// Recording side: one cache-padded shard per worker
+// ---------------------------------------------------------------------------
+
+#[derive(Debug)]
+struct ShardSlots {
+    fast_path_skips: AtomicU64,
+    cas_attempts: AtomicU64,
+    cas_failures: AtomicU64,
+    wins: AtomicU64,
+    gatekeeper_rmws: AtomicU64,
+    lock_acquisitions: AtomicU64,
+    rearm_resets: AtomicU64,
+    barrier_waits: AtomicU64,
+    barrier_wait_ns: AtomicU64,
+    grabs: AtomicU64,
 }
 
-fn parse_exec(v: &mini_json::Value) -> Result<ExecCounters, String> {
-    let o = v.as_obj("exec")?;
-    Ok(ExecCounters {
-        barrier_waits: mini_json::field(o, "barrier_waits")?.as_u64("barrier_waits")?,
-        barrier_wait_ns: mini_json::field(o, "barrier_wait_ns")?.as_u64("barrier_wait_ns")?,
-        grabs: mini_json::field(o, "grabs")?.as_u64("grabs")?,
-    })
+impl ShardSlots {
+    const fn new() -> ShardSlots {
+        ShardSlots {
+            fast_path_skips: AtomicU64::new(0),
+            cas_attempts: AtomicU64::new(0),
+            cas_failures: AtomicU64::new(0),
+            wins: AtomicU64::new(0),
+            gatekeeper_rmws: AtomicU64::new(0),
+            lock_acquisitions: AtomicU64::new(0),
+            rearm_resets: AtomicU64::new(0),
+            barrier_waits: AtomicU64::new(0),
+            barrier_wait_ns: AtomicU64::new(0),
+            grabs: AtomicU64::new(0),
+        }
+    }
 }
 
-/// A dependency-free JSON reader, just large enough for the telemetry
-/// round-trip (the workspace vendors no serde).
-mod mini_json {
-    /// A parsed JSON value. Integers without fraction/exponent/sign are
-    /// kept exact as `UInt`.
-    #[derive(Debug, Clone, PartialEq)]
-    pub enum Value {
-        /// Exact non-negative integer.
-        UInt(u64),
-        /// Any other number.
-        Float(f64),
-        /// String (escapes decoded).
-        Str(String),
-        /// Boolean.
-        Bool(bool),
-        /// null.
-        Null,
-        /// Array.
-        Arr(Vec<Value>),
-        /// Object, in source order.
-        Obj(Vec<(String, Value)>),
-    }
+/// One worker's claim and execution counters, on its own cache line(s)
+/// so recording never bounces a line between the threads it observes.
+#[derive(Debug)]
+pub struct TelemetryShard {
+    slots: CachePadded<ShardSlots>,
+}
 
-    impl Value {
-        pub fn as_obj(&self, what: &str) -> Result<&[(String, Value)], String> {
-            match self {
-                Value::Obj(o) => Ok(o),
-                other => Err(format!("{what}: expected object, got {other:?}")),
-            }
-        }
-        pub fn as_arr(&self, what: &str) -> Result<&[Value], String> {
-            match self {
-                Value::Arr(a) => Ok(a),
-                other => Err(format!("{what}: expected array, got {other:?}")),
-            }
-        }
-        pub fn as_str(&self, what: &str) -> Result<&str, String> {
-            match self {
-                Value::Str(s) => Ok(s),
-                other => Err(format!("{what}: expected string, got {other:?}")),
-            }
-        }
-        pub fn as_u64(&self, what: &str) -> Result<u64, String> {
-            match self {
-                Value::UInt(n) => Ok(*n),
-                other => Err(format!("{what}: expected unsigned integer, got {other:?}")),
-            }
+impl TelemetryShard {
+    /// A zeroed shard.
+    pub fn new() -> TelemetryShard {
+        TelemetryShard {
+            slots: CachePadded::new(ShardSlots::new()),
         }
     }
 
-    /// Look up `key` in an object.
-    pub fn field<'a>(obj: &'a [(String, Value)], key: &str) -> Result<&'a Value, String> {
-        obj.iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| format!("missing field {key:?}"))
+    /// One barrier rendezvous by this shard's worker, which waited
+    /// `wait_ns` nanoseconds in it.
+    #[inline]
+    pub fn record_barrier_wait(&self, wait_ns: u64) {
+        self.slots.barrier_waits.fetch_add(1, Ordering::Relaxed);
+        self.slots
+            .barrier_wait_ns
+            .fetch_add(wait_ns, Ordering::Relaxed);
     }
 
-    /// Parse a complete JSON document.
-    pub fn parse(s: &str) -> Result<Value, String> {
-        let mut p = Parser {
-            b: s.as_bytes(),
-            i: 0,
+    /// One loop chunk grabbed by this shard's worker from a shared cursor.
+    #[inline]
+    pub fn record_grab(&self) {
+        self.slots.grabs.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// A consistent-enough copy of this shard (exact when its owner
+    /// is quiescent).
+    pub fn snapshot(&self) -> (CwCounters, ExecCounters) {
+        let s = &*self.slots;
+        let cw = CwCounters {
+            fast_path_skips: s.fast_path_skips.load(Ordering::Relaxed),
+            cas_attempts: s.cas_attempts.load(Ordering::Relaxed),
+            cas_failures: s.cas_failures.load(Ordering::Relaxed),
+            wins: s.wins.load(Ordering::Relaxed),
+            gatekeeper_rmws: s.gatekeeper_rmws.load(Ordering::Relaxed),
+            lock_acquisitions: s.lock_acquisitions.load(Ordering::Relaxed),
+            rearm_resets: s.rearm_resets.load(Ordering::Relaxed),
         };
-        let v = p.value()?;
-        p.ws();
-        if p.i != p.b.len() {
-            return Err(format!("trailing garbage at byte {}", p.i));
+        let exec = ExecCounters {
+            barrier_waits: s.barrier_waits.load(Ordering::Relaxed),
+            barrier_wait_ns: s.barrier_wait_ns.load(Ordering::Relaxed),
+            grabs: s.grabs.load(Ordering::Relaxed),
+        };
+        (cw, exec)
+    }
+}
+
+impl Default for TelemetryShard {
+    fn default() -> TelemetryShard {
+        TelemetryShard::new()
+    }
+}
+
+/// The sharded counter set for one team: shard `i` belongs to worker
+/// `i`, each worker records only into its own shard (claims via
+/// [`ShardGuard`], execution events via the shard's `record_*`
+/// methods), and [`CwTelemetry::totals`] sums shards.
+#[derive(Debug)]
+pub struct CwTelemetry {
+    shards: Box<[TelemetryShard]>,
+}
+
+impl CwTelemetry {
+    /// Zeroed shards for a team of `threads` workers.
+    pub fn new(threads: usize) -> CwTelemetry {
+        let mut v = Vec::with_capacity(threads.max(1));
+        v.resize_with(threads.max(1), TelemetryShard::new);
+        CwTelemetry {
+            shards: v.into_boxed_slice(),
         }
-        Ok(v)
     }
 
-    struct Parser<'a> {
-        b: &'a [u8],
-        i: usize,
+    /// Number of shards (the team size, at least 1).
+    pub fn shards(&self) -> usize {
+        self.shards.len()
     }
 
-    impl Parser<'_> {
-        fn ws(&mut self) {
-            while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-                self.i += 1;
-            }
-        }
+    /// Worker `i`'s shard.
+    #[inline]
+    pub fn shard(&self, i: usize) -> &TelemetryShard {
+        &self.shards[i]
+    }
 
-        fn peek(&mut self) -> Result<u8, String> {
-            self.ws();
-            self.b
-                .get(self.i)
-                .copied()
-                .ok_or_else(|| "unexpected end of input".to_string())
+    /// Claim and execution counters summed over all shards in one pass
+    /// (exact when the team is quiescent, e.g. inside a barrier's
+    /// rendezvous).
+    pub fn totals(&self) -> (CwCounters, ExecCounters) {
+        let mut cw = CwCounters::default();
+        let mut exec = ExecCounters::default();
+        for s in self.shards.iter() {
+            let (c, e) = s.snapshot();
+            cw.add(&c);
+            exec.add(&e);
         }
+        (cw, exec)
+    }
+}
 
-        fn expect(&mut self, c: u8) -> Result<(), String> {
-            if self.peek()? == c {
-                self.i += 1;
-                Ok(())
-            } else {
-                Err(format!(
-                    "expected {:?} at byte {}, got {:?}",
-                    c as char, self.i, self.b[self.i] as char
-                ))
-            }
-        }
+thread_local! {
+    /// Where this thread's claim `record_*` calls land; null = recording
+    /// disabled (the default for every thread).
+    static SINK: Cell<*const TelemetryShard> = const { Cell::new(std::ptr::null()) };
+}
 
-        fn value(&mut self) -> Result<Value, String> {
-            match self.peek()? {
-                b'{' => self.object(),
-                b'[' => self.array(),
-                b'"' => Ok(Value::Str(self.string()?)),
-                b't' => self.literal("true", Value::Bool(true)),
-                b'f' => self.literal("false", Value::Bool(false)),
-                b'n' => self.literal("null", Value::Null),
-                b'-' | b'0'..=b'9' => self.number(),
-                c => Err(format!("unexpected {:?} at byte {}", c as char, self.i)),
-            }
-        }
+/// RAII registration of a shard as the current thread's recording
+/// sink. Restores the previous sink on drop, so guards nest; the
+/// borrow keeps the shard alive for the registration's lifetime.
+/// `!Send` by construction (raw pointer member): a guard cannot
+/// outlive its thread's stack frame on another thread.
+#[derive(Debug)]
+pub struct ShardGuard<'a> {
+    _shard: &'a TelemetryShard,
+    prev: *const TelemetryShard,
+}
 
-        fn literal(&mut self, word: &str, v: Value) -> Result<Value, String> {
-            self.ws();
-            if self.b[self.i..].starts_with(word.as_bytes()) {
-                self.i += word.len();
-                Ok(v)
-            } else {
-                Err(format!("expected {word:?} at byte {}", self.i))
-            }
-        }
-
-        fn object(&mut self) -> Result<Value, String> {
-            self.expect(b'{')?;
-            let mut fields = Vec::new();
-            if self.peek()? == b'}' {
-                self.i += 1;
-                return Ok(Value::Obj(fields));
-            }
-            loop {
-                let key = self.string()?;
-                self.expect(b':')?;
-                fields.push((key, self.value()?));
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b'}' => {
-                        self.i += 1;
-                        return Ok(Value::Obj(fields));
-                    }
-                    c => return Err(format!("expected ',' or '}}', got {:?}", c as char)),
-                }
-            }
-        }
-
-        fn array(&mut self) -> Result<Value, String> {
-            self.expect(b'[')?;
-            let mut items = Vec::new();
-            if self.peek()? == b']' {
-                self.i += 1;
-                return Ok(Value::Arr(items));
-            }
-            loop {
-                items.push(self.value()?);
-                match self.peek()? {
-                    b',' => self.i += 1,
-                    b']' => {
-                        self.i += 1;
-                        return Ok(Value::Arr(items));
-                    }
-                    c => return Err(format!("expected ',' or ']', got {:?}", c as char)),
-                }
-            }
-        }
-
-        fn string(&mut self) -> Result<String, String> {
-            self.expect(b'"')?;
-            let mut out = String::new();
-            loop {
-                let c = *self
-                    .b
-                    .get(self.i)
-                    .ok_or_else(|| "unterminated string".to_string())?;
-                self.i += 1;
-                match c {
-                    b'"' => return Ok(out),
-                    b'\\' => {
-                        let e = *self
-                            .b
-                            .get(self.i)
-                            .ok_or_else(|| "unterminated escape".to_string())?;
-                        self.i += 1;
-                        match e {
-                            b'"' => out.push('"'),
-                            b'\\' => out.push('\\'),
-                            b'/' => out.push('/'),
-                            b'n' => out.push('\n'),
-                            b't' => out.push('\t'),
-                            b'r' => out.push('\r'),
-                            b'u' => {
-                                let hex = self
-                                    .b
-                                    .get(self.i..self.i + 4)
-                                    .ok_or_else(|| "truncated \\u escape".to_string())?;
-                                let code = u32::from_str_radix(
-                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                    16,
-                                )
-                                .map_err(|e| e.to_string())?;
-                                self.i += 4;
-                                out.push(
-                                    char::from_u32(code)
-                                        .ok_or_else(|| format!("bad \\u{code:04x}"))?,
-                                );
-                            }
-                            c => return Err(format!("unsupported escape \\{}", c as char)),
-                        }
-                    }
-                    c => {
-                        // Re-assemble multi-byte UTF-8 sequences verbatim.
-                        let start = self.i - 1;
-                        let len = if c < 0x80 {
-                            1
-                        } else if c >= 0xF0 {
-                            4
-                        } else if c >= 0xE0 {
-                            3
-                        } else {
-                            2
-                        };
-                        self.i = start + len;
-                        let chunk = self
-                            .b
-                            .get(start..self.i)
-                            .ok_or_else(|| "truncated UTF-8".to_string())?;
-                        out.push_str(std::str::from_utf8(chunk).map_err(|e| e.to_string())?);
-                    }
-                }
-            }
-        }
-
-        fn number(&mut self) -> Result<Value, String> {
-            self.ws();
-            let start = self.i;
-            if self.b.get(self.i) == Some(&b'-') {
-                self.i += 1;
-            }
-            while self.b.get(self.i).is_some_and(|c| {
-                c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-')
-            }) {
-                self.i += 1;
-            }
-            let text = std::str::from_utf8(&self.b[start..self.i]).map_err(|e| e.to_string())?;
-            if let Ok(n) = text.parse::<u64>() {
-                return Ok(Value::UInt(n));
-            }
-            text.parse::<f64>()
-                .map(Value::Float)
-                .map_err(|e| format!("bad number {text:?}: {e}"))
+impl<'a> ShardGuard<'a> {
+    /// Route this thread's claim `record_*` calls into `shard` until the
+    /// guard drops.
+    pub fn install(shard: &'a TelemetryShard) -> ShardGuard<'a> {
+        let prev = SINK.with(|s| s.replace(shard as *const TelemetryShard));
+        ShardGuard {
+            _shard: shard,
+            prev,
         }
     }
 }
 
-// ---------------------------------------------------------------------------
-// Recording side — feature "telemetry" ON
-// ---------------------------------------------------------------------------
-
-#[cfg(feature = "telemetry")]
-mod recording {
-    use std::cell::Cell;
-
-    use crossbeam_utils::CachePadded;
-
-    use super::CwCounters;
-    // Routed through the facade so `--cfg pram_check` sees (and can
-    // schedule around) every telemetry increment — that is how the
-    // passivity model proves recording never perturbs arbitration.
-    use crate::sync::{AtomicU64, Ordering};
-
-    #[derive(Debug)]
-    struct ShardSlots {
-        fast_path_skips: AtomicU64,
-        cas_attempts: AtomicU64,
-        cas_failures: AtomicU64,
-        wins: AtomicU64,
-        gatekeeper_rmws: AtomicU64,
-        lock_acquisitions: AtomicU64,
-        rearm_resets: AtomicU64,
-    }
-
-    impl ShardSlots {
-        const fn new() -> ShardSlots {
-            ShardSlots {
-                fast_path_skips: AtomicU64::new(0),
-                cas_attempts: AtomicU64::new(0),
-                cas_failures: AtomicU64::new(0),
-                wins: AtomicU64::new(0),
-                gatekeeper_rmws: AtomicU64::new(0),
-                lock_acquisitions: AtomicU64::new(0),
-                rearm_resets: AtomicU64::new(0),
-            }
-        }
-    }
-
-    /// One worker's claim counters, on its own cache line(s) so recording
-    /// never bounces a line between the threads it observes.
-    #[derive(Debug)]
-    pub struct TelemetryShard {
-        slots: CachePadded<ShardSlots>,
-    }
-
-    impl TelemetryShard {
-        /// A zeroed shard.
-        pub fn new() -> TelemetryShard {
-            TelemetryShard {
-                slots: CachePadded::new(ShardSlots::new()),
-            }
-        }
-
-        /// A consistent-enough copy of this shard (exact when its owner
-        /// is quiescent).
-        pub fn snapshot(&self) -> CwCounters {
-            let s = &*self.slots;
-            CwCounters {
-                fast_path_skips: s.fast_path_skips.load(Ordering::Relaxed),
-                cas_attempts: s.cas_attempts.load(Ordering::Relaxed),
-                cas_failures: s.cas_failures.load(Ordering::Relaxed),
-                wins: s.wins.load(Ordering::Relaxed),
-                gatekeeper_rmws: s.gatekeeper_rmws.load(Ordering::Relaxed),
-                lock_acquisitions: s.lock_acquisitions.load(Ordering::Relaxed),
-                rearm_resets: s.rearm_resets.load(Ordering::Relaxed),
-            }
-        }
-    }
-
-    impl Default for TelemetryShard {
-        fn default() -> TelemetryShard {
-            TelemetryShard::new()
-        }
-    }
-
-    /// The sharded claim-counter set for one team: shard `i` belongs to
-    /// worker `i`, each worker records only into its own shard (via
-    /// [`ShardGuard`]), and [`CwTelemetry::totals`] sums shards.
-    #[derive(Debug)]
-    pub struct CwTelemetry {
-        shards: Box<[TelemetryShard]>,
-    }
-
-    impl CwTelemetry {
-        /// Zeroed shards for a team of `threads` workers.
-        pub fn new(threads: usize) -> CwTelemetry {
-            let mut v = Vec::with_capacity(threads.max(1));
-            v.resize_with(threads.max(1), TelemetryShard::new);
-            CwTelemetry {
-                shards: v.into_boxed_slice(),
-            }
-        }
-
-        /// Number of shards (the team size, at least 1).
-        pub fn shards(&self) -> usize {
-            self.shards.len()
-        }
-
-        /// Worker `i`'s shard.
-        pub fn shard(&self, i: usize) -> &TelemetryShard {
-            &self.shards[i]
-        }
-
-        /// Sum over all shards (exact when the team is quiescent, e.g.
-        /// between a round's closing barrier and the next round's opening
-        /// rendezvous).
-        pub fn totals(&self) -> CwCounters {
-            let mut total = CwCounters::default();
-            for s in self.shards.iter() {
-                total.add(&s.snapshot());
-            }
-            total
-        }
-    }
-
-    thread_local! {
-        /// Where this thread's `record_*` calls land; null = recording
-        /// disabled (the default for every thread).
-        static SINK: Cell<*const TelemetryShard> = const { Cell::new(std::ptr::null()) };
-    }
-
-    /// RAII registration of a shard as the current thread's recording
-    /// sink. Restores the previous sink on drop, so guards nest; the
-    /// borrow keeps the shard alive for the registration's lifetime.
-    /// `!Send` by construction (raw pointer member): a guard cannot
-    /// outlive its thread's stack frame on another thread.
-    #[derive(Debug)]
-    pub struct ShardGuard<'a> {
-        _shard: &'a TelemetryShard,
-        prev: *const TelemetryShard,
-    }
-
-    impl<'a> ShardGuard<'a> {
-        /// Route this thread's `record_*` calls into `shard` until the
-        /// guard drops.
-        pub fn install(shard: &'a TelemetryShard) -> ShardGuard<'a> {
-            let prev = SINK.with(|s| s.replace(shard as *const TelemetryShard));
-            ShardGuard {
-                _shard: shard,
-                prev,
-            }
-        }
-    }
-
-    impl Drop for ShardGuard<'_> {
-        fn drop(&mut self) {
-            SINK.with(|s| s.set(self.prev));
-        }
-    }
-
-    #[inline]
-    fn with_sink(f: impl FnOnce(&ShardSlots)) {
-        let p = SINK.with(|s| s.get());
-        if !p.is_null() {
-            // SAFETY: `p` was installed by a live `ShardGuard` on this
-            // thread, whose `&TelemetryShard` borrow outlives the guard
-            // (and the guard restores the previous sink on drop), so the
-            // shard is alive for the duration of this call.
-            let shard = unsafe { &*p };
-            f(&shard.slots);
-        }
-    }
-
-    /// A claim resolved by a read-only fast path.
-    #[inline]
-    pub(crate) fn record_fast_skip() {
-        with_sink(|s| {
-            s.fast_path_skips.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-
-    /// A CAS issued on a claim path.
-    #[inline]
-    pub(crate) fn record_cas_attempt() {
-        with_sink(|s| {
-            s.cas_attempts.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-
-    /// A claim-path CAS that failed.
-    #[inline]
-    pub(crate) fn record_cas_failure() {
-        with_sink(|s| {
-            s.cas_failures.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-
-    /// A claim that returned `true`.
-    #[inline]
-    pub(crate) fn record_win() {
-        with_sink(|s| {
-            s.wins.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-
-    /// A gatekeeper fetch-and-increment issued.
-    #[inline]
-    pub(crate) fn record_gatekeeper_rmw() {
-        with_sink(|s| {
-            s.gatekeeper_rmws.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-
-    /// A lock acquired on the lock baseline's claim path.
-    #[inline]
-    pub(crate) fn record_lock_acquisition() {
-        with_sink(|s| {
-            s.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
-        });
-    }
-
-    /// `n` cells re-zeroed by a reset pass.
-    #[inline]
-    pub(crate) fn record_rearm_resets(n: u64) {
-        if n > 0 {
-            with_sink(|s| {
-                s.rearm_resets.fetch_add(n, Ordering::Relaxed);
-            });
-        }
+impl Drop for ShardGuard<'_> {
+    fn drop(&mut self) {
+        SINK.with(|s| s.set(self.prev));
     }
 }
 
-// ---------------------------------------------------------------------------
-// Recording side — feature "telemetry" OFF: ZSTs and empty inline hooks,
-// so dependents compile unchanged and the hot path is the exact status quo.
-// ---------------------------------------------------------------------------
-
-#[cfg(not(feature = "telemetry"))]
-mod recording {
-    use super::CwCounters;
-
-    /// Disabled-build stand-in: zero-sized, records nothing.
-    #[derive(Debug, Default)]
-    pub struct TelemetryShard {
-        _private: (),
+#[inline]
+fn with_sink(f: impl FnOnce(&ShardSlots)) {
+    let p = SINK.with(|s| s.get());
+    if !p.is_null() {
+        // SAFETY: `p` was installed by a live `ShardGuard` on this
+        // thread, whose `&TelemetryShard` borrow outlives the guard
+        // (and the guard restores the previous sink on drop), so the
+        // shard is alive for the duration of this call.
+        let shard = unsafe { &*p };
+        f(&shard.slots);
     }
-
-    impl TelemetryShard {
-        /// Always-zero snapshot.
-        pub fn snapshot(&self) -> CwCounters {
-            CwCounters::default()
-        }
-    }
-
-    static STUB_SHARD: TelemetryShard = TelemetryShard { _private: () };
-
-    /// Disabled-build stand-in: zero-sized, records nothing.
-    #[derive(Debug, Default)]
-    pub struct CwTelemetry {
-        _private: (),
-    }
-
-    impl CwTelemetry {
-        /// No shards to allocate.
-        pub fn new(_threads: usize) -> CwTelemetry {
-            CwTelemetry { _private: () }
-        }
-        /// Reported as 0 in disabled builds.
-        pub fn shards(&self) -> usize {
-            0
-        }
-        /// A shared zero-sized stub shard.
-        pub fn shard(&self, _i: usize) -> &TelemetryShard {
-            &STUB_SHARD
-        }
-        /// Always zero.
-        pub fn totals(&self) -> CwCounters {
-            CwCounters::default()
-        }
-    }
-
-    /// Disabled-build stand-in: installs nothing.
-    #[derive(Debug)]
-    pub struct ShardGuard<'a> {
-        _shard: &'a TelemetryShard,
-    }
-
-    impl<'a> ShardGuard<'a> {
-        /// No-op registration.
-        pub fn install(shard: &'a TelemetryShard) -> ShardGuard<'a> {
-            ShardGuard { _shard: shard }
-        }
-    }
-
-    #[inline(always)]
-    pub(crate) fn record_fast_skip() {}
-    #[inline(always)]
-    pub(crate) fn record_cas_attempt() {}
-    #[inline(always)]
-    pub(crate) fn record_cas_failure() {}
-    #[inline(always)]
-    pub(crate) fn record_win() {}
-    #[inline(always)]
-    pub(crate) fn record_gatekeeper_rmw() {}
-    #[inline(always)]
-    pub(crate) fn record_lock_acquisition() {}
-    #[inline(always)]
-    pub(crate) fn record_rearm_resets(_n: u64) {}
 }
 
-pub use recording::{CwTelemetry, ShardGuard, TelemetryShard};
+/// A claim resolved by a read-only fast path.
+#[inline]
+pub(crate) fn record_fast_skip() {
+    with_sink(|s| {
+        s.fast_path_skips.fetch_add(1, Ordering::Relaxed);
+    });
+}
 
-pub(crate) use recording::{
-    record_cas_attempt, record_cas_failure, record_fast_skip, record_gatekeeper_rmw,
-    record_lock_acquisition, record_rearm_resets, record_win,
-};
+/// A CAS issued on a claim path.
+#[inline]
+pub(crate) fn record_cas_attempt() {
+    with_sink(|s| {
+        s.cas_attempts.fetch_add(1, Ordering::Relaxed);
+    });
+}
+
+/// A claim-path CAS that failed.
+#[inline]
+pub(crate) fn record_cas_failure() {
+    with_sink(|s| {
+        s.cas_failures.fetch_add(1, Ordering::Relaxed);
+    });
+}
+
+/// A claim that returned `true`.
+#[inline]
+pub(crate) fn record_win() {
+    with_sink(|s| {
+        s.wins.fetch_add(1, Ordering::Relaxed);
+    });
+}
+
+/// A gatekeeper fetch-and-increment issued.
+#[inline]
+pub(crate) fn record_gatekeeper_rmw() {
+    with_sink(|s| {
+        s.gatekeeper_rmws.fetch_add(1, Ordering::Relaxed);
+    });
+}
+
+/// A lock acquired on the lock baseline's claim path.
+#[inline]
+pub(crate) fn record_lock_acquisition() {
+    with_sink(|s| {
+        s.lock_acquisitions.fetch_add(1, Ordering::Relaxed);
+    });
+}
+
+/// `n` cells re-zeroed by a reset pass.
+#[inline]
+pub(crate) fn record_rearm_resets(n: u64) {
+    if n > 0 {
+        with_sink(|s| {
+            s.rearm_resets.fetch_add(n, Ordering::Relaxed);
+        });
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -1108,24 +725,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_json_round_trips() {
-        let report = sample_report();
-        let json = report.metrics_json();
-        let back = RoundReport::from_metrics_json(&json).expect("round trip");
-        assert_eq!(back, report);
-        // Serialization is a pure function of the report.
-        assert_eq!(back.metrics_json(), json);
-    }
-
-    #[test]
-    fn metrics_json_rejects_bad_input() {
-        assert!(RoundReport::from_metrics_json("").is_err());
-        assert!(RoundReport::from_metrics_json("{\"schema\": \"other\"}").is_err());
-        assert!(RoundReport::from_metrics_json("{\"threads\": 1}").is_err());
-        assert!(RoundReport::from_metrics_json("[1, 2").is_err());
-    }
-
-    #[test]
     fn chrome_trace_is_deterministic_and_monotone() {
         let report = sample_report();
         let trace = report.chrome_trace();
@@ -1149,13 +748,12 @@ mod tests {
         assert!(txt.contains("resets=16"));
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn recording_lands_in_installed_shard_only() {
         let telem = CwTelemetry::new(2);
         // No guard installed: hooks are no-ops.
         record_win();
-        assert_eq!(telem.totals(), CwCounters::default());
+        assert_eq!(telem.totals(), Default::default());
         {
             let _g = ShardGuard::install(telem.shard(0));
             record_fast_skip();
@@ -1169,7 +767,13 @@ mod tests {
         }
         // Guard dropped: recording is off again.
         record_win();
-        let t = telem.totals();
+        // Execution events go to the named shard, no guard involved.
+        telem.shard(0).record_barrier_wait(1_000);
+        telem.shard(0).record_barrier_wait(500);
+        telem.shard(0).record_grab();
+        telem.shard(1).record_grab();
+        telem.shard(1).record_grab();
+        let (t, e) = telem.totals();
         assert_eq!(t.fast_path_skips, 1);
         assert_eq!(t.cas_attempts, 1);
         assert_eq!(t.cas_failures, 1);
@@ -1177,10 +781,24 @@ mod tests {
         assert_eq!(t.gatekeeper_rmws, 1);
         assert_eq!(t.lock_acquisitions, 1);
         assert_eq!(t.rearm_resets, 5);
-        assert_eq!(telem.shard(1).snapshot(), CwCounters::default());
+        let exec = |barrier_waits, barrier_wait_ns, grabs| ExecCounters {
+            barrier_waits,
+            barrier_wait_ns,
+            grabs,
+        };
+        assert_eq!(e, exec(2, 1_500, 3));
+        assert_eq!(telem.shard(0).snapshot().1, exec(2, 1_500, 1));
+        assert_eq!(
+            telem.shard(1).snapshot(),
+            (CwCounters::default(), exec(0, 0, 2))
+        );
+        // The arbiters never carry counters: a cell is its round word.
+        assert_eq!(
+            std::mem::size_of::<crate::CasLtCell>(),
+            std::mem::size_of::<u32>()
+        );
     }
 
-    #[cfg(feature = "telemetry")]
     #[test]
     fn shard_guards_nest_and_restore() {
         let telem = CwTelemetry::new(2);
@@ -1193,26 +811,7 @@ mod tests {
         record_win();
         drop(g0);
         record_win(); // no sink
-        assert_eq!(telem.shard(0).snapshot().wins, 2);
-        assert_eq!(telem.shard(1).snapshot().wins, 1);
-    }
-
-    #[cfg(not(feature = "telemetry"))]
-    #[test]
-    fn disabled_build_types_are_zero_sized_no_ops() {
-        assert_eq!(std::mem::size_of::<CwTelemetry>(), 0);
-        assert_eq!(std::mem::size_of::<TelemetryShard>(), 0);
-        // The arbiters themselves never carry counters — with telemetry
-        // off, a cell is exactly its round word, nothing more.
-        assert_eq!(
-            std::mem::size_of::<crate::CasLtCell>(),
-            std::mem::size_of::<u32>()
-        );
-        let telem = CwTelemetry::new(8);
-        let _g = ShardGuard::install(telem.shard(0));
-        record_win();
-        record_rearm_resets(100);
-        assert_eq!(telem.totals(), CwCounters::default());
-        assert_eq!(telem.shards(), 0);
+        assert_eq!(telem.shard(0).snapshot().0.wins, 2);
+        assert_eq!(telem.shard(1).snapshot().0.wins, 1);
     }
 }

@@ -5,16 +5,14 @@
 pub struct PoolConfig {
     /// Team size, including the caller's thread (≥ 1).
     pub threads: usize,
-    /// Collect telemetry: per-worker execution counters
-    /// ([`pram_core::ExecStats`]: barrier waits, loop grabs) and
-    /// per-round concurrent-write counters ([`pram_core::CwTelemetry`]):
-    /// each worker records its claim outcomes into a cache-padded shard,
-    /// and [`crate::WorkerCtx::converge_rounds`] snapshots the merged
-    /// counters at every round's closing barrier into a
-    /// [`pram_core::RoundReport`]. Off by default: recording costs one
-    /// branch on the hot paths when disabled. The claim counters stay
-    /// zero when the `telemetry` feature is disabled; the execution
-    /// counters do not depend on the feature.
+    /// Collect telemetry into one cache-padded [`pram_core::CwTelemetry`]
+    /// shard per worker: claim outcomes ([`pram_core::CwCounters`]) and
+    /// execution events ([`pram_core::ExecCounters`]: barrier waits, loop
+    /// grabs). [`crate::WorkerCtx::converge_rounds`] sums the shards inside
+    /// each round's opening and closing rendezvous and logs the round's
+    /// deltas into a [`pram_core::RoundReport`]. Off by default: a pool
+    /// without telemetry pays one branch per barrier and per dynamic
+    /// grab, and no atomic traffic.
     pub telemetry: bool,
 }
 

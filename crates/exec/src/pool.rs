@@ -20,14 +20,14 @@
 
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crossbeam_utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 use pram_core::{
-    CwCounters, CwTelemetry, ExecCounters, ExecStats, Round, RoundReport, RoundSnapshot, ShardGuard,
+    CwCounters, CwTelemetry, ExecCounters, Round, RoundReport, RoundSnapshot, ShardGuard,
 };
 
 use crate::barrier::SpinBarrier;
@@ -73,28 +73,13 @@ struct PoolShared {
     /// Shared loop cursor for dynamic scheduling. Reset by the barrier
     /// releaser at loop entry, so no reset/grab race exists.
     cursor: CachePadded<AtomicUsize>,
-    /// Per-worker execution counters, when `PoolConfig::telemetry`;
-    /// folded into round reports.
-    stats: Option<ExecStats>,
-    /// Sharded concurrent-write counters, when `PoolConfig::telemetry`.
-    /// Each team member routes its claim telemetry into shard
-    /// `thread_id` via a thread-local [`ShardGuard`] installed for the
-    /// duration of region execution.
+    /// Per-worker claim and execution counters, when
+    /// `PoolConfig::telemetry`. Team member `thread_id` routes its claim
+    /// telemetry into shard `thread_id` via a thread-local [`ShardGuard`]
+    /// and records its barrier waits and grabs into the same shard.
     telem: Option<CwTelemetry>,
-    /// Per-round snapshots accumulated by `converge_rounds`; drained by
-    /// [`ThreadPool::take_round_report`].
-    round_log: Mutex<Vec<RoundSnapshot>>,
-    /// Kernel-supplied label for the round in flight
-    /// ([`WorkerCtx::annotate_round`]); taken by the member-0 snapshot at
-    /// the round's closing barrier.
-    round_label: Mutex<Option<&'static str>>,
-    /// Monotone id handed to each `converge_rounds` invocation, grouping
-    /// its rounds in the report ("epoch" = one kernel run).
-    epoch: AtomicU32,
-    /// Counter baseline captured at each round's opening rendezvous (all
-    /// members quiescent), subtracted at the closing barrier to form the
-    /// round's deltas.
-    round_base: Mutex<(CwCounters, ExecCounters)>,
+    /// `converge_rounds` bookkeeping on telemetry pools.
+    round_log: Mutex<RoundLog>,
     /// Pool creation time: the origin for all round timestamps, so spans
     /// from different epochs share one monotone clock.
     t0: std::time::Instant,
@@ -109,10 +94,26 @@ struct PoolShared {
     remaining_cv: Condvar,
     /// First panic payload from any team member.
     panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>>,
-    /// `#pragma omp critical` support.
-    critical: Mutex<()>,
     /// Type-erased accumulator for `WorkerCtx::reduce`.
     reduce_slot: Mutex<Option<Box<dyn std::any::Any + Send>>>,
+}
+
+/// Per-round telemetry state. Rounds open and close inside barrier
+/// rendezvous, where the whole team is parked, so every delta is exact.
+#[derive(Default)]
+struct RoundLog {
+    /// `converge_rounds` invocations that ran a round so far. One
+    /// invocation is one epoch (one kernel run); the round in flight
+    /// belongs to epoch `epochs - 1`.
+    epochs: u32,
+    /// The round in flight: its start time and counter baseline, taken at
+    /// its opening rendezvous.
+    open: (u64, CwCounters, ExecCounters),
+    /// Kernel-supplied label for the round in flight
+    /// ([`WorkerCtx::annotate_round`]).
+    label: Option<&'static str>,
+    /// Closed rounds; drained by [`ThreadPool::take_round_report`].
+    closed: Vec<RoundSnapshot>,
 }
 
 /// A persistent team of threads executing SPMD regions.
@@ -148,12 +149,8 @@ impl ThreadPool {
             threads: config.threads,
             barrier: SpinBarrier::new(config.threads),
             cursor: CachePadded::new(AtomicUsize::new(0)),
-            stats: config.telemetry.then(|| ExecStats::new(config.threads)),
             telem: config.telemetry.then(|| CwTelemetry::new(config.threads)),
-            round_log: Mutex::new(Vec::new()),
-            round_label: Mutex::new(None),
-            epoch: AtomicU32::new(0),
-            round_base: Mutex::new((CwCounters::default(), ExecCounters::default())),
+            round_log: Mutex::default(),
             t0: std::time::Instant::now(),
             changed: [
                 CachePadded::new(AtomicBool::new(false)),
@@ -168,7 +165,6 @@ impl ThreadPool {
             remaining: Mutex::new(0),
             remaining_cv: Condvar::new(),
             panic_payload: Mutex::new(None),
-            critical: Mutex::new(()),
             reduce_slot: Mutex::new(None),
         });
         let handles = (1..config.threads)
@@ -192,7 +188,7 @@ impl ThreadPool {
         self.shared.threads
     }
 
-    /// Sharded concurrent-write telemetry, if enabled via
+    /// Sharded claim and execution telemetry, if enabled via
     /// [`PoolConfig::telemetry`]. Counters accumulate across regions.
     pub fn telemetry(&self) -> Option<&CwTelemetry> {
         self.shared.telem.as_ref()
@@ -207,17 +203,13 @@ impl ThreadPool {
     /// `converge_rounds` — so they can exceed the per-round sums.
     /// Returns an empty report when telemetry is disabled.
     pub fn take_round_report(&self) -> RoundReport {
-        let rounds = std::mem::take(&mut *self.shared.round_log.lock());
+        let rounds = std::mem::take(&mut self.shared.round_log.lock().closed);
+        let (totals_cw, totals_exec) = self.shared.counters();
         RoundReport {
             threads: self.shared.threads,
             rounds,
-            totals_cw: self
-                .shared
-                .telem
-                .as_ref()
-                .map(CwTelemetry::totals)
-                .unwrap_or_default(),
-            totals_exec: self.shared.exec_totals(),
+            totals_cw,
+            totals_exec,
         }
     }
 
@@ -391,15 +383,7 @@ impl WorkerCtx<'_> {
     /// concurrent-write round and dependent reads.
     #[inline]
     pub fn barrier(&self) -> bool {
-        match &self.shared.stats {
-            None => self.shared.barrier.wait(),
-            Some(st) => {
-                let t0 = std::time::Instant::now();
-                let r = self.shared.barrier.wait();
-                st.record_barrier_wait(self.id, t0.elapsed().as_nanos() as u64);
-                r
-            }
-        }
+        self.barrier_with(|| {})
     }
 
     /// Barrier whose elected member runs `f` after all members arrive and
@@ -408,12 +392,13 @@ impl WorkerCtx<'_> {
     /// done serially).
     #[inline]
     pub fn barrier_with(&self, f: impl FnOnce()) -> bool {
-        match &self.shared.stats {
+        match &self.shared.telem {
             None => self.shared.barrier.wait_with(f),
-            Some(st) => {
+            Some(t) => {
                 let t0 = std::time::Instant::now();
                 let r = self.shared.barrier.wait_with(f);
-                st.record_barrier_wait(self.id, t0.elapsed().as_nanos() as u64);
+                t.shard(self.id)
+                    .record_barrier_wait(t0.elapsed().as_nanos() as u64);
                 r
             }
         }
@@ -455,14 +440,14 @@ impl WorkerCtx<'_> {
                 let chunk = chunk.max(1);
                 let cursor = &self.shared.cursor;
                 self.barrier_with(|| cursor.store(0, Ordering::Relaxed));
-                let stats = self.shared.stats.as_ref();
+                let shard = self.shared.telem.as_ref().map(|t| t.shard(self.id));
                 loop {
                     let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                     if start >= len {
                         break;
                     }
-                    if let Some(st) = stats {
-                        st.record_grab(self.id);
+                    if let Some(shard) = shard {
+                        shard.record_grab();
                     }
                     for i in start..(start + chunk).min(len) {
                         f(base + i);
@@ -492,13 +477,6 @@ impl WorkerCtx<'_> {
         if self.id == 0 {
             f();
         }
-    }
-
-    /// Run `f` under the team-wide critical-section lock
-    /// (`#pragma omp critical`).
-    pub fn critical<R>(&self, f: impl FnOnce() -> R) -> R {
-        let _g = self.shared.critical.lock();
-        f()
     }
 
     /// Team-wide reduction (`#pragma omp ... reduction(op: var)`): every
@@ -609,13 +587,7 @@ impl WorkerCtx<'_> {
         max_rounds: u32,
         mut body: impl FnMut(Round, &ChangedFlag<'_>),
     ) -> Convergence {
-        let telem = self.shared.telem.as_ref();
-        // One epoch id per converge_rounds invocation; member 0 owns the
-        // snapshot bookkeeping.
-        let epoch = match telem {
-            Some(_) if self.id == 0 => self.shared.epoch.fetch_add(1, Ordering::Relaxed),
-            _ => 0,
-        };
+        let telem = self.shared.telem.is_some();
         let mut executed = 0;
         let mut converged = false;
         for i in 0..max_rounds {
@@ -623,39 +595,22 @@ impl WorkerCtx<'_> {
             // Slot reuse is race-free: round i's reset happens at a barrier
             // every member reaches only after reading slot (i-2)%2 == i%2
             // at the end of round i-2, two barriers ago.
+            // With telemetry, the round opens and closes inside the
+            // rendezvous closures: every member is parked there, having
+            // recorded everything before the barrier and nothing after it,
+            // so the round's deltas are exact.
             self.barrier_with(|| {
                 slot.store(false, Ordering::Relaxed);
-                if let Some(t) = telem {
-                    // Every member is at the rendezvous: no claim is in
-                    // flight, so this baseline is exact for the round.
-                    *self.shared.round_base.lock() = (t.totals(), self.shared.exec_totals());
+                if telem {
+                    self.shared.open_round(i);
                 }
             });
-            let start_ns = match telem {
-                Some(_) if self.id == 0 => self.shared.t0.elapsed().as_nanos() as u64,
-                _ => 0,
-            };
             let flag = ChangedFlag { flag: slot };
             body(Round::from_iteration(i), &flag);
-            self.barrier();
-            if let Some(t) = telem {
-                if self.id == 0 {
-                    // Quiescent window: sibling members issue no claims
-                    // between the closing barrier above and the next
-                    // rendezvous, so the deltas below are exact.
-                    let (base_cw, base_exec) = *self.shared.round_base.lock();
-                    let label = self.shared.round_label.lock().take().unwrap_or("");
-                    self.shared.round_log.lock().push(RoundSnapshot {
-                        epoch,
-                        round: i,
-                        label: label.to_string(),
-                        start_ns,
-                        wall_ns: (self.shared.t0.elapsed().as_nanos() as u64)
-                            .saturating_sub(start_ns),
-                        cw: t.totals().delta_since(&base_cw),
-                        exec: self.shared.exec_totals().delta_since(&base_exec),
-                    });
-                }
+            if telem {
+                self.barrier_with(|| self.shared.close_round(i));
+            } else {
+                self.barrier();
             }
             executed = i + 1;
             if !slot.load(Ordering::Relaxed) {
@@ -678,18 +633,52 @@ impl WorkerCtx<'_> {
     #[inline]
     pub fn annotate_round(&self, label: &'static str) {
         if self.shared.telem.is_some() {
-            *self.shared.round_label.lock() = Some(label);
+            self.shared.round_log.lock().label = Some(label);
         }
     }
 }
 
 impl PoolShared {
-    /// Team-wide exec counter totals (zero when telemetry is disabled).
-    fn exec_totals(&self) -> ExecCounters {
-        self.stats
+    /// Team-wide claim and exec counter totals (zero when telemetry is
+    /// disabled).
+    fn counters(&self) -> (CwCounters, ExecCounters) {
+        self.telem
             .as_ref()
-            .map(ExecStats::totals)
+            .map(CwTelemetry::totals)
             .unwrap_or_default()
+    }
+
+    /// Open round `i` of a `converge_rounds` call (round 0 starts a new
+    /// epoch): stamp its start time and take its counter baseline. Runs
+    /// inside a rendezvous.
+    fn open_round(&self, i: u32) {
+        let (cw, exec) = self.counters();
+        let start_ns = self.t0.elapsed().as_nanos() as u64;
+        let mut log = self.round_log.lock();
+        if i == 0 {
+            log.epochs += 1;
+        }
+        log.open = (start_ns, cw, exec);
+    }
+
+    /// Close round `i`: log its deltas since [`PoolShared::open_round`].
+    /// Runs inside a rendezvous.
+    fn close_round(&self, i: u32) {
+        let (cw, exec) = self.counters();
+        let end_ns = self.t0.elapsed().as_nanos() as u64;
+        let mut log = self.round_log.lock();
+        let (start_ns, base_cw, base_exec) = log.open;
+        let epoch = log.epochs - 1;
+        let label = log.label.take().unwrap_or("").to_string();
+        log.closed.push(RoundSnapshot {
+            epoch,
+            round: i,
+            label,
+            start_ns,
+            wall_ns: end_ns.saturating_sub(start_ns),
+            cw: cw.delta_since(&base_cw),
+            exec: exec.delta_since(&base_exec),
+        });
     }
 }
 
@@ -905,16 +894,12 @@ mod tests {
             assert_eq!(r.label, "claim");
             assert!(r.start_ns >= last_start, "round starts are monotone");
             last_start = r.start_ns;
-            #[cfg(feature = "telemetry")]
-            {
-                // Fully contended CAS-LT round: 3 threads × 4 cells,
-                // every claim resolves, exactly one win per cell.
-                assert_eq!(r.cw.wins, 4, "round {i}");
-                assert_eq!(r.cw.resolutions(), 3 * 4, "round {i}");
-                assert_eq!(r.cw.fast_path_skips + r.cw.cas_attempts, 3 * 4, "round {i}");
-            }
+            // Fully contended CAS-LT round: 3 threads × 4 cells, every
+            // claim resolves, exactly one win per cell.
+            assert_eq!(r.cw.wins, 4, "round {i}");
+            assert_eq!(r.cw.resolutions(), 3 * 4, "round {i}");
+            assert_eq!(r.cw.fast_path_skips + r.cw.cas_attempts, 3 * 4, "round {i}");
         }
-        #[cfg(feature = "telemetry")]
         assert_eq!(report.totals_cw.wins, 3 * 4);
         // A second epoch, drained separately.
         pool.run(|ctx| {
@@ -1000,25 +985,6 @@ mod tests {
             });
         });
         assert_eq!(*seen.lock(), vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn critical_is_mutually_exclusive() {
-        let pool = ThreadPool::new(4);
-        struct RacyCell(std::cell::UnsafeCell<u64>);
-        // SAFETY (test): all access goes through ctx.critical.
-        unsafe impl Sync for RacyCell {}
-        let cell = RacyCell(std::cell::UnsafeCell::new(0));
-        pool.run(|ctx| {
-            let cell: &RacyCell = &cell; // capture the Sync wrapper whole
-            for _ in 0..1000 {
-                ctx.critical(|| {
-                    // SAFETY: the critical section serializes access.
-                    unsafe { *cell.0.get() += 1 };
-                });
-            }
-        });
-        assert_eq!(cell.0.into_inner(), 4000);
     }
 
     #[test]

@@ -99,7 +99,7 @@ fn main() {
             });
         }
     });
-    let s = telemetry.totals();
+    let (s, _) = telemetry.totals();
     println!("   one contended cell, 1M claims: {s}");
     println!(
         "   -> CAS-LT issued {} atomic CAS(es) in total; {:.3}% of claims\n   \

@@ -156,7 +156,7 @@ where
         (self.claim)(tid);
     }
     fn check_final(&self) -> Result<(), String> {
-        (self.check)(&self.telem.totals())
+        (self.check)(&self.telem.totals().0)
     }
 }
 
@@ -379,7 +379,7 @@ impl Model for RearmConservation {
         Ok(())
     }
     fn check_final(&self) -> Result<(), String> {
-        let c = self.telem.totals();
+        let (c, _) = self.telem.totals();
         let claims = 2 * self.threads as u64;
         expect(
             c.gatekeeper_rmws == claims,

@@ -18,12 +18,16 @@
 //!   (`fast_path_skips + wins == T*C`), CAS attempts decompose into
 //!   `wins + cas_failures`.
 //! * Naive: every claimant "wins" (`wins == T*C`) — the broken-CW baseline.
+//!
+//! Exec counters obey the same exactness: a round opens and closes inside
+//! a barrier rendezvous, so a fixed body reports the same `barrier_waits`
+//! and `grabs` in every round.
 
 use pram_core::{
     CasLtArray, GatekeeperArray, GatekeeperSkipArray, LockArray, NaiveArbiter, PriorityArray,
     Round, RoundReport, SliceArbiter,
 };
-use pram_exec::{PoolConfig, ThreadPool, WorkerCtx};
+use pram_exec::{PoolConfig, Schedule, ThreadPool, WorkerCtx};
 
 /// Team size (claimants per cell).
 const T: usize = 4;
@@ -210,5 +214,35 @@ fn priority_pool_conservation() {
         );
         assert!(cw.wins >= c, "round {i}: each cell improves at least once");
         assert!(cw.wins <= t * c, "round {i}");
+    }
+}
+
+#[test]
+fn exec_deltas_are_exact_per_round() {
+    for threads in [2u64, 3] {
+        let pool = ThreadPool::with_config(PoolConfig::new(threads as usize).telemetry(true));
+        for _ in 0..50 {
+            pool.run(|ctx| {
+                ctx.converge_rounds(20, |_, flag| {
+                    flag.set();
+                    ctx.barrier();
+                    // One entry rendezvous, one end barrier, 64 / 8 grabs.
+                    ctx.for_each(0..64, Schedule::Dynamic { chunk: 8 }, |_| {});
+                });
+            });
+        }
+        let rounds = pool.take_round_report().rounds;
+        assert_eq!(rounds.len(), 50 * 20);
+        for r in &rounds {
+            // The opening rendezvous, the body's barrier and the loop's
+            // two: T waits each. The closing rendezvous is in no round.
+            assert_eq!(
+                (r.exec.barrier_waits, r.exec.grabs),
+                (4 * threads, 8),
+                "T={threads}, epoch {} round {}",
+                r.epoch,
+                r.round
+            );
+        }
     }
 }

@@ -1,9 +1,9 @@
-//! Exporter contracts: the chrome://tracing dump is pinned to a committed
-//! golden file (stable field ordering, timestamps purely from the injected
-//! clock values — never `Instant::now()` at serialization time), and the
-//! JSON metrics schema round-trips losslessly.
+//! Exporter contracts: the chrome://tracing dump and the JSON metrics dump
+//! are each pinned to a committed golden file (stable field ordering,
+//! timestamps purely from the injected clock values — never
+//! `Instant::now()` at serialization time).
 //!
-//! Regenerate the golden after an *intentional* format change with:
+//! Regenerate the goldens after an *intentional* format change with:
 //!
 //! ```text
 //! PRAM_REGEN_GOLDEN=1 cargo test --test telemetry_export
@@ -78,23 +78,34 @@ fn sample_report() -> RoundReport {
     }
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/chrome_trace.json")
+/// Compare `output` with `tests/golden/<name>`, rewriting the file first
+/// when `PRAM_REGEN_GOLDEN` is set.
+fn assert_matches_golden(name: &str, output: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(name);
+    if std::env::var_os("PRAM_REGEN_GOLDEN").is_some() {
+        std::fs::write(&path, output).expect("write golden");
+    }
+    let golden = std::fs::read_to_string(&path)
+        .expect("golden file missing — run with PRAM_REGEN_GOLDEN=1 once");
+    assert_eq!(
+        output, golden,
+        "output drifted from tests/golden/{name}; if the change is \
+         intentional, regenerate with PRAM_REGEN_GOLDEN=1"
+    );
 }
 
 #[test]
 fn chrome_trace_matches_golden_file() {
-    let trace = sample_report().chrome_trace();
-    if std::env::var_os("PRAM_REGEN_GOLDEN").is_some() {
-        std::fs::write(golden_path(), &trace).expect("write golden");
-    }
-    let golden = std::fs::read_to_string(golden_path())
-        .expect("golden file missing — run with PRAM_REGEN_GOLDEN=1 once");
-    assert_eq!(
-        trace, golden,
-        "chrome trace drifted from tests/golden/chrome_trace.json; if the \
-         change is intentional, regenerate with PRAM_REGEN_GOLDEN=1"
-    );
+    assert_matches_golden("chrome_trace.json", &sample_report().chrome_trace());
+}
+
+#[test]
+fn metrics_json_matches_golden_file() {
+    let json = sample_report().metrics_json();
+    assert_matches_golden("metrics.json", &json);
+    assert!(json.contains("\"schema\": \"pram-telemetry-v2\""));
 }
 
 #[test]
@@ -147,30 +158,9 @@ fn chrome_trace_timestamps_are_monotone_per_track() {
 }
 
 #[test]
-fn metrics_json_round_trips() {
-    let r = sample_report();
-    let json = r.metrics_json();
-    let parsed = RoundReport::from_metrics_json(&json).expect("parse own dump");
-    assert_eq!(parsed, r, "metrics JSON round trip must be lossless");
-    // And the dump itself is stable.
-    assert_eq!(parsed.metrics_json(), json);
-}
-
-#[test]
-fn metrics_json_rejects_foreign_or_malformed_input() {
-    let r = sample_report();
-    let json = r.metrics_json();
-    let foreign = json.replace("pram-telemetry-v2", "pram-telemetry-v999");
-    let err = RoundReport::from_metrics_json(&foreign).unwrap_err();
-    assert!(err.contains("schema"), "unhelpful error: {err}");
-    assert!(RoundReport::from_metrics_json("not json").is_err());
-    assert!(RoundReport::from_metrics_json("{}").is_err());
-}
-
-#[test]
-fn live_pool_report_round_trips_and_traces() {
-    // End-to-end: a real pool run's report survives the JSON round trip
-    // and produces a trace whose spans carry the kernel's annotations.
+fn live_pool_report_traces() {
+    // End-to-end: a real pool run's report produces a trace whose spans
+    // carry the kernel's annotations.
     let pool = ThreadPool::with_config(PoolConfig::new(2).telemetry(true));
     let cells = pram_core::CasLtArray::new(4);
     pool.run(|ctx| {
@@ -186,8 +176,6 @@ fn live_pool_report_round_trips_and_traces() {
     });
     let report = pool.take_round_report();
     assert_eq!(report.rounds.len(), 3);
-    let parsed = RoundReport::from_metrics_json(&report.metrics_json()).unwrap();
-    assert_eq!(parsed, report);
     let trace = report.chrome_trace();
     assert!(trace.contains("[claim]"), "round labels reach the trace");
     assert!(trace.ends_with("]}\n"), "well-formed trace object");
