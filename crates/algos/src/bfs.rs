@@ -55,7 +55,6 @@
 //! [`pram_exec::WorkerCtx::converge_rounds`].
 
 use std::fmt;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 
 use pram_core::{AtomicBitmap, SliceArbiter};
@@ -177,8 +176,8 @@ pub fn bfs_with_strategy(
     strategy: BfsStrategy,
     pool: &ThreadPool,
 ) -> BfsResult {
-    dispatch_method!(method, g.num_vertices(), |arb| bfs_strategy_with_arbiter(
-        g, source, &arb, strategy, pool
+    dispatch_method!(method, g.num_vertices(), |arb| bfs_core(
+        g, None, source, &arb, strategy, pool
     ))
 }
 
@@ -212,18 +211,7 @@ pub fn bfs_with_arbiter<A: SliceArbiter>(
     arb: &A,
     pool: &ThreadPool,
 ) -> BfsResult {
-    bfs_strategy_with_arbiter(g, source, arb, BfsStrategy::DenseScan, pool)
-}
-
-/// BFS against an explicit arbiter and frontier strategy.
-pub fn bfs_strategy_with_arbiter<A: SliceArbiter>(
-    g: &CsrGraph,
-    source: u32,
-    arb: &A,
-    strategy: BfsStrategy,
-    pool: &ThreadPool,
-) -> BfsResult {
-    bfs_core(g, None, source, arb, strategy, pool)
+    bfs_core(g, None, source, arb, BfsStrategy::DenseScan, pool)
 }
 
 fn bfs_core<A: SliceArbiter>(
@@ -292,22 +280,15 @@ impl BfsState {
     }
 }
 
-/// This member's contiguous share of `0..len` (the static-block split,
-/// for loops that fold into worker-local accumulators).
-fn member_slice(len: usize, threads: usize, id: usize) -> Range<usize> {
-    (len * id / threads)..(len * (id + 1) / threads)
-}
-
-/// Gatekeeper methods need their cells re-zeroed before the next round;
-/// round-rearming methods just need the barrier `converge_rounds` requires.
-/// Call after every round that claimed (a pull round claims nothing, so
-/// it passes only the barrier).
+/// Gatekeeper methods need their cells re-zeroed before the next round:
+/// a barrier after the claims, then a reset pass that the round's closing
+/// rendezvous orders before the next claims. Round-rearming methods need
+/// nothing. Call at the end of every round that claimed (a pull round
+/// claims nothing).
 fn rearm<A: SliceArbiter>(ctx: &WorkerCtx<'_>, arb: &A, n: usize) {
-    ctx.barrier();
     if !arb.rearms_on_new_round() {
-        ctx.for_each(0..n, Schedule::default(), |i| {
-            arb.reset_range(i..i + 1);
-        });
+        ctx.barrier();
+        ctx.for_each_nowait(0..n, |i| arb.reset_range(i..i + 1));
     }
 }
 
@@ -325,7 +306,7 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
             ctx.annotate_round("expand");
             let l = round.get() - 1; // the level being expanded
             let mut changed = false;
-            ctx.for_each_nowait(0..n, Schedule::default(), |v| {
+            ctx.for_each_nowait(0..n, |v| {
                 if st.level[v].load(Ordering::Relaxed) != l {
                     return;
                 }
@@ -381,7 +362,7 @@ fn bfs_frontier<A: SliceArbiter>(
 
     // Double-buffered frontier in both representations; which pair member
     // is "current" is tracked per worker and advances in lockstep because
-    // every direction decision is derived from team-wide reductions.
+    // every direction decision is derived from one team-wide sum.
     let queues = [
         FrontierBuffer::with_capacity(n),
         FrontierBuffer::with_capacity(n),
@@ -393,8 +374,6 @@ fn bfs_frontier<A: SliceArbiter>(
     let rounds = AtomicU32::new(0);
 
     pool.run(|ctx| {
-        let threads = ctx.num_threads();
-        let id = ctx.thread_id();
         let mut qi = 0usize; // queues[qi] holds the current frontier...
         let mut bi = 0usize; // ...or bitmaps[bi] does, when cur_is_bits
         let mut cur_is_bits = false;
@@ -403,26 +382,33 @@ fn bfs_frontier<A: SliceArbiter>(
             let l = round.get() - 1;
             let mut changed = false;
 
-            // Frontier stats (size, out-edges) — O(1) per vertex thanks to
-            // the CSR degree prefix sum; team-combined by one reduction.
-            let (fsize, fedges) = if cur_is_bits {
-                let bits = &bitmaps[bi];
-                let (mut s, mut e) = (0usize, 0usize);
-                for w in member_slice(bits.num_words(), threads, id) {
-                    bits.for_each_set_in_word(w, |v| {
-                        s += 1;
-                        e += offsets[v + 1] - offsets[v];
-                    });
+            // Member 0 empties every queue this round may fill: the spare
+            // one, and both when the frontier is a bitmap. The stats sum's
+            // rendezvous orders that before any publication.
+            ctx.master(|| {
+                for (k, q) in queues.iter().enumerate() {
+                    if cur_is_bits || k != qi {
+                        q.clear();
+                    }
                 }
-                ctx.reduce((s, e), |a, b| (a.0 + b.0, a.1 + b.1))
+            });
+
+            // Frontier stats (size, out-edges) — O(1) per vertex thanks to
+            // the CSR degree prefix sum; team-combined by one sum.
+            let (mut s, mut e) = (0, 0);
+            let mut count = |v: usize| {
+                s += 1;
+                e += (offsets[v + 1] - offsets[v]) as u64;
+            };
+            if cur_is_bits {
+                let bits = &bitmaps[bi];
+                let words = 0..bits.num_words();
+                ctx.for_each_nowait(words, |w| bits.for_each_set_in_word(w, &mut count));
             } else {
                 let q = &queues[qi];
-                let e = ctx.frontier_edge_count(q, |v| {
-                    let v = v as usize;
-                    offsets[v + 1] - offsets[v]
-                });
-                (q.len(), e)
-            };
+                ctx.for_each_nowait(0..q.len(), |i| count(q.get(i) as usize));
+            }
+            let [fsize, fedges] = ctx.team_sum([s, e]).map(|x| x as usize);
 
             // Direction heuristic (Beamer): identical on every member.
             let pull = allow_pull
@@ -446,9 +432,8 @@ fn bfs_frontier<A: SliceArbiter>(
             } else if !pull && cur_is_bits {
                 let bits = &bitmaps[bi];
                 let q = &queues[qi];
-                ctx.barrier_with(|| q.clear());
                 let mut local = LocalBuffer::new();
-                ctx.for_each_nowait(0..bits.num_words(), Schedule::default(), |w| {
+                ctx.for_each_nowait(0..bits.num_words(), |w| {
                     bits.for_each_set_in_word(w, |v| local.push(v as u64, q));
                 });
                 local.flush(q);
@@ -472,7 +457,7 @@ fn bfs_frontier<A: SliceArbiter>(
                 let by_words = Schedule::Dynamic {
                     chunk: PULL_CHUNK_WORDS,
                 };
-                ctx.for_each_nowait(0..next.num_words(), by_words, |w| {
+                ctx.for_each(0..next.num_words(), by_words, |w| {
                     let mut bits = 0u64;
                     for v in 64 * w..(64 * w + 64).min(n) {
                         if st.visited[v].load(Ordering::Relaxed) != 0 {
@@ -490,7 +475,6 @@ fn bfs_frontier<A: SliceArbiter>(
                     changed |= bits != 0;
                 });
                 // Nothing was claimed, so gatekeeper cells are still armed.
-                ctx.barrier();
                 bi = 1 - bi;
                 cur_is_bits = true;
             } else {
@@ -499,7 +483,6 @@ fn bfs_frontier<A: SliceArbiter>(
                 ctx.annotate_round("push");
                 let cur = &queues[qi];
                 let next = &queues[1 - qi];
-                ctx.barrier_with(|| next.clear());
                 let mut local = LocalBuffer::new();
                 ctx.for_each_frontier(cur, fedges, FRONTIER_GRAIN_EDGES, |vu| {
                     let v = vu as usize;
@@ -513,8 +496,8 @@ fn bfs_frontier<A: SliceArbiter>(
                         }
                     }
                 });
-                // Publication is still ordered before the next round's
-                // reads by the rearm/convergence barriers.
+                // Publication is ordered before the next round's reads by
+                // the round's closing rendezvous.
                 local.flush(next);
                 rearm(ctx, arb, n);
                 qi = 1 - qi;

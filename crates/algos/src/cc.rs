@@ -187,8 +187,9 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 ctx.barrier();
             }
 
-            // Shortcut: pointer jumping (exclusive write per vertex).
-            ctx.for_each(0..n, sched, |v| {
+            // Shortcut: pointer jumping (exclusive write per vertex). No
+            // ending barrier: the round's closing rendezvous is the sync point.
+            ctx.for_each_nowait(0..n, |v| {
                 let dv = d[v].load(Ordering::Relaxed);
                 let ddv = d[dv as usize].load(Ordering::Relaxed);
                 if ddv != dv {

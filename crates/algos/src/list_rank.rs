@@ -16,7 +16,7 @@
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use pram_exec::{Schedule, ThreadPool};
+use pram_exec::ThreadPool;
 
 /// Distance of every node to its chain's terminal (`next[v] == v`).
 ///
@@ -64,7 +64,9 @@ pub fn list_rank(next: &[u32], pool: &ThreadPool) -> Vec<u32> {
             let cur = ((round.get() - 1) % 2) as usize;
             let (rs, rd) = (&rank[cur], &rank[1 - cur]);
             let (ns, nd) = (&nxt[cur], &nxt[1 - cur]);
-            ctx.for_each(0..n, Schedule::default(), |v| {
+            // The round's closing rendezvous orders these writes before the
+            // next round's reads.
+            ctx.for_each_nowait(0..n, |v| {
                 let s = ns[v].load(Ordering::Relaxed) as usize;
                 let jumped = ns[s].load(Ordering::Relaxed); // concurrent read
                 rd[v].store(

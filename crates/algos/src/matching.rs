@@ -21,7 +21,7 @@
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
 use pram_core::SliceArbiter;
-use pram_exec::{Schedule, ThreadPool};
+use pram_exec::ThreadPool;
 use pram_graph::CsrGraph;
 
 use crate::method::{dispatch_method, CwMethod};
@@ -77,7 +77,7 @@ pub fn matching_with_arbiter<A: SliceArbiter>(
     let max_rounds = (n as u32) / 2 + 2;
     pool.run(|ctx| {
         let c = ctx.converge_rounds(max_rounds.max(1), |round, flag| {
-            ctx.for_each_nowait(0..m, Schedule::default(), |e| {
+            ctx.for_each_nowait(0..m, |e| {
                 let (u, v) = edges[e];
                 if partner[u as usize].load(Ordering::Relaxed) != UNMATCHED
                     || partner[v as usize].load(Ordering::Relaxed) != UNMATCHED
@@ -93,9 +93,9 @@ pub fn matching_with_arbiter<A: SliceArbiter>(
                     flag.set();
                 }
             });
-            ctx.barrier();
             if !arb.rearms_on_new_round() {
-                ctx.for_each(0..n, Schedule::default(), |i| arb.reset_range(i..i + 1));
+                ctx.barrier();
+                ctx.for_each_nowait(0..n, |i| arb.reset_range(i..i + 1));
             }
         });
         rounds.store(c.rounds, Ordering::Relaxed);

@@ -80,11 +80,13 @@ pub fn sv_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                     flag.set();
                 }
             });
+            // The gatekeeper reset and the shortcut touch disjoint state, and
+            // the round's closing rendezvous orders both before the next
+            // round, so neither needs a barrier of its own.
             if !arb.rearms_on_new_round() {
-                ctx.for_each(0..n, sched, |v| arb.reset_range(v..v + 1));
+                ctx.for_each_nowait(0..n, |v| arb.reset_range(v..v + 1));
             }
-            // Shortcut.
-            ctx.for_each(0..n, sched, |v| {
+            ctx.for_each_nowait(0..n, |v| {
                 let dv = d[v].load(Ordering::Relaxed);
                 let ddv = d[dv as usize].load(Ordering::Relaxed);
                 if ddv != dv {

@@ -19,6 +19,13 @@
 //!   the releaser's store resets it, both are elected (and both run the
 //!   `wait_with` closure). Sequentially (and for a single participant) it
 //!   is indistinguishable from the real barrier.
+//! * [`BuggyTeamSum`] is [`pram_exec::TeamSum`] without the parity: one
+//!   slot per member. A member that leaves a sum early writes its next
+//!   value over the slot a slower member has not read yet.
+//! * [`BuggyRoundFlag`] is [`pram_exec::RoundFlag`] deciding "round `r`
+//!   changed" on `flag == r` instead of `≥`. A member that reads late sees
+//!   the `r + 1` stamp a faster member already stored and stops, while
+//!   the faster member goes on.
 //! * [`CountingClaimCell`] is a gatekeeper whose claim **consults a
 //!   counter read** instead of the atomic capture: it loads the counter,
 //!   treats `0` as the win condition, and stores the increment separately.
@@ -33,8 +40,9 @@
 
 use std::ops::Range;
 
-use pram_core::sync::{self as psync, AtomicU32, Ordering};
+use pram_core::sync::{self as psync, AtomicU32, AtomicU64, Ordering};
 use pram_core::{Round, SliceArbiter};
+use pram_exec::SUM_LANES;
 
 /// CAS-LT with the CAS replaced by a check-then-act load/store pair.
 ///
@@ -238,6 +246,67 @@ impl BuggySpinBarrier {
     }
 }
 
+/// [`pram_exec::TeamSum`] with one slot per member instead of two.
+#[derive(Debug)]
+pub struct BuggyTeamSum {
+    members: Box<[[AtomicU64; SUM_LANES]]>,
+}
+
+impl BuggyTeamSum {
+    /// Slots for a team of `threads` members.
+    pub fn new(threads: usize) -> BuggyTeamSum {
+        BuggyTeamSum {
+            members: (0..threads).map(|_| Default::default()).collect(),
+        }
+    }
+
+    /// Broken team sum: correct only if every member has read the last
+    /// sum before any member writes the next one.
+    pub fn sum(
+        &self,
+        id: usize,
+        value: [u64; SUM_LANES],
+        rendezvous: impl FnOnce() -> bool,
+    ) -> [u64; SUM_LANES] {
+        // BUG (intentional): no parity, so sum k + 1 overwrites the slot
+        // sum k's slower readers still need.
+        for (slot, v) in self.members[id].iter().zip(value) {
+            slot.store(v, Ordering::Relaxed);
+        }
+        rendezvous();
+        let mut total = [0; SUM_LANES];
+        for m in self.members.iter() {
+            for (t, slot) in total.iter_mut().zip(m) {
+                *t += slot.load(Ordering::Relaxed);
+            }
+        }
+        total
+    }
+}
+
+/// [`pram_exec::RoundFlag`] that tests for the exact stamp.
+#[derive(Debug, Default)]
+pub struct BuggyRoundFlag(AtomicU32);
+
+impl BuggyRoundFlag {
+    /// Forget every stamp.
+    pub fn reset(&self) {
+        self.0.store(0, Ordering::Relaxed);
+    }
+
+    /// Record that `round` changed something.
+    pub fn set(&self, round: Round) {
+        self.0.store(round.get(), Ordering::Relaxed);
+    }
+
+    /// Broken decision: a later round's stamp reads as "no change".
+    pub fn changed(&self, round: Round) -> bool {
+        // BUG (intentional): must be `>=`; round r + 1's stores may land
+        // before a slow member reads round r's verdict.
+        self.0.load(Ordering::Relaxed) == round.get()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,6 +361,27 @@ mod tests {
             );
         }
         assert_eq!((buggy_runs, real_runs), (5, 5));
+    }
+
+    #[test]
+    fn buggy_team_sum_and_flag_sequentially_indistinguishable() {
+        // One member alone never overlaps two sums or two rounds.
+        let (buggy, real) = (BuggyTeamSum::new(1), pram_exec::TeamSum::new(1));
+        for k in 0..4 {
+            assert_eq!(
+                buggy.sum(0, [k, 2 * k], || true),
+                real.sum(0, [k, 2 * k], || true)
+            );
+        }
+        let (buggy, real) = (BuggyRoundFlag::default(), pram_exec::RoundFlag::default());
+        for i in 0..4 {
+            let r = Round::from_iteration(i);
+            if i % 2 == 0 {
+                buggy.set(r);
+                real.set(r);
+            }
+            assert_eq!(buggy.changed(r), real.changed(r), "round {i}");
+        }
     }
 
     #[test]

@@ -37,10 +37,12 @@
 //! [`sync_models`] extends the same treatment to the execution substrate's
 //! own synchronization (the team barrier's no-early-release /
 //! generation-reuse / `wait_with`-visibility / single-election contract,
-//! checked on the `SpinBarrier` every kernel runs), and [`buggy`] provides
+//! checked on the `SpinBarrier` every kernel runs, plus the pool's team
+//! sum and round-stamped convergence flag), and [`buggy`] provides
 //! deliberately broken implementations — a check-then-act CAS-LT, a
 //! gatekeeper that decides on a counter *read*, a barrier whose
-//! last-arriver test re-reads the arrival counter — that the checker must
+//! last-arriver test re-reads the arrival counter, a team sum without
+//! parity, a convergence flag that tests `==` — that the checker must
 //! *catch*, pinning its own sensitivity.
 //!
 //! The schedule policies ([`schedule`]) and the buggy arbiters compile and
@@ -66,7 +68,10 @@ pub mod models;
 #[cfg(pram_check)]
 pub mod sync_models;
 
-pub use buggy::{BuggyCasLtArray, BuggyCasLtCell, BuggySpinBarrier, CountingClaimCell};
+pub use buggy::{
+    BuggyCasLtArray, BuggyCasLtCell, BuggyRoundFlag, BuggySpinBarrier, BuggyTeamSum,
+    CountingClaimCell,
+};
 pub use schedule::{Chooser, DfsChooser, FixedChooser, PctChooser, RandomChooser};
 
 #[cfg(pram_check)]
@@ -79,4 +84,6 @@ pub use explore::{
 #[cfg(pram_check)]
 pub use models::{Model, TelemetryPassive};
 #[cfg(pram_check)]
-pub use sync_models::{BarrierLockstep, ModelBarrier};
+pub use sync_models::{
+    BarrierLockstep, ConvergeLockstep, ModelBarrier, ModelFlag, ModelSum, TeamSumLockstep,
+};

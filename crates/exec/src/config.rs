@@ -9,9 +9,9 @@ pub struct PoolConfig {
     /// shard per worker: claim outcomes ([`pram_core::CwCounters`]) and
     /// execution events ([`pram_core::ExecCounters`]: barrier waits, loop
     /// grabs). [`crate::WorkerCtx::converge_rounds`] sums the shards inside
-    /// each round's opening and closing rendezvous and logs the round's
-    /// deltas into a [`pram_core::RoundReport`]. Off by default: a pool
-    /// without telemetry pays one branch per barrier and per dynamic
+    /// its opening rendezvous and each round's closing one, logging the
+    /// rounds' deltas into a [`pram_core::RoundReport`]. Off by default: a
+    /// pool without telemetry pays one branch per barrier and per dynamic
     /// grab, and no atomic traffic.
     pub telemetry: bool,
 }

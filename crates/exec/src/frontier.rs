@@ -25,8 +25,7 @@ use crossbeam_utils::CachePadded;
 /// Writers publish disjoint regions reserved by a single `fetch_add` on
 /// the length; readers consume the whole array after a synchronization
 /// point. [`FrontierBuffer::clear`] recycles the buffer for the next round
-/// and must also be separated from readers/writers by a barrier (the
-/// kernels here clear inside [`crate::WorkerCtx::barrier_with`]).
+/// and must also be separated from readers/writers by a barrier.
 #[derive(Debug)]
 pub struct FrontierBuffer {
     slots: Box<[AtomicU64]>,
@@ -66,7 +65,7 @@ impl FrontierBuffer {
     }
 
     /// Drop all entries. Call only while no reader or publisher is active
-    /// (e.g. from the releaser of [`crate::WorkerCtx::barrier_with`]).
+    /// (e.g. from one member between two rendezvous).
     #[inline]
     pub fn clear(&self) {
         self.len.store(0, Ordering::Relaxed);

@@ -14,9 +14,12 @@
 //! * [`WorkerCtx`] — the per-thread view inside a region:
 //!   [`WorkerCtx::for_each`] (OpenMP `for` with a [`Schedule`] — blocked
 //!   static or shared-cursor dynamic — and the implicit ending barrier),
-//!   [`WorkerCtx::barrier`], [`WorkerCtx::converge_rounds`] (the
-//!   `while(!done)` lock-step pattern of the paper's BFS and CC kernels,
-//!   with barrier-separated [`pram_core::Round`]s supplied automatically).
+//!   [`WorkerCtx::barrier`], [`WorkerCtx::team_sum`] (one rendezvous),
+//!   [`WorkerCtx::converge_rounds`] (the `while(!done)` lock-step pattern
+//!   of the paper's BFS and CC kernels, with barrier-separated
+//!   [`pram_core::Round`]s supplied automatically).
+//! * [`TeamSum`] / [`RoundFlag`] — the per-round state behind those two,
+//!   re-armed by parity and by round stamps instead of reset passes.
 //! * [`SpinBarrier`] — the team rendezvous: a centralized barrier (one
 //!   shared word holding the arrival count and the generation) whose
 //!   waiters spin, then yield, then park in short timed sleeps
@@ -60,6 +63,7 @@ pub mod config;
 pub mod frontier;
 pub mod pool;
 pub mod schedule;
+pub mod team;
 
 pub use barrier::{SpinBarrier, WaitBackoff};
 pub use config::PoolConfig;
@@ -69,3 +73,4 @@ pub use frontier::{FrontierBuffer, LocalBuffer};
 pub use pool::{ChangedFlag, ThreadPool, WorkerCtx, FRONTIER_GRAIN_EDGES};
 pub use pram_core::{CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot};
 pub use schedule::Schedule;
+pub use team::{RoundFlag, TeamSum, SUM_LANES};

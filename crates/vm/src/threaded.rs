@@ -320,8 +320,7 @@ fn exec_step(
     shared.buffers[me].lock().clear();
     shared.issued.fetch_add(my_issued, Ordering::Relaxed);
     shared.committed.fetch_add(my_committed, Ordering::Relaxed);
-    let step_issued = ctx.reduce(my_issued, |a, b| a + b);
-    let step_committed = ctx.reduce(my_committed, |a, b| a + b);
+    let [step_issued, step_committed] = ctx.team_sum([my_issued, my_committed]);
     ctx.master(|| {
         shared.depth.fetch_add(1, Ordering::Relaxed);
         shared.work.fetch_add(step.procs as u64, Ordering::Relaxed);

@@ -226,7 +226,7 @@ fn exec_deltas_are_exact_per_round() {
                 ctx.converge_rounds(20, |_, flag| {
                     flag.set();
                     ctx.barrier();
-                    // One entry rendezvous, one end barrier, 64 / 8 grabs.
+                    // One ending rendezvous, 64 / 8 grabs.
                     ctx.for_each(0..64, Schedule::Dynamic { chunk: 8 }, |_| {});
                 });
             });
@@ -234,13 +234,62 @@ fn exec_deltas_are_exact_per_round() {
         let rounds = pool.take_round_report().rounds;
         assert_eq!(rounds.len(), 50 * 20);
         for r in &rounds {
-            // The opening rendezvous, the body's barrier and the loop's
-            // two: T waits each. The closing rendezvous is in no round.
+            // The opening rendezvous (the call's, or the previous round's
+            // closing one), the body's barrier and the loop's ending one:
+            // T waits each. The round's own closing rendezvous is not in it.
             assert_eq!(
                 (r.exec.barrier_waits, r.exec.grabs),
-                (4 * threads, 8),
+                (3 * threads, 8),
                 "T={threads}, epoch {} round {}",
                 r.epoch,
+                r.round
+            );
+        }
+    }
+}
+
+#[test]
+fn kernel_rounds_pay_only_their_own_rendezvous() {
+    use pram_algos::{bfs_with_strategy, connected_components, BfsStrategy, CwMethod};
+    use pram_graph::{CsrGraph, GraphGen};
+
+    let star = CsrGraph::from_edges(2000, &GraphGen::star(2000), true);
+    let complete = CsrGraph::from_edges(64, &GraphGen::complete(64), true);
+    for t in [2u64, 3] {
+        let pool = ThreadPool::with_config(PoolConfig::new(t as usize).telemetry(true));
+        // Each round counts its opening rendezvous (the call's, or the
+        // previous round's closing one) and its body's, T waits each.
+        // From a leaf of the star: a push round (opening, frontier stats
+        // sum, frontier loop), a pull round that also converts the queue
+        // to a bitmap (two loops), and a last pull round that finds
+        // nothing (opening, bitmap stats sum, pull loop).
+        let r = bfs_with_strategy(
+            &star,
+            1,
+            CwMethod::CasLt,
+            BfsStrategy::DirectionOptimizing,
+            &pool,
+        );
+        assert_eq!(r.rounds, 3);
+        let got: Vec<(String, u64)> = pool
+            .take_round_report()
+            .rounds
+            .into_iter()
+            .map(|r| (r.label, r.exec.barrier_waits))
+            .collect();
+        let want = [("push", 3), ("pull", 5), ("pull", 3)].map(|(l, k)| (l.to_string(), k * t));
+        assert_eq!(got, want, "DO-BFS at T={t}");
+
+        // CC: per hooking phase three star-detection loops and the hook
+        // barrier, plus the opening; the shortcut pass runs nowait.
+        let cc = connected_components(&complete, CwMethod::CasLt, &pool);
+        let rounds = pool.take_round_report().rounds;
+        assert_eq!(rounds.len(), cc.iterations as usize);
+        for r in &rounds {
+            assert_eq!(
+                r.exec.barrier_waits,
+                9 * t,
+                "CC at T={t}, round {}",
                 r.round
             );
         }
