@@ -46,9 +46,12 @@
 //! still an index owned by the parent — the same invariant
 //! [`verify_bfs_tree`] checks for every strategy.
 //!
-//! Every strategy records progress in a member-local `bool` and sets the
-//! shared [`pram_exec::ChangedFlag`] at most once per member per round, so
-//! discoveries never store to the flag's shared line.
+//! Every strategy counts its discoveries member-locally and hands the
+//! count to the round's closing team sum, which decides convergence, so
+//! discoveries never store to a shared progress line. The frontier
+//! strategies also sum the discoveries' degrees there: the next
+//! frontier's size and out-edge count arrive with the round's one
+//! rendezvous, not from a pass over the frontier.
 //!
 //! The per-level round ID is the level itself — the paper's "round could be
 //! substituted by the loop iteration" remark — supplied here by
@@ -184,7 +187,7 @@ pub fn bfs_with_strategy(
 /// [`bfs_with_strategy`] with a caller-supplied in-edge view, so repeated
 /// traversals (benchmarks, multi-source sweeps) don't rebuild the
 /// `O(n + m)` [`ReverseCsr`] per call. `rev` must be `g.reverse()` (checked
-/// by size only).
+/// by vertex and edge count only).
 pub fn bfs_with_strategy_rev(
     g: &CsrGraph,
     rev: &ReverseCsr,
@@ -227,6 +230,11 @@ fn bfs_core<A: SliceArbiter>(
     assert_eq!(arb.len(), n, "arbiter must span one cell per vertex");
     if let Some(rev) = rev {
         assert_eq!(rev.num_vertices(), n, "reverse view is for another graph");
+        assert_eq!(
+            rev.offsets()[n],
+            g.num_directed_edges(),
+            "reverse view is for another graph"
+        );
     }
     match strategy {
         BfsStrategy::DenseScan => bfs_dense(g, source, arb, pool),
@@ -302,10 +310,10 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
 
     let rounds = AtomicU32::new(0);
     pool.run(|ctx| {
-        let c = ctx.converge_rounds(max_rounds, |round, flag| {
+        let c = ctx.converge_rounds(max_rounds, [0, 0], |round, _| {
             ctx.annotate_round("expand");
             let l = round.get() - 1; // the level being expanded
-            let mut changed = false;
+            let mut found = 0;
             ctx.for_each_nowait(0..n, |v| {
                 if st.level[v].load(Ordering::Relaxed) != l {
                     return;
@@ -318,15 +326,14 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
                         // level, then perform the four-word update.
                         if arb.try_claim(u, round) {
                             st.commit(u, v as u32, j, l + 1);
-                            changed = true;
+                            found += 1;
                         }
                     }
                 }
             });
-            if changed {
-                flag.set(); // the paper's `done = false`
-            }
             rearm(ctx, arb, n);
+            // A nonzero team total is the paper's `done = false`.
+            [found, 0]
         });
         // Every member observed the same convergence result.
         rounds.store(c.rounds, Ordering::Relaxed);
@@ -378,37 +385,15 @@ fn bfs_frontier<A: SliceArbiter>(
         let mut bi = 0usize; // ...or bitmaps[bi] does, when cur_is_bits
         let mut cur_is_bits = false;
 
-        let c = ctx.converge_rounds(max_rounds, |round, flag| {
+        let degree = |v: usize| (offsets[v + 1] - offsets[v]) as u64;
+
+        // Each round sums its discoveries and their degrees: the next
+        // frontier's size and out-edge count.
+        let first = [1, degree(source as usize)];
+        let c = ctx.converge_rounds(max_rounds, first, |round, [fsize, fedges]| {
+            let (fsize, fedges) = (fsize as usize, fedges as usize);
             let l = round.get() - 1;
-            let mut changed = false;
-
-            // Member 0 empties every queue this round may fill: the spare
-            // one, and both when the frontier is a bitmap. The stats sum's
-            // rendezvous orders that before any publication.
-            ctx.master(|| {
-                for (k, q) in queues.iter().enumerate() {
-                    if cur_is_bits || k != qi {
-                        q.clear();
-                    }
-                }
-            });
-
-            // Frontier stats (size, out-edges) — O(1) per vertex thanks to
-            // the CSR degree prefix sum; team-combined by one sum.
-            let (mut s, mut e) = (0, 0);
-            let mut count = |v: usize| {
-                s += 1;
-                e += (offsets[v + 1] - offsets[v]) as u64;
-            };
-            if cur_is_bits {
-                let bits = &bitmaps[bi];
-                let words = 0..bits.num_words();
-                ctx.for_each_nowait(words, |w| bits.for_each_set_in_word(w, &mut count));
-            } else {
-                let q = &queues[qi];
-                ctx.for_each_nowait(0..q.len(), |i| count(q.get(i) as usize));
-            }
-            let [fsize, fedges] = ctx.team_sum([s, e]).map(|x| x as usize);
+            let (mut found, mut found_edges) = (0, 0);
 
             // Direction heuristic (Beamer): identical on every member.
             let pull = allow_pull
@@ -428,6 +413,9 @@ fn bfs_frontier<A: SliceArbiter>(
                 ctx.for_each(0..q.len(), Schedule::default(), |i| {
                     bits.insert(q.get(i) as usize);
                 });
+                // That loop's ending rendezvous ends the queue's last read,
+                // so both queues are empty in bitmap mode.
+                ctx.master(|| q.clear());
                 cur_is_bits = true;
             } else if !pull && cur_is_bits {
                 let bits = &bitmaps[bi];
@@ -467,12 +455,13 @@ fn bfs_frontier<A: SliceArbiter>(
                             if cur.contains(p as usize) {
                                 st.commit(v, p, e, l + 1);
                                 bits |= 1 << (v % 64);
+                                found_edges += degree(v);
                                 break;
                             }
                         }
                     }
                     next.store_word(w, bits);
-                    changed |= bits != 0;
+                    found += u64::from(bits.count_ones());
                 });
                 // Nothing was claimed, so gatekeeper cells are still armed.
                 bi = 1 - bi;
@@ -492,20 +481,22 @@ fn bfs_frontier<A: SliceArbiter>(
                         if st.visited[u].load(Ordering::Relaxed) == 0 && arb.try_claim(u, round) {
                             st.commit(u, v as u32, j, l + 1);
                             local.push(u as u64, next);
-                            changed = true;
+                            found += 1;
+                            found_edges += degree(u);
                         }
                     }
                 });
-                // Publication is ordered before the next round's reads by
-                // the round's closing rendezvous.
+                // The loop's ending rendezvous ends every read of `cur`:
+                // member 0 empties it for its turn as the spare queue
+                // while the team publishes into `next`. The round's
+                // closing rendezvous orders both before the next round.
+                ctx.master(|| cur.clear());
                 local.flush(next);
                 rearm(ctx, arb, n);
                 qi = 1 - qi;
                 cur_is_bits = false;
             }
-            if changed {
-                flag.set();
-            }
+            [found, found_edges]
         });
         ctx.master(|| rounds.store(c.rounds, Ordering::Relaxed));
     });
@@ -751,6 +742,16 @@ mod tests {
             let r = bfs_with_strategy(&g, 0, CwMethod::Gatekeeper, s, &pool);
             verify_bfs_tree(&g, 0, &r).unwrap_or_else(|e| panic!("{s}: {e}"));
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "reverse view is for another graph")]
+    fn in_edge_view_with_the_same_n_but_another_m_rejected() {
+        let pool = ThreadPool::new(1);
+        let g = graph(5, &GraphGen::path(5));
+        let other = graph(5, &[(0, 1)]).reverse();
+        let strategy = BfsStrategy::DirectionOptimizing;
+        let _ = bfs_with_strategy_rev(&g, &other, 0, CwMethod::CasLt, strategy, &pool);
     }
 
     #[test]

@@ -123,12 +123,11 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
         let sched = Schedule::default();
         let my_vertices = edge_balanced_block(offsets, ctx.num_threads(), ctx.thread_id());
 
-        let c = ctx.converge_rounds(max_iters, |iter_round, flag| {
+        let c = ctx.converge_rounds(max_iters, [0, 0], |iter_round, _| {
             ctx.annotate_round("hook");
             let i = iter_round.get() - 1;
-            // Progress is member-local until the end of the round, so the
-            // shared flag's line is stored to at most once per member.
-            let mut changed = false;
+            // Progress is member-local until the round's closing team sum.
+            let mut changes = 0;
             // Two distinct CW rounds per iteration (one per hooking phase).
             let hook_rounds = [
                 Round::from_iteration(2 * i),
@@ -178,7 +177,7 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                                 // The guarded two-array arbitrary write.
                                 d[du as usize].store(dv, Ordering::Relaxed);
                                 hook_edge[du as usize].store(e, Ordering::Relaxed);
-                                changed = true;
+                                changes += 1;
                             }
                             break;
                         }
@@ -194,12 +193,10 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 let ddv = d[dv as usize].load(Ordering::Relaxed);
                 if ddv != dv {
                     d[v].store(ddv, Ordering::Relaxed);
-                    changed = true;
+                    changes += 1;
                 }
             });
-            if changed {
-                flag.set();
-            }
+            [changes, 0]
         });
         iterations.store(c.rounds, Ordering::Relaxed);
         converged.store(u8::from(c.converged), Ordering::Relaxed);

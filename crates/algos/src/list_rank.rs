@@ -60,7 +60,8 @@ pub fn list_rank(next: &[u32], pool: &ThreadPool) -> Vec<u32> {
         // log2(n) jumps suffice; converge_rounds stops earlier when no
         // pointer moved.
         let max_rounds = (usize::BITS - n.leading_zeros()) + 1;
-        let c = ctx.converge_rounds(max_rounds, |round, flag| {
+        let c = ctx.converge_rounds(max_rounds, [0, 0], |round, _| {
+            let mut moved = 0;
             let cur = ((round.get() - 1) % 2) as usize;
             let (rs, rd) = (&rank[cur], &rank[1 - cur]);
             let (ns, nd) = (&nxt[cur], &nxt[1 - cur]);
@@ -75,9 +76,10 @@ pub fn list_rank(next: &[u32], pool: &ThreadPool) -> Vec<u32> {
                 );
                 nd[v].store(jumped, Ordering::Relaxed); // exclusive write
                 if jumped as usize != s {
-                    flag.set();
+                    moved += 1;
                 }
             });
+            [moved, 0]
         });
         rounds_run.store(c.rounds, Ordering::Relaxed);
     });

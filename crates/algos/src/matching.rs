@@ -76,7 +76,8 @@ pub fn matching_with_arbiter<A: SliceArbiter>(
 
     let max_rounds = (n as u32) / 2 + 2;
     pool.run(|ctx| {
-        let c = ctx.converge_rounds(max_rounds.max(1), |round, flag| {
+        let c = ctx.converge_rounds(max_rounds.max(1), [0, 0], |round, _| {
+            let mut matched = 0;
             ctx.for_each_nowait(0..m, |e| {
                 let (u, v) = edges[e];
                 if partner[u as usize].load(Ordering::Relaxed) != UNMATCHED
@@ -90,13 +91,14 @@ pub fn matching_with_arbiter<A: SliceArbiter>(
                 if pram_core::try_claim_all(arb, &[u as usize, v as usize], round) {
                     partner[u as usize].store(v, Ordering::Relaxed);
                     partner[v as usize].store(u, Ordering::Relaxed);
-                    flag.set();
+                    matched += 1;
                 }
             });
             if !arb.rearms_on_new_round() {
                 ctx.barrier();
                 ctx.for_each_nowait(0..n, |i| arb.reset_range(i..i + 1));
             }
+            [matched, 0]
         });
         rounds.store(c.rounds, Ordering::Relaxed);
         converged.store(u8::from(c.converged), Ordering::Relaxed);

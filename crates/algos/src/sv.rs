@@ -62,7 +62,8 @@ pub fn sv_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
 
     pool.run(|ctx| {
         let sched = Schedule::default();
-        let c = ctx.converge_rounds(max_iters, |round, flag| {
+        let c = ctx.converge_rounds(max_iters, [0, 0], |round, _| {
+            let mut changes = 0;
             // Hook: for each edge, try to hang u's root onto a smaller
             // parent value from v's side.
             ctx.for_each(0..m, sched, |e| {
@@ -77,7 +78,7 @@ pub fn sv_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                     && arb.try_claim(du as usize, round)
                 {
                     d[du as usize].store(dv, Ordering::Relaxed);
-                    flag.set();
+                    changes += 1;
                 }
             });
             // The gatekeeper reset and the shortcut touch disjoint state, and
@@ -91,9 +92,10 @@ pub fn sv_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 let ddv = d[dv as usize].load(Ordering::Relaxed);
                 if ddv != dv {
                     d[v].store(ddv, Ordering::Relaxed);
-                    flag.set();
+                    changes += 1;
                 }
             });
+            [changes, 0]
         });
         iterations.store(c.rounds, Ordering::Relaxed);
         converged.store(u8::from(c.converged), Ordering::Relaxed);

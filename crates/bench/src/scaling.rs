@@ -166,14 +166,12 @@ fn mechanism_rows(threads: &[usize]) -> Vec<String> {
 
         let caslt = CasLtArray::new(CELLS);
         pool.run(|ctx| {
-            ctx.converge_rounds(ROUNDS, |round, flag| {
+            ctx.converge_rounds(ROUNDS, [0, 0], |round, _| {
                 ctx.annotate_round("mech-caslt");
                 for i in 0..CELLS {
                     caslt.try_claim(i, round);
                 }
-                if round.get() < ROUNDS {
-                    flag.set();
-                }
+                [u64::from(round.get() < ROUNDS), 0]
             });
         });
         let cw = drain_round_cw(&pool);
@@ -187,7 +185,7 @@ fn mechanism_rows(threads: &[usize]) -> Vec<String> {
 
         let gate = GatekeeperArray::new(CELLS);
         pool.run(|ctx| {
-            ctx.converge_rounds(ROUNDS, |round, flag| {
+            ctx.converge_rounds(ROUNDS, [0, 0], |round, _| {
                 ctx.annotate_round("mech-gatekeeper");
                 for i in 0..CELLS {
                     gate.try_claim(i, round);
@@ -196,9 +194,7 @@ fn mechanism_rows(threads: &[usize]) -> Vec<String> {
                 ctx.barrier();
                 let (id, n) = (ctx.thread_id(), ctx.num_threads());
                 gate.reset_range(id * CELLS / n..(id + 1) * CELLS / n);
-                if round.get() < ROUNDS {
-                    flag.set();
-                }
+                [u64::from(round.get() < ROUNDS), 0]
             });
         });
         let cw = drain_round_cw(&pool);

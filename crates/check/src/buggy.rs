@@ -22,10 +22,6 @@
 //! * [`BuggyTeamSum`] is [`pram_exec::TeamSum`] without the parity: one
 //!   slot per member. A member that leaves a sum early writes its next
 //!   value over the slot a slower member has not read yet.
-//! * [`BuggyRoundFlag`] is [`pram_exec::RoundFlag`] deciding "round `r`
-//!   changed" on `flag == r` instead of `≥`. A member that reads late sees
-//!   the `r + 1` stamp a faster member already stored and stops, while
-//!   the faster member goes on.
 //! * [`CountingClaimCell`] is a gatekeeper whose claim **consults a
 //!   counter read** instead of the atomic capture: it loads the counter,
 //!   treats `0` as the win condition, and stores the increment separately.
@@ -284,29 +280,6 @@ impl BuggyTeamSum {
     }
 }
 
-/// [`pram_exec::RoundFlag`] that tests for the exact stamp.
-#[derive(Debug, Default)]
-pub struct BuggyRoundFlag(AtomicU32);
-
-impl BuggyRoundFlag {
-    /// Forget every stamp.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-
-    /// Record that `round` changed something.
-    pub fn set(&self, round: Round) {
-        self.0.store(round.get(), Ordering::Relaxed);
-    }
-
-    /// Broken decision: a later round's stamp reads as "no change".
-    pub fn changed(&self, round: Round) -> bool {
-        // BUG (intentional): must be `>=`; round r + 1's stores may land
-        // before a slow member reads round r's verdict.
-        self.0.load(Ordering::Relaxed) == round.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -364,23 +337,14 @@ mod tests {
     }
 
     #[test]
-    fn buggy_team_sum_and_flag_sequentially_indistinguishable() {
-        // One member alone never overlaps two sums or two rounds.
+    fn buggy_team_sum_sequentially_indistinguishable() {
+        // One member alone never overlaps two sums.
         let (buggy, real) = (BuggyTeamSum::new(1), pram_exec::TeamSum::new(1));
         for k in 0..4 {
             assert_eq!(
                 buggy.sum(0, [k, 2 * k], || true),
                 real.sum(0, [k, 2 * k], || true)
             );
-        }
-        let (buggy, real) = (BuggyRoundFlag::default(), pram_exec::RoundFlag::default());
-        for i in 0..4 {
-            let r = Round::from_iteration(i);
-            if i % 2 == 0 {
-                buggy.set(r);
-                real.set(r);
-            }
-            assert_eq!(buggy.changed(r), real.changed(r), "round {i}");
         }
     }
 

@@ -38,12 +38,11 @@
 //! own synchronization (the team barrier's no-early-release /
 //! generation-reuse / `wait_with`-visibility / single-election contract,
 //! checked on the `SpinBarrier` every kernel runs, plus the pool's team
-//! sum and round-stamped convergence flag), and [`buggy`] provides
+//! sum, alone and as the convergence vote), and [`buggy`] provides
 //! deliberately broken implementations — a check-then-act CAS-LT, a
 //! gatekeeper that decides on a counter *read*, a barrier whose
 //! last-arriver test re-reads the arrival counter, a team sum without
-//! parity, a convergence flag that tests `==` — that the checker must
-//! *catch*, pinning its own sensitivity.
+//! parity — that the checker must *catch*, pinning its own sensitivity.
 //!
 //! The schedule policies ([`schedule`]) and the buggy arbiters compile and
 //! unit-test in every build; only the executor/explorer/models need the
@@ -69,8 +68,7 @@ pub mod models;
 pub mod sync_models;
 
 pub use buggy::{
-    BuggyCasLtArray, BuggyCasLtCell, BuggyRoundFlag, BuggySpinBarrier, BuggyTeamSum,
-    CountingClaimCell,
+    BuggyCasLtArray, BuggyCasLtCell, BuggySpinBarrier, BuggyTeamSum, CountingClaimCell,
 };
 pub use schedule::{Chooser, DfsChooser, FixedChooser, PctChooser, RandomChooser};
 
@@ -84,6 +82,4 @@ pub use explore::{
 #[cfg(pram_check)]
 pub use models::{Model, TelemetryPassive};
 #[cfg(pram_check)]
-pub use sync_models::{
-    BarrierLockstep, ConvergeLockstep, ModelBarrier, ModelFlag, ModelSum, TeamSumLockstep,
-};
+pub use sync_models::{BarrierLockstep, ConvergeLockstep, ModelBarrier, ModelSum, TeamSumLockstep};

@@ -1,7 +1,8 @@
 //! Checkable models for the execution substrate's own synchronization: the
-//! team barrier every kernel runs, [`pram_exec::SpinBarrier`], and the two
-//! pieces of per-round state that re-arm inside its rendezvous,
-//! [`pram_exec::TeamSum`] and [`pram_exec::RoundFlag`].
+//! team barrier every kernel runs, [`pram_exec::SpinBarrier`], and the
+//! per-round state that re-arms inside its rendezvous,
+//! [`pram_exec::TeamSum`], both as `WorkerCtx::team_sum` runs it and as
+//! the closing rendezvous that decides `WorkerCtx::converge_rounds`.
 //!
 //! The arbitration models ([`crate::models`]) assume their barrier — the
 //! phase boundary between `run` calls is a total order the executor
@@ -21,21 +22,20 @@
 //! the real barrier (must stay clean) and the seeded bug in
 //! [`crate::buggy`] (must be caught): [`BuggySpinBarrier`].
 //!
-//! [`TeamSumLockstep`] and [`ConvergeLockstep`] drive the sum and the flag
-//! exactly as `WorkerCtx::team_sum` and `WorkerCtx::converge_rounds` do,
-//! with the real barrier as their rendezvous: back-to-back sums with no
-//! other rendezvous between them must each be exact, and every member
-//! must take the same continue/stop decision after every round. Their
-//! seeded bugs, [`BuggyTeamSum`] (no parity) and [`BuggyRoundFlag`]
-//! (`==` for `≥`), are stale-stamp bugs the checker must catch.
+//! [`TeamSumLockstep`] and [`ConvergeLockstep`] drive the sum exactly as
+//! `WorkerCtx::team_sum` and `WorkerCtx::converge_rounds` do, with the
+//! real barrier as its rendezvous: back-to-back sums with no other
+//! rendezvous between them must each be exact, and every member must take
+//! the same continue/stop decision after every round. Their seeded bug,
+//! [`BuggyTeamSum`] (no parity), is a stale-slot bug the checker must
+//! catch in both.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use pram_core::Round;
-use pram_exec::{RoundFlag, SpinBarrier, TeamSum, SUM_LANES};
+use pram_exec::{SpinBarrier, TeamSum, SUM_LANES};
 
-use crate::buggy::{BuggyRoundFlag, BuggySpinBarrier, BuggyTeamSum};
+use crate::buggy::{BuggySpinBarrier, BuggyTeamSum};
 use crate::models::Model;
 
 /// The barrier surface [`BarrierLockstep`] drives — object-safe so one
@@ -153,7 +153,8 @@ impl<B: ModelBarrier> Model for BarrierLockstep<B> {
     }
 }
 
-/// The team-sum surface [`TeamSumLockstep`] drives.
+/// The team-sum surface [`TeamSumLockstep`] and [`ConvergeLockstep`]
+/// drive.
 pub trait ModelSum: Sync {
     /// Member `id`'s part in the next sum; `rendezvous` is the barrier.
     fn sum(
@@ -251,48 +252,15 @@ impl<S: ModelSum> Model for TeamSumLockstep<S> {
     }
 }
 
-/// The convergence-flag surface [`ConvergeLockstep`] drives.
-pub trait ModelFlag: Sync {
-    /// Forget every stamp (inside a rendezvous).
-    fn reset(&self);
-    /// Record that `round` changed something.
-    fn set(&self, round: Round);
-    /// Whether `round` changed something, after its closing rendezvous.
-    fn changed(&self, round: Round) -> bool;
-}
-
-impl ModelFlag for RoundFlag {
-    fn reset(&self) {
-        RoundFlag::reset(self)
-    }
-    fn set(&self, round: Round) {
-        RoundFlag::set(self, round)
-    }
-    fn changed(&self, round: Round) -> bool {
-        RoundFlag::changed(self, round)
-    }
-}
-
-impl ModelFlag for BuggyRoundFlag {
-    fn reset(&self) {
-        BuggyRoundFlag::reset(self)
-    }
-    fn set(&self, round: Round) {
-        BuggyRoundFlag::set(self, round)
-    }
-    fn changed(&self, round: Round) -> bool {
-        BuggyRoundFlag::changed(self, round)
-    }
-}
-
-/// `converge_rounds` calls as the pool runs them: an opening rendezvous
-/// that resets the flag, then per round the body's votes and one closing
-/// rendezvous. In call `c`, member `t` sets the flag in rounds
-/// `1..=plans[c][t]`, so every member must run exactly
+/// `converge_rounds` calls as the pool runs them: an opening rendezvous,
+/// then per round one team sum of the members' progress, which is the
+/// round's closing rendezvous. In call `c`, member `t` contributes
+/// `[1, 0]` in rounds `1..=plans[c][t]` and `[0, 0]` after, and every
+/// member stops on a zero lane-0 total, so every member must run exactly
 /// `max(plans[c]) + 1` rounds (capped at `max_rounds`).
-pub struct ConvergeLockstep<F> {
+pub struct ConvergeLockstep<S> {
     name: String,
-    flag: F,
+    sum: S,
     barrier: SpinBarrier,
     plans: Vec<Vec<u32>>,
     max_rounds: u32,
@@ -300,9 +268,10 @@ pub struct ConvergeLockstep<F> {
     ran: Vec<Vec<AtomicU32>>,
 }
 
-impl<F: ModelFlag> ConvergeLockstep<F> {
-    /// One member per entry of each plan; one call per plan.
-    pub fn new(name: &str, flag: F, plans: Vec<Vec<u32>>, max_rounds: u32) -> ConvergeLockstep<F> {
+impl<S: ModelSum> ConvergeLockstep<S> {
+    /// One member per entry of each plan; one call per plan. `sum` must
+    /// have a slot per member.
+    pub fn new(name: &str, sum: S, plans: Vec<Vec<u32>>, max_rounds: u32) -> ConvergeLockstep<S> {
         let threads = plans[0].len();
         assert!(
             plans.iter().all(|p| p.len() == threads),
@@ -310,7 +279,7 @@ impl<F: ModelFlag> ConvergeLockstep<F> {
         );
         ConvergeLockstep {
             name: name.to_string(),
-            flag,
+            sum,
             barrier: SpinBarrier::new(threads),
             ran: plans
                 .iter()
@@ -322,7 +291,7 @@ impl<F: ModelFlag> ConvergeLockstep<F> {
     }
 }
 
-impl<F: ModelFlag> Model for ConvergeLockstep<F> {
+impl<S: ModelSum> Model for ConvergeLockstep<S> {
     fn name(&self) -> &str {
         &self.name
     }
@@ -331,15 +300,15 @@ impl<F: ModelFlag> Model for ConvergeLockstep<F> {
     }
     fn run(&self, _phase: usize, tid: usize) {
         for (plan, ran) in self.plans.iter().zip(&self.ran) {
-            self.barrier.wait_with(|| self.flag.reset());
+            self.barrier.wait();
             for i in 0..self.max_rounds {
-                let round = Round::from_iteration(i);
-                if round.get() <= plan[tid] {
-                    self.flag.set(round);
-                }
-                self.barrier.wait();
+                // Round i + 1 makes progress iff it is within the plan.
+                let progress = u64::from(i < plan[tid]);
+                let total = self
+                    .sum
+                    .sum(tid, [progress, 0], &mut || self.barrier.wait());
                 ran[tid].store(i + 1, Ordering::Relaxed);
-                if !self.flag.changed(round) {
+                if total[0] == 0 {
                     break;
                 }
             }

@@ -15,11 +15,12 @@
 //!   [`WorkerCtx::for_each`] (OpenMP `for` with a [`Schedule`] — blocked
 //!   static or shared-cursor dynamic — and the implicit ending barrier),
 //!   [`WorkerCtx::barrier`], [`WorkerCtx::team_sum`] (one rendezvous),
-//!   [`WorkerCtx::converge_rounds`] (the `while(!done)` lock-step pattern
-//!   of the paper's BFS and CC kernels, with barrier-separated
-//!   [`pram_core::Round`]s supplied automatically).
-//! * [`TeamSum`] / [`RoundFlag`] — the per-round state behind those two,
-//!   re-armed by parity and by round stamps instead of reset passes.
+//!   [`WorkerCtx::converge_rounds`] (the lock-step rounds of the paper's
+//!   BFS and CC kernels, with barrier-separated [`pram_core::Round`]s
+//!   supplied automatically and a `reduction(+: progress)` in each closing
+//!   rendezvous deciding convergence).
+//! * [`TeamSum`] — the per-round slots behind those two, re-armed by
+//!   parity instead of reset passes.
 //! * [`SpinBarrier`] — the team rendezvous: a centralized barrier (one
 //!   shared word holding the arrival count and the generation) whose
 //!   waiters spin, then yield, then park in short timed sleeps
@@ -70,7 +71,7 @@ pub use config::PoolConfig;
 // Telemetry vocabulary re-exported so pool users need not depend on
 // pram-core directly for reports.
 pub use frontier::{FrontierBuffer, LocalBuffer};
-pub use pool::{ChangedFlag, ThreadPool, WorkerCtx, FRONTIER_GRAIN_EDGES};
+pub use pool::{ThreadPool, WorkerCtx, FRONTIER_GRAIN_EDGES};
 pub use pram_core::{CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot};
 pub use schedule::Schedule;
-pub use team::{RoundFlag, TeamSum, SUM_LANES};
+pub use team::{TeamSum, SUM_LANES};

@@ -34,7 +34,7 @@ use crate::barrier::SpinBarrier;
 use crate::config::PoolConfig;
 use crate::frontier::FrontierBuffer;
 use crate::schedule::{static_block, Schedule};
-use crate::team::{RoundFlag, TeamSum, SUM_LANES};
+use crate::team::{TeamSum, SUM_LANES};
 
 /// Default per-grab edge budget for [`WorkerCtx::for_each_frontier`]:
 /// enough edge work to amortize one shared-cursor `fetch_add`, small
@@ -84,9 +84,8 @@ struct PoolShared {
     /// Pool creation time: the origin for all round timestamps, so spans
     /// from different epochs share one monotone clock.
     t0: std::time::Instant,
-    /// `converge_rounds`' round-stamped convergence flag.
-    changed: CachePadded<RoundFlag>,
-    /// Slots of [`WorkerCtx::team_sum`].
+    /// Slots of [`WorkerCtx::team_sum`] and of every closing rendezvous
+    /// of [`WorkerCtx::converge_rounds`].
     sum: TeamSum,
     dispatch: Mutex<DispatchState>,
     dispatch_cv: Condvar,
@@ -111,8 +110,9 @@ struct RoundLog {
     /// Kernel-supplied label for the round in flight
     /// ([`WorkerCtx::annotate_round`]).
     label: Option<&'static str>,
-    /// Closed rounds; drained by [`ThreadPool::take_round_report`].
-    closed: Vec<RoundSnapshot>,
+    /// Closed rounds with their labels, which become the snapshots'
+    /// `String`s only when [`ThreadPool::take_round_report`] drains them.
+    closed: Vec<(&'static str, RoundSnapshot)>,
 }
 
 /// A persistent team of threads executing SPMD regions.
@@ -151,7 +151,6 @@ impl ThreadPool {
             telem: config.telemetry.then(|| CwTelemetry::new(config.threads)),
             round_log: Mutex::default(),
             t0: std::time::Instant::now(),
-            changed: CachePadded::default(),
             sum: TeamSum::new(config.threads),
             dispatch: Mutex::new(DispatchState {
                 seq: 0,
@@ -199,7 +198,14 @@ impl ThreadPool {
     /// `converge_rounds` — so they can exceed the per-round sums.
     /// Returns an empty report when telemetry is disabled.
     pub fn take_round_report(&self) -> RoundReport {
-        let rounds = std::mem::take(&mut self.shared.round_log.lock().closed);
+        let closed = std::mem::take(&mut self.shared.round_log.lock().closed);
+        let rounds = closed
+            .into_iter()
+            .map(|(label, snapshot)| RoundSnapshot {
+                label: label.to_owned(),
+                ..snapshot
+            })
+            .collect();
         let (totals_cw, totals_exec) = self.shared.counters();
         RoundReport {
             threads: self.shared.threads,
@@ -326,22 +332,8 @@ fn worker_loop(shared: &PoolShared, id: usize) {
 pub struct Convergence {
     /// Rounds executed (≥ 1 unless `max_rounds == 0`).
     pub rounds: u32,
-    /// `true` if the last executed round reported no change.
+    /// `true` if the last executed round's progress total was 0.
     pub converged: bool,
-}
-
-/// Vote handle threads use inside [`WorkerCtx::converge_rounds`] to report
-/// that the current round made progress (the paper's `done = false`).
-#[derive(Debug)]
-pub struct ChangedFlag<'a>(&'a RoundFlag, Round);
-
-impl ChangedFlag<'_> {
-    /// Record that this round changed something (idempotent; `Relaxed` —
-    /// the closing barrier publishes it).
-    #[inline]
-    pub fn set(&self) {
-        self.0.set(self.1);
-    }
 }
 
 /// A team member's view of the current parallel region.
@@ -492,56 +484,60 @@ impl WorkerCtx<'_> {
         self.for_each(0..len, Schedule::Dynamic { chunk }, |i| f(frontier.get(i)));
     }
 
-    /// The lock-step convergence loop of the paper's BFS and CC kernels
-    /// (`while (!done) { done = true; … parallel writes may clear done …
-    /// barrier }`), with rounds supplied automatically.
+    /// The lock-step convergence loop of the paper's BFS and CC kernels, a
+    /// `reduction(+: progress)` per round, with rounds supplied
+    /// automatically.
     ///
     /// Every team member must call this at the same point with the same
-    /// `max_rounds`. Per round `i`, the body runs with
+    /// `max_rounds` and `first`. Round `i` runs the body with
     /// `Round::from_iteration(i)` — fresh per round, satisfying CAS-LT's
-    /// round discipline — and a [`ChangedFlag`]. One opening rendezvous
-    /// per call resets the round-stamped [`RoundFlag`]; after that a round
-    /// costs one rendezvous, its closing one: the synchronization point
-    /// before dependent reads *and* the happens-before edge that makes
-    /// [`pram_core::ConVec::write_with`]'s contract hold. The loop exits
-    /// after the first round in which no member set the flag, or after
-    /// `max_rounds`.
+    /// round discipline — and the previous round's lane-wise totals
+    /// (`first` in round 1). The body returns this member's contribution:
+    /// lane 0 counts its progress, and lane 1 can carry the next round's
+    /// inputs. The round's closing rendezvous, its only one, is a
+    /// [`TeamSum`] of the contributions: the synchronization point before
+    /// dependent reads, the happens-before edge that makes
+    /// [`pram_core::ConVec::write_with`]'s contract hold, and the vote.
+    /// The loop exits after the first round whose lane-0 total is 0, or
+    /// after `max_rounds`.
     ///
-    /// Telemetry opens and closes rounds inside those rendezvous, where
-    /// every member is parked, so every round's deltas are exact. A closing
-    /// rendezvous closes round `i` and opens round `i + 1`: a round counts
-    /// its opening rendezvous and its body, never its closing one.
+    /// The sum's parity slots need no reset, so the call's one opening
+    /// rendezvous only opens telemetry round 0 (plain pools pay it too). A
+    /// closing rendezvous closes round `i` and, if `i + 1 < max_rounds`,
+    /// opens round `i + 1`: it cannot see its own total, and a round opened
+    /// but never run records nothing. Every member is parked there, so
+    /// every round's deltas are exact; a round counts its opening
+    /// rendezvous and its body, never its closing one.
     ///
-    /// Not nestable (it owns the pool's convergence flag).
+    /// Not nestable (telemetry keeps one round in flight).
     pub fn converge_rounds(
         &self,
         max_rounds: u32,
-        mut body: impl FnMut(Round, &ChangedFlag<'_>),
+        first: [u64; SUM_LANES],
+        mut body: impl FnMut(Round, [u64; SUM_LANES]) -> [u64; SUM_LANES],
     ) -> Convergence {
         let shared = self.shared;
         let telem = shared.telem.is_some();
         if max_rounds > 0 {
             self.barrier_with(|| {
-                shared.changed.reset();
                 if telem {
-                    shared.open_round(0);
+                    shared.mark_round(None, true);
                 }
             });
         }
-        let mut c = Convergence::default();
+        let (mut c, mut totals) = (Convergence::default(), first);
         while c.rounds < max_rounds && !c.converged {
-            let (i, round) = (c.rounds, Round::from_iteration(c.rounds));
-            body(round, &ChangedFlag(&shared.changed, round));
-            self.barrier_with(|| {
-                if telem {
-                    shared.close_round(i);
-                    if i + 1 < max_rounds && shared.changed.changed(round) {
-                        shared.open_round(i + 1);
+            let i = c.rounds;
+            let mine = body(Round::from_iteration(i), totals);
+            totals = shared.sum.sum(self.id, mine, || {
+                self.barrier_with(|| {
+                    if telem {
+                        shared.mark_round(Some(i), i + 1 < max_rounds);
                     }
-                }
+                })
             });
             c.rounds += 1;
-            c.converged = !shared.changed.changed(round);
+            c.converged = totals[0] == 0;
         }
         c
     }
@@ -549,12 +545,12 @@ impl WorkerCtx<'_> {
     /// Kernel-side round annotation for telemetry: label the round in
     /// flight (e.g. `"push"` / `"pull"` for a direction-optimizing BFS).
     /// The label is attached to the round's [`RoundSnapshot`] at its
-    /// closing barrier. No-op unless [`PoolConfig::telemetry`] is set;
-    /// members of a team may call it redundantly (last write wins, and
-    /// kernels pass the same label from every member).
+    /// closing barrier. No-op unless [`PoolConfig::telemetry`] is set.
+    /// Every member may call it, but only member 0's call records, so
+    /// kernels pass the same label from every member.
     #[inline]
     pub fn annotate_round(&self, label: &'static str) {
-        if self.shared.telem.is_some() {
+        if self.id == 0 && self.shared.telem.is_some() {
             self.shared.round_log.lock().label = Some(label);
         }
     }
@@ -570,37 +566,34 @@ impl PoolShared {
             .unwrap_or_default()
     }
 
-    /// Open round `i` of a `converge_rounds` call (round 0 starts a new
-    /// epoch): stamp its start time and take its counter baseline. Runs
-    /// inside a rendezvous.
-    fn open_round(&self, i: u32) {
+    /// Telemetry bookkeeping inside a `converge_rounds` rendezvous, from
+    /// one pass over the shards and one clock reading: close round
+    /// `closing` and log its deltas, then, if `open`, open the next round
+    /// (round 0 after no `closing` starts a new epoch).
+    fn mark_round(&self, closing: Option<u32>, open: bool) {
         let (cw, exec) = self.counters();
-        let start_ns = self.t0.elapsed().as_nanos() as u64;
+        let now_ns = self.t0.elapsed().as_nanos() as u64;
         let mut log = self.round_log.lock();
-        if i == 0 {
-            log.epochs += 1;
+        match closing {
+            Some(round) => {
+                let (start_ns, base_cw, base_exec) = log.open;
+                let label = log.label.take().unwrap_or("");
+                let snapshot = RoundSnapshot {
+                    epoch: log.epochs - 1,
+                    round,
+                    label: String::new(),
+                    start_ns,
+                    wall_ns: now_ns.saturating_sub(start_ns),
+                    cw: cw.delta_since(&base_cw),
+                    exec: exec.delta_since(&base_exec),
+                };
+                log.closed.push((label, snapshot));
+            }
+            None => log.epochs += 1,
         }
-        log.open = (start_ns, cw, exec);
-    }
-
-    /// Close round `i`: log its deltas since [`PoolShared::open_round`].
-    /// Runs inside a rendezvous.
-    fn close_round(&self, i: u32) {
-        let (cw, exec) = self.counters();
-        let end_ns = self.t0.elapsed().as_nanos() as u64;
-        let mut log = self.round_log.lock();
-        let (start_ns, base_cw, base_exec) = log.open;
-        let epoch = log.epochs - 1;
-        let label = log.label.take().unwrap_or("").to_string();
-        log.closed.push(RoundSnapshot {
-            epoch,
-            round: i,
-            label,
-            start_ns,
-            wall_ns: end_ns.saturating_sub(start_ns),
-            cw: cw.delta_since(&base_cw),
-            exec: exec.delta_since(&base_exec),
-        });
+        if open {
+            log.open = (now_ns, cw, exec);
+        }
     }
 }
 
@@ -720,11 +713,9 @@ mod tests {
             ctx.for_each(0..1000, Schedule::Dynamic { chunk: 7 }, |i| {
                 sum.fetch_add(i as u64, Ordering::Relaxed);
             });
-            let c = ctx.converge_rounds(10, |round, flag| {
-                if round.get() < 3 {
-                    flag.set();
-                }
+            let c = ctx.converge_rounds(10, [0, 0], |round, _| {
                 ctx.barrier();
+                [u64::from(round.get() < 3), 0]
             });
             assert_eq!(c.rounds, 3);
             assert_eq!(ctx.team_sum([1, 2]), [4, 8]);
@@ -789,15 +780,12 @@ mod tests {
         let pool = ThreadPool::with_config(PoolConfig::new(3).telemetry(true));
         let cells = CasLtArray::new(4);
         pool.run(|ctx| {
-            let c = ctx.converge_rounds(10, |round, flag| {
+            let c = ctx.converge_rounds(10, [0, 0], |round, _| {
                 ctx.annotate_round("claim");
                 for i in 0..4 {
                     cells.try_claim(i, round);
                 }
-                if round.get() < 3 {
-                    flag.set();
-                }
-                ctx.barrier();
+                [u64::from(round.get() < 3), 0]
             });
             assert_eq!(c.rounds, 3);
         });
@@ -824,9 +812,9 @@ mod tests {
         assert_eq!(report.totals_cw.wins, 3 * 4);
         // A second epoch, drained separately.
         pool.run(|ctx| {
-            ctx.converge_rounds(1, |round, _| {
+            ctx.converge_rounds(1, [0, 0], |round, _| {
                 cells.try_claim(0, round);
-                ctx.barrier();
+                [1, 0]
             });
         });
         let report2 = pool.take_round_report();
@@ -840,9 +828,7 @@ mod tests {
         let pool = ThreadPool::new(2);
         pool.run(|ctx| {
             ctx.annotate_round("ignored");
-            ctx.converge_rounds(2, |_, _| {
-                ctx.barrier();
-            });
+            ctx.converge_rounds(2, [0, 0], |_, _| [1, 0]);
         });
         let report = pool.take_round_report();
         assert!(report.rounds.is_empty());
@@ -855,14 +841,11 @@ mod tests {
         let work = AtomicU64::new(0);
         pool.run(|ctx| {
             // Change for 5 rounds, then stabilize.
-            let c = ctx.converge_rounds(100, |round, flag| {
+            let c = ctx.converge_rounds(100, [0, 0], |round, _| {
                 ctx.master(|| {
                     work.fetch_add(1, Ordering::Relaxed);
                 });
-                if round.get() <= 5 {
-                    flag.set();
-                }
-                ctx.barrier();
+                [u64::from(round.get() <= 5), 0]
             });
             assert_eq!(c.rounds, 6); // rounds 1..=5 changed, round 6 didn't
             assert!(c.converged);
@@ -874,9 +857,8 @@ mod tests {
     fn converge_rounds_respects_max() {
         let pool = ThreadPool::new(2);
         pool.run(|ctx| {
-            let c = ctx.converge_rounds(3, |_round, flag| {
-                flag.set(); // never converges
-            });
+            // Never converges.
+            let c = ctx.converge_rounds(3, [0, 0], |_, _| [1, 0]);
             assert_eq!(c.rounds, 3);
             assert!(!c.converged);
         });
@@ -886,7 +868,7 @@ mod tests {
     fn converge_rounds_zero_max() {
         let pool = ThreadPool::new(2);
         pool.run(|ctx| {
-            let c = ctx.converge_rounds(0, |_, _| unreachable!());
+            let c = ctx.converge_rounds(0, [0, 0], |_, _| unreachable!());
             assert_eq!(c.rounds, 0);
             assert!(!c.converged);
         });
@@ -897,15 +879,38 @@ mod tests {
         let pool = ThreadPool::new(3);
         let seen = Mutex::new(Vec::new());
         pool.run(|ctx| {
-            ctx.converge_rounds(10, |round, flag| {
+            ctx.converge_rounds(10, [0, 0], |round, _| {
                 ctx.master(|| seen.lock().push(round.get()));
-                if round.get() < 4 {
-                    flag.set();
-                }
-                ctx.barrier();
+                [u64::from(round.get() < 4), 0]
             });
         });
         assert_eq!(*seen.lock(), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn each_round_receives_the_previous_rounds_totals() {
+        // Member `id` contributes [5 - k, 10 k + id] in round k, so round
+        // 5's lane-0 total is 0 while its lane 1 is not: the loop stops.
+        for t in [1u64, 3] {
+            let pool = ThreadPool::new(t as usize);
+            pool.run(|ctx| {
+                let id = ctx.thread_id() as u64;
+                let mut want = [7, 9];
+                let c = ctx.converge_rounds(100, want, |round, totals| {
+                    assert_eq!(totals, want, "T={t}, round {}", round.get());
+                    let k = u64::from(round.get());
+                    want = [t * (5 - k), t * 10 * k + t * (t - 1) / 2];
+                    [5 - k, 10 * k + id]
+                });
+                assert_eq!(
+                    c,
+                    Convergence {
+                        rounds: 5,
+                        converged: true
+                    }
+                );
+            });
+        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Per-round team state that re-arms inside rendezvous its users already
-//! pay for: the team sum and the convergence flag behind
-//! [`crate::WorkerCtx`]. Neither has a reset pass. Their shared words go
-//! through [`pram_core::sync`], so `pram-check` model-checks this code.
+//! pay for: the team sum behind [`crate::WorkerCtx::team_sum`] and every
+//! closing rendezvous of [`crate::WorkerCtx::converge_rounds`]. It has no
+//! reset pass. Its shared words go through [`pram_core::sync`], so
+//! `pram-check` model-checks this code.
 
 use std::sync::atomic::AtomicUsize;
 
 use crossbeam_utils::CachePadded;
-use pram_core::sync::{AtomicU32, AtomicU64, Ordering};
-use pram_core::Round;
+use pram_core::sync::{AtomicU64, Ordering};
 
 /// Lanes of a [`TeamSum`]: every caller sums at most two values.
 pub const SUM_LANES: usize = 2;
@@ -63,35 +63,5 @@ impl TeamSum {
             }
         }
         total
-    }
-}
-
-/// The convergence flag of [`crate::WorkerCtx::converge_rounds`], stamped
-/// with the round that set it, as a CAS-LT cell is with the round that won.
-///
-/// Round `r` changed iff the flag is `≥ r` after its closing rendezvous.
-/// Round `r + 1`'s stores come after that rendezvous, so stamps only grow,
-/// and a member that reads late sees `r + 1` only if another member saw
-/// `r` and went on: every member takes the same decision. `Relaxed`, since
-/// the rendezvous on either side of each store orders it.
-#[derive(Debug, Default)]
-pub struct RoundFlag(AtomicU32);
-
-impl RoundFlag {
-    /// Forget every stamp. Call inside a rendezvous before round 1.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-
-    /// Record that `round` changed something.
-    #[inline]
-    pub fn set(&self, round: Round) {
-        self.0.store(round.get(), Ordering::Relaxed);
-    }
-
-    /// Whether `round` changed something; authoritative after the round's
-    /// closing rendezvous.
-    pub fn changed(&self, round: Round) -> bool {
-        self.0.load(Ordering::Relaxed) >= round.get()
     }
 }

@@ -1,7 +1,7 @@
 //! Model-checking tier for the execution substrate's synchronization: the
 //! team barrier every kernel runs, `pram_exec::SpinBarrier`, and the
-//! per-round state that re-arms inside its rendezvous, `pram_exec::TeamSum`
-//! and `pram_exec::RoundFlag`.
+//! per-round state that re-arms inside its rendezvous, `pram_exec::TeamSum`,
+//! alone and as the convergence vote of `converge_rounds`.
 //!
 //! Compiled (and meaningful) only under the instrumented shim:
 //!
@@ -17,13 +17,13 @@
 //!   `wait_with` closure visible to every released member, and elects
 //!   exactly one member per episode. Back-to-back team sums are each
 //!   exact, and every member takes the same continue/stop decision after
-//!   every convergence round.
+//!   every convergence round's closing sum.
 //! * **Sensitivity** — the seeded bug (a last-arriver test that re-loads
 //!   the arrival count, electing two members) is *found* by both tiers,
 //!   and the reported schedule or seed replays to the same violation. A
 //!   schedule where the bug loses an arrival is reported as a deadlock
-//!   instead of hanging the executor. The team sum without parity and
-//!   the convergence flag that tests `==` for `≥` are found the same way.
+//!   instead of hanging the executor. The team sum without parity is
+//!   found the same way, both alone and deciding convergence.
 //!
 //! Exhaustive models stay at 2 threads (barrier episodes multiply
 //! scheduling points faster than the claim models); 3-thread
@@ -32,10 +32,10 @@
 
 use pram_check::sync_models::{BarrierLockstep, ConvergeLockstep, TeamSumLockstep};
 use pram_check::{
-    explore_exhaustive, explore_random, replay, replay_seed, BuggyRoundFlag, BuggySpinBarrier,
-    BuggyTeamSum, ExploreOptions,
+    explore_exhaustive, explore_random, replay, replay_seed, BuggySpinBarrier, BuggyTeamSum,
+    ExploreOptions,
 };
-use pram_exec::{RoundFlag, SpinBarrier, TeamSum};
+use pram_exec::{SpinBarrier, TeamSum};
 
 fn opts() -> ExploreOptions {
     ExploreOptions::default()
@@ -94,13 +94,13 @@ fn team_sum_random_two_and_three_threads() {
 }
 
 #[test]
-fn round_flag_random_two_threads() {
-    // Two converge_rounds calls of four and three rounds: the second
-    // call starts on the first call's stale stamps, which its opening
-    // rendezvous must clear, and every member must stop after the same
-    // round in both.
+fn convergence_random_two_threads() {
+    // Two converge_rounds calls of four and three rounds, each closing
+    // rendezvous a team sum of the members' progress: the second call
+    // runs on the slots the first one left, and every member must stop
+    // after the same round in both.
     let report = explore_random(
-        || ConvergeLockstep::new("round-flag-2t", RoundFlag::default(), plans(), 8),
+        || ConvergeLockstep::new("convergence-2t", TeamSum::new(2), plans(), 8),
         400,
         0xF1A6,
         &opts(),
@@ -109,7 +109,7 @@ fn round_flag_random_two_threads() {
     assert_eq!(report.executions, 400);
 }
 
-/// Per call, the last round each member votes "changed" in.
+/// Per call, the last round each member contributes progress in.
 fn plans() -> Vec<Vec<u32>> {
     vec![vec![3, 1], vec![1, 2]]
 }
@@ -193,16 +193,16 @@ fn team_sum_without_parity_is_detected_and_replays() {
 }
 
 #[test]
-fn round_flag_testing_equality_is_detected_and_replays() {
-    // A member that reads round r's verdict after the other stored the
-    // r + 1 stamp stops while the other goes on: a divergence, or a
-    // deadlock when the two no longer meet at the same rendezvous.
-    let make =
-        || ConvergeLockstep::new("buggy-round-flag-2t", BuggyRoundFlag::default(), plans(), 8);
+fn convergence_on_team_sum_without_parity_is_detected_and_replays() {
+    // A member that reads round r's total after the other wrote its round
+    // r + 1 progress over the one slot sees a zero total and stops while
+    // the other goes on: a divergence, or a deadlock when the two no
+    // longer meet at the same rendezvous.
+    let make = || ConvergeLockstep::new("buggy-convergence-2t", BuggyTeamSum::new(2), plans(), 8);
     let report = explore_exhaustive(make, &opts());
     let v = report
         .violation
-        .expect("checker failed to find the `==` convergence test");
+        .expect("checker failed to find the parity-free convergence sum");
     assert!(
         v.message.contains("diverged") || v.message.contains("deadlock"),
         "unexpected violation: {}",

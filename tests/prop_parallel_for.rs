@@ -67,16 +67,26 @@ proptest! {
     ) {
         // Model: round i changes iff i <= change_for; the loop must run
         // min(change_for + 1, max_rounds) rounds and report convergence
-        // iff it saw an unchanged round within the budget.
+        // iff it saw an unchanged round within the budget. Every round
+        // after the first receives the previous round's exact totals.
         let pool = ThreadPool::new(threads);
         let executed = AtomicU32::new(0);
         let converged = AtomicUsize::new(usize::MAX);
+        let wrong_totals = AtomicU32::new(0);
+        let t = threads as u64;
         pool.run(|ctx| {
-            let c = ctx.converge_rounds(max_rounds, |round, flag| {
-                if round.get() <= change_for {
-                    flag.set();
+            let id = ctx.thread_id() as u64;
+            let c = ctx.converge_rounds(max_rounds, [3, 4], |round, totals| {
+                let r = round.get();
+                let want = if r == 1 {
+                    [3, 4]
+                } else {
+                    [t * u64::from(r - 1 <= change_for), t * (t - 1) / 2]
+                };
+                if totals != want {
+                    wrong_totals.fetch_add(1, Ordering::Relaxed);
                 }
-                ctx.barrier();
+                [u64::from(r <= change_for), id]
             });
             executed.store(c.rounds, Ordering::Relaxed);
             converged.store(usize::from(c.converged), Ordering::Relaxed);
@@ -85,6 +95,7 @@ proptest! {
         prop_assert_eq!(executed.load(Ordering::Relaxed), expect_rounds);
         let expect_converged = usize::from(max_rounds > change_for && max_rounds > 0);
         prop_assert_eq!(converged.load(Ordering::Relaxed), expect_converged);
+        prop_assert_eq!(wrong_totals.load(Ordering::Relaxed), 0);
     }
 
     #[test]

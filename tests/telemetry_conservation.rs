@@ -41,12 +41,10 @@ const R: u32 = 4;
 fn collect(label: &'static str, body: impl Fn(&WorkerCtx<'_>, Round) + Sync) -> RoundReport {
     let pool = ThreadPool::with_config(PoolConfig::new(T).telemetry(true));
     pool.run(|ctx| {
-        let c = ctx.converge_rounds(R + 4, |round, flag| {
+        let c = ctx.converge_rounds(R + 4, [0, 0], |round, _| {
             ctx.annotate_round(label);
             body(ctx, round);
-            if round.get() < R {
-                flag.set();
-            }
+            [u64::from(round.get() < R), 0]
         });
         assert_eq!(c.rounds, R);
     });
@@ -223,11 +221,11 @@ fn exec_deltas_are_exact_per_round() {
         let pool = ThreadPool::with_config(PoolConfig::new(threads as usize).telemetry(true));
         for _ in 0..50 {
             pool.run(|ctx| {
-                ctx.converge_rounds(20, |_, flag| {
-                    flag.set();
+                ctx.converge_rounds(20, [0, 0], |_, _| {
                     ctx.barrier();
                     // One ending rendezvous, 64 / 8 grabs.
                     ctx.for_each(0..64, Schedule::Dynamic { chunk: 8 }, |_| {});
+                    [1, 0]
                 });
             });
         }
@@ -259,10 +257,11 @@ fn kernel_rounds_pay_only_their_own_rendezvous() {
         let pool = ThreadPool::with_config(PoolConfig::new(t as usize).telemetry(true));
         // Each round counts its opening rendezvous (the call's, or the
         // previous round's closing one) and its body's, T waits each.
-        // From a leaf of the star: a push round (opening, frontier stats
-        // sum, frontier loop), a pull round that also converts the queue
-        // to a bitmap (two loops), and a last pull round that finds
-        // nothing (opening, bitmap stats sum, pull loop).
+        // From a leaf of the star: a push round (opening, frontier loop),
+        // a pull round that also converts the queue to a bitmap (opening,
+        // two conversion loops, pull loop), and a last pull round that
+        // finds nothing (opening, pull loop). The frontier's size and
+        // edge count arrive with the previous round's closing sum.
         let r = bfs_with_strategy(
             &star,
             1,
@@ -277,7 +276,7 @@ fn kernel_rounds_pay_only_their_own_rendezvous() {
             .into_iter()
             .map(|r| (r.label, r.exec.barrier_waits))
             .collect();
-        let want = [("push", 3), ("pull", 5), ("pull", 3)].map(|(l, k)| (l.to_string(), k * t));
+        let want = [("push", 2), ("pull", 4), ("pull", 2)].map(|(l, k)| (l.to_string(), k * t));
         assert_eq!(got, want, "DO-BFS at T={t}");
 
         // CC: per hooking phase three star-detection loops and the hook

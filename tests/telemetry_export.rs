@@ -164,14 +164,12 @@ fn live_pool_report_traces() {
     let pool = ThreadPool::with_config(PoolConfig::new(2).telemetry(true));
     let cells = pram_core::CasLtArray::new(4);
     pool.run(|ctx| {
-        ctx.converge_rounds(3, |round, flag| {
+        ctx.converge_rounds(3, [0, 0], |round, _| {
             ctx.annotate_round("claim");
             for i in 0..4 {
                 cells.try_claim(i, round);
             }
-            if round.get() < 3 {
-                flag.set();
-            }
+            [u64::from(round.get() < 3), 0]
         });
     });
     let report = pool.take_round_report();
