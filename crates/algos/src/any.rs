@@ -4,20 +4,18 @@
 //! Logical OR is the textbook separation between CRCW and the exclusive
 //! models — one common-CW step versus Ω(log n) reduction depth — and a
 //! minimal end-to-end exercise of every arbitration scheme on a *single*
-//! contended cell. First-true demonstrates the paper's §2 hierarchy in the
-//! other direction: a *priority* write (strongest rule) built from
+//! contended cell (index 0 of a length-1 arbiter). First-true
+//! demonstrates the paper's §2 hierarchy in the other direction: a
+//! *priority* write (strongest rule) built from
 //! [`pram_core::PriorityCell`]'s offer/commit protocol, with the pool
 //! barrier as the phase separator.
 
 use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
 
-use pram_core::{
-    Arbiter, CasLtCell, GatekeeperCell, GatekeeperSkipCell, LockCell, NaiveCell, PriorityCell,
-    Round,
-};
+use pram_core::{PriorityCell, Round, SliceArbiter};
 use pram_exec::{Schedule, ThreadPool};
 
-use crate::method::CwMethod;
+use crate::method::{dispatch_method, CwMethod};
 
 /// O(1)-depth logical OR of `bits` under the given concurrent-write method:
 /// every set bit's processor concurrently writes `1` to one shared cell (a
@@ -32,24 +30,18 @@ use crate::method::CwMethod;
 /// assert!(!logical_or(&[false; 64], CwMethod::Naive, &pool));
 /// ```
 pub fn logical_or(bits: &[bool], method: CwMethod, pool: &ThreadPool) -> bool {
-    fn run<A: Arbiter>(bits: &[bool], cell: &A, pool: &ThreadPool) -> bool {
+    fn run<A: SliceArbiter>(bits: &[bool], cell: &A, pool: &ThreadPool) -> bool {
         let result = AtomicU8::new(0);
         pool.run(|ctx| {
             ctx.for_each(0..bits.len(), Schedule::default(), |i| {
-                if bits[i] && cell.try_claim(Round::FIRST) {
+                if bits[i] && cell.try_claim(0, Round::FIRST) {
                     result.store(1, Ordering::Relaxed);
                 }
             });
         });
         result.into_inner() != 0
     }
-    match method {
-        CwMethod::Naive => run(bits, &NaiveCell, pool),
-        CwMethod::Gatekeeper => run(bits, &GatekeeperCell::new(), pool),
-        CwMethod::GatekeeperSkip => run(bits, &GatekeeperSkipCell::new(), pool),
-        CwMethod::CasLt | CwMethod::CasLtPadded => run(bits, &CasLtCell::new(), pool),
-        CwMethod::Lock => run(bits, &LockCell::new(), pool),
-    }
+    dispatch_method!(method, 1, |cell| run(bits, &cell, pool))
 }
 
 /// Index of the first `true` in `bits`, by a priority concurrent write:

@@ -327,7 +327,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let edges = GraphGen::new(1).rmat_standard(8, 600);
         let g = graph(256, &edges);
-        for m in [CwMethod::CasLt, CwMethod::GatekeeperSkip, CwMethod::Lock] {
+        for m in [CwMethod::CasLt, CwMethod::Gatekeeper, CwMethod::Lock] {
             let r = connected_components(&g, m, &pool);
             verify_cc(&g, &r).unwrap_or_else(|e| panic!("{m}: {e}"));
         }

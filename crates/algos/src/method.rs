@@ -17,25 +17,17 @@ pub enum CwMethod {
     /// method of Vishkin et al. 2008); requires a re-zeroing pass before
     /// every round.
     Gatekeeper,
-    /// Gatekeeper with the "skip the atomic once nonzero" mitigation the
-    /// paper mentions in §5; still requires the re-zeroing pass.
-    GatekeeperSkip,
     /// The paper's contribution: CAS-if-Less-Than round claims, wait-free,
     /// reset-free.
     CasLt,
-    /// CAS-LT with one cache line per claim word — the false-sharing
-    /// ablation.
-    CasLtPadded,
     /// Claims guarded by a per-target mutex — the critical-section
     /// baseline the paper calls "trivial but bad".
     Lock,
 }
 
 impl CwMethod {
-    /// The kernel matrix: every distinct arbitration scheme, in
-    /// presentation order. The ablation-only variants
-    /// ([`CwMethod::GatekeeperSkip`], [`CwMethod::CasLtPadded`]) are left
-    /// out; callers that want them list them explicitly.
+    /// Every method, in presentation order: the kernel matrix and the
+    /// names [`CwMethod::from_str`] accepts.
     pub const ALL: [CwMethod; 4] = [
         CwMethod::Naive,
         CwMethod::Gatekeeper,
@@ -43,26 +35,9 @@ impl CwMethod {
         CwMethod::Lock,
     ];
 
-    /// Every variant, including the ablation-only ones: the names
-    /// [`CwMethod::from_str`] accepts.
-    const VARIANTS: [CwMethod; 6] = [
-        CwMethod::Naive,
-        CwMethod::Gatekeeper,
-        CwMethod::GatekeeperSkip,
-        CwMethod::CasLt,
-        CwMethod::CasLtPadded,
-        CwMethod::Lock,
-    ];
-
     /// The three methods the paper's figures compare (naive, prefix-sum,
     /// CAS-LT).
     pub const PAPER: [CwMethod; 3] = [CwMethod::Naive, CwMethod::Gatekeeper, CwMethod::CasLt];
-
-    /// Whether this method needs the O(n) re-zeroing pass between rounds
-    /// (the paper's Figure 3(b) lines 34–35).
-    pub fn needs_reset_pass(self) -> bool {
-        matches!(self, CwMethod::Gatekeeper | CwMethod::GatekeeperSkip)
-    }
 
     /// Whether the method elects a unique winner (everything except
     /// [`CwMethod::Naive`]). Kernels whose writes span several words are
@@ -76,9 +51,7 @@ impl CwMethod {
         match self {
             CwMethod::Naive => "naive",
             CwMethod::Gatekeeper => "gatekeeper",
-            CwMethod::GatekeeperSkip => "gatekeeper-skip",
             CwMethod::CasLt => "caslt",
-            CwMethod::CasLtPadded => "caslt-padded",
             CwMethod::Lock => "lock",
         }
     }
@@ -96,7 +69,7 @@ pub struct UnknownMethod(pub String);
 
 impl fmt::Display for UnknownMethod {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: Vec<&str> = CwMethod::VARIANTS.iter().map(|m| m.name()).collect();
+        let names: Vec<&str> = CwMethod::ALL.iter().map(|m| m.name()).collect();
         write!(
             f,
             "unknown concurrent-write method '{}'; expected one of: {}",
@@ -111,7 +84,7 @@ impl std::error::Error for UnknownMethod {}
 impl FromStr for CwMethod {
     type Err = UnknownMethod;
     fn from_str(s: &str) -> Result<CwMethod, UnknownMethod> {
-        CwMethod::VARIANTS
+        CwMethod::ALL
             .into_iter()
             .find(|m| m.name() == s)
             .ok_or_else(|| UnknownMethod(s.to_string()))
@@ -132,16 +105,8 @@ macro_rules! dispatch_method {
                 let $arb = ::pram_core::GatekeeperArray::new($len);
                 $body
             }
-            $crate::method::CwMethod::GatekeeperSkip => {
-                let $arb = ::pram_core::GatekeeperSkipArray::new($len);
-                $body
-            }
             $crate::method::CwMethod::CasLt => {
                 let $arb = ::pram_core::CasLtArray::new($len);
-                $body
-            }
-            $crate::method::CwMethod::CasLtPadded => {
-                let $arb = ::pram_core::PaddedCasLtArray::new($len);
                 $body
             }
             $crate::method::CwMethod::Lock => {
@@ -160,11 +125,13 @@ mod tests {
 
     #[test]
     fn names_roundtrip() {
-        for m in CwMethod::VARIANTS {
+        for m in CwMethod::ALL {
             assert_eq!(m.name().parse::<CwMethod>().unwrap(), m);
             assert_eq!(m.to_string(), m.name());
         }
-        assert!("bogus".parse::<CwMethod>().is_err());
+        for gone in ["bogus", "gatekeeper-skip", "caslt-padded"] {
+            assert!(gone.parse::<CwMethod>().is_err(), "{gone}");
+        }
         let err = "x".parse::<CwMethod>().unwrap_err();
         assert!(err.to_string().contains("unknown"));
     }
@@ -172,38 +139,24 @@ mod tests {
     #[test]
     fn unknown_method_message_lists_every_parsable_name() {
         let msg = "bogus".parse::<CwMethod>().unwrap_err().to_string();
-        for m in CwMethod::VARIANTS {
+        for m in CwMethod::ALL {
             assert!(msg.contains(m.name()), "{msg:?} omits {m}");
         }
-    }
-
-    #[test]
-    fn all_is_the_variants_minus_the_ablations() {
-        for m in CwMethod::VARIANTS {
-            let ablation = matches!(m, CwMethod::GatekeeperSkip | CwMethod::CasLtPadded);
-            assert_eq!(CwMethod::ALL.contains(&m), !ablation, "{m}");
+        for gone in ["gatekeeper-skip", "caslt-padded"] {
+            assert!(!msg.contains(gone), "{msg:?} lists {gone}");
         }
-    }
-
-    #[test]
-    fn reset_pass_only_for_gatekeepers() {
-        assert!(CwMethod::Gatekeeper.needs_reset_pass());
-        assert!(CwMethod::GatekeeperSkip.needs_reset_pass());
-        assert!(!CwMethod::CasLt.needs_reset_pass());
-        assert!(!CwMethod::Naive.needs_reset_pass());
-        assert!(!CwMethod::Lock.needs_reset_pass());
     }
 
     #[test]
     fn single_winner_excludes_naive_only() {
-        for m in CwMethod::VARIANTS {
+        for m in CwMethod::ALL {
             assert_eq!(m.single_winner(), m != CwMethod::Naive);
         }
     }
 
     #[test]
     fn dispatch_instantiates_each_method() {
-        for m in CwMethod::VARIANTS {
+        for m in CwMethod::ALL {
             let won = dispatch_method!(m, 3, |arb| {
                 let w = arb.try_claim(1, Round::FIRST);
                 assert_eq!(arb.len(), 3);

@@ -4,15 +4,12 @@
 use pram_algos::bfs::bfs_with_arbiter;
 use pram_algos::cc::cc_with_arbiter;
 use pram_algos::max::max_index_with_arbiter;
-use pram_algos::{bfs, CwMethod};
-use pram_core::{
-    AlwaysRmwCasLtArray, CasLtArray, CasLtArray64, CwCounters, GatekeeperArray, LockArray,
-    PaddedCasLtArray, SliceArbiter,
-};
+use pram_core::{CasLtArray, CwCounters, GatekeeperArray, LockArray, SliceArbiter};
 use pram_exec::{PoolConfig, ThreadPool};
 
+use crate::ablation::AlwaysRmwCasLtArray;
 use crate::{
-    make_graph, max_values, single_point, sweep, BenchConfig, FigureResult, ScaleProfile, Variant,
+    make_graph, max_values, single_point, BenchConfig, FigureResult, ScaleProfile, Variant,
 };
 
 /// The Max-kernel ablations' input: `n` pseudo-random values and a pool.
@@ -26,14 +23,20 @@ fn max_setup(cfg: &BenchConfig) -> (usize, Vec<u64>, ThreadPool) {
 }
 
 /// A Max-kernel variant that claims through a fresh `A` on every call.
+///
+/// Every call checks its answer, so an arbiter whose claims make the
+/// kernel return a wrong maximum panics instead of reporting a time. The
+/// check compares values, so any index of a tied maximum passes.
 pub(crate) fn max_variant<'a, A: SliceArbiter + 'a>(
     name: &'a str,
     values: &'a [u64],
     pool: &'a ThreadPool,
     new: fn(usize) -> A,
 ) -> Variant<'a> {
+    let max = *values.iter().max().expect("max of an empty list");
     let run = move || {
-        max_index_with_arbiter(values, &new(values.len()), pool);
+        let idx = max_index_with_arbiter(values, &new(values.len()), pool);
+        assert_eq!(values[idx], max, "{name}: wrong maximum");
     };
     (name, Box::new(run))
 }
@@ -56,55 +59,6 @@ pub fn ablate_fastpath(cfg: &BenchConfig) -> FigureResult {
     )
 }
 
-/// `ablate_padding` — packed vs cache-line-padded claim words on the Max
-/// kernel (dense targets: padding hurts reach) — the layout choice
-/// [`pram_core::PaddedCasLtArray`] documents.
-pub fn ablate_padding(cfg: &BenchConfig) -> FigureResult {
-    let (n, v, p) = max_setup(cfg);
-    single_point(
-        "ablate_padding",
-        &format!("max (n = {n}): packed vs cache-line-padded claim words"),
-        cfg,
-        vec![
-            max_variant("caslt-packed", &v, &p, CasLtArray::new),
-            max_variant("caslt-padded", &v, &p, PaddedCasLtArray::new),
-        ],
-    )
-}
-
-/// `ablate_gatekeeper_skip` — the paper's §5 mitigation: does a load-first
-/// gatekeeper close the gap to CAS-LT on BFS? (It removes the serialized
-/// RMWs but keeps the per-round reset pass.)
-pub fn ablate_gatekeeper_skip(cfg: &BenchConfig) -> FigureResult {
-    let (v, e) = match cfg.scale {
-        ScaleProfile::Quick => (2_000, 8_000),
-        ScaleProfile::Default => (20_000, 150_000),
-        ScaleProfile::Paper => (100_000, 10_000_000),
-    };
-    let g = make_graph(v, e, cfg.seed);
-    let p = ThreadPool::new(cfg.threads);
-    let methods = [
-        CwMethod::Gatekeeper,
-        CwMethod::GatekeeperSkip,
-        CwMethod::CasLt,
-    ];
-    let series = sweep(
-        cfg,
-        &methods,
-        &[1],
-        |_| (),
-        |_, m| {
-            bfs(&g, 0, m, &p);
-        },
-    );
-    FigureResult {
-        id: "ablate_gatekeeper_skip".into(),
-        title: format!("BFS ({v} vertices, {e} edges): gatekeeper skip mitigation"),
-        x_label: "point".into(),
-        series,
-    }
-}
-
 /// `ablate_lock` — the critical-section strawman (§4's "trivial but bad
 /// solution") against CAS-LT on the Max kernel.
 pub fn ablate_lock(cfg: &BenchConfig) -> FigureResult {
@@ -116,21 +70,6 @@ pub fn ablate_lock(cfg: &BenchConfig) -> FigureResult {
         vec![
             max_variant("lock", &v, &p, LockArray::new),
             max_variant("caslt", &v, &p, CasLtArray::new),
-        ],
-    )
-}
-
-/// `ablate_width` — 32-bit vs 64-bit claim words (half the cache reach vs
-/// an inexhaustible round space).
-pub fn ablate_width(cfg: &BenchConfig) -> FigureResult {
-    let (n, v, p) = max_setup(cfg);
-    single_point(
-        "ablate_width",
-        &format!("max (n = {n}): u32 vs u64 claim words"),
-        cfg,
-        vec![
-            max_variant("caslt-u32", &v, &p, CasLtArray::new),
-            max_variant("caslt-u64", &v, &p, CasLtArray64::new),
         ],
     )
 }
@@ -186,13 +125,7 @@ pub fn claim_statistics(cfg: &BenchConfig) -> String {
 
 /// All ablations in order.
 pub fn all(cfg: &BenchConfig) -> Vec<FigureResult> {
-    vec![
-        ablate_fastpath(cfg),
-        ablate_padding(cfg),
-        ablate_gatekeeper_skip(cfg),
-        ablate_lock(cfg),
-        ablate_width(cfg),
-    ]
+    vec![ablate_fastpath(cfg), ablate_lock(cfg)]
 }
 
 #[cfg(test)]

@@ -4,9 +4,10 @@
 use pram_algos::matching::maximal_matching;
 use pram_algos::reduce::max_index_tournament;
 use pram_algos::{list_rank, max_index, CwMethod};
-use pram_core::{BitGatekeeperArray, CasLtArray, GatekeeperArray};
+use pram_core::{CasLtArray, GatekeeperArray};
 use pram_exec::ThreadPool;
 
+use crate::ablation::BitGatekeeperArray;
 use crate::ablations::max_variant;
 use crate::runner::time_interleaved;
 use crate::{max_values, single_point, sweep, BenchConfig, FigureResult, ScaleProfile, Series};

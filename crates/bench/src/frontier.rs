@@ -27,13 +27,8 @@ use pram_exec::{PoolConfig, ThreadPool};
 use crate::runner::{host_threads, json_str, time_interleaved, timing_row, Report};
 use crate::{telemetry_columns, BenchConfig, ScaleProfile, Workload};
 
-/// The four single-winner methods (CAS-LT-padded is an ablation).
-const METHODS: [CwMethod; 4] = [
-    CwMethod::Gatekeeper,
-    CwMethod::GatekeeperSkip,
-    CwMethod::CasLt,
-    CwMethod::Lock,
-];
+/// The three single-winner methods.
+const METHODS: [CwMethod; 3] = [CwMethod::Gatekeeper, CwMethod::CasLt, CwMethod::Lock];
 
 /// One row: team-size index, workload index, method, and the BFS
 /// strategy — or `None` for CC on the R-MAT graph.

@@ -6,7 +6,8 @@
 //! CAS-LT concurrent-write methods, swept over problem size and thread
 //! count. [`figures`] contains one function per figure that reruns the
 //! same sweep and returns a [`FigureResult`] (printable table + CSV);
-//! [`ablations`] adds the design-choice experiments DESIGN.md calls out.
+//! [`ablations`] adds the design-choice experiments DESIGN.md calls out,
+//! timing the arbiters of [`ablation`] that exist only to be ablated.
 //! [`frontier`], [`scaling`] and [`micro`] write `BENCH_*.json` files
 //! through [`runner`], which also holds the one timing primitive every
 //! target uses. The `figures` binary is the entry point for all of them.
@@ -20,6 +21,7 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+pub mod ablation;
 pub mod ablations;
 pub mod ext;
 pub mod figures;

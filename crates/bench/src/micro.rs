@@ -13,8 +13,8 @@
 use std::hint::black_box;
 
 use pram_core::{
-    CasLtCell, GatekeeperArray, GatekeeperCell, GatekeeperSkipCell, LockCell, PriorityCell, Round,
-    RoundCounter, SliceArbiter,
+    CasLtCell, GatekeeperArray, GatekeeperCell, LockCell, PriorityCell, Round, RoundCounter,
+    SliceArbiter,
 };
 
 use crate::runner::{json_str, time_interleaved, timing_row, Report};
@@ -47,8 +47,6 @@ pub fn run(cfg: &BenchConfig) -> Report {
     caslt.try_claim(round);
     let gate = GatekeeperCell::new();
     gate.try_claim_once();
-    let skip = GatekeeperSkipCell::new();
-    skip.try_claim_once();
     let lock = LockCell::new();
     lock.try_claim(round);
     let (caslt_w, lock_w, prio) = (CasLtCell::new(), LockCell::new(), PriorityCell::new());
@@ -72,12 +70,6 @@ pub fn run(cfg: &BenchConfig) -> Report {
             "gatekeeper_rmw",
             claims,
             Box::new(batch(claims, || gate.try_claim_once())),
-        ),
-        (
-            "losing_claim",
-            "gatekeeper_skip_load",
-            claims,
-            Box::new(batch(claims, || skip.try_claim_once())),
         ),
         (
             "losing_claim",

@@ -1,33 +1,17 @@
-//! Packed atomic bitmaps: a reusable dense set ([`AtomicBitmap`]) and the
-//! memory-compact bitmap gatekeeper built on it ([`BitGatekeeperArray`]).
+//! A packed atomic bitmap: a reusable dense set ([`AtomicBitmap`]), one bit
+//! per element, claimed a word at a time.
 //!
-//! The gatekeeper method spends one 32-bit counter per target even though
-//! it only ever distinguishes zero from nonzero. Packing targets into a
-//! bitmap (one bit each, claimed via `fetch_or`) cuts the auxiliary memory
-//! 32× and makes the reset pass proportionally cheaper — but now **64
-//! unrelated targets share one atomic word**, so claims to *different*
-//! targets contend on the same cache line and the same RMW destination.
-//! The `ablate_bitmap` bench quantifies the trade; the paper's CAS-LT
-//! sidesteps it entirely (per-target words, atomics skipped after the
-//! winner).
-//!
-//! The same packed representation is what a direction-optimizing BFS wants
-//! for its *dense frontier*: one membership bit per vertex, iterated a word
-//! at a time. Its bottom-up pull does not insert bit by bit. Each word of
-//! the next frontier has one owning worker, so its bits are exclusive
-//! writes: the owner collects them in a register and publishes the word
-//! with one plain [`AtomicBitmap::store_word`] — the paper's point that
-//! only *concurrent* writes need arbitration. The test-and-set
-//! [`AtomicBitmap::insert`] is for writers that do collide (the gatekeeper
-//! below, a frontier queue scattered into the bitmap). So the word
-//! machinery lives in [`AtomicBitmap`] and the gatekeeper is a thin
-//! arbitration wrapper over it.
+//! It is what a direction-optimizing BFS wants for its *dense frontier*:
+//! one membership bit per vertex, iterated a word at a time. Its bottom-up
+//! pull does not insert bit by bit. Each word of the next frontier has one
+//! owning worker, so its bits are exclusive writes: the owner collects them
+//! in a register and publishes the word with one plain
+//! [`AtomicBitmap::store_word`] — the paper's point that only *concurrent*
+//! writes need arbitration. The test-and-set [`AtomicBitmap::insert`] is
+//! for writers that do collide (a frontier queue scattered into the
+//! bitmap).
 
 use crate::sync::{AtomicU64, Ordering};
-use std::ops::Range;
-
-use crate::round::Round;
-use crate::traits::SliceArbiter;
 
 /// A fixed-size set of `usize` indices packed one bit per element into
 /// `AtomicU64` words.
@@ -171,158 +155,10 @@ impl AtomicBitmap {
     }
 }
 
-/// One-bit-per-target gatekeeper over a packed [`AtomicBitmap`].
-///
-/// Round-free like [`crate::GatekeeperArray`]: requires a reset pass
-/// before every concurrent-write round.
-#[derive(Debug)]
-pub struct BitGatekeeperArray {
-    bits: AtomicBitmap,
-}
-
-impl BitGatekeeperArray {
-    /// `len` armed (clear) targets.
-    pub fn new(len: usize) -> BitGatekeeperArray {
-        BitGatekeeperArray {
-            bits: AtomicBitmap::new(len),
-        }
-    }
-
-    /// Number of targets.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.bits.len()
-    }
-
-    /// `true` if there are no targets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.bits.is_empty()
-    }
-
-    /// Claim target `index`: set its bit; win iff it was clear.
-    #[inline]
-    pub fn try_claim_once(&self, index: usize) -> bool {
-        self.bits.insert(index)
-    }
-
-    /// Auxiliary memory in bytes (for the ablation's space accounting).
-    pub fn aux_bytes(&self) -> usize {
-        self.bits.num_words() * 8
-    }
-}
-
-impl SliceArbiter for BitGatekeeperArray {
-    fn len(&self) -> usize {
-        self.bits.len()
-    }
-    #[inline]
-    fn try_claim(&self, index: usize, _round: Round) -> bool {
-        self.try_claim_once(index)
-    }
-    fn reset_all(&self) {
-        self.bits.clear();
-    }
-    fn reset_range(&self, range: Range<usize>) {
-        // Bit-granular (not word-granular) so concurrent resets of *any*
-        // disjoint index ranges are exact even when they share a word.
-        for i in range {
-            self.bits.remove(i);
-        }
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        false
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-
-    #[test]
-    fn first_claim_wins_rest_lose() {
-        let b = BitGatekeeperArray::new(100);
-        assert!(b.try_claim_once(63));
-        assert!(!b.try_claim_once(63));
-        assert!(b.try_claim_once(64)); // next word, independent
-        assert!(b.try_claim_once(0));
-        assert_eq!(b.len(), 100);
-        assert_eq!(b.aux_bytes(), 16);
-    }
-
-    #[test]
-    fn reset_all_and_ranges() {
-        let b = BitGatekeeperArray::new(130);
-        for i in 0..130 {
-            assert!(b.try_claim_once(i));
-        }
-        b.reset_range(60..70); // straddles a word boundary
-        for i in 0..130 {
-            assert_eq!(b.try_claim_once(i), (60..70).contains(&i), "bit {i}");
-        }
-        b.reset_all();
-        for i in 0..130 {
-            assert!(b.try_claim_once(i));
-        }
-    }
-
-    #[test]
-    fn concurrent_range_resets_on_disjoint_ranges_are_exact() {
-        let b = BitGatekeeperArray::new(128);
-        for i in 0..128 {
-            b.try_claim_once(i);
-        }
-        std::thread::scope(|s| {
-            let b = &b;
-            s.spawn(move || b.reset_range(0..64));
-            s.spawn(move || b.reset_range(64..128));
-        });
-        for i in 0..128 {
-            assert!(b.try_claim_once(i), "bit {i} not re-armed");
-        }
-    }
-
-    #[test]
-    fn exactly_one_winner_under_contention() {
-        let b = BitGatekeeperArray::new(64);
-        let wins = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    for i in 0..64 {
-                        if b.try_claim_once(i) {
-                            wins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        assert_eq!(wins.load(Ordering::Relaxed), 64);
-    }
-
-    #[test]
-    fn slice_arbiter_round_is_ignored() {
-        let b = BitGatekeeperArray::new(1);
-        assert!(SliceArbiter::try_claim(&b, 0, Round::FIRST));
-        assert!(!SliceArbiter::try_claim(&b, 0, Round::from_iteration(5)));
-        assert!(!b.rearms_on_new_round());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn bounds_checked() {
-        let b = BitGatekeeperArray::new(10);
-        b.try_claim_once(10);
-    }
-
-    #[test]
-    fn empty_bitmap() {
-        let b = BitGatekeeperArray::new(0);
-        assert!(b.is_empty());
-        assert_eq!(b.aux_bytes(), 0);
-        b.reset_all();
-    }
 
     #[test]
     fn atomic_bitmap_insert_contains_remove() {

@@ -29,16 +29,13 @@
 //!
 //! The cells never need reinitialization between rounds: advancing the round
 //! counter re-arms all of them. Only exhaustion of the 32-bit round space
-//! forces a reset (see [`crate::RoundCounter`]); `CasLtCell64` trades 2×
-//! auxiliary memory for a practically inexhaustible round space.
+//! forces a reset (see [`crate::RoundCounter`]).
 
-use crate::sync::{AtomicU32, AtomicU64, Ordering};
+use crate::sync::{AtomicU32, Ordering};
 use std::ops::Range;
 
-use crossbeam_utils::CachePadded;
-
 use crate::round::Round;
-use crate::traits::{Arbiter, SliceArbiter};
+use crate::traits::SliceArbiter;
 
 /// A single CAS-LT arbitration word (32-bit rounds, matching the paper).
 ///
@@ -130,98 +127,12 @@ impl CasLtCell {
     }
 }
 
-impl Arbiter for CasLtCell {
-    #[inline]
-    fn try_claim(&self, round: Round) -> bool {
-        CasLtCell::try_claim(self, round)
-    }
-    fn reset(&mut self) {
-        CasLtCell::reset(self);
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        true
-    }
-}
-
-/// A CAS-LT arbitration word with 64-bit rounds.
-///
-/// The 32-bit round space of [`CasLtCell`] wraps after ~4.3 billion
-/// concurrent-write steps, forcing an O(K) epoch reset. The 64-bit variant
-/// makes exhaustion unreachable in practice (half a million years at 1 ns
-/// per round) at the cost of doubling the auxiliary memory — the
-/// `ablate_width` bench quantifies the runtime difference.
-#[derive(Debug, Default)]
-pub struct CasLtCell64 {
-    last_round_updated: AtomicU64,
-}
-
-impl CasLtCell64 {
-    /// A never-claimed cell.
-    #[inline]
-    pub const fn new() -> CasLtCell64 {
-        CasLtCell64 {
-            last_round_updated: AtomicU64::new(0),
-        }
-    }
-
-    /// Claim this cell for the 64-bit round `round` (must be nonzero and
-    /// monotonically non-decreasing across calls, as with [`Round`]).
-    #[inline]
-    pub fn try_claim_wide(&self, round: u64) -> bool {
-        debug_assert!(round != 0, "round 0 is the never-claimed sentinel");
-        let current = self.last_round_updated.load(Ordering::Relaxed);
-        if current >= round {
-            crate::telemetry::record_fast_skip();
-            return false;
-        }
-        // Relaxed failure ordering for the same reason as
-        // [`CasLtCell::try_claim`]: the failure value is discarded.
-        crate::telemetry::record_cas_attempt();
-        let won = self
-            .last_round_updated
-            .compare_exchange(current, round, Ordering::AcqRel, Ordering::Relaxed)
-            .is_ok();
-        if won {
-            crate::telemetry::record_win();
-        } else {
-            crate::telemetry::record_cas_failure();
-        }
-        won
-    }
-
-    /// The last 64-bit round this cell was claimed in (0 = never).
-    #[inline]
-    pub fn last_claimed_wide(&self) -> u64 {
-        self.last_round_updated.load(Ordering::Relaxed)
-    }
-
-    /// Restore the never-claimed state.
-    #[inline]
-    pub fn reset(&mut self) {
-        *self.last_round_updated.get_mut() = 0;
-    }
-}
-
-impl Arbiter for CasLtCell64 {
-    #[inline]
-    fn try_claim(&self, round: Round) -> bool {
-        self.try_claim_wide(round.widen())
-    }
-    fn reset(&mut self) {
-        CasLtCell64::reset(self);
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        true
-    }
-}
-
 /// A packed array of [`CasLtCell`]s — one word per concurrent-write target.
 ///
 /// This is the layout the paper's kernels use (`unsigned RoundWritten[N]`):
 /// 4 bytes per target, 16 targets per cache line. Dense packing maximizes
 /// the reach of each cache line during the read-mostly fast path at the cost
-/// of false sharing between *winning* CASes on neighboring targets; compare
-/// [`PaddedCasLtArray`] and the `ablate_padding` bench.
+/// of false sharing between *winning* CASes on neighboring targets.
 #[derive(Debug)]
 pub struct CasLtArray {
     cells: Box<[CasLtCell]>,
@@ -267,12 +178,6 @@ impl CasLtArray {
             c.reset();
         }
     }
-
-    /// Access the underlying cells (e.g. to share sub-slices with workers).
-    #[inline]
-    pub fn cells(&self) -> &[CasLtCell] {
-        &self.cells
-    }
 }
 
 impl SliceArbiter for CasLtArray {
@@ -293,215 +198,6 @@ impl SliceArbiter for CasLtArray {
         let cells = &self.cells[range];
         for c in cells {
             c.reset_shared();
-        }
-        crate::telemetry::record_rearm_resets(cells.len() as u64);
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        true
-    }
-}
-
-/// A cache-line-padded array of CAS-LT cells.
-///
-/// Each cell occupies its own cache line (64/128 bytes via
-/// `crossbeam_utils::CachePadded`), eliminating false sharing between CASes
-/// on distinct targets at a 16–32× memory cost. Useful when targets are few
-/// and hot (e.g. a handful of reduction cells); for per-vertex arbitration
-/// the packed [`CasLtArray`] is usually superior because the fast path is
-/// read-dominated.
-#[derive(Debug)]
-pub struct PaddedCasLtArray {
-    cells: Box<[CachePadded<CasLtCell>]>,
-}
-
-impl PaddedCasLtArray {
-    /// `len` never-claimed, cache-line-isolated cells.
-    pub fn new(len: usize) -> PaddedCasLtArray {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || CachePadded::new(CasLtCell::new()));
-        PaddedCasLtArray {
-            cells: v.into_boxed_slice(),
-        }
-    }
-
-    /// Number of targets.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the array has no targets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Claim target `index` for `round`.
-    #[inline]
-    pub fn try_claim(&self, index: usize, round: Round) -> bool {
-        self.cells[index].try_claim(round)
-    }
-
-    /// Exclusive-access whole-array reset.
-    pub fn reset(&mut self) {
-        for c in self.cells.iter_mut() {
-            c.reset();
-        }
-    }
-}
-
-impl SliceArbiter for PaddedCasLtArray {
-    fn len(&self) -> usize {
-        self.cells.len()
-    }
-    #[inline]
-    fn try_claim(&self, index: usize, round: Round) -> bool {
-        self.cells[index].try_claim(round)
-    }
-    fn reset_all(&self) {
-        for c in self.cells.iter() {
-            c.reset_shared();
-        }
-        crate::telemetry::record_rearm_resets(self.cells.len() as u64);
-    }
-    fn reset_range(&self, range: Range<usize>) {
-        let cells = &self.cells[range];
-        for c in cells {
-            c.reset_shared();
-        }
-        crate::telemetry::record_rearm_resets(cells.len() as u64);
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        true
-    }
-}
-
-/// Ablation variant: CAS-LT **without** the pre-CAS load check — every
-/// claim issues an atomic RMW (`fetch_max(round)`), winning iff the
-/// previous value was older.
-///
-/// Semantically identical to [`CasLtArray`] (single winner per round,
-/// reset-free re-arming) but with the gatekeeper method's cost structure:
-/// all competitors serialize on the RMW. The `ablate_fastpath` bench uses
-/// this to isolate how much of CAS-LT's advantage is the skip itself, which
-/// is the paper's §5 claim ("we skip the atomic instruction once we have a
-/// winner thread").
-#[derive(Debug)]
-pub struct AlwaysRmwCasLtArray {
-    cells: Box<[AtomicU32]>,
-}
-
-impl AlwaysRmwCasLtArray {
-    /// `len` never-claimed cells.
-    pub fn new(len: usize) -> AlwaysRmwCasLtArray {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, || AtomicU32::new(0));
-        AlwaysRmwCasLtArray {
-            cells: v.into_boxed_slice(),
-        }
-    }
-
-    /// Number of targets.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the array has no targets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
-impl SliceArbiter for AlwaysRmwCasLtArray {
-    fn len(&self) -> usize {
-        self.cells.len()
-    }
-    #[inline]
-    fn try_claim(&self, index: usize, round: Round) -> bool {
-        // Unconditional RMW: the ablated fast path.
-        crate::telemetry::record_cas_attempt();
-        let won = self.cells[index].fetch_max(round.get(), Ordering::AcqRel) < round.get();
-        if won {
-            crate::telemetry::record_win();
-        } else {
-            crate::telemetry::record_cas_failure();
-        }
-        won
-    }
-    fn reset_all(&self) {
-        for c in self.cells.iter() {
-            c.store(0, Ordering::Relaxed);
-        }
-        crate::telemetry::record_rearm_resets(self.cells.len() as u64);
-    }
-    fn reset_range(&self, range: Range<usize>) {
-        let cells = &self.cells[range];
-        for c in cells {
-            c.store(0, Ordering::Relaxed);
-        }
-        crate::telemetry::record_rearm_resets(cells.len() as u64);
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        true
-    }
-}
-
-/// A packed array of [`CasLtCell64`]s — the auxiliary-width ablation
-/// (8 bytes/target, inexhaustible round space; see [`CasLtCell64`]).
-#[derive(Debug)]
-pub struct CasLtArray64 {
-    cells: Box<[CasLtCell64]>,
-}
-
-impl CasLtArray64 {
-    /// `len` never-claimed cells.
-    pub fn new(len: usize) -> CasLtArray64 {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, CasLtCell64::new);
-        CasLtArray64 {
-            cells: v.into_boxed_slice(),
-        }
-    }
-
-    /// Number of targets.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the array has no targets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Claim target `index` for the 64-bit round `round`.
-    #[inline]
-    pub fn try_claim_wide(&self, index: usize, round: u64) -> bool {
-        self.cells[index].try_claim_wide(round)
-    }
-}
-
-impl SliceArbiter for CasLtArray64 {
-    fn len(&self) -> usize {
-        self.cells.len()
-    }
-    #[inline]
-    fn try_claim(&self, index: usize, round: Round) -> bool {
-        self.cells[index].try_claim_wide(round.widen())
-    }
-    fn reset_all(&self) {
-        for c in self.cells.iter() {
-            c.last_round_updated.store(0, Ordering::Relaxed);
-        }
-        crate::telemetry::record_rearm_resets(self.cells.len() as u64);
-    }
-    fn reset_range(&self, range: Range<usize>) {
-        let cells = &self.cells[range];
-        for c in cells {
-            c.last_round_updated.store(0, Ordering::Relaxed);
         }
         crate::telemetry::record_rearm_resets(cells.len() as u64);
     }
@@ -613,86 +309,6 @@ mod tests {
         for i in 0..8 {
             assert!(a.try_claim(i, r(0)));
         }
-    }
-
-    #[test]
-    fn wide_cell_accepts_rounds_beyond_u32() {
-        let c = CasLtCell64::new();
-        assert!(c.try_claim_wide(u64::from(u32::MAX) + 10));
-        assert!(!c.try_claim_wide(u64::from(u32::MAX) + 10));
-        assert!(c.try_claim_wide(u64::from(u32::MAX) + 11));
-        assert_eq!(c.last_claimed_wide(), u64::from(u32::MAX) + 11);
-    }
-
-    #[test]
-    fn wide_cell_as_arbiter_uses_narrow_rounds() {
-        let c = CasLtCell64::new();
-        assert!(Arbiter::try_claim(&c, r(0)));
-        assert!(!Arbiter::try_claim(&c, r(0)));
-        assert!(c.rearms_on_new_round());
-    }
-
-    #[test]
-    fn padded_array_same_semantics_as_packed() {
-        let a = PaddedCasLtArray::new(3);
-        assert!(a.try_claim(1, r(0)));
-        assert!(!a.try_claim(1, r(0)));
-        assert!(a.try_claim(1, r(1)));
-        a.reset_all();
-        assert!(a.try_claim(1, r(0)));
-    }
-
-    #[test]
-    fn padded_cells_occupy_distinct_cache_lines() {
-        let a = PaddedCasLtArray::new(2);
-        let p0 = &a.cells[0] as *const _ as usize;
-        let p1 = &a.cells[1] as *const _ as usize;
-        assert!(p1 - p0 >= 64, "expected cache-line separation");
-    }
-
-    #[test]
-    fn always_rmw_variant_same_semantics() {
-        let a = AlwaysRmwCasLtArray::new(2);
-        assert!(a.try_claim(0, r(0)));
-        assert!(!a.try_claim(0, r(0)));
-        assert!(a.try_claim(0, r(1))); // rearms on round advance
-        assert!(!a.try_claim(0, r(0))); // stale round loses
-        assert!(a.rearms_on_new_round());
-        a.reset_all();
-        assert!(a.try_claim(0, r(0)));
-        a.reset_range(0..1);
-        assert!(a.try_claim(0, r(0)));
-        assert!(!a.is_empty());
-    }
-
-    #[test]
-    fn always_rmw_one_winner_under_contention() {
-        let a = AlwaysRmwCasLtArray::new(1);
-        let wins = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    if a.try_claim(0, r(0)) {
-                        wins.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(wins.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn wide_array_same_semantics() {
-        let a = CasLtArray64::new(2);
-        assert!(SliceArbiter::try_claim(&a, 1, r(0)));
-        assert!(!SliceArbiter::try_claim(&a, 1, r(0)));
-        assert!(a.try_claim_wide(1, u64::from(u32::MAX) + 5));
-        assert!(!SliceArbiter::try_claim(&a, 1, r(7)));
-        a.reset_all();
-        assert!(SliceArbiter::try_claim(&a, 1, r(0)));
-        a.reset_range(1..2);
-        assert!(SliceArbiter::try_claim(&a, 1, r(0)));
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -19,8 +19,6 @@
 //! * **Unconditional serialization.** Every claim executes the atomic RMW,
 //!   even long after a winner exists, so all competitors to one target
 //!   serialize on its cache line (the paper's §6: time `T(N) = P_PRAM(N)`).
-//!   [`GatekeeperSkipCell`] adds the mitigation the paper mentions —
-//!   a plain load first, skipping the RMW once the gatekeeper is nonzero.
 //! * **Per-round reinitialization.** The gatekeeper carries no round
 //!   information, so the entire array must be re-zeroed before every new
 //!   concurrent-write round (the paper's Figure 3(b), lines 34–35): an extra
@@ -30,22 +28,19 @@ use crate::sync::{AtomicU32, Ordering};
 use std::ops::Range;
 
 use crate::round::Round;
-use crate::traits::{Arbiter, SliceArbiter};
+use crate::traits::SliceArbiter;
 
 /// A single gatekeeper counter (the paper's Figure 2).
 ///
 /// ```
-/// use pram_core::{Arbiter, GatekeeperCell, Round};
+/// use pram_core::GatekeeperCell;
 ///
-/// let g = GatekeeperCell::new();
-/// assert!(g.try_claim(Round::FIRST));    // observed 0: winner
-/// assert!(!g.try_claim(Round::FIRST));   // observed 1: loser
-/// // A new round does NOT re-arm the cell …
-/// assert!(!g.try_claim(Round::from_iteration(1)));
-/// // … an explicit reset is required.
-/// let mut g = g;
+/// let mut g = GatekeeperCell::new();
+/// assert!(g.try_claim_once());    // observed 0: winner
+/// assert!(!g.try_claim_once());   // observed 1: loser
+/// // The cell carries no round, so nothing re-arms it but a reset.
 /// g.reset();
-/// assert!(g.try_claim(Round::from_iteration(1)));
+/// assert!(g.try_claim_once());
 /// ```
 #[derive(Debug, Default)]
 pub struct GatekeeperCell {
@@ -103,169 +98,68 @@ impl GatekeeperCell {
     }
 }
 
-impl Arbiter for GatekeeperCell {
-    /// The round argument is ignored: gatekeepers carry no round state.
-    #[inline]
-    fn try_claim(&self, _round: Round) -> bool {
-        self.try_claim_once()
+/// A packed array of [`GatekeeperCell`]s (the paper's
+/// `unsigned gatekeeper[N]`). Requires [`SliceArbiter::reset_all`] (or a
+/// parallel [`SliceArbiter::reset_range`] pass) before every round.
+#[derive(Debug)]
+pub struct GatekeeperArray {
+    cells: Box<[GatekeeperCell]>,
+}
+
+impl GatekeeperArray {
+    /// `len` armed gatekeepers.
+    pub fn new(len: usize) -> GatekeeperArray {
+        let mut v = Vec::with_capacity(len);
+        v.resize_with(len, GatekeeperCell::new);
+        GatekeeperArray {
+            cells: v.into_boxed_slice(),
+        }
     }
-    fn reset(&mut self) {
-        GatekeeperCell::reset(self);
+
+    /// Number of targets.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// `true` if the array has no targets.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.cells.is_empty()
+    }
+
+    /// Claim target `index` (round-free; see [`GatekeeperCell`]).
+    #[inline]
+    pub fn try_claim_once(&self, index: usize) -> bool {
+        self.cells[index].try_claim_once()
+    }
+}
+
+impl SliceArbiter for GatekeeperArray {
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+    #[inline]
+    fn try_claim(&self, index: usize, _round: Round) -> bool {
+        self.cells[index].try_claim_once()
+    }
+    fn reset_all(&self) {
+        for c in self.cells.iter() {
+            c.reset_shared();
+        }
+        crate::telemetry::record_rearm_resets(self.cells.len() as u64);
+    }
+    fn reset_range(&self, range: Range<usize>) {
+        let cells = &self.cells[range];
+        for c in cells {
+            c.reset_shared();
+        }
+        crate::telemetry::record_rearm_resets(cells.len() as u64);
     }
     fn rearms_on_new_round(&self) -> bool {
         false
     }
 }
-
-/// Gatekeeper with the load-first mitigation (paper §5: "this can be
-/// mitigated by skipping the atomic operation, once the gatekeeper variable
-/// is no longer equal to 0").
-///
-/// Late arrivals read a nonzero gatekeeper and skip the RMW, removing the
-/// post-decision serialization — but the scheme still requires the per-round
-/// reset pass, which is what keeps it behind CAS-LT in the paper's CC
-/// benchmark.
-#[derive(Debug, Default)]
-pub struct GatekeeperSkipCell {
-    inner: GatekeeperCell,
-}
-
-impl GatekeeperSkipCell {
-    /// A zeroed (armed) gatekeeper.
-    #[inline]
-    pub const fn new() -> GatekeeperSkipCell {
-        GatekeeperSkipCell {
-            inner: GatekeeperCell::new(),
-        }
-    }
-
-    /// Claim: skip the atomic once a winner is known.
-    #[inline]
-    pub fn try_claim_once(&self) -> bool {
-        if self.inner.gatekeeper.load(Ordering::Relaxed) != 0 {
-            crate::telemetry::record_fast_skip();
-            return false;
-        }
-        self.inner.try_claim_once()
-    }
-
-    /// Re-arm (exclusive access).
-    #[inline]
-    pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-
-    /// Re-arm through a shared reference (reset pass only).
-    #[inline]
-    pub fn reset_shared(&self) {
-        self.inner.reset_shared();
-    }
-}
-
-impl Arbiter for GatekeeperSkipCell {
-    #[inline]
-    fn try_claim(&self, _round: Round) -> bool {
-        self.try_claim_once()
-    }
-    fn reset(&mut self) {
-        GatekeeperSkipCell::reset(self);
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        false
-    }
-}
-
-macro_rules! gatekeeper_array {
-    ($(#[$meta:meta])* $name:ident, $cell:ident) => {
-        $(#[$meta])*
-        #[derive(Debug)]
-        pub struct $name {
-            cells: Box<[$cell]>,
-        }
-
-        impl $name {
-            /// `len` armed gatekeepers.
-            pub fn new(len: usize) -> $name {
-                let mut v = Vec::with_capacity(len);
-                v.resize_with(len, $cell::new);
-                $name { cells: v.into_boxed_slice() }
-            }
-
-            /// Number of targets.
-            #[inline]
-            pub fn len(&self) -> usize {
-                self.cells.len()
-            }
-
-            /// `true` if the array has no targets.
-            #[inline]
-            pub fn is_empty(&self) -> bool {
-                self.cells.is_empty()
-            }
-
-            /// Claim target `index` (round-free; see [`GatekeeperCell`]).
-            #[inline]
-            pub fn try_claim_once(&self, index: usize) -> bool {
-                self.cells[index].try_claim_once()
-            }
-
-            /// Exclusive-access whole-array re-arm.
-            pub fn reset(&mut self) {
-                for c in self.cells.iter_mut() {
-                    c.reset();
-                }
-            }
-
-            /// Access the underlying cells.
-            #[inline]
-            pub fn cells(&self) -> &[$cell] {
-                &self.cells
-            }
-        }
-
-        impl SliceArbiter for $name {
-            fn len(&self) -> usize {
-                self.cells.len()
-            }
-            #[inline]
-            fn try_claim(&self, index: usize, _round: Round) -> bool {
-                self.cells[index].try_claim_once()
-            }
-            fn reset_all(&self) {
-                for c in self.cells.iter() {
-                    c.reset_shared();
-                }
-                crate::telemetry::record_rearm_resets(self.cells.len() as u64);
-            }
-            fn reset_range(&self, range: Range<usize>) {
-                let cells = &self.cells[range];
-                for c in cells {
-                    c.reset_shared();
-                }
-                crate::telemetry::record_rearm_resets(cells.len() as u64);
-            }
-            fn rearms_on_new_round(&self) -> bool {
-                false
-            }
-        }
-    };
-}
-
-gatekeeper_array!(
-    /// A packed array of [`GatekeeperCell`]s (the paper's
-    /// `unsigned gatekeeper[N]`). Requires [`SliceArbiter::reset_all`] (or a
-    /// parallel [`SliceArbiter::reset_range`] pass) before every round.
-    GatekeeperArray,
-    GatekeeperCell
-);
-
-gatekeeper_array!(
-    /// A packed array of [`GatekeeperSkipCell`]s — gatekeepers with the
-    /// skip-once-nonzero mitigation. Same reset discipline as
-    /// [`GatekeeperArray`].
-    GatekeeperSkipArray,
-    GatekeeperSkipCell
-);
 
 #[cfg(test)]
 mod tests {
@@ -291,17 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn skip_variant_does_not_inflate_count() {
-        let g = GatekeeperSkipCell::new();
-        assert!(g.try_claim_once());
-        for _ in 0..100 {
-            assert!(!g.try_claim_once());
-        }
-        // Losers skipped the RMW: the counter stays at 1.
-        assert_eq!(g.inner.count(), 1);
-    }
-
-    #[test]
     fn exactly_one_winner_under_contention() {
         let threads = if cfg!(miri) { 4 } else { 8 };
         let iters = if cfg!(miri) { 4 } else { 200 };
@@ -313,27 +196,6 @@ mod tests {
                 for _ in 0..threads {
                     s.spawn(|| {
                         barrier.wait();
-                        if g.try_claim_once() {
-                            wins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    });
-                }
-            });
-            g.reset();
-        }
-        assert_eq!(wins.load(Ordering::Relaxed), iters);
-    }
-
-    #[test]
-    fn exactly_one_winner_skip_variant() {
-        let threads = if cfg!(miri) { 4 } else { 8 };
-        let iters = if cfg!(miri) { 4 } else { 200 };
-        let wins = AtomicUsize::new(0);
-        let mut g = GatekeeperSkipCell::new();
-        for _ in 0..iters {
-            std::thread::scope(|s| {
-                for _ in 0..threads {
-                    s.spawn(|| {
                         if g.try_claim_once() {
                             wins.fetch_add(1, Ordering::Relaxed);
                         }
@@ -363,21 +225,11 @@ mod tests {
     }
 
     #[test]
-    fn arbiter_trait_ignores_round() {
-        let g = GatekeeperCell::new();
-        assert!(Arbiter::try_claim(&g, Round::FIRST));
+    fn slice_arbiter_ignores_round() {
+        let a = GatekeeperArray::new(1);
+        assert!(SliceArbiter::try_claim(&a, 0, Round::FIRST));
         // New round, no reset: still claimed — the defining limitation.
-        assert!(!Arbiter::try_claim(&g, Round::from_iteration(1)));
-        assert!(!g.rearms_on_new_round());
-    }
-
-    #[test]
-    fn skip_array_basic() {
-        let a = GatekeeperSkipArray::new(2);
-        assert!(SliceArbiter::try_claim(&a, 0, Round::FIRST));
-        assert!(!SliceArbiter::try_claim(&a, 0, Round::FIRST));
-        assert!(SliceArbiter::try_claim(&a, 1, Round::FIRST));
-        a.reset_all();
-        assert!(SliceArbiter::try_claim(&a, 0, Round::FIRST));
+        assert!(!SliceArbiter::try_claim(&a, 0, Round::from_iteration(1)));
+        assert!(!a.rearms_on_new_round());
     }
 }

@@ -7,9 +7,10 @@
 //! spans several words (a struct copy, or updates to several parallel
 //! arrays) can be torn between competing writers.
 //!
-//! This crate implements the arbitration schemes studied in
+//! This crate implements the four concurrent-write methods studied in
 //! *"Implementing Arbitrary/Common Concurrent Writes of CRCW PRAM"*
-//! (Ghanim, ElWasif, Bernholdt — ICPP 2021):
+//! (Ghanim, ElWasif, Bernholdt — ICPP 2021), each as a [`SliceArbiter`]
+//! over an array of claim targets:
 //!
 //! * [`CasLtCell`] / [`CasLtArray`] — the paper's contribution, the
 //!   **CAS-if-Less-Than** (CAS-LT) claim. One auxiliary word per
@@ -26,16 +27,19 @@
 //!   an atomic fetch-and-increment on a per-target gatekeeper; the thread
 //!   that observed `0` wins. All competitors serialize on the atomic, and
 //!   the gatekeeper array must be re-zeroed before every new round.
-//! * [`GatekeeperSkipCell`] — the mitigation the paper mentions in §5:
-//!   a plain load first, skipping the atomic once the gatekeeper is nonzero.
 //! * [`NaiveArbiter`] — no arbitration: every competitor "wins". This is
 //!   the Rodinia-BFS practice of issuing all writes and letting the memory
 //!   system serialize them. It is only sound for *common* writes of a single
 //!   machine word; [`naive`] documents why.
-//! * [`LockCell`] — the trivial-but-bad critical-section baseline.
-//! * [`PriorityCell`] — *priority* CRCW writes (strongest PRAM rule) built
-//!   from a packed 64-bit CAS loop, used to demonstrate that the weaker
-//!   rules of this crate can be strengthened when an algorithm needs it.
+//! * [`LockCell`] / [`LockArray`] — the trivial-but-bad critical-section
+//!   baseline.
+//!
+//! Beside them:
+//!
+//! * [`PriorityCell`] / [`PriorityArray`] — *priority* CRCW writes
+//!   (strongest PRAM rule) built from a packed 64-bit CAS loop, used to
+//!   demonstrate that the weaker rules of this crate can be strengthened
+//!   when an algorithm needs it.
 //!
 //! Multi-word payloads are covered by [`ConCell`] and [`ConVec`]
 //! (claim-then-publish cells whose winner gains exclusive `&mut` access for
@@ -92,17 +96,15 @@ pub mod sync;
 pub mod telemetry;
 pub mod traits;
 
-pub use bitmap::{AtomicBitmap, BitGatekeeperArray};
-pub use caslt::{
-    AlwaysRmwCasLtArray, CasLtArray, CasLtArray64, CasLtCell, CasLtCell64, PaddedCasLtArray,
-};
-pub use gatekeeper::{GatekeeperArray, GatekeeperCell, GatekeeperSkipArray, GatekeeperSkipCell};
+pub use bitmap::AtomicBitmap;
+pub use caslt::{CasLtArray, CasLtCell};
+pub use gatekeeper::{GatekeeperArray, GatekeeperCell};
 pub use lock::{LockArray, LockCell};
-pub use naive::{NaiveArbiter, NaiveCell};
+pub use naive::NaiveArbiter;
 pub use payload::{ConCell, ConVec};
 pub use priority::{PriorityArray, PriorityCell};
 pub use round::{Round, RoundCounter, RoundOverflow};
 pub use telemetry::{
     CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot, ShardGuard, TelemetryShard,
 };
-pub use traits::{try_claim_all, Arbiter, SliceArbiter};
+pub use traits::{try_claim_all, SliceArbiter};

@@ -17,7 +17,7 @@ use std::ops::Range;
 use crate::sync::Mutex;
 
 use crate::round::Round;
-use crate::traits::{Arbiter, SliceArbiter};
+use crate::traits::SliceArbiter;
 
 /// A mutex-guarded arbitration cell.
 #[derive(Debug, Default)]
@@ -59,18 +59,6 @@ impl LockCell {
     /// Shared-access reset (between rounds, no claims in flight).
     pub fn reset_shared(&self) {
         *self.last_round_updated.lock() = 0;
-    }
-}
-
-impl Arbiter for LockCell {
-    fn try_claim(&self, round: Round) -> bool {
-        LockCell::try_claim(self, round)
-    }
-    fn reset(&mut self) {
-        LockCell::reset(self);
-    }
-    fn rearms_on_new_round(&self) -> bool {
-        true
     }
 }
 

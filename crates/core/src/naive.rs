@@ -31,7 +31,7 @@
 use std::ops::Range;
 
 use crate::round::Round;
-use crate::traits::{Arbiter, SliceArbiter};
+use crate::traits::SliceArbiter;
 
 /// Arbitration that never arbitrates: every claimant "wins".
 ///
@@ -83,22 +83,6 @@ impl SliceArbiter for NaiveArbiter {
     }
 }
 
-/// Single-cell flavour of the non-method.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NaiveCell;
-
-impl Arbiter for NaiveCell {
-    #[inline]
-    fn try_claim(&self, _round: Round) -> bool {
-        crate::telemetry::record_win();
-        true
-    }
-    fn reset(&mut self) {}
-    fn rearms_on_new_round(&self) -> bool {
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,14 +104,5 @@ mod tests {
     fn bounds_are_still_checked() {
         let n = NaiveArbiter::new(3);
         n.try_claim(3, Round::FIRST);
-    }
-
-    #[test]
-    fn naive_cell_always_claims() {
-        let mut c = NaiveCell;
-        assert!(Arbiter::try_claim(&c, Round::FIRST));
-        assert!(Arbiter::try_claim(&c, Round::FIRST));
-        c.reset();
-        assert!(Arbiter::try_claim(&c, Round::FIRST));
     }
 }

@@ -61,12 +61,6 @@ impl Round {
     pub fn next(self) -> Option<Round> {
         self.0.checked_add(1).map(Round)
     }
-
-    /// Widen to the 64-bit round domain used by [`crate::CasLtCell64`].
-    #[inline]
-    pub fn widen(self) -> u64 {
-        u64::from(self.0)
-    }
 }
 
 impl fmt::Debug for Round {
@@ -246,11 +240,6 @@ mod tests {
     fn round_next_overflows_to_none() {
         assert_eq!(Round::LAST.next(), None);
         assert_eq!(Round::FIRST.next(), Some(Round(2)));
-    }
-
-    #[test]
-    fn widen_preserves_value() {
-        assert_eq!(Round(7).widen(), 7u64);
     }
 
     #[test]

@@ -52,15 +52,14 @@ use crate::sync::{AtomicU64, Ordering};
 /// shards) or a delta between two snapshots. Which fields are populated
 /// depends on the method: CAS-LT uses `fast_path_skips` / `cas_attempts` /
 /// `cas_failures` / `wins` / `rearm_resets`; gatekeeper uses
-/// `gatekeeper_rmws` (+ `fast_path_skips` for the skip variant) and
-/// `rearm_resets`; lock uses `lock_acquisitions`; priority uses the CAS
+/// `gatekeeper_rmws` and `rearm_resets`; lock uses `lock_acquisitions`; priority uses the CAS
 /// family (each successful improvement CAS counts as a win); naive counts
 /// only `wins`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CwCounters {
     /// Claims resolved by a read-only fast path (CAS-LT's pre-CAS load,
-    /// the gatekeeper-skip pre-RMW load, priority's beats check): the
-    /// atomic and the write were both skipped.
+    /// priority's beats check): the atomic and the write were both
+    /// skipped.
     pub fast_path_skips: u64,
     /// Compare-and-swap instructions issued (CAS-LT slow path, priority
     /// offer loop).

@@ -2,51 +2,27 @@
 //!
 //! All of the paper's methods answer the same question — *"may this thread
 //! perform the concurrent write to this target in this round?"* — so kernels
-//! are written once against [`Arbiter`] / [`SliceArbiter`] and instantiated
-//! with whichever scheme is being measured.
+//! are written once against [`SliceArbiter`] and instantiated with whichever
+//! scheme is being measured. A single contended cell is a length-1 family.
 
 use crate::round::Round;
 
-/// A single concurrent-write target's arbitration state.
+/// An indexed family of concurrent-write targets.
 ///
 /// # Contract
 ///
-/// For every `(cell, round)` pair, among all concurrently executing
-/// `try_claim(round)` calls **at most one** returns `true` (the *winner*).
-/// Implementations differ in cost, progress guarantees, and in whether
-/// re-arming between rounds is free (CAS-LT) or requires an explicit
-/// [`Arbiter::reset`] pass (gatekeeper).
+/// For every `(index, round)` pair, among all concurrently executing
+/// `try_claim(index, round)` calls **at most one** returns `true` (the
+/// *winner*). Schemes differ in cost, progress guarantees, and in whether
+/// re-arming between rounds is free (CAS-LT) or requires a reset pass
+/// (gatekeeper).
 ///
 /// The exception is [`crate::NaiveArbiter`], which intentionally violates
 /// single-winner semantics to model the "let all writes race" practice; its
 /// documentation spells out when that is tolerable.
-pub trait Arbiter: Sync {
-    /// Attempt to claim this cell for `round`; `true` means the caller is
-    /// the unique winner and must now perform the concurrent write.
-    fn try_claim(&self, round: Round) -> bool;
-
-    /// Restore the never-claimed state.
-    ///
-    /// Requires `&mut self`: resets happen between parallel phases, when the
-    /// caller has exclusive access. Schemes with free re-arming (CAS-LT)
-    /// only need this on 32-bit round-space exhaustion; the gatekeeper
-    /// scheme needs it before *every* round.
-    fn reset(&mut self);
-
-    /// Whether a new round re-arms this cell without [`Arbiter::reset`].
-    ///
-    /// `true` for CAS-LT and the lock arbiter; `false` for gatekeepers.
-    /// Kernels consult this to decide whether to pay the O(K)
-    /// reinitialization pass between rounds.
-    fn rearms_on_new_round(&self) -> bool;
-}
-
-/// An indexed family of concurrent-write targets.
 ///
-/// Kernels that arbitrate per-element (one auxiliary word per vertex, per
-/// array slot, …) use this instead of `&[impl Arbiter]` so that schemes can
-/// choose their own storage layout (packed vs cache-line padded) and so
-/// that whole-array reset can be a single `memset`-like pass.
+/// Each scheme owns its storage, so a whole-array reset can be a single
+/// `memset`-like pass.
 pub trait SliceArbiter: Sync {
     /// Number of targets.
     fn len(&self) -> usize;
@@ -56,9 +32,8 @@ pub trait SliceArbiter: Sync {
         self.len() == 0
     }
 
-    /// Attempt to claim target `index` for `round`.
-    ///
-    /// Same single-winner contract as [`Arbiter::try_claim`].
+    /// Attempt to claim target `index` for `round`; `true` means the caller
+    /// is the unique winner and must now perform the concurrent write.
     ///
     /// # Panics
     /// Panics if `index >= self.len()`.
@@ -79,6 +54,10 @@ pub trait SliceArbiter: Sync {
     fn reset_range(&self, range: std::ops::Range<usize>);
 
     /// Whether a new round re-arms all targets without a reset pass.
+    ///
+    /// `true` for CAS-LT, the lock arbiter and naive; `false` for the
+    /// gatekeeper. Kernels consult this to decide whether to pay the O(K)
+    /// reinitialization pass between rounds.
     fn rearms_on_new_round(&self) -> bool;
 }
 
@@ -109,7 +88,6 @@ pub fn try_claim_all<A: SliceArbiter + ?Sized>(arb: &A, indices: &[usize], round
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::caslt::CasLtCell;
 
     #[test]
     fn try_claim_all_is_all_or_nothing_in_effect() {
@@ -130,14 +108,6 @@ mod tests {
     fn try_claim_all_empty_set_wins() {
         let arr = crate::CasLtArray::new(1);
         assert!(try_claim_all(&arr, &[], Round::FIRST));
-    }
-
-    #[test]
-    fn trait_object_claims() {
-        let c = CasLtCell::new();
-        let dyn_cell: &dyn Arbiter = &c;
-        assert!(dyn_cell.try_claim(Round::FIRST));
-        assert!(!dyn_cell.try_claim(Round::FIRST));
     }
 
     #[test]

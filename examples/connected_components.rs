@@ -26,12 +26,7 @@ fn run_cc(name: &str, g: &CsrGraph, pool: &ThreadPool) {
         "{:<16} {:>12} {:>6} {:>12} {:>8}",
         "method", "time", "iters", "components", "verify"
     );
-    for method in [
-        CwMethod::Gatekeeper,
-        CwMethod::GatekeeperSkip,
-        CwMethod::CasLt,
-        CwMethod::Lock,
-    ] {
+    for method in [CwMethod::Gatekeeper, CwMethod::CasLt, CwMethod::Lock] {
         let t0 = Instant::now();
         let r = connected_components(g, method, pool);
         let dt = t0.elapsed();

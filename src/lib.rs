@@ -29,8 +29,8 @@ pub use pram_vm as vm;
 pub mod prelude {
     pub use pram_algos::CwMethod;
     pub use pram_core::{
-        Arbiter, CasLtArray, CasLtCell, ConCell, ConVec, GatekeeperArray, GatekeeperCell,
-        NaiveArbiter, Round, RoundCounter, SliceArbiter,
+        CasLtArray, CasLtCell, ConCell, ConVec, GatekeeperArray, GatekeeperCell, NaiveArbiter,
+        Round, RoundCounter, SliceArbiter,
     };
     pub use pram_exec::{Schedule, ThreadPool};
     pub use pram_graph::{CsrGraph, GraphGen};

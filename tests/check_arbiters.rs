@@ -9,9 +9,10 @@
 //!
 //! Two families of assertions:
 //!
-//! * **Soundness of the substrate** — CAS-LT (all variants), gatekeeper,
-//!   lock, priority, and the multi-word payload cell produce exactly one
-//!   winner under *every* schedule within the bound.
+//! * **Soundness of the substrate** — CAS-LT, gatekeeper, lock, priority,
+//!   the multi-word payload cell, and the two ablation arbiters of
+//!   `pram_bench::ablation` produce exactly one winner under *every*
+//!   schedule within the bound.
 //! * **Sensitivity of the checker** — the seeded violations (NaiveArbiter,
 //!   the check-then-act BuggyCasLt, and its payload-tearing form) are
 //!   *found*, and the reported schedule replays to the same violation.
@@ -22,16 +23,14 @@
 //! schedule-bound and seed-replay workflow.
 #![cfg(pram_check)]
 
+use pram_bench::ablation::{AlwaysRmwCasLtArray, BitGatekeeperArray};
 use pram_check::models::{
     BuggyPayloadWrite, Model, PayloadWrite, PriorityMin, ResetRearm, RoundRacing, SingleRoundWinner,
 };
 use pram_check::{
     explore_exhaustive, explore_random, replay, BuggyCasLtArray, ExploreOptions, Violation,
 };
-use pram_core::{
-    AlwaysRmwCasLtArray, BitGatekeeperArray, CasLtArray, CasLtArray64, GatekeeperArray,
-    GatekeeperSkipArray, LockArray, NaiveArbiter, PaddedCasLtArray, Round, SliceArbiter,
-};
+use pram_core::{CasLtArray, GatekeeperArray, LockArray, NaiveArbiter, Round, SliceArbiter};
 
 const THREADS: usize = 3;
 
@@ -86,28 +85,13 @@ fn caslt_single_winner_exhaustive() {
 }
 
 #[test]
-fn caslt_padded_single_winner_exhaustive() {
-    assert_single_winner_exhaustive("caslt-padded", || PaddedCasLtArray::new(1));
-}
-
-#[test]
 fn caslt_always_rmw_single_winner_exhaustive() {
     assert_single_winner_exhaustive("caslt-always-rmw", || AlwaysRmwCasLtArray::new(1));
 }
 
 #[test]
-fn caslt_64bit_single_winner_exhaustive() {
-    assert_single_winner_exhaustive("caslt-64", || CasLtArray64::new(1));
-}
-
-#[test]
 fn gatekeeper_single_winner_exhaustive() {
     assert_single_winner_exhaustive("gatekeeper", || GatekeeperArray::new(1));
-}
-
-#[test]
-fn gatekeeper_skip_single_winner_exhaustive() {
-    assert_single_winner_exhaustive("gatekeeper-skip", || GatekeeperSkipArray::new(1));
 }
 
 #[test]

@@ -34,8 +34,8 @@ use pram_check::{
     explore_exhaustive, explore_random, replay, CountingClaimCell, ExploreOptions, Violation,
 };
 use pram_core::{
-    CasLtArray, CwCounters, CwTelemetry, GatekeeperArray, GatekeeperSkipArray, LockArray,
-    NaiveArbiter, PriorityCell, Round, ShardGuard, SliceArbiter,
+    CasLtArray, CwCounters, CwTelemetry, GatekeeperArray, LockArray, NaiveArbiter, PriorityCell,
+    Round, ShardGuard, SliceArbiter,
 };
 
 /// Two threads: the ISSUE-mandated bound for the passivity sweep, and
@@ -242,30 +242,6 @@ fn gatekeeper_conservation_exhaustive() {
                         c.fast_path_skips
                     ),
                 )
-            },
-        )
-    });
-}
-
-#[test]
-fn gatekeeper_skip_conservation_exhaustive() {
-    let t = THREADS as u64;
-    assert_conservation_exhaustive("gatekeeper-skip-conservation", move || {
-        let arb = Arc::new(GatekeeperSkipArray::new(1));
-        let a = Arc::clone(&arb);
-        (
-            move |_tid: usize| {
-                a.try_claim(0, Round::FIRST);
-            },
-            move |c: &CwCounters| {
-                expect(
-                    c.fast_path_skips + c.gatekeeper_rmws == t,
-                    format!(
-                        "skips {} + rmws {} != {t} claims",
-                        c.fast_path_skips, c.gatekeeper_rmws
-                    ),
-                )?;
-                expect(c.wins == 1, format!("wins {} != 1", c.wins))
             },
         )
     });

@@ -13,16 +13,12 @@
 //!   claim it again — which is exactly why the reset is mandatory, not an
 //!   optimization;
 //! * after the epoch reset, no stale claim leaks: every cell re-arms and
-//!   the new epoch's `Round::FIRST` wins;
-//! * the 64-bit variant (`CasLtCell64`) sails past the 32-bit boundary
-//!   without any reset, which is its reason to exist.
+//!   the new epoch's `Round::FIRST` wins.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pram_core::{
-    AlwaysRmwCasLtArray, Arbiter, CasLtArray, CasLtCell, CasLtCell64, PaddedCasLtArray, Round,
-    RoundCounter, SliceArbiter,
-};
+use pram_bench::ablation::AlwaysRmwCasLtArray;
+use pram_core::{CasLtArray, CasLtCell, Round, RoundCounter, SliceArbiter};
 
 #[test]
 fn counter_and_array_cross_the_epoch_boundary() {
@@ -107,8 +103,8 @@ fn boundary_round_still_arbitrates_exactly_one_winner() {
 
 #[test]
 fn every_caslt_variant_honors_the_epoch_reset_contract() {
-    // The contract is per-trait, not per-type: packed, padded, and
-    // always-RMW variants all go dead at LAST and recover via reset_all.
+    // The contract is per-trait, not per-type: the packed array and the
+    // always-RMW ablation both go dead at LAST and recover via reset_all.
     fn check<A: SliceArbiter>(name: &str, arr: A) {
         assert!(arr.try_claim(0, Round::LAST), "{name}: boundary claim");
         assert!(
@@ -122,7 +118,6 @@ fn every_caslt_variant_honors_the_epoch_reset_contract() {
         );
     }
     check("caslt", CasLtArray::new(1));
-    check("caslt-padded", PaddedCasLtArray::new(1));
     check("caslt-always-rmw", AlwaysRmwCasLtArray::new(1));
 }
 
@@ -143,24 +138,4 @@ fn epoch_cycles_repeat_indefinitely() {
         assert!(arr.try_claim(1, last));
         assert_eq!(counter.next_round(), None);
     }
-}
-
-#[test]
-fn wide_cell_crosses_the_32bit_boundary_without_reset() {
-    // CasLtCell64 exists precisely so exhaustion never happens in
-    // practice: the round after u32::MAX is just another round.
-    let cell = CasLtCell64::new();
-    let boundary = u64::from(u32::MAX);
-    assert!(cell.try_claim_wide(boundary));
-    assert!(!cell.try_claim_wide(boundary));
-    assert!(
-        cell.try_claim_wide(boundary + 1),
-        "64-bit rounds must re-arm past the 32-bit edge with no reset"
-    );
-    assert_eq!(cell.last_claimed_wide(), boundary + 1);
-
-    // The 32-bit Round interface maps into the low end of the wide space.
-    let cell = CasLtCell64::new();
-    assert!(Arbiter::try_claim(&cell, Round::LAST));
-    assert!(cell.try_claim_wide(Round::LAST.widen() + 1));
 }
