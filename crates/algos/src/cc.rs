@@ -1,21 +1,51 @@
 //! Awerbuch–Shiloach connected components (evaluated in the paper's
 //! Figures 10–12) — the *arbitrary* concurrent-write benchmark.
 //!
-//! Each iteration runs star-based hooking twice (conditional, then
-//! unconditional) followed by one pointer-jumping shortcut:
+//! The forest lives in two parent arrays, `D` and `S`, equal at the start
+//! of every iteration. Iteration `i` owns two hook rounds, `r0 =
+//! Round::from_iteration(2i)` and `r1 = Round::from_iteration(2i + 1)`,
+//! and makes one star-marking pass, two hooking passes and one shortcut:
 //!
-//! 1. **Star detection** (3 passes): mark which vertices belong to depth-≤1
-//!    trees, using common concurrent writes of `false`.
-//! 2. **Conditional hooking**: for every directed edge `(u, v)` with `u` in
-//!    a star and `D[v] < D[u]`, hook `u`'s root onto `D[v]`. Many edges
-//!    target the same root with *different* values — a true arbitrary
-//!    concurrent write. The winner updates **two** arrays (`D[root]` and
-//!    `hook_edge[root]`), which is why the paper implements no naive CC:
-//!    torn two-array writes are unsound (§7.3).
-//! 3. **Unconditional hooking**: surviving stars hook onto any differing
-//!    neighbor component (safe: after conditional hooking, no two adjacent
-//!    stars survive, so targets are non-hooking trees — no cycles).
-//! 4. **Shortcut**: `D[v] = D[D[v]]`.
+//! 1. **Mark** (the only star-detection pass): every `v` with `D[v] !=
+//!    D[D[v]]` stamps `v` and `D[D[v]]` with `r0`, a common concurrent
+//!    write. Gatekeeper cells are re-armed in the same pass.
+//! 2. **Conditional hooking** (round `r0`, reads `S`, writes `D`): `u` is
+//!    in a star iff `stamp[u] != r0` and `stamp[S[u]] != r0`. For a star
+//!    vertex `u` with an edge `(u, v)` and `S[v] < S[u]`, hook `u`'s root
+//!    onto `S[v]`. Many edges target the same root with *different* values
+//!    — a true arbitrary concurrent write. The winner updates **two** arrays
+//!    (`D[root]` and `hook_edge[root]`), which is why the paper implements
+//!    no naive CC: torn two-array writes are unsound (§7.3). The winner
+//!    then raises the stamps of both roots it joined from below `r0` to
+//!    `r1`: a star that hooked or was hooked onto changed.
+//! 3. **Unconditional hooking** (round `r1`, reads `D`, writes `S`): the
+//!    *stagnant* stars — those no conditional hook changed, `stamp < r0` on
+//!    `u` and on `D[u]` — hook onto any differing neighbor. Safe: two
+//!    adjacent stars cannot both be stagnant, since the larger root would
+//!    have hooked conditionally, so targets never hook in this phase and
+//!    no cycle forms.
+//! 4. **Shortcut** (nowait): over the merged parent `P(w) = S[w]` if
+//!    `D[w] == w`, else `D[w]`, each `v` stores `P(P(v))` into both `D[v]`
+//!    and `S[v]`. Phase 0 moved only `D`, and phase 1 only roots of `D`
+//!    in `S`, so `P` holds every hook of the iteration. Its reads race
+//!    with other members' stores, but any mix of old and new values of
+//!    `D[w]` and `S[w]` yields an ancestor of `w`, so every store is one.
+//!
+//! ## Round stamps: no reset pass
+//!
+//! `stamp[v]` holds the last hook round in which `v` was found outside a
+//! star (0 = never), so "in a star for `r0`" needs no cleared flag array:
+//! advancing the round invalidates every old mark for free, which is
+//! CAS-LT's own idea applied to the kernel's state. Phase 0 tests `!= r0`
+//! and so cannot be fooled by a concurrent raise to `r1`; phase 1 tests
+//! `< r0` and so also sees the raises. Testing `u` and its parent is
+//! JaJa's propagate step folded into the hooking loop: a vertex at depth
+//! ≥ 2 is stamped itself, and a depth-1 vertex of a deeper tree has that
+//! tree's stamped root as its parent. A star member's parent is its root,
+//! and a hooked root keeps its members pointing at it until the shortcut,
+//! so phase 1 sees every raise through `D[u]`. This folds JaJa's three
+//! star passes (reset, mark, propagate) per phase into one mark pass per
+//! iteration.
 //!
 //! ## The hooking pass walks vertices, one attempt each
 //!
@@ -32,18 +62,38 @@
 //! numbers of edges (binary search on the CSR offsets), so a skewed
 //! graph's heavy low ids do not all land on one member.
 //!
-//! ## Reads-before-writes, made explicit
+//! ## Reads-before-writes: alternating parent arrays
 //!
 //! PRAM semantics read all operands before any same-step write commits. A
 //! threaded hooking pass has no such guarantee: a hooked root's new pointer
 //! could be read mid-pass as if it were a root, directing a *second* hook
-//! at a non-root cell and splitting a component. We restore the PRAM
-//! read/write separation by hooking from a snapshot `D_snap` of `D`. `D`
-//! does not change during star detection, so the snapshot is copied in
-//! star detection's first pass, beside the reset of `star` (and the re-arm
-//! of gatekeeper cells) — no pass or rendezvous of its own. It stands in
-//! for the lock-step semantics OpenMP's fork-join also only approximates;
-//! DESIGN.md discusses the substitution.
+//! at a non-root cell and splitting a component. Each hooking phase
+//! therefore reads one parent array and writes the other, and the
+//! shortcut makes them equal again, so no copy pass is needed. The
+//! protocol rests on these invariants; the first holds by construction
+//! and the next two are checked with `debug_assert!`:
+//!
+//! - Phase 0 never stores to `S`, and phase 1 never stores to `D`.
+//! - Stamps only rise.
+//! - Every winner's root is a root of the array its phase reads.
+//! - A gatekeeper cell touched in phase 0 belongs to a root that phase 0
+//!   hooked (every attempt on a cell elects a winner), which phase 1 never
+//!   claims: phase 1 claims only roots of `D`. A hooked root never becomes
+//!   a root again, so each cell is claimed in one phase of the whole run,
+//!   and the one re-arm per iteration is the gatekeeper method's own cost
+//!   (the paper's reset pass), not a condition of correctness.
+//!
+//! ## Fixed-point exit
+//!
+//! Phase 0 ends in a team sum of its hooks and of the vertices found
+//! outside a star. When both are 0, every tree is a star and no edge joins
+//! two of them (an edge between stars would have hooked the larger root),
+//! so the iteration returns at once: the last iteration skips phase 1 and
+//! the shortcut. An iteration costs four rendezvous (its opening, the
+//! mark pass, phase 0's sum and phase 1's barrier), the last one three.
+//! The alternating arrays stand in for the lock-step reads-before-writes
+//! that OpenMP's fork-join also only approximates (DESIGN.md §1: a
+//! barrier still separates a CW from any dependent read).
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
@@ -107,9 +157,10 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     let (offsets, targets) = (g.offsets(), g.targets());
     let rearm = !arb.rearms_on_new_round();
 
+    // The alternating parent arrays and the round stamps (module docs).
     let d: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
-    let d_snap: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let star: Vec<AtomicU8> = (0..n).map(|_| AtomicU8::new(1)).collect();
+    let s: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
+    let stamp: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let hook_edge: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(NO_HOOK)).collect();
 
     // Awerbuch–Shiloach converges in O(log n) iterations; naive runs can
@@ -119,6 +170,16 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     let iterations = AtomicU32::new(0);
     let converged = AtomicU8::new(0);
 
+    // Every access is Relaxed: a pass's stores reach the next pass through
+    // the rendezvous between them (the barrier's release and acquire), and
+    // the races inside a pass are between values that are all correct.
+    let at = |a: &[AtomicU32], v: usize| a[v].load(Ordering::Relaxed) as usize;
+    let stamp_of = |v: usize| stamp[v].load(Ordering::Relaxed);
+    let raise = |v: usize, t: u32| {
+        debug_assert!(stamp_of(v) <= t, "stamps only rise");
+        stamp[v].store(t, Ordering::Relaxed);
+    };
+
     pool.run(|ctx| {
         let sched = Schedule::default();
         let my_vertices = edge_balanced_block(offsets, ctx.num_threads(), ctx.thread_id());
@@ -126,77 +187,109 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
         let c = ctx.converge_rounds(max_iters, [0, 0], |iter_round, _| {
             ctx.annotate_round("hook");
             let i = iter_round.get() - 1;
-            // Progress is member-local until the round's closing team sum.
-            let mut changes = 0;
-            // Two distinct CW rounds per iteration (one per hooking phase).
-            let hook_rounds = [
+            // Two distinct CW rounds per iteration (one per hooking phase),
+            // whose values double as star stamps.
+            let (r0, r1) = (
                 Round::from_iteration(2 * i),
                 Round::from_iteration(2 * i + 1),
-            ];
+            );
+            let (t0, t1) = (r0.get(), r1.get());
 
-            for (phase, round) in hook_rounds.into_iter().enumerate() {
-                let conditional = phase == 0;
-                // Star detection: JaJa's three-pass formulation. The first
-                // pass also snapshots D (the explicit reads-before-writes
-                // separation) and re-arms gatekeeper cells.
-                ctx.for_each(0..n, sched, |v| {
-                    star[v].store(1, Ordering::Relaxed);
-                    d_snap[v].store(d[v].load(Ordering::Relaxed), Ordering::Relaxed);
-                    if rearm {
-                        arb.reset_range(v..v + 1);
-                    }
-                });
-                ctx.for_each(0..n, sched, |v| {
-                    let dv = d[v].load(Ordering::Relaxed) as usize;
-                    let ddv = d[dv].load(Ordering::Relaxed) as usize;
-                    if dv != ddv {
-                        // Common CW of `false` — naive stores are sound here.
-                        star[v].store(0, Ordering::Relaxed);
-                        star[ddv].store(0, Ordering::Relaxed);
-                    }
-                });
-                ctx.for_each(0..n, sched, |v| {
-                    let dv = d[v].load(Ordering::Relaxed) as usize;
-                    let ddv = d[dv].load(Ordering::Relaxed) as usize;
-                    // In-place is race-benign: any cell both read and written
-                    // in this pass provably keeps its value (module docs).
-                    star[v].store(star[ddv].load(Ordering::Relaxed), Ordering::Relaxed);
-                });
-
-                // Hooking: one claim attempt per star vertex (module docs).
-                for u in my_vertices.clone() {
-                    if star[u].load(Ordering::Relaxed) == 0 {
-                        continue;
-                    }
-                    let du = d_snap[u].load(Ordering::Relaxed);
-                    for e in offsets[u]..offsets[u + 1] {
-                        let dv = d_snap[targets[e] as usize].load(Ordering::Relaxed);
-                        let should = if conditional { dv < du } else { dv != du };
-                        if should {
-                            if arb.try_claim(du as usize, round) {
-                                // The guarded two-array arbitrary write.
-                                d[du as usize].store(dv, Ordering::Relaxed);
-                                hook_edge[du as usize].store(e, Ordering::Relaxed);
-                                changes += 1;
-                            }
-                            break;
-                        }
-                    }
+            // Mark: the iteration's only star-detection pass. Common CW of
+            // `t0`, so naive stores are sound here.
+            ctx.for_each(0..n, sched, |v| {
+                if rearm {
+                    arb.reset_range(v..v + 1);
                 }
-                ctx.barrier();
-            }
-
-            // Shortcut: pointer jumping (exclusive write per vertex). No
-            // ending barrier: the round's closing rendezvous is the sync point.
-            ctx.for_each_nowait(0..n, |v| {
-                let dv = d[v].load(Ordering::Relaxed);
-                let ddv = d[dv as usize].load(Ordering::Relaxed);
-                if ddv != dv {
-                    d[v].store(ddv, Ordering::Relaxed);
-                    changes += 1;
+                let dv = at(&d, v);
+                let ddv = at(&d, dv);
+                if dv != ddv {
+                    raise(v, t0);
+                    raise(ddv, t0);
                 }
             });
-            [changes, 0]
+
+            // Phase 0, conditional hooking: reads S, writes D. One claim
+            // attempt per star vertex (module docs).
+            let (mut hooks, mut outside) = (0, 0);
+            for u in my_vertices.clone() {
+                let du = at(&s, u);
+                if stamp_of(u) == t0 || stamp_of(du) == t0 {
+                    outside += 1;
+                    continue;
+                }
+                let edges = offsets[u]..offsets[u + 1];
+                for (e, &v) in edges.clone().zip(&targets[edges]) {
+                    let dv = at(&s, v as usize);
+                    if dv < du {
+                        if arb.try_claim(du, r0) {
+                            debug_assert_eq!(at(&s, du), du, "phase 0 hooks a root of S");
+                            // The guarded two-array arbitrary write.
+                            d[du].store(dv as u32, Ordering::Relaxed);
+                            hook_edge[du].store(e, Ordering::Relaxed);
+                            // Both trees changed, so neither is stagnant.
+                            for root in [du, dv] {
+                                if stamp_of(root) < t0 {
+                                    raise(root, t1);
+                                }
+                            }
+                            hooks += 1;
+                        }
+                        break;
+                    }
+                }
+            }
+            let [hooked, outside_total] = ctx.team_sum([hooks, outside]);
+            if hooked == 0 && outside_total == 0 {
+                // Fixed point: every tree is a star and no edge joins two.
+                return [0, 0];
+            }
+
+            // Phase 1, unconditional hooking of stagnant stars: reads D,
+            // writes S.
+            for u in my_vertices.clone() {
+                let du = at(&d, u);
+                if stamp_of(u) >= t0 || stamp_of(du) >= t0 {
+                    continue;
+                }
+                let edges = offsets[u]..offsets[u + 1];
+                for (e, &v) in edges.clone().zip(&targets[edges]) {
+                    let dv = at(&d, v as usize);
+                    if dv != du {
+                        if arb.try_claim(du, r1) {
+                            // A root of D was not hooked in phase 0, so its
+                            // gatekeeper cell is still armed.
+                            debug_assert_eq!(at(&d, du), du, "phase 1 hooks a root of D");
+                            s[du].store(dv as u32, Ordering::Relaxed);
+                            hook_edge[du].store(e, Ordering::Relaxed);
+                        }
+                        break;
+                    }
+                }
+            }
+            ctx.barrier();
+
+            // Shortcut over the merged parent (exclusive write per vertex):
+            // a phase-1 hook lands only on a root of D. Both loads and both
+            // stores are unconditional: skipping unchanged cells mispredicts
+            // on about half the vertices and made the pass three times
+            // slower. No ending barrier: the round's closing rendezvous is
+            // the sync point.
+            let parent = |w: usize| {
+                let (dw, sw) = (at(&d, w), at(&s, w));
+                if dw == w {
+                    sw
+                } else {
+                    dw
+                }
+            };
+            ctx.for_each_nowait(0..n, |v| {
+                let grand = parent(parent(v)) as u32;
+                d[v].store(grand, Ordering::Relaxed);
+                s[v].store(grand, Ordering::Relaxed);
+            });
+            // Nonzero on some member: phase 0's totals were not both 0.
+            [hooks + outside, 0]
         });
         iterations.store(c.rounds, Ordering::Relaxed);
         converged.store(u8::from(c.converged), Ordering::Relaxed);
@@ -381,6 +474,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn gatekeeper_rearms_every_cell_once_per_iteration() {
+        // The gatekeeper method pays one reset pass per iteration, in the
+        // mark pass. Each cell is claimed in one phase of one iteration at
+        // most (its root is hooked for good), so a result check cannot see
+        // a dropped re-arm; the counter can.
+        let pool = ThreadPool::with_config(PoolConfig::new(3).telemetry(true));
+        let g = graph(300, &GraphGen::new(5).gnm(300, 600));
+        let before = pool.take_round_report().totals_cw;
+        let r = connected_components(&g, CwMethod::Gatekeeper, &pool);
+        verify_cc(&g, &r).unwrap();
+        let resets = pool
+            .take_round_report()
+            .totals_cw
+            .delta_since(&before)
+            .rearm_resets;
+        assert!(r.iterations >= 2);
+        assert_eq!(resets, 300 * u64::from(r.iterations));
     }
 
     #[test]

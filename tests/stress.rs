@@ -65,3 +65,63 @@ fn rmat_at_scale_with_heavy_skew() {
     let b = bfs(&g, 0, CwMethod::CasLt, &pool);
     verify_bfs_tree(&g, 0, &b).unwrap();
 }
+
+/// Graphs in [`cc_protocol_sweep_on_small_graphs`]: each runs on two
+/// oversubscribed teams under three methods.
+const SWEEP_GRAPHS: u64 = 1000;
+
+/// `edges` with vertex `v` renamed `(a·v + seed) mod n` for a multiplier `a`
+/// coprime to `n`, so a structured graph's hooks do not always run in
+/// label order.
+fn relabel(n: usize, edges: Vec<(u32, u32)>, seed: u64) -> Vec<(u32, u32)> {
+    let gcd = |mut a: usize, mut b: usize| {
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        a
+    };
+    let a = (seed as usize % 64..)
+        .map(|k| 2 * k + 1)
+        .find(|&a| gcd(a, n) == 1)
+        .expect("an odd multiplier coprime to n exists");
+    let name = |v: u32| ((a * v as usize + seed as usize) % n) as u32;
+    edges.into_iter().map(|(u, v)| (name(u), name(v))).collect()
+}
+
+/// Awerbuch–Shiloach's round-stamped stars, alternating parent arrays and
+/// fixed-point exit under real interleavings: many small graphs of 20–420
+/// vertices (sparse and dense multigraphs, random forests, relabelled
+/// cycles and grids) on 3- and 4-member teams, under every single-winner
+/// method, each result checked for labels and two-array hook consistency.
+#[test]
+fn cc_protocol_sweep_on_small_graphs() {
+    let pools = [ThreadPool::new(3), ThreadPool::new(4)];
+    for seed in 0..SWEEP_GRAPHS {
+        let n = 20 + (seed as usize * 97) % 401;
+        let mut gen = GraphGen::new(seed);
+        let (n, edges) = match seed % 5 {
+            0 => (n, gen.gnm(n, n / 2)),
+            1 => (n, gen.gnm(n, 4 * n)),
+            2 => (n, gen.random_forest(n, 0.8)),
+            3 => (n, relabel(n, GraphGen::cycle(n), seed)),
+            _ => {
+                let rows = 2 + seed as usize % 9;
+                let n = rows * (n / rows);
+                (n, relabel(n, GraphGen::grid(rows, n / rows), seed))
+            }
+        };
+        let g = CsrGraph::from_edges(n, &edges, true);
+        for pool in &pools {
+            for m in [CwMethod::CasLt, CwMethod::Gatekeeper, CwMethod::Lock] {
+                let r = connected_components(&g, m, pool);
+                verify_cc(&g, &r).unwrap_or_else(|e| {
+                    panic!(
+                        "graph {seed} (n = {n}, kind {}), T = {}, {m}: {e}",
+                        seed % 5,
+                        pool.num_threads()
+                    )
+                });
+            }
+        }
+    }
+}
