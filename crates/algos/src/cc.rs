@@ -1,66 +1,81 @@
 //! Awerbuch–Shiloach connected components (evaluated in the paper's
 //! Figures 10–12) — the *arbitrary* concurrent-write benchmark.
 //!
-//! The forest lives in two parent arrays, `D` and `S`, equal at the start
-//! of every iteration. Iteration `i` owns two hook rounds, `r0 =
-//! Round::from_iteration(2i)` and `r1 = Round::from_iteration(2i + 1)`,
-//! and makes one star-marking pass, two hooking passes and one shortcut:
+//! The forest lives in two parent arrays, `D` and `S`. Iteration `i` owns
+//! two hook rounds, `r0 = Round::from_iteration(2i)` and `r1 =
+//! Round::from_iteration(2i + 1)`, and makes two hooking passes and one
+//! compress pass:
 //!
-//! 1. **Mark** (the only star-detection pass): every `v` with `D[v] !=
-//!    D[D[v]]` stamps `v` and `D[D[v]]` with `r0`, a common concurrent
-//!    write. Gatekeeper cells are re-armed in the same pass.
-//! 2. **Conditional hooking** (round `r0`, reads `S`, writes `D`): `u` is
-//!    in a star iff `stamp[u] != r0` and `stamp[S[u]] != r0`. For a star
-//!    vertex `u` with an edge `(u, v)` and `S[v] < S[u]`, hook `u`'s root
-//!    onto `S[v]`. Many edges target the same root with *different* values
-//!    — a true arbitrary concurrent write. The winner updates **two** arrays
-//!    (`D[root]` and `hook_edge[root]`), which is why the paper implements
-//!    no naive CC: torn two-array writes are unsound (§7.3). The winner
-//!    then raises the stamps of both roots it joined from below `r0` to
+//! 1. **Conditional hooking** (round `r0`, reads `S`, writes `D`): every
+//!    vertex's parent `S[u]` is a root (the star invariant below), so no
+//!    star test is needed. For a vertex `u` with an edge `(u, v)` and `S[v]
+//!    < S[u]`, hook `u`'s root onto `S[v]`. Many edges target the same root
+//!    with *different* values — a true arbitrary concurrent write. The
+//!    winner updates **two** arrays (`D[root]` and `hook_edge[root]`),
+//!    which is why the paper implements no naive CC: torn two-array writes
+//!    are unsound (§7.3). The winner then stamps both roots it joined with
 //!    `r1`: a star that hooked or was hooked onto changed.
-//! 3. **Unconditional hooking** (round `r1`, reads `D`, writes `S`): the
-//!    *stagnant* stars — those no conditional hook changed, `stamp < r0` on
-//!    `u` and on `D[u]` — hook onto any differing neighbor. Safe: two
+//! 2. **Unconditional hooking** (round `r1`, reads `D`, writes `S`): the
+//!    *stagnant* stars — those no conditional hook changed — hook onto any
+//!    differing neighbor. `u` is in a stagnant star iff `stamp[D[u]] !=
+//!    r1`: a member of a changed star still points at its stamped root,
+//!    and a hooked root points at the stamped root it joined. Safe: two
 //!    adjacent stars cannot both be stagnant, since the larger root would
 //!    have hooked conditionally, so targets never hook in this phase and
 //!    no cycle forms.
-//! 4. **Shortcut** (nowait): over the merged parent `P(w) = S[w]` if
-//!    `D[w] == w`, else `D[w]`, each `v` stores `P(P(v))` into both `D[v]`
-//!    and `S[v]`. Phase 0 moved only `D`, and phase 1 only roots of `D`
-//!    in `S`, so `P` holds every hook of the iteration. Its reads race
-//!    with other members' stores, but any mix of old and new values of
-//!    `D[w]` and `S[w]` yields an ancestor of `w`, so every store is one.
+//! 3. **Compress** (nowait): over the merged parent `P(w) = S[w]` if `D[w]
+//!    == w`, else `D[w]`, each `v` walks `x = P(v)` until `P(x) == x` and
+//!    stores that root into both `D[v]` and `S[v]`. Phase 0 moved only `D`,
+//!    and phase 1 only roots of `D` in `S`, so `P` holds every hook of the
+//!    iteration. Gatekeeper cells are re-armed in the same pass.
 //!
-//! ## Round stamps: no reset pass
+//! ## The star invariant
 //!
-//! `stamp[v]` holds the last hook round in which `v` was found outside a
-//! star (0 = never), so "in a star for `r0`" needs no cleared flag array:
-//! advancing the round invalidates every old mark for free, which is
-//! CAS-LT's own idea applied to the kernel's state. Phase 0 tests `!= r0`
-//! and so cannot be fooled by a concurrent raise to `r1`; phase 1 tests
-//! `< r0` and so also sees the raises. Testing `u` and its parent is
-//! JaJa's propagate step folded into the hooking loop: a vertex at depth
-//! ≥ 2 is stamped itself, and a depth-1 vertex of a deeper tree has that
-//! tree's stamped root as its parent. A star member's parent is its root,
-//! and a hooked root keeps its members pointing at it until the shortcut,
-//! so phase 1 sees every raise through `D[u]`. This folds JaJa's three
-//! star passes (reset, mark, propagate) per phase into one mark pass per
-//! iteration.
+//! At the start of every iteration `D == S` and every vertex's parent is a
+//! root, so every tree is a star. The identity holds it at the start, and
+//! every compress restores it; phase 0 checks it with `debug_assert!`.
+//! Star detection therefore costs nothing: JaJa's reset, mark and
+//! propagate passes, and the "outside a star" tests, are gone.
+//!
+//! **Why the compress walk ends at a root.** Each member writes only its
+//! own vertices, while other members read them mid-walk. Every value that
+//! can be read is an ancestor: a non-root `w`'s `D[w]` is its hook target
+//! or its new root, both above it, and a root hooked in phase 1 (`D[w] ==
+//! w`) reads on to `S[w]`, its target or its root. So a non-root never
+//! reads as `P(w) == w`, each jump climbs strictly, and the walk stops
+//! only at a root, after at most the tree's depth in jumps. The walk is
+//! capped at `n` jumps anyway: a forest is never that deep, so the cap
+//! binds only on a pointer cycle, which [`CwMethod::Naive`] may leave. A
+//! capped run then ends at the iteration cap instead of spinning.
+//!
+//! ## Stamps and the fixed-point exit
+//!
+//! `stamp[v]` is the last hook round in which `v` was a root that phase 0
+//! changed. Stamps are never reset: advancing the round invalidates every
+//! old mark for free, which is CAS-LT's own idea applied to the kernel's
+//! state.
+//!
+//! Phase 0 ends in a team sum of its hooks. When it is 0, no edge joins
+//! two trees (every tree is a star, and an edge between two stars would
+//! have hooked the larger root), so the iteration returns at once: the
+//! last iteration skips phase 1 and the compress. An iteration costs three
+//! rendezvous (its opening, phase 0's sum and phase 1's barrier), the last
+//! one two.
 //!
 //! ## The hooking pass walks vertices, one attempt each
 //!
 //! Hooking loops over source vertices `u` and walks `u`'s CSR adjacency
-//! in place; a vertex outside a star skips its whole adjacency. Every edge
-//! of `u` targets the same root `D[u]`, and a `(cell, round)` pair has a
-//! single winner, so once `u` has tried to claim `D[u]` — won or lost —
-//! no later edge of `u` can win this round: `u` stops at its first
-//! qualifying edge. A root is still hooked exactly when one of its star's
-//! members has a qualifying edge, as in the edge-parallel formulation,
-//! but a phase makes at most one claim attempt per vertex instead of one
-//! per edge. This is CAS-LT's "claimed cells are skipped" idea applied at
-//! the loop level. Members take contiguous vertex blocks holding equal
-//! numbers of edges (binary search on the CSR offsets), so a skewed
-//! graph's heavy low ids do not all land on one member.
+//! in place; a vertex of a changed star skips its whole adjacency in
+//! phase 1. Every edge of `u` targets the same root, and a `(cell, round)`
+//! pair has a single winner, so once `u` has tried to claim its root — won
+//! or lost — no later edge of `u` can win this round: `u` stops at its
+//! first qualifying edge. A root is still hooked exactly when one of its
+//! star's members has a qualifying edge, as in the edge-parallel
+//! formulation, but a phase makes at most one claim attempt per vertex
+//! instead of one per edge. This is CAS-LT's "claimed cells are skipped"
+//! idea applied at the loop level. Members take contiguous vertex blocks
+//! holding equal numbers of edges (binary search on the CSR offsets), so a
+//! skewed graph's heavy low ids do not all land on one member.
 //!
 //! ## Reads-before-writes: alternating parent arrays
 //!
@@ -68,29 +83,22 @@
 //! threaded hooking pass has no such guarantee: a hooked root's new pointer
 //! could be read mid-pass as if it were a root, directing a *second* hook
 //! at a non-root cell and splitting a component. Each hooking phase
-//! therefore reads one parent array and writes the other, and the
-//! shortcut makes them equal again, so no copy pass is needed. The
-//! protocol rests on these invariants; the first holds by construction
-//! and the next two are checked with `debug_assert!`:
+//! therefore reads one parent array and writes the other, and the compress
+//! makes them equal again, so no copy pass is needed. The protocol rests on
+//! these invariants; the first holds by construction and the others are
+//! checked with `debug_assert!`:
 //!
 //! - Phase 0 never stores to `S`, and phase 1 never stores to `D`.
+//! - Every iteration starts from stars, with `D == S`.
 //! - Stamps only rise.
 //! - Every winner's root is a root of the array its phase reads.
 //! - A gatekeeper cell touched in phase 0 belongs to a root that phase 0
 //!   hooked (every attempt on a cell elects a winner), which phase 1 never
 //!   claims: phase 1 claims only roots of `D`. A hooked root never becomes
 //!   a root again, so each cell is claimed in one phase of the whole run,
-//!   and the one re-arm per iteration is the gatekeeper method's own cost
+//!   and the one re-arm per compress is the gatekeeper method's own cost
 //!   (the paper's reset pass), not a condition of correctness.
 //!
-//! ## Fixed-point exit
-//!
-//! Phase 0 ends in a team sum of its hooks and of the vertices found
-//! outside a star. When both are 0, every tree is a star and no edge joins
-//! two of them (an edge between stars would have hooked the larger root),
-//! so the iteration returns at once: the last iteration skips phase 1 and
-//! the shortcut. An iteration costs four rendezvous (its opening, the
-//! mark pass, phase 0's sum and phase 1's barrier), the last one three.
 //! The alternating arrays stand in for the lock-step reads-before-writes
 //! that OpenMP's fork-join also only approximates (DESIGN.md §1: a
 //! barrier still separates a CW from any dependent read).
@@ -99,7 +107,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
 
 use pram_core::{Round, SliceArbiter};
-use pram_exec::{Schedule, ThreadPool};
+use pram_exec::ThreadPool;
 use pram_graph::CsrGraph;
 
 use crate::method::{dispatch_method, CwMethod};
@@ -157,7 +165,7 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     let (offsets, targets) = (g.offsets(), g.targets());
     let rearm = !arb.rearms_on_new_round();
 
-    // The alternating parent arrays and the round stamps (module docs).
+    // The alternating parent arrays and the stamps (module docs).
     let d: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
     let s: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
     let stamp: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
@@ -181,66 +189,44 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     };
 
     pool.run(|ctx| {
-        let sched = Schedule::default();
         let my_vertices = edge_balanced_block(offsets, ctx.num_threads(), ctx.thread_id());
 
         let c = ctx.converge_rounds(max_iters, [0, 0], |iter_round, _| {
             ctx.annotate_round("hook");
             let i = iter_round.get() - 1;
-            // Two distinct CW rounds per iteration (one per hooking phase),
-            // whose values double as star stamps.
+            // Two distinct CW rounds per iteration (one per hooking phase);
+            // the second doubles as the "changed in phase 0" stamp.
             let (r0, r1) = (
                 Round::from_iteration(2 * i),
                 Round::from_iteration(2 * i + 1),
             );
-            let (t0, t1) = (r0.get(), r1.get());
+            let t1 = r1.get();
 
-            // Mark: the iteration's only star-detection pass. Common CW of
-            // `t0`, so naive stores are sound here.
-            ctx.for_each(0..n, sched, |v| {
-                if rearm {
-                    arb.reset_range(v..v + 1);
-                }
-                let dv = at(&d, v);
-                let ddv = at(&d, dv);
-                if dv != ddv {
-                    raise(v, t0);
-                    raise(ddv, t0);
-                }
-            });
-
-            // Phase 0, conditional hooking: reads S, writes D. One claim
-            // attempt per star vertex (module docs).
-            let (mut hooks, mut outside) = (0, 0);
+            // Phase 0, conditional hooking: reads S, writes D. Every parent
+            // is a root, so there is no star test (module docs).
+            let mut hooks = 0;
             for u in my_vertices.clone() {
                 let du = at(&s, u);
-                if stamp_of(u) == t0 || stamp_of(du) == t0 {
-                    outside += 1;
-                    continue;
-                }
+                debug_assert_eq!(at(&s, du), du, "every iteration starts from stars");
                 let edges = offsets[u]..offsets[u + 1];
                 for (e, &v) in edges.clone().zip(&targets[edges]) {
                     let dv = at(&s, v as usize);
                     if dv < du {
                         if arb.try_claim(du, r0) {
-                            debug_assert_eq!(at(&s, du), du, "phase 0 hooks a root of S");
                             // The guarded two-array arbitrary write.
                             d[du].store(dv as u32, Ordering::Relaxed);
                             hook_edge[du].store(e, Ordering::Relaxed);
-                            // Both trees changed, so neither is stagnant.
-                            for root in [du, dv] {
-                                if stamp_of(root) < t0 {
-                                    raise(root, t1);
-                                }
-                            }
+                            // Both stars changed, so neither is stagnant.
+                            raise(du, t1);
+                            raise(dv, t1);
                             hooks += 1;
                         }
                         break;
                     }
                 }
             }
-            let [hooked, outside_total] = ctx.team_sum([hooks, outside]);
-            if hooked == 0 && outside_total == 0 {
+            let [hooked, _] = ctx.team_sum([hooks, 0]);
+            if hooked == 0 {
                 // Fixed point: every tree is a star and no edge joins two.
                 return [0, 0];
             }
@@ -249,7 +235,7 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
             // writes S.
             for u in my_vertices.clone() {
                 let du = at(&d, u);
-                if stamp_of(u) >= t0 || stamp_of(du) >= t0 {
+                if stamp_of(du) == t1 {
                     continue;
                 }
                 let edges = offsets[u]..offsets[u + 1];
@@ -269,12 +255,11 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
             }
             ctx.barrier();
 
-            // Shortcut over the merged parent (exclusive write per vertex):
-            // a phase-1 hook lands only on a root of D. Both loads and both
-            // stores are unconditional: skipping unchanged cells mispredicts
-            // on about half the vertices and made the pass three times
-            // slower. No ending barrier: the round's closing rendezvous is
-            // the sync point.
+            // Compress over the merged parent (exclusive write per vertex):
+            // a phase-1 hook lands only on a root of D. Every value a walk
+            // can read is an ancestor, so it stops only at a root; the cap
+            // binds only on a pointer cycle (module docs). No ending
+            // barrier: the round's closing rendezvous is the sync point.
             let parent = |w: usize| {
                 let (dw, sw) = (at(&d, w), at(&s, w));
                 if dw == w {
@@ -284,19 +269,30 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 }
             };
             ctx.for_each_nowait(0..n, |v| {
-                let grand = parent(parent(v)) as u32;
-                d[v].store(grand, Ordering::Relaxed);
-                s[v].store(grand, Ordering::Relaxed);
+                if rearm {
+                    arb.reset_range(v..v + 1);
+                }
+                let mut x = parent(v);
+                for _ in 1..n {
+                    let px = parent(x);
+                    if px == x {
+                        break;
+                    }
+                    x = px;
+                }
+                d[v].store(x as u32, Ordering::Relaxed);
+                s[v].store(x as u32, Ordering::Relaxed);
             });
-            // Nonzero on some member: phase 0's totals were not both 0.
-            [hooks + outside, 0]
+            // Nonzero on some member: phase 0 hooked.
+            [hooks, 0]
         });
         iterations.store(c.rounds, Ordering::Relaxed);
         converged.store(u8::from(c.converged), Ordering::Relaxed);
     });
 
     let d: Vec<u32> = d.into_iter().map(AtomicU32::into_inner).collect();
-    let labels = pram_graph::serial::canonical_labels_from(|v| d[d[v as usize] as usize], n);
+    // Every parent is a root once a compress has run (module docs).
+    let labels = pram_graph::serial::canonical_labels_from(|v| d[v as usize], n);
     CcResult {
         labels,
         hook_edge: hook_edge.into_iter().map(AtomicUsize::into_inner).collect(),
@@ -438,6 +434,34 @@ mod tests {
             r.iterations
         );
         assert!(r.labels.iter().all(|&l| l == 0));
+
+        // Randomly relabelled, a path hooks into deep chains that only the
+        // compress walk flattens in one pass.
+        let n = 4096;
+        let g = graph(n, &GraphGen::new(9).relabel(n, &GraphGen::path(n)));
+        for t in 1..=4 {
+            let pool = ThreadPool::new(t);
+            let r = connected_components(&g, CwMethod::CasLt, &pool);
+            verify_cc(&g, &r).unwrap_or_else(|e| panic!("T = {t}: {e}"));
+            assert!(
+                r.iterations <= 24,
+                "relabelled path of {n} took {} iterations at T = {t}",
+                r.iterations
+            );
+        }
+    }
+
+    #[test]
+    fn naive_runs_terminate() {
+        // Naive hooks may tear or leave a pointer cycle; the capped
+        // compress walk and the iteration cap still end the call. Only
+        // termination is checked.
+        let pool = ThreadPool::new(4);
+        for seed in 0..8 {
+            let g = graph(200, &GraphGen::new(seed).gnm(200, 300));
+            let r = connected_components(&g, CwMethod::Naive, &pool);
+            assert_eq!(r.labels.len(), 200);
+        }
     }
 
     #[test]
@@ -479,9 +503,9 @@ mod tests {
     #[test]
     fn gatekeeper_rearms_every_cell_once_per_iteration() {
         // The gatekeeper method pays one reset pass per iteration, in the
-        // mark pass. Each cell is claimed in one phase of one iteration at
-        // most (its root is hooked for good), so a result check cannot see
-        // a dropped re-arm; the counter can.
+        // compress, which the exit iteration skips. Each cell is claimed in
+        // one phase of one iteration at most (its root is hooked for good),
+        // so a result check cannot see a dropped re-arm; the counter can.
         let pool = ThreadPool::with_config(PoolConfig::new(3).telemetry(true));
         let g = graph(300, &GraphGen::new(5).gnm(300, 600));
         let before = pool.take_round_report().totals_cw;
@@ -493,7 +517,7 @@ mod tests {
             .delta_since(&before)
             .rearm_resets;
         assert!(r.iterations >= 2);
-        assert_eq!(resets, 300 * u64::from(r.iterations));
+        assert_eq!(resets, 300 * u64::from(r.iterations - 1));
     }
 
     #[test]

@@ -115,13 +115,7 @@ fn host_json(max_threads: usize) -> String {
                 .map(|(_, m)| m.trim().to_string())
         })
         .unwrap_or_else(|| "unknown".into());
-    let git = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into());
+    let git = git_revision();
     let nproc = nproc();
     format!(
         "{{\"nproc\": {nproc}, \"cpu\": {}, \"git\": {}, \"oversubscribed\": {}}}",
@@ -129,6 +123,22 @@ fn host_json(max_threads: usize) -> String {
         json_str(&git),
         max_threads > nproc
     )
+}
+
+/// The short commit id of `HEAD`, with `-dirty` appended when tracked
+/// files differ from it (so a file recorded from uncommitted code does not
+/// name its parent commit), or `unknown` outside a git checkout.
+fn git_revision() -> String {
+    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+    let Some(head) = git(&["rev-parse", "--short", "HEAD"]).filter(|o| o.status.success()) else {
+        return "unknown".into();
+    };
+    let head = String::from_utf8_lossy(&head.stdout).trim().to_string();
+    // `git diff --quiet` exits 1 when the work tree differs from HEAD.
+    match git(&["diff", "--quiet", "HEAD"]).and_then(|o| o.status.code()) {
+        Some(0) => head,
+        _ => format!("{head}-dirty"),
+    }
 }
 
 /// `s` as a JSON string literal.
@@ -329,6 +339,16 @@ mod tests {
         assert_eq!(ten.count(), 10);
         assert_eq!(ten.spread(), 9.0);
         assert_eq!(ten.scaled(2.0).median(), 10.0);
+    }
+
+    #[test]
+    fn git_revision_is_a_short_id_with_an_optional_dirty_marker() {
+        let rev = git_revision();
+        let id = rev.strip_suffix("-dirty").unwrap_or(&rev);
+        assert!(
+            rev == "unknown" || (id.len() >= 4 && id.bytes().all(|b| b.is_ascii_hexdigit())),
+            "unexpected git field {rev:?}"
+        );
     }
 
     #[test]

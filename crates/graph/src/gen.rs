@@ -162,6 +162,23 @@ impl GraphGen {
         e
     }
 
+    /// Complete binary tree over `n` vertices: `v ≥ 1` hangs from `(v -
+    /// 1) / 2`, so the depth is `⌊log2 n⌋`.
+    pub fn binary_tree(n: usize) -> Vec<(u32, u32)> {
+        (1..n as u32).map(|v| ((v - 1) / 2, v)).collect()
+    }
+
+    /// Caterpillar: a path of `spine` vertices `0..spine`, each with `legs`
+    /// pendant leaves numbered after the spine — a long path whose
+    /// vertices have uneven degrees.
+    pub fn caterpillar(spine: usize, legs: usize) -> Vec<(u32, u32)> {
+        let mut e = Self::path(spine);
+        for leaf in spine..spine * (legs + 1) {
+            e.push((((leaf - spine) / legs) as u32, leaf as u32));
+        }
+        e
+    }
+
     /// `k` disjoint cliques of `size` vertices each — known component
     /// structure for CC tests. Vertex `i` belongs to component `i / size`.
     pub fn disjoint_cliques(k: usize, size: usize) -> Vec<(u32, u32)> {
@@ -175,6 +192,19 @@ impl GraphGen {
             }
         }
         e
+    }
+
+    /// `edges` over `n` vertices with the vertices renamed by a uniform
+    /// random permutation, so a structured graph's ids carry no order.
+    pub fn relabel(&mut self, n: usize, edges: &[(u32, u32)]) -> Vec<(u32, u32)> {
+        let mut name: Vec<u32> = (0..n as u32).collect();
+        for i in (1..n).rev() {
+            name.swap(i, self.rng.gen_range(0..i + 1));
+        }
+        edges
+            .iter()
+            .map(|&(u, v)| (name[u as usize], name[v as usize]))
+            .collect()
     }
 
     /// A random forest over `n` vertices: each vertex `v ≥ 1` attaches to a
@@ -253,6 +283,31 @@ mod tests {
         assert_eq!(GraphGen::grid(2, 3).len(), 7);
         assert_eq!(GraphGen::path(1), vec![]);
         assert_eq!(GraphGen::cycle(1), vec![]);
+        assert_eq!(
+            GraphGen::binary_tree(5),
+            vec![(0, 1), (0, 2), (1, 3), (1, 4)]
+        );
+        assert_eq!(
+            GraphGen::caterpillar(3, 1),
+            vec![(0, 1), (1, 2), (0, 3), (1, 4), (2, 5)]
+        );
+        assert_eq!(GraphGen::caterpillar(4, 0), GraphGen::path(4));
+    }
+
+    #[test]
+    fn relabel_is_a_seeded_permutation() {
+        let path = GraphGen::path(100);
+        let renamed = GraphGen::new(4).relabel(100, &path);
+        assert_eq!(renamed, GraphGen::new(4).relabel(100, &path));
+        assert_ne!(renamed, path);
+        // Each vertex keeps its degree: the names form a bijection.
+        let mut deg = vec![0; 100];
+        for &(u, v) in &renamed {
+            deg[u as usize] += 1;
+            deg[v as usize] += 1;
+        }
+        assert_eq!(deg.iter().filter(|&&d| d == 1).count(), 2);
+        assert_eq!(deg.iter().filter(|&&d| d == 2).count(), 98);
     }
 
     #[test]

@@ -68,47 +68,44 @@ fn rmat_at_scale_with_heavy_skew() {
 
 /// Graphs in [`cc_protocol_sweep_on_small_graphs`]: each runs on two
 /// oversubscribed teams under three methods.
-const SWEEP_GRAPHS: u64 = 1000;
+const SWEEP_GRAPHS: u64 = 1600;
 
-/// `edges` with vertex `v` renamed `(a·v + seed) mod n` for a multiplier `a`
-/// coprime to `n`, so a structured graph's hooks do not always run in
-/// label order.
-fn relabel(n: usize, edges: Vec<(u32, u32)>, seed: u64) -> Vec<(u32, u32)> {
-    let gcd = |mut a: usize, mut b: usize| {
-        while b != 0 {
-            (a, b) = (b, a % b);
-        }
-        a
-    };
-    let a = (seed as usize % 64..)
-        .map(|k| 2 * k + 1)
-        .find(|&a| gcd(a, n) == 1)
-        .expect("an odd multiplier coprime to n exists");
-    let name = |v: u32| ((a * v as usize + seed as usize) % n) as u32;
-    edges.into_iter().map(|(u, v)| (name(u), name(v))).collect()
-}
-
-/// Awerbuch–Shiloach's round-stamped stars, alternating parent arrays and
-/// fixed-point exit under real interleavings: many small graphs of 20–420
-/// vertices (sparse and dense multigraphs, random forests, relabelled
-/// cycles and grids) on 3- and 4-member teams, under every single-winner
-/// method, each result checked for labels and two-array hook consistency.
+/// Awerbuch–Shiloach's stars, stamps, alternating parent arrays, compress
+/// walk and fixed-point exit under real interleavings: many small graphs of
+/// 20–420 vertices (sparse and dense multigraphs, random forests, and
+/// randomly relabelled cycles, grids, paths, caterpillars and binary trees)
+/// on 3- and 4-member teams, under every single-winner method, each result
+/// checked for labels and two-array hook consistency. The relabelled
+/// chains hook into deep trees whose vertices race to the root in one
+/// compress.
 #[test]
 fn cc_protocol_sweep_on_small_graphs() {
     let pools = [ThreadPool::new(3), ThreadPool::new(4)];
     for seed in 0..SWEEP_GRAPHS {
         let n = 20 + (seed as usize * 97) % 401;
         let mut gen = GraphGen::new(seed);
-        let (n, edges) = match seed % 5 {
+        let (n, edges) = match seed % 8 {
             0 => (n, gen.gnm(n, n / 2)),
             1 => (n, gen.gnm(n, 4 * n)),
             2 => (n, gen.random_forest(n, 0.8)),
-            3 => (n, relabel(n, GraphGen::cycle(n), seed)),
-            _ => {
+            3 => (n, GraphGen::cycle(n)),
+            4 => {
                 let rows = 2 + seed as usize % 9;
                 let n = rows * (n / rows);
-                (n, relabel(n, GraphGen::grid(rows, n / rows), seed))
+                (n, GraphGen::grid(rows, n / rows))
             }
+            5 => (n, GraphGen::path(n)),
+            6 => {
+                let legs = 1 + seed as usize % 3;
+                let spine = n / (legs + 1);
+                (spine * (legs + 1), GraphGen::caterpillar(spine, legs))
+            }
+            _ => (n, GraphGen::binary_tree(n)),
+        };
+        let edges = if seed % 8 < 3 {
+            edges
+        } else {
+            gen.relabel(n, &edges)
         };
         let g = CsrGraph::from_edges(n, &edges, true);
         for pool in &pools {
@@ -117,7 +114,7 @@ fn cc_protocol_sweep_on_small_graphs() {
                 verify_cc(&g, &r).unwrap_or_else(|e| {
                     panic!(
                         "graph {seed} (n = {n}, kind {}), T = {}, {m}: {e}",
-                        seed % 5,
+                        seed % 8,
                         pool.num_threads()
                     )
                 });

@@ -257,10 +257,10 @@ fn kernel_rounds_pay_only_their_own_rendezvous() {
         let want = [("push", 2), ("pull", 4), ("pull", 2)].map(|(l, k)| (l.to_string(), k * t));
         assert_eq!(got, want, "DO-BFS at T={t}");
 
-        // CC: the opening, the star-marking loop, the conditional phase's
-        // team sum and the unconditional phase's barrier; the shortcut
-        // pass runs nowait. The last round takes the fixed-point exit
-        // after the team sum, so it pays three.
+        // CC: the opening, the conditional phase's team sum and the
+        // unconditional phase's barrier; the compress pass runs nowait.
+        // The last round takes the fixed-point exit after the team sum, so
+        // it pays two.
         let cc = connected_components(&complete, CwMethod::CasLt, &pool);
         let rounds = pool.take_round_report().rounds;
         assert_eq!(rounds.len(), cc.iterations as usize);
@@ -270,7 +270,7 @@ fn kernel_rounds_pay_only_their_own_rendezvous() {
         );
         let last = rounds.len() - 1;
         for (k, r) in rounds.iter().enumerate() {
-            let want = if k == last { 3 * t } else { 4 * t };
+            let want = if k == last { 2 * t } else { 3 * t };
             assert_eq!(r.exec.barrier_waits, want, "CC at T={t}, round {}", r.round);
         }
     }
