@@ -32,21 +32,23 @@
 //! ## The star invariant
 //!
 //! At the start of every iteration `D == S` and every vertex's parent is a
-//! root, so every tree is a star. The identity holds it at the start, and
+//! root, so every tree is a star. The identity forest satisfies it, and
 //! every compress restores it; phase 0 checks it with `debug_assert!`.
 //! Star detection therefore costs nothing: JaJa's reset, mark and
 //! propagate passes, and the "outside a star" tests, are gone.
 //!
 //! **Why the compress walk ends at a root.** Each member writes only its
 //! own vertices, while other members read them mid-walk. Every value that
-//! can be read is an ancestor: a non-root `w`'s `D[w]` is its hook target
-//! or its new root, both above it, and a root hooked in phase 1 (`D[w] ==
-//! w`) reads on to `S[w]`, its target or its root. So a non-root never
-//! reads as `P(w) == w`, each jump climbs strictly, and the walk stops
-//! only at a root, after at most the tree's depth in jumps. The walk is
-//! capped at `n` jumps anyway: a forest is never that deep, so the cap
-//! binds only on a pointer cycle, which [`CwMethod::Naive`] may leave. A
-//! capped run then ends at the iteration cap instead of spinning.
+//! can be read is an ancestor. A non-root `w` with `D[w] != w` reads
+//! `D[w]` as its parent or, once its owner has stored, as its root. A root
+//! that phase 1 hooked may still read `D[w] == w`, but then reads on to
+//! `S[w]`, its hook target or its root. So a non-root never reads as `P(w)
+//! == w`, each jump climbs strictly, and the walk stops only at a root,
+//! after at most the tree's depth in jumps. The walk is capped at `n`
+//! jumps anyway: a forest is never that deep, so the cap binds only on a
+//! pointer cycle, which the single-winner argument above does not rule
+//! out for [`CwMethod::Naive`]. A capped run then ends at the iteration
+//! cap instead of spinning.
 //!
 //! ## Stamps and the fixed-point exit
 //!
@@ -85,11 +87,11 @@
 //! at a non-root cell and splitting a component. Each hooking phase
 //! therefore reads one parent array and writes the other, and the compress
 //! makes them equal again, so no copy pass is needed. The protocol rests on
-//! these invariants; the first holds by construction and the others are
+//! these invariants; the first holds by construction and the next three are
 //! checked with `debug_assert!`:
 //!
 //! - Phase 0 never stores to `S`, and phase 1 never stores to `D`.
-//! - Every iteration starts from stars, with `D == S`.
+//! - Every iteration starts from stars: `S[S[u]] == S[u]`.
 //! - Stamps only rise.
 //! - Every winner's root is a root of the array its phase reads.
 //! - A gatekeeper cell touched in phase 0 belongs to a root that phase 0
@@ -258,8 +260,10 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
             // Compress over the merged parent (exclusive write per vertex):
             // a phase-1 hook lands only on a root of D. Every value a walk
             // can read is an ancestor, so it stops only at a root; the cap
-            // binds only on a pointer cycle (module docs). No ending
-            // barrier: the round's closing rendezvous is the sync point.
+            // binds only on a pointer cycle (module docs). Both stores are
+            // unconditional: skipping unchanged cells mispredicts on about
+            // half the vertices. No ending barrier: the round's closing
+            // rendezvous is the sync point.
             let parent = |w: usize| {
                 let (dw, sw) = (at(&d, w), at(&s, w));
                 if dw == w {
