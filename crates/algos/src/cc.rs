@@ -1,5 +1,8 @@
-//! Awerbuch–Shiloach connected components (evaluated in the paper's
-//! Figures 10–12) — the *arbitrary* concurrent-write benchmark.
+//! Connected components by star hooking under arbitrary concurrent writes:
+//! Awerbuch–Shiloach (evaluated in the paper's Figures 10–12, its
+//! *arbitrary* concurrent-write benchmark) and, as an extension beyond the
+//! paper's three kernels, the simplified Shiloach–Vishkin rule that hooks
+//! conditionally only.
 //!
 //! The forest lives in two parent arrays, `D` and `S`. Iteration `i` owns
 //! two hook rounds, `r0 = Round::from_iteration(2i)` and `r1 =
@@ -28,6 +31,29 @@
 //!    stores that root into both `D[v]` and `S[v]`. Phase 0 moved only `D`,
 //!    and phase 1 only roots of `D` in `S`, so `P` holds every hook of the
 //!    iteration. Gatekeeper cells are re-armed in the same pass.
+//!
+//! ## Two rules, one kernel
+//!
+//! [`connected_components`] runs all three passes. [`sv_components`] runs
+//! Shiloach–Vishkin's rule on the same kernel: phase 1 and its barrier are
+//! skipped, and everything else is shared. Liu and Tarjan's
+//! connect/shortcut family holds both; they differ only in whether stagnant
+//! stars hook. Without phase 1, `S` keeps the iteration's starting forest,
+//! so the merged parent is `D` and the compress is unchanged; the stamps
+//! phase 0 writes are never read.
+//!
+//! A root hooks onto one of its star's smaller neighboring parent values,
+//! and which one wins is arbitrary. Hooks only ever point at smaller roots,
+//! so a component's minimum is never hooked and the fixed point labels
+//! every vertex with it. Conditional-only hooking has no O(log n)
+//! iteration bound, which AS's unconditional phase supplies, so each rule
+//! has its own iteration cap: `4·bits + 16` for AS and `(bits + 2)² + 16`
+//! for SV, where `bits` is the bit length of `n`. The SV cap is not a
+//! bound either: on a star centred on its largest id, whose centre lists
+//! its leaves from the largest down, only the centre's star can hook, and
+//! its root drops by one leaf per iteration. From about 100 vertices that
+//! shape ends at the cap with `converged == false`, which [`verify_cc`]
+//! rejects.
 //!
 //! ## The star invariant
 //!
@@ -60,9 +86,9 @@
 //! Phase 0 ends in a team sum of its hooks. When it is 0, no edge joins
 //! two trees (every tree is a star, and an edge between two stars would
 //! have hooked the larger root), so the iteration returns at once: the
-//! last iteration skips phase 1 and the compress. An iteration costs three
-//! rendezvous (its opening, phase 0's sum and phase 1's barrier), the last
-//! one two.
+//! last iteration skips phase 1 and the compress. An AS iteration costs
+//! three rendezvous (its opening, phase 0's sum and phase 1's barrier), the
+//! last one two; an SV iteration always costs two.
 //!
 //! ## The hooking pass walks vertices, one claim per hooked root
 //!
@@ -134,7 +160,7 @@ use crate::method::{dispatch_method, CwMethod};
 /// Sentinel for "this root was never hooked".
 pub const NO_HOOK: usize = usize::MAX;
 
-/// Output of [`connected_components`].
+/// Output of [`connected_components`] and [`sv_components`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CcResult {
     /// Canonical component labels: the smallest vertex id in each
@@ -176,9 +202,31 @@ pub fn connected_components(g: &CsrGraph, method: CwMethod, pool: &ThreadPool) -
     ))
 }
 
-/// The kernel against an explicit arbiter (one cell per vertex, freshly
-/// armed).
+/// Simplified Shiloach–Vishkin connected components under the given
+/// concurrent-write method: the Awerbuch–Shiloach kernel without its
+/// unconditional hooking phase (module docs). The result is checked by
+/// [`verify_cc`] like AS's, and [`CwMethod::Naive`] carries the same caveat.
+pub fn sv_components(g: &CsrGraph, method: CwMethod, pool: &ThreadPool) -> CcResult {
+    dispatch_method!(
+        method,
+        g.num_vertices(),
+        |arb| hook_and_compress::<_, false>(g, &arb, pool)
+    )
+}
+
+/// The Awerbuch–Shiloach kernel against an explicit arbiter (one cell per
+/// vertex, freshly armed).
 pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool) -> CcResult {
+    hook_and_compress::<A, true>(g, arb, pool)
+}
+
+/// The one kernel behind both rules: `UNCONDITIONAL` runs phase 1 (AS) or
+/// skips it (SV).
+fn hook_and_compress<A: SliceArbiter, const UNCONDITIONAL: bool>(
+    g: &CsrGraph,
+    arb: &A,
+    pool: &ThreadPool,
+) -> CcResult {
     let n = g.num_vertices();
     assert_eq!(arb.len(), n, "arbiter must span one cell per vertex");
     let (offsets, targets) = (g.offsets(), g.targets());
@@ -190,9 +238,15 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     let stamp: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let hook_edge: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(NO_HOOK)).collect();
 
-    // Awerbuch–Shiloach converges in O(log n) iterations; naive runs can
-    // cycle, so cap generously and report.
-    let max_iters = 4 * (usize::BITS - n.max(2).leading_zeros()) + 16;
+    // Awerbuch–Shiloach converges in O(log n) iterations, conditional-only
+    // hooking has no such bound, and naive runs can cycle: cap each rule
+    // generously and report.
+    let bits = usize::BITS - n.max(2).leading_zeros();
+    let max_iters = if UNCONDITIONAL {
+        4 * bits + 16
+    } else {
+        (bits + 2) * (bits + 2) + 16
+    };
 
     let iterations = AtomicU32::new(0);
     let converged = AtomicU8::new(0);
@@ -261,29 +315,31 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
             }
 
             // Phase 1, unconditional hooking of stagnant stars: reads D,
-            // writes S.
-            for u in my_vertices.clone() {
-                let du = at(&d, u);
-                if stamp_of(du) == t1 || at(&s, du) != du {
-                    // A changed star, or du's one winner has stored.
-                    continue;
-                }
-                let edges = offsets[u]..offsets[u + 1];
-                for (e, &v) in edges.clone().zip(&targets[edges]) {
-                    let dv = at(&d, v as usize);
-                    if dv != du {
-                        if arb.try_claim(du, r1) {
-                            // A root of D was not hooked in phase 0, so its
-                            // gatekeeper cell is still armed.
-                            debug_assert_eq!(at(&d, du), du, "phase 1 hooks a root of D");
-                            s[du].store(dv as u32, Ordering::Relaxed);
-                            hook_edge[du].store(e, Ordering::Relaxed);
+            // writes S. The SV rule skips it and its barrier.
+            if UNCONDITIONAL {
+                for u in my_vertices.clone() {
+                    let du = at(&d, u);
+                    if stamp_of(du) == t1 || at(&s, du) != du {
+                        // A changed star, or du's one winner has stored.
+                        continue;
+                    }
+                    let edges = offsets[u]..offsets[u + 1];
+                    for (e, &v) in edges.clone().zip(&targets[edges]) {
+                        let dv = at(&d, v as usize);
+                        if dv != du {
+                            if arb.try_claim(du, r1) {
+                                // A root of D was not hooked in phase 0, so its
+                                // gatekeeper cell is still armed.
+                                debug_assert_eq!(at(&d, du), du, "phase 1 hooks a root of D");
+                                s[du].store(dv as u32, Ordering::Relaxed);
+                                hook_edge[du].store(e, Ordering::Relaxed);
+                            }
+                            break;
                         }
-                        break;
                     }
                 }
+                ctx.barrier();
             }
-            ctx.barrier();
 
             // Compress over the merged parent (exclusive write per vertex):
             // a phase-1 hook lands only on a root of D. Every value a walk
@@ -412,6 +468,11 @@ mod tests {
         CwMethod::ALL.into_iter().filter(|m| m.single_winner())
     }
 
+    type Rule = fn(&CsrGraph, CwMethod, &ThreadPool) -> CcResult;
+
+    /// Both rules' entry points, named for failure messages.
+    const RULES: [(&str, Rule); 2] = [("AS", connected_components), ("SV", sv_components)];
+
     #[test]
     fn structured_graphs_all_methods() {
         let pool = ThreadPool::new(4);
@@ -422,13 +483,17 @@ mod tests {
             graph(8, &GraphGen::star(8)),
             graph(6, &GraphGen::cycle(6)),
             graph(12, &GraphGen::disjoint_cliques(3, 4)),
+            graph(12, &GraphGen::disjoint_cliques(4, 3)),
             graph(9, &GraphGen::grid(3, 3)),
+            graph(16, &GraphGen::grid(4, 4)),
             graph(4, &GraphGen::complete(4)),
         ];
         for g in &cases {
-            for m in single_winner_methods() {
-                let r = connected_components(g, m, &pool);
-                verify_cc(g, &r).unwrap_or_else(|e| panic!("{m}: {e}"));
+            for (rule, cc) in RULES {
+                for m in single_winner_methods() {
+                    let r = cc(g, m, &pool);
+                    verify_cc(g, &r).unwrap_or_else(|e| panic!("{rule} {m}: {e}"));
+                }
             }
         }
     }
@@ -439,9 +504,11 @@ mod tests {
         for seed in 0..4 {
             let edges = GraphGen::new(seed).gnm(120, 200);
             let g = graph(120, &edges);
-            for m in [CwMethod::CasLt, CwMethod::Gatekeeper] {
-                let r = connected_components(&g, m, &pool);
-                verify_cc(&g, &r).unwrap_or_else(|e| panic!("seed {seed} {m}: {e}"));
+            for (rule, cc) in RULES {
+                for m in [CwMethod::CasLt, CwMethod::Gatekeeper] {
+                    let r = cc(&g, m, &pool);
+                    verify_cc(&g, &r).unwrap_or_else(|e| panic!("seed {seed} {rule} {m}: {e}"));
+                }
             }
         }
     }
@@ -503,8 +570,10 @@ mod tests {
         let pool = ThreadPool::new(4);
         for seed in 0..8 {
             let g = graph(200, &GraphGen::new(seed).gnm(200, 300));
-            let r = connected_components(&g, CwMethod::Naive, &pool);
-            assert_eq!(r.labels.len(), 200);
+            for (_, cc) in RULES {
+                let r = cc(&g, CwMethod::Naive, &pool);
+                assert_eq!(r.labels.len(), 200);
+            }
         }
     }
 
@@ -526,20 +595,22 @@ mod tests {
             ("star(2000)", graph(2000, &GraphGen::star(2000))),
         ] {
             let n = g.num_vertices() as u64;
-            for m in single_winner_methods() {
-                let before = pool.take_round_report().totals_cw;
-                let r = connected_components(&g, m, &pool);
-                verify_cc(&g, &r).unwrap_or_else(|e| panic!("{name} {m}: {e}"));
-                let claims = pool
-                    .take_round_report()
-                    .totals_cw
-                    .delta_since(&before)
-                    .resolutions();
-                let bound = 2 * n * u64::from(r.iterations);
-                assert!(
-                    claims <= bound,
-                    "{name} {m}: {claims} claim resolutions > 2·n·iterations = {bound}"
-                );
+            for (rule, cc) in RULES {
+                for m in single_winner_methods() {
+                    let before = pool.take_round_report().totals_cw;
+                    let r = cc(&g, m, &pool);
+                    verify_cc(&g, &r).unwrap_or_else(|e| panic!("{name} {rule} {m}: {e}"));
+                    let claims = pool
+                        .take_round_report()
+                        .totals_cw
+                        .delta_since(&before)
+                        .resolutions();
+                    let bound = 2 * n * u64::from(r.iterations);
+                    assert!(
+                        claims <= bound,
+                        "{name} {rule} {m}: {claims} claim resolutions > 2·n·iterations = {bound}"
+                    );
+                }
             }
         }
     }
@@ -548,7 +619,8 @@ mod tests {
     fn every_claim_hooks_at_one_thread() {
         // At T = 1 a root's first claim wins and stores before any other
         // member of its star reads it, so both skips leave exactly one
-        // claim per hooked root: n − components, one per merge.
+        // claim per hooked root under either rule: n − components, one per
+        // merge.
         let pool = ThreadPool::with_config(PoolConfig::new(1).telemetry(true));
         // Iteration 1 builds the stars {0, 3}, {1, 4} and {2, 5}; in
         // iteration 2, phase 0 hooks 2 onto 1, so {0, 3} is stagnant and
@@ -573,19 +645,21 @@ mod tests {
             let n = g.num_vertices();
             let edges: Vec<_> = g.directed_edges().collect();
             let merges = (n - pram_graph::serial::num_components(n, &edges)) as u64;
-            for m in single_winner_methods() {
-                let before = pool.take_round_report().totals_cw;
-                let r = connected_components(&g, m, &pool);
-                verify_cc(&g, &r).unwrap_or_else(|e| panic!("{name} {m}: {e}"));
-                let claims = pool
-                    .take_round_report()
-                    .totals_cw
-                    .delta_since(&before)
-                    .resolutions();
-                assert_eq!(
-                    claims, merges,
-                    "{name} {m}: claim resolutions vs n − components"
-                );
+            for (rule, cc) in RULES {
+                for m in single_winner_methods() {
+                    let before = pool.take_round_report().totals_cw;
+                    let r = cc(&g, m, &pool);
+                    verify_cc(&g, &r).unwrap_or_else(|e| panic!("{name} {rule} {m}: {e}"));
+                    let claims = pool
+                        .take_round_report()
+                        .totals_cw
+                        .delta_since(&before)
+                        .resolutions();
+                    assert_eq!(
+                        claims, merges,
+                        "{name} {rule} {m}: claim resolutions vs n − components"
+                    );
+                }
             }
         }
     }
@@ -598,16 +672,18 @@ mod tests {
         // so a result check cannot see a dropped re-arm; the counter can.
         let pool = ThreadPool::with_config(PoolConfig::new(3).telemetry(true));
         let g = graph(300, &GraphGen::new(5).gnm(300, 600));
-        let before = pool.take_round_report().totals_cw;
-        let r = connected_components(&g, CwMethod::Gatekeeper, &pool);
-        verify_cc(&g, &r).unwrap();
-        let resets = pool
-            .take_round_report()
-            .totals_cw
-            .delta_since(&before)
-            .rearm_resets;
-        assert!(r.iterations >= 2);
-        assert_eq!(resets, 300 * u64::from(r.iterations - 1));
+        for (rule, cc) in RULES {
+            let before = pool.take_round_report().totals_cw;
+            let r = cc(&g, CwMethod::Gatekeeper, &pool);
+            verify_cc(&g, &r).unwrap_or_else(|e| panic!("{rule}: {e}"));
+            let resets = pool
+                .take_round_report()
+                .totals_cw
+                .delta_since(&before)
+                .rearm_resets;
+            assert!(r.iterations >= 2, "{rule}");
+            assert_eq!(resets, 300 * u64::from(r.iterations - 1), "{rule}");
+        }
     }
 
     #[test]
@@ -637,5 +713,48 @@ mod tests {
         assert_eq!(r.labels, vec![0, 1, 2, 3, 4]);
         assert!(r.hook_edge.iter().all(|&e| e == NO_HOOK));
         assert_eq!(r.iterations, 1);
+    }
+
+    #[test]
+    fn labels_are_component_minima() {
+        let pool = ThreadPool::new(2);
+        // Components {1, 3, 5}, {0, 2} and {4}; labels are the minima.
+        let g = graph(6, &[(1, 3), (3, 5), (0, 2)]);
+        for (rule, cc) in RULES {
+            let r = cc(&g, CwMethod::CasLt, &pool);
+            assert_eq!(r.labels, vec![0, 1, 0, 1, 4, 1], "{rule}");
+        }
+    }
+
+    #[test]
+    fn converges_quickly_on_path() {
+        let pool = ThreadPool::new(2);
+        let g = graph(512, &GraphGen::path(512));
+        let r = sv_components(&g, CwMethod::CasLt, &pool);
+        verify_cc(&g, &r).unwrap();
+        assert!(
+            r.iterations <= 30,
+            "path of 512 took {} iterations",
+            r.iterations
+        );
+    }
+
+    #[test]
+    fn sv_converges_on_star_centred_on_largest_id() {
+        // Conditional-only hooking's slow shape: a leaf's one neighbour, the
+        // centre, never holds a smaller parent value than the leaf's own, so
+        // only the centre's star hooks. With the centre's edges listed from
+        // the largest leaf down, its first qualifying edge lowers its root
+        // by one leaf per iteration: 64 iterations here, against AS's 2 and
+        // SV's cap of (7 + 2)² + 16 = 97.
+        let n = 64;
+        let centre = n as u32 - 1;
+        let edges: Vec<(u32, u32)> = (0..centre).rev().map(|v| (centre, v)).collect();
+        let g = graph(n, &edges);
+        for t in 1..=3 {
+            let pool = ThreadPool::new(t);
+            let r = sv_components(&g, CwMethod::CasLt, &pool);
+            verify_cc(&g, &r).unwrap_or_else(|e| panic!("T = {t}: {e}"));
+        }
     }
 }

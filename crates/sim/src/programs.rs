@@ -96,8 +96,9 @@ pub fn logical_or(bits: &[bool], rule: WriteRule) -> Result<ProgramRun<bool>, Pr
 }
 
 /// Hook-to-minimum connected components (simplified Shiloach–Vishkin) on
-/// the ideal machine — the **arbitrary**-CW twin of
-/// `pram_algos::sv_components`.
+/// the ideal machine — the **arbitrary**-CW reference for
+/// `pram_algos::sv_components`, the SV rule of the Awerbuch–Shiloach kernel
+/// in `pram_algos::cc`.
 ///
 /// Each iteration is three PRAM steps: clear the change flag; hook (one
 /// processor per directed edge: if `D[v] < D[u]` and `D[u]` is a root,
@@ -107,7 +108,9 @@ pub fn logical_or(bits: &[bool], rule: WriteRule) -> Result<ProgramRun<bool>, Pr
 /// change. Whatever winner the arbitrary rule picks, committed hooks
 /// strictly decrease root values, so the fixed point labels every vertex
 /// with its component's minimum id — the same canonical output as the
-/// threaded kernel, which the workspace cross-validates.
+/// threaded kernel, which the workspace cross-validates. The two agree at
+/// the fixed point only: the threaded kernel walks every vertex to its
+/// root where this program jumps once, so their iterations differ.
 pub fn sv_components(
     n: usize,
     edges: &[(usize, usize)],

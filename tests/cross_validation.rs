@@ -8,6 +8,7 @@
 //!
 //! and require all three to agree.
 
+use pram_algos::cc::verify_cc;
 use pram_algos::{bfs, connected_components, logical_or, max_index, CwMethod};
 use pram_exec::ThreadPool;
 use pram_graph::{serial, CsrGraph, GraphGen};
@@ -215,6 +216,7 @@ fn sv_threaded_and_ideal_machine_produce_identical_labels() {
         .output;
         let pool = ThreadPool::new(4);
         let threaded = pram_algos::sv_components(&g, CwMethod::CasLt, &pool);
+        verify_cc(&g, &threaded).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(threaded.labels, ideal, "seed {seed}");
         // And both equal the union-find ground truth.
         let expect = serial::cc_labels(n, &g.directed_edges().collect::<Vec<_>>());

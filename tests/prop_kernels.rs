@@ -3,8 +3,7 @@
 //! the serial ground truth.
 
 use pram_algos::bfs::{bfs, bfs_with_strategy, verify_bfs_tree, BfsStrategy};
-use pram_algos::cc::{connected_components, verify_cc};
-use pram_algos::sv::{sv_components, verify_sv};
+use pram_algos::cc::{connected_components, sv_components, verify_cc};
 use pram_algos::{first_true, logical_or, max_index, CwMethod};
 use pram_exec::ThreadPool;
 use pram_graph::{serial, CsrGraph, GraphGen};
@@ -82,7 +81,7 @@ proptest! {
         let g = CsrGraph::from_edges(n, &edges, true);
         let pool = ThreadPool::new(threads);
         let r = sv_components(&g, method, &pool);
-        prop_assert!(verify_sv(&g, &r).is_ok(), "{}", verify_sv(&g, &r).unwrap_err());
+        prop_assert!(verify_cc(&g, &r).is_ok(), "{}", verify_cc(&g, &r).unwrap_err());
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! this keeps `cargo test` minutes-bounded while still leaving toy sizes.)
 
 use pram_algos::bfs::{bfs, verify_bfs_tree};
-use pram_algos::cc::{connected_components, verify_cc};
+use pram_algos::cc::{connected_components, sv_components, verify_cc, CcResult};
 use pram_algos::matching::{maximal_matching, verify_matching};
-use pram_algos::sv::{sv_components, verify_sv};
 use pram_algos::CwMethod;
 use pram_exec::ThreadPool;
 use pram_graph::{CsrGraph, GraphGen};
@@ -46,7 +45,7 @@ fn sv_and_matching_at_scale() {
     let g = big_graph();
     let pool = ThreadPool::new(8);
     let r = sv_components(&g, CwMethod::CasLt, &pool);
-    verify_sv(&g, &r).unwrap();
+    verify_cc(&g, &r).unwrap();
 
     let m = maximal_matching(&g, CwMethod::CasLt, &pool);
     verify_matching(&g, &m).unwrap();
@@ -66,18 +65,22 @@ fn rmat_at_scale_with_heavy_skew() {
     verify_bfs_tree(&g, 0, &b).unwrap();
 }
 
-/// Graphs in [`cc_protocol_sweep_on_small_graphs`]: each runs on two
-/// oversubscribed teams under three methods.
+/// Graphs in [`cc_protocol_sweep_on_small_graphs`]: each runs AS on two
+/// oversubscribed teams and the SV rule on one, under three methods.
 const SWEEP_GRAPHS: u64 = 1600;
+
+/// A CC entry point: `connected_components` (AS) or `sv_components`.
+type Rule = fn(&CsrGraph, CwMethod, &ThreadPool) -> CcResult;
 
 /// Awerbuch–Shiloach's stars, stamps, alternating parent arrays, compress
 /// walk and fixed-point exit under real interleavings: many small graphs of
 /// 20–420 vertices (sparse and dense multigraphs, random forests, and
 /// randomly relabelled cycles, grids, paths, caterpillars and binary trees)
 /// on 3- and 4-member teams, under every single-winner method, each result
-/// checked for labels and two-array hook consistency. The relabelled
-/// chains hook into deep trees whose vertices race to the root in one
-/// compress.
+/// checked for labels and two-array hook consistency. The SV rule, which
+/// skips the unconditional phase, runs the same sweep on the 3-member
+/// team. The relabelled chains hook into deep trees whose vertices race to
+/// the root in one compress.
 #[test]
 fn cc_protocol_sweep_on_small_graphs() {
     let pools = [ThreadPool::new(3), ThreadPool::new(4)];
@@ -108,12 +111,17 @@ fn cc_protocol_sweep_on_small_graphs() {
             gen.relabel(n, &edges)
         };
         let g = CsrGraph::from_edges(n, &edges, true);
-        for pool in &pools {
+        let runs: [(&str, Rule, &ThreadPool); 3] = [
+            ("AS", connected_components, &pools[0]),
+            ("AS", connected_components, &pools[1]),
+            ("SV", sv_components, &pools[0]),
+        ];
+        for (rule, cc, pool) in runs {
             for m in [CwMethod::CasLt, CwMethod::Gatekeeper, CwMethod::Lock] {
-                let r = connected_components(&g, m, pool);
+                let r = cc(&g, m, pool);
                 verify_cc(&g, &r).unwrap_or_else(|e| {
                     panic!(
-                        "graph {seed} (n = {n}, kind {}), T = {}, {m}: {e}",
+                        "graph {seed} (n = {n}, kind {}), {rule}, T = {}, {m}: {e}",
                         seed % 8,
                         pool.num_threads()
                     )
