@@ -26,13 +26,15 @@
 //!   --seed <S>      workload seed                        [default: 42]
 //!   --out <DIR>     CSV and JSON output directory        [default: results]
 //!
-//! `compare` matches rows by key and calls a row faster or slower only
-//! when the two p10-p90 intervals do not overlap.
+//! `compare` prints each file's git revision, then matches rows by key
+//! and calls a row faster or slower only when the two p10-p90 intervals
+//! do not overlap. Rows are interleaved only within one file, so between
+//! files recorded at different times a verdict includes host drift.
 //! ```
 
 use std::process::ExitCode;
 
-use pram_bench::runner::{compare, Report};
+use pram_bench::runner::{compare, field, Report};
 use pram_bench::{ablations, ext, figures, frontier, micro, scaling, BenchConfig, ScaleProfile};
 
 fn usage() -> ExitCode {
@@ -44,12 +46,18 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Print `OLD` → `NEW` verdicts, one row per line.
-fn run_compare(old: &str, new: &str) -> ExitCode {
+/// Print each file's `host.git`, then `OLD` → `NEW` verdicts, one row per
+/// line. Between files recorded at different times, a verdict includes
+/// host drift as well as the code change.
+fn run_compare(old_path: &str, new_path: &str) -> ExitCode {
     let read = |p: &str| std::fs::read_to_string(p).map_err(|e| eprintln!("{p}: {e}"));
-    let (Ok(old), Ok(new)) = (read(old), read(new)) else {
+    let (Ok(old), Ok(new)) = (read(old_path), read(new_path)) else {
         return ExitCode::FAILURE;
     };
+    for (side, path, json) in [("old", old_path, &old), ("new", new_path, &new)] {
+        let git = field(json, "git").unwrap_or("unknown");
+        println!("{side}: {path} (git {git})");
+    }
     let span = |s: Option<[f64; 3]>| {
         s.map_or("-".to_string(), |[p10, m, p90]| {
             format!("{m:.4} [{p10:.4}, {p90:.4}]")

@@ -264,6 +264,11 @@ pub struct Comparison {
 /// Match the timing rows of two `BENCH_*.json` files by key and judge
 /// each: faster or slower only when the p10–p90 intervals do not overlap.
 /// Old rows come first in file order, then rows only the new file has.
+///
+/// Configs are interleaved only within one file, so when the two files
+/// were recorded at different times a verdict includes host drift: two
+/// `BENCH_frontier.json` files recorded with no BFS change in between
+/// read the gatekeeper path14 dense scan "faster" at T = 1, 1464 → 966 ms.
 pub fn compare(old: &str, new: &str) -> Vec<Comparison> {
     let (old, new) = (timing_rows(old), timing_rows(new));
     let mut out: Vec<Comparison> = old
@@ -314,9 +319,10 @@ fn timing_rows(json: &str) -> Vec<(String, [f64; 3])> {
         .collect()
 }
 
-/// The value of field `name` in a one-line row this module wrote: a
-/// string's contents (row strings hold no quotes) or a number's text.
-pub(crate) fn field<'a>(row: &'a str, name: &str) -> Option<&'a str> {
+/// The value of the first field `name` in JSON this module wrote, such as
+/// a one-line row or a file's `host` block: a string's contents (these
+/// strings hold no quotes) or a number's text.
+pub fn field<'a>(row: &'a str, name: &str) -> Option<&'a str> {
     let at = row.find(&format!("\"{name}\": "))? + name.len() + 4;
     match row[at..].strip_prefix('"') {
         Some(s) => s.split('"').next(),

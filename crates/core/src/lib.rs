@@ -36,7 +36,7 @@
 //!
 //! Beside them:
 //!
-//! * [`PriorityCell`] / [`PriorityArray`] — *priority* CRCW writes
+//! * [`PriorityCell`] — *priority* CRCW writes
 //!   (strongest PRAM rule) built from a packed 64-bit CAS loop, used to
 //!   demonstrate that the weaker rules of this crate can be strengthened
 //!   when an algorithm needs it.
@@ -102,7 +102,7 @@ pub use gatekeeper::{GatekeeperArray, GatekeeperCell};
 pub use lock::{LockArray, LockCell};
 pub use naive::NaiveArbiter;
 pub use payload::{ConCell, ConVec};
-pub use priority::{PriorityArray, PriorityCell};
+pub use priority::PriorityCell;
 pub use round::{Round, RoundCounter, RoundOverflow};
 pub use telemetry::{
     CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot, ShardGuard, TelemetryShard,

@@ -28,7 +28,6 @@
 //! unique; processor/thread IDs are the canonical choice.
 
 use crate::sync::{AtomicU64, Ordering};
-use std::ops::Range;
 
 use crate::round::Round;
 
@@ -127,74 +126,6 @@ impl PriorityCell {
     pub fn reset(&mut self) {
         *self.state.get_mut() = 0;
     }
-
-    /// Shared-access reset; must not race with offers.
-    pub fn reset_shared(&self) {
-        self.state.store(0, Ordering::Relaxed);
-    }
-}
-
-/// An array of [`PriorityCell`]s, one per concurrent-write target.
-#[derive(Debug)]
-pub struct PriorityArray {
-    cells: Box<[PriorityCell]>,
-}
-
-impl PriorityArray {
-    /// `len` cells with no offers.
-    pub fn new(len: usize) -> PriorityArray {
-        let mut v = Vec::with_capacity(len);
-        v.resize_with(len, PriorityCell::new);
-        PriorityArray {
-            cells: v.into_boxed_slice(),
-        }
-    }
-
-    /// Number of targets.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the array has no targets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Offer `prio` for target `index` in `round`.
-    #[inline]
-    pub fn offer(&self, index: usize, round: Round, prio: u32) -> bool {
-        self.cells[index].offer(round, prio)
-    }
-
-    /// Winning priority for target `index` in `round`, post-barrier.
-    #[inline]
-    pub fn winner(&self, index: usize, round: Round) -> Option<u32> {
-        self.cells[index].winner(round)
-    }
-
-    /// Is `prio` the post-barrier winner of target `index` in `round`?
-    #[inline]
-    pub fn is_winner(&self, index: usize, round: Round, prio: u32) -> bool {
-        self.cells[index].is_winner(round, prio)
-    }
-
-    /// Exclusive-access whole-array reset.
-    pub fn reset(&mut self) {
-        for c in self.cells.iter_mut() {
-            c.reset();
-        }
-    }
-
-    /// Reset targets in `range` via shared access (between rounds only).
-    pub fn reset_range(&self, range: Range<usize>) {
-        let cells = &self.cells[range];
-        for c in cells {
-            c.reset_shared();
-        }
-        crate::telemetry::record_rearm_resets(cells.len() as u64);
-    }
 }
 
 #[cfg(test)]
@@ -220,6 +151,8 @@ mod tests {
         assert!(!c.offer(r(0), 7)); // 7 does not beat 3
         assert!(!c.offer(r(0), 3)); // ties do not displace
         assert_eq!(c.winner(r(0)), Some(3));
+        assert!(c.is_winner(r(0), 3));
+        assert!(!c.is_winner(r(0), 9));
     }
 
     #[test]
@@ -261,26 +194,12 @@ mod tests {
     }
 
     #[test]
-    fn array_independent_targets() {
-        let a = PriorityArray::new(3);
-        a.offer(0, r(0), 5);
-        a.offer(1, r(0), 1);
-        assert_eq!(a.winner(0, r(0)), Some(5));
-        assert_eq!(a.winner(1, r(0)), Some(1));
-        assert_eq!(a.winner(2, r(0)), None);
-        assert!(a.is_winner(0, r(0), 5));
-        assert_eq!(a.len(), 3);
-        assert!(!a.is_empty());
-    }
-
-    #[test]
     fn reset_clears_offers() {
-        let mut a = PriorityArray::new(2);
-        a.offer(0, r(3), 1);
-        a.reset();
-        assert_eq!(a.winner(0, r(3)), None);
-        a.offer(1, r(0), 2);
-        a.reset_range(1..2);
-        assert_eq!(a.winner(1, r(0)), None);
+        let mut c = PriorityCell::new();
+        assert!(c.offer(r(3), 1));
+        c.reset();
+        assert_eq!(c.winner(r(3)), None);
+        assert!(c.offer(r(0), 2)); // an earlier round offers again
+        assert_eq!(c.winner(r(0)), Some(2));
     }
 }

@@ -4,9 +4,11 @@
 //! Run with: `cargo run --release --example ideal_pram`
 //!
 //! Uses `pram-sim` to show (1) how the §2 conflict-resolution hierarchy
-//! behaves on the same program, (2) how exclusive-access models *reject*
-//! concurrent access rather than computing wrong answers, and (3) the
-//! work–depth numbers behind the paper's §6 Brent's-theorem analysis.
+//! behaves on the same program, (2) how exclusive-access models and the
+//! Common rule *reject* violating writes rather than computing wrong
+//! answers, and (3) the work–depth numbers behind the paper's §6
+//! Brent's-theorem analysis, starting with its Figure 4 (constant-time
+//! maximum), whose counts the example asserts.
 
 use pram_sim::programs::{bfs_levels, constant_time_max, logical_or};
 use pram_sim::{AccessMode, ArbitraryPolicy, Machine, Write, WriteRule};
@@ -41,9 +43,9 @@ fn main() {
     }
 
     // ------------------------------------------------------------------
-    // 2. Exclusive models fail loudly, not wrongly.
+    // 2. Exclusive models and the Common rule fail loudly, not wrongly.
     // ------------------------------------------------------------------
-    println!("\n== 2. The same step under CREW and EREW ==");
+    println!("\n== 2. The same step under CREW and EREW, and a broken Common write ==");
     let mut crew = Machine::zeroed(AccessMode::Crew, 1);
     let err = crew.step(5, |_pid, _| vec![Write::new(0, 7)]).unwrap_err();
     println!("   CREW: {err}");
@@ -55,6 +57,11 @@ fn main() {
         })
         .unwrap_err();
     println!("   EREW: {err}");
+    let mut common = Machine::zeroed(AccessMode::Crcw(WriteRule::Common), 1);
+    let err = common
+        .step(8, |pid, _| vec![Write::new(0, pid as i64 % 2)])
+        .unwrap_err();
+    println!("   Common, writers disagree: {err}");
 
     // ------------------------------------------------------------------
     // 3. Work–depth accounting for the paper's kernels.
@@ -62,10 +69,17 @@ fn main() {
     println!("\n== 3. Work-depth profiles (paper §6) ==");
     let values: Vec<i64> = (0..64).map(|i| (i * 37) % 101).collect();
     let run = constant_time_max(&values, WriteRule::Common).unwrap();
+    let t = run.trace;
     println!(
-        "   constant-time max (n = 64):  depth {} work {}  (O(1) depth, O(n^2) work)",
-        run.trace.depth, run.trace.work
+        "   constant-time max (Figure 4, n = 64): max index {} | depth {} work {} \
+         issued {} committed {}  (O(1) depth, O(n^2) work)",
+        run.output, t.depth, t.work, t.writes_issued, t.writes_committed
     );
+    assert_eq!(values[run.output], *values.iter().max().unwrap());
+    // Work n^2 + n. Step 1's n^2 - n comparisons each mark one loser and
+    // commit on the n - 1 losers' flags; step 2's one survivor publishes.
+    assert_eq!((t.depth, t.work), (2, 4160));
+    assert_eq!((t.writes_issued, t.writes_committed), (4033, 64));
     println!(
         "      max writers on one cell: {} — the concurrency CAS-LT must tame",
         run.trace.max_writers_per_cell

@@ -12,8 +12,6 @@
 //! * [`graph`] (`pram-graph`) — CSR graphs, generators, serial references.
 //! * [`algos`] (`pram-algos`) — the paper's kernels (Max, BFS, CC) and
 //!   extensions, parameterized over the concurrent-write method.
-//! * [`vm`] (`pram-vm`) — a lock-step PRAM virtual machine: one program
-//!   description, runnable exactly on the simulator or fast on threads.
 //!
 //! See `examples/quickstart.rs` for a five-minute tour, and DESIGN.md /
 //! EXPERIMENTS.md for the paper-reproduction map.
@@ -23,7 +21,6 @@ pub use pram_core as core;
 pub use pram_exec as exec;
 pub use pram_graph as graph;
 pub use pram_sim as sim;
-pub use pram_vm as vm;
 
 /// Commonly used items, importable with one `use crcw_pram::prelude::*`.
 pub mod prelude {

@@ -176,16 +176,36 @@ proptest! {
     fn trace_work_counts_processors_and_writes_count_commits(
         writes in arb_writes(5, 9),
     ) {
-        let mode = AccessMode::Crcw(WriteRule::Arbitrary(ArbitraryPolicy::MinPid));
-        let (r, _, m) = run_step(mode, 5, &writes);
-        prop_assert!(r.is_ok());
-        let issued = writes.iter().flatten().count() as u64;
-        let touched: std::collections::HashSet<usize> =
-            writes.iter().flatten().map(|&(a, _)| a).collect();
-        let t = m.trace();
-        prop_assert_eq!(t.depth, 1);
-        prop_assert_eq!(t.work, 9);
-        prop_assert_eq!(t.writes_issued, issued);
-        prop_assert_eq!(t.writes_committed, touched.len() as u64);
+        // The drawn step, and the same step with every cell's later
+        // writers dropped, which has no conflict.
+        let mut seen = std::collections::HashSet::new();
+        let exclusive: Vec<_> = writes
+            .iter()
+            .map(|w| w.filter(|&(a, _)| seen.insert(a)))
+            .collect();
+        for writes in [writes, exclusive] {
+            let mode = AccessMode::Crcw(WriteRule::Arbitrary(ArbitraryPolicy::MinPid));
+            let (r, _, m) = run_step(mode, 5, &writes);
+            prop_assert!(r.is_ok());
+            let mut writers = [0u64; 5];
+            for &(a, _) in writes.iter().flatten() {
+                writers[a] += 1;
+            }
+            let max = writers.iter().copied().max().unwrap();
+            let t = m.trace();
+            prop_assert_eq!(t.depth, 1);
+            prop_assert_eq!(t.work, 9);
+            prop_assert_eq!(t.writes_issued, writers.iter().sum::<u64>());
+            prop_assert_eq!(t.writes_committed, writers.iter().filter(|&&c| c > 0).count() as u64);
+            prop_assert_eq!(t.steps_with_conflicts, u64::from(max > 1));
+            prop_assert_eq!(t.max_writers_per_cell, max);
+            // `writes` is indexed by pid, so a cell's first writer is its
+            // min-pid writer.
+            for addr in 0..5 {
+                if let Some(&(_, v)) = writes.iter().flatten().find(|&&(a, _)| a == addr) {
+                    prop_assert_eq!(m.mem()[addr], v, "cell {}", addr);
+                }
+            }
+        }
     }
 }

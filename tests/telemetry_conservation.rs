@@ -23,7 +23,7 @@
 //! and `grabs` in every round.
 
 use pram_core::{
-    CasLtArray, GatekeeperArray, LockArray, NaiveArbiter, PriorityArray, Round, RoundReport,
+    CasLtArray, GatekeeperArray, LockArray, NaiveArbiter, PriorityCell, Round, RoundReport,
     SliceArbiter,
 };
 use pram_exec::{PoolConfig, Schedule, ThreadPool, WorkerCtx};
@@ -168,11 +168,11 @@ fn naive_pool_conservation() {
 
 #[test]
 fn priority_pool_conservation() {
-    let arb = PriorityArray::new(C);
+    let arb: Vec<PriorityCell> = (0..C).map(|_| PriorityCell::new()).collect();
     let report = collect("priority", |ctx, round| {
         let prio = ctx.thread_id() as u32;
-        for i in 0..C {
-            arb.offer(i, round, prio);
+        for cell in &arb {
+            cell.offer(round, prio);
         }
     });
     let (t, c) = (T as u64, C as u64);
