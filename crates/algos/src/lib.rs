@@ -18,9 +18,6 @@
 //! * [`cc`] — Awerbuch–Shiloach connected components: star-based hooking,
 //!   the paper's *arbitrary* concurrent-write benchmark (no safe naive
 //!   variant exists, as §7.3 explains — hooking updates multiple arrays).
-//!   The same kernel without its unconditional hooking phase is the
-//!   simplified Shiloach–Vishkin rule ([`sv_components`]), an extension
-//!   beyond the paper's three kernels.
 //! * [`any`] — O(1) logical OR (common CW) and first-true (priority CW)
 //!   one-step kernels.
 //! * [`matching`] — maximal matching whose match commit is a two-cell
@@ -51,7 +48,7 @@ pub mod scan;
 
 pub use any::{first_true, logical_or};
 pub use bfs::{bfs, bfs_with_strategy, bfs_with_strategy_rev, BfsResult, BfsStrategy};
-pub use cc::{connected_components, sv_components, CcResult};
+pub use cc::{connected_components, CcResult};
 pub use list_rank::list_rank;
 pub use matching::{maximal_matching, MatchingResult};
 pub use max::max_index;

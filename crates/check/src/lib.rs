@@ -21,20 +21,20 @@
 //! execution is a deterministic function of the schedule (the sequence of
 //! granted thread IDs).
 //!
-//! On top of the lockstep executor ([`executor`], `--cfg pram_check` only):
+//! On top of the lockstep executor (`executor`, `--cfg pram_check` only):
 //!
-//! * [`explore::explore_exhaustive`] — DFS over the schedule tree: every
+//! * `explore::explore_exhaustive` — DFS over the schedule tree: every
 //!   interleaving of a small model (≤ 3 threads × short programs) is
 //!   executed. Completing without a violation is a proof within the bound.
-//! * [`explore::explore_random`] — seeded random + PCT-style priority
+//! * `explore::explore_random` — seeded random + PCT-style priority
 //!   schedules for configurations too large to exhaust. Any failure prints
 //!   the seed; the same seed replays the same execution.
-//! * [`explore::replay`] — re-run one recorded schedule (the `Vec<usize>`
+//! * `explore::replay` — re-run one recorded schedule (the `Vec<usize>`
 //!   of granted thread IDs printed with every violation).
 //!
-//! [`models`] packages the substrate's invariants as checkable [`models::Model`]s
+//! `models` packages the substrate's invariants as checkable `models::Model`s
 //! (single winner, reset/re-arm, priority minimum, payload non-tearing),
-//! [`sync_models`] extends the same treatment to the execution substrate's
+//! `sync_models` extends the same treatment to the execution substrate's
 //! own synchronization (the team barrier's no-early-release /
 //! generation-reuse / `wait_with`-visibility / single-election contract,
 //! checked on the `SpinBarrier` every kernel runs, plus the pool's team

@@ -1,7 +1,7 @@
 //! Memory-ordering rationale for the arbitration primitives.
 //!
-//! This module is documentation plus two tiny fence helpers; the orderings
-//! themselves live inside the cells. The reasoning, once, in full:
+//! This module is documentation only; the orderings themselves live inside
+//! the cells. The reasoning, once, in full:
 //!
 //! ## What arbitration must order — and what it must not
 //!
@@ -57,50 +57,3 @@
 //! [`crate::RoundCounter`] is advanced by the single control thread between
 //! parallel phases; the round value reaches workers through the machinery
 //! that launches the phase (which provides its own happens-before edge).
-
-use std::sync::atomic::{fence, Ordering};
-
-/// A release fence: everything before it happens-before anything that
-/// observes a subsequent atomic store by this thread.
-///
-/// Programs using `pram_exec` barriers never need this — the barrier is
-/// strictly stronger. Provided for hand-rolled synchronization layouts.
-#[inline]
-pub fn release_fence() {
-    fence(Ordering::Release);
-}
-
-/// An acquire fence, pairing with [`release_fence`].
-#[inline]
-pub fn acquire_fence() {
-    fence(Ordering::Acquire);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::atomic::{AtomicBool, AtomicU64};
-
-    #[test]
-    fn fences_order_a_simple_handoff() {
-        // Message-passing smoke test: payload write + release fence +
-        // relaxed flag store on one side; relaxed flag load + acquire fence
-        // + payload read on the other.
-        let payload = AtomicU64::new(0);
-        let flag = AtomicBool::new(false);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                payload.store(42, Ordering::Relaxed);
-                release_fence();
-                flag.store(true, Ordering::Relaxed);
-            });
-            s.spawn(|| {
-                while !flag.load(Ordering::Relaxed) {
-                    std::hint::spin_loop();
-                }
-                acquire_fence();
-                assert_eq!(payload.load(Ordering::Relaxed), 42);
-            });
-        });
-    }
-}

@@ -10,8 +10,8 @@
 //!
 //! Under `RUSTFLAGS="--cfg pram_check"` the re-exports are replaced by
 //! instrumented shims (a loom-style substitution without the vendored
-//! dependency): every atomic operation first reports a [`CheckEvent`] to a
-//! thread-registered [`CheckHook`] before executing. The `pram-check` crate
+//! dependency): every atomic operation first reports a `CheckEvent` to a
+//! thread-registered `CheckHook` before executing. The `pram-check` crate
 //! installs a hook that parks the calling thread until a deterministic
 //! scheduler grants it the next step, which turns every atomic operation
 //! into an explorable scheduling point — the substrate's real code paths

@@ -15,6 +15,7 @@
 //! sort at every member count. Small inputs build on the caller's thread.
 
 use std::marker::PhantomData;
+use std::ops::Range;
 use std::thread;
 
 /// Fewest input items a build hands each member; smaller inputs build on
@@ -174,13 +175,8 @@ impl CsrGraph {
     /// [`CsrGraph::reverse`] over `members` edge-balanced blocks of source
     /// vertices.
     fn reverse_on(&self, members: usize) -> ReverseCsr {
-        let (n, m) = (self.num_vertices(), self.num_directed_edges());
-        // Member k's sources are `first[k]..first[k + 1]`.
-        let first: Vec<usize> = (0..members)
-            .map(|k| self.offsets.partition_point(|&o| o < k * m / members))
-            .chain([n])
-            .collect();
-        let sources_of = |k: usize| first[k]..first[k + 1];
+        let n = self.num_vertices();
+        let sources_of = |k: usize| edge_balanced_block(&self.offsets, members, k);
         let (offsets, in_edges) = counting_sort(
             n,
             members,
@@ -222,6 +218,24 @@ impl CsrGraph {
             .max()
             .unwrap_or(0)
     }
+}
+
+/// Block `k` of the vertices when they are split into `parts` contiguous
+/// blocks holding about `m / parts` edges each, found by binary search on
+/// CSR `offsets` (the out-degree prefix sum, `n + 1` entries). The blocks
+/// are disjoint and cover `0..n` in order, so a skewed graph's heavy
+/// vertices do not all land in one block.
+pub fn edge_balanced_block(offsets: &[usize], parts: usize, k: usize) -> Range<usize> {
+    let n = offsets.len() - 1;
+    let m = offsets[n];
+    let bound = |j: usize| {
+        if j == parts {
+            n
+        } else {
+            offsets.partition_point(|&o| o < j * m / parts)
+        }
+    };
+    bound(k)..bound(k + 1)
 }
 
 /// Member-parallel counting sort of at most `u32::MAX` items into `n`
@@ -602,6 +616,25 @@ mod tests {
                 assert_eq!(g.offsets()[hi] - g.offsets()[lo], expect, "{lo}..{hi}");
             }
         }
+    }
+
+    #[test]
+    fn edge_balanced_blocks_cover_all_vertices_in_order() {
+        // Degrees 9, 0, 1, 1, 1, 0: one heavy vertex, more blocks than it.
+        let offsets = [0, 9, 9, 10, 11, 12, 12];
+        for parts in 1..6 {
+            let blocks: Vec<_> = (0..parts)
+                .map(|k| edge_balanced_block(&offsets, parts, k))
+                .collect();
+            assert_eq!(blocks[0].start, 0);
+            assert_eq!(blocks[parts - 1].end, 6);
+            for w in blocks.windows(2) {
+                assert_eq!(w[0].end, w[1].start, "{parts} blocks: {blocks:?}");
+            }
+        }
+        assert_eq!(edge_balanced_block(&offsets, 2, 0), 0..1);
+        assert_eq!(edge_balanced_block(&offsets, 2, 1), 1..6);
+        assert_eq!(edge_balanced_block(&[0, 0, 0], 3, 2), 0..2);
     }
 
     #[test]

@@ -7,16 +7,12 @@
 //! the benchmark where the paper reports its largest speedups (up to
 //! 4.5×), because hooking's arbitrary writes collide heavily and the
 //! gatekeeper pays both the serialized atomics *and* a re-zeroing pass per
-//! round. Also runs the simplified Shiloach–Vishkin rule (the same kernel
-//! without its unconditional hooking phase), and shows the effect of graph
-//! skew via an R-MAT instance.
+//! round. Also shows the effect of graph skew via an R-MAT instance.
 
 use std::time::Instant;
 
 use crcw_pram::prelude::*;
-use pram_algos::cc::{connected_components, sv_components, verify_cc, CcResult, NO_HOOK};
-
-type CcFn = fn(&CsrGraph, CwMethod, &ThreadPool) -> CcResult;
+use pram_algos::cc::{connected_components, verify_cc, NO_HOOK};
 
 fn run_cc(name: &str, g: &CsrGraph, pool: &ThreadPool) {
     println!(
@@ -28,15 +24,9 @@ fn run_cc(name: &str, g: &CsrGraph, pool: &ThreadPool) {
         "{:<16} {:>12} {:>6} {:>12} {:>8}",
         "method", "time", "iters", "components", "verify"
     );
-    let runs: [(&str, CcFn, CwMethod); 4] = [
-        ("gatekeeper", connected_components, CwMethod::Gatekeeper),
-        ("caslt", connected_components, CwMethod::CasLt),
-        ("lock", connected_components, CwMethod::Lock),
-        ("sv-caslt (ext.)", sv_components, CwMethod::CasLt),
-    ];
-    for (label, cc, method) in runs {
+    for method in [CwMethod::Gatekeeper, CwMethod::CasLt, CwMethod::Lock] {
         let t0 = Instant::now();
-        let r = cc(g, method, pool);
+        let r = connected_components(g, method, pool);
         let dt = t0.elapsed();
         let mut comps: Vec<u32> = r.labels.clone();
         comps.sort_unstable();
@@ -44,7 +34,7 @@ fn run_cc(name: &str, g: &CsrGraph, pool: &ThreadPool) {
         let ok = verify_cc(g, &r).is_ok();
         println!(
             "{:<16} {:>12.2?} {:>6} {:>12} {:>8}",
-            label,
+            method.name(),
             dt,
             r.iterations,
             comps.len(),

@@ -195,9 +195,10 @@ fn facade_prelude_exposes_the_working_surface() {
 }
 
 #[test]
-fn sv_threaded_and_ideal_machine_produce_identical_labels() {
-    // Both fixed points label every vertex with its component minimum, so
-    // the outputs must be *equal*, not merely equivalent — regardless of
+fn ideal_sv_and_threaded_as_produce_identical_labels() {
+    // The ideal machine's Shiloach–Vishkin and the threaded
+    // Awerbuch–Shiloach both label every vertex with its component minimum,
+    // so the outputs must be *equal*, not merely equivalent — regardless of
     // which arbitrary winner either implementation elected along the way.
     let n = 120;
     for seed in [3u64, 4] {
@@ -215,7 +216,7 @@ fn sv_threaded_and_ideal_machine_produce_identical_labels() {
         .unwrap()
         .output;
         let pool = ThreadPool::new(4);
-        let threaded = pram_algos::sv_components(&g, CwMethod::CasLt, &pool);
+        let threaded = pram_algos::connected_components(&g, CwMethod::CasLt, &pool);
         verify_cc(&g, &threaded).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(threaded.labels, ideal, "seed {seed}");
         // And both equal the union-find ground truth.

@@ -20,9 +20,9 @@
 //!   previous-level neighbor is admissible, so parents are checked as
 //!   members of the writer set, and only for single-winner methods (naive
 //!   tears the multi-word commit).
-//! * CC labels, under both the AS and the SV rule, are canonicalized by
-//!   the kernel (component minima), so single-winner methods must match
-//!   union–find exactly; naive is excluded (multi-word hook writes tear).
+//! * CC labels are canonicalized by the kernel (component minima), so
+//!   single-winner methods must match union–find exactly; naive is
+//!   excluded (multi-word hook writes tear).
 //!
 //! The corpus is deliberately small by default so the oracle runs in a PR
 //! gate; set `PRAM_ORACLE_FULL=1` (CI nightly) for the full corpus and
@@ -32,7 +32,7 @@ use pram_algos::list_rank::{list_rank_serial, random_list};
 use pram_algos::scan::exclusive_scan_serial;
 use pram_algos::{
     bfs, bfs_with_strategy, connected_components, exclusive_scan, inclusive_scan, list_rank,
-    logical_or, max_index, sv_components, BfsStrategy, CwMethod,
+    logical_or, max_index, BfsStrategy, CwMethod,
 };
 use pram_exec::{PoolConfig, ThreadPool};
 use pram_graph::{serial, CsrGraph, GraphGen};
@@ -229,17 +229,13 @@ fn oracle_cc_single_winner_methods_vs_union_find() {
         let reference = serial::cc_labels(n, &directed);
         for pool in pools() {
             for m in CwMethod::ALL.into_iter().filter(|m| m.single_winner()) {
-                for (rule, r) in [
-                    ("AS", connected_components(&g, m, &pool)),
-                    ("SV", sv_components(&g, m, &pool)),
-                ] {
-                    assert_eq!(
-                        r.labels,
-                        reference,
-                        "{name}: {rule} {m} labels on {} threads",
-                        pool.num_threads()
-                    );
-                }
+                let r = connected_components(&g, m, &pool);
+                assert_eq!(
+                    r.labels,
+                    reference,
+                    "{name}: {m} labels on {} threads",
+                    pool.num_threads()
+                );
             }
         }
     }

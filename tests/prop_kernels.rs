@@ -3,7 +3,7 @@
 //! the serial ground truth.
 
 use pram_algos::bfs::{bfs, bfs_with_strategy, verify_bfs_tree, BfsStrategy};
-use pram_algos::cc::{connected_components, sv_components, verify_cc};
+use pram_algos::cc::{connected_components, verify_cc};
 use pram_algos::{first_true, logical_or, max_index, CwMethod};
 use pram_exec::ThreadPool;
 use pram_graph::{serial, CsrGraph, GraphGen};
@@ -66,21 +66,6 @@ proptest! {
         let g = CsrGraph::from_edges(n, &edges, true);
         let pool = ThreadPool::new(threads);
         let r = connected_components(&g, method, &pool);
-        prop_assert!(verify_cc(&g, &r).is_ok(), "{}", verify_cc(&g, &r).unwrap_err());
-    }
-
-    #[test]
-    fn sv_matches_union_find_on_random_graphs(
-        seed in any::<u64>(),
-        n in 2usize..80,
-        density in 0usize..5,
-        method in single_winner_method(),
-        threads in 1usize..5,
-    ) {
-        let edges = GraphGen::new(seed).gnm(n, n * density);
-        let g = CsrGraph::from_edges(n, &edges, true);
-        let pool = ThreadPool::new(threads);
-        let r = sv_components(&g, method, &pool);
         prop_assert!(verify_cc(&g, &r).is_ok(), "{}", verify_cc(&g, &r).unwrap_err());
     }
 

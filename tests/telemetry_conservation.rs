@@ -226,9 +226,7 @@ fn exec_deltas_are_exact_per_round() {
 
 #[test]
 fn kernel_rounds_pay_only_their_own_rendezvous() {
-    use pram_algos::{
-        bfs_with_strategy, connected_components, sv_components, BfsStrategy, CwMethod,
-    };
+    use pram_algos::{bfs_with_strategy, connected_components, BfsStrategy, CwMethod};
     use pram_graph::{CsrGraph, GraphGen};
 
     let star = CsrGraph::from_edges(2000, &GraphGen::star(2000), true);
@@ -274,24 +272,6 @@ fn kernel_rounds_pay_only_their_own_rendezvous() {
         for (k, r) in rounds.iter().enumerate() {
             let want = if k == last { 2 * t } else { 3 * t };
             assert_eq!(r.exec.barrier_waits, want, "CC at T={t}, round {}", r.round);
-        }
-
-        // The SV rule skips the unconditional phase and its barrier: the
-        // opening and the team sum in every round, the last one included.
-        let sv = sv_components(&complete, CwMethod::CasLt, &pool);
-        let rounds = pool.take_round_report().rounds;
-        assert_eq!(rounds.len(), sv.iterations as usize);
-        assert!(
-            rounds.len() >= 2,
-            "SV on complete(64) hooks before it stops"
-        );
-        for r in &rounds {
-            assert_eq!(
-                r.exec.barrier_waits,
-                2 * t,
-                "SV at T={t}, round {}",
-                r.round
-            );
         }
     }
 }
