@@ -1,5 +1,5 @@
-//! Breadth-first search under pluggable concurrent-write methods and
-//! pluggable *frontier strategies*.
+//! Breadth-first search under pluggable concurrent-write methods and two
+//! *frontier strategies*.
 //!
 //! The paper's BFS (Figure 3, evaluated in Figures 7–9) is the
 //! Rodinia-style **dense scan**: each level-`L` iteration scans all `n`
@@ -17,22 +17,20 @@
 //! * under any single-winner method the four words are written by one
 //!   thread and are mutually consistent.
 //!
-//! This module adds two frontier-centric strategies on the same claim
-//! substrate, selected by [`BfsStrategy`]:
+//! [`BfsStrategy::DirectionOptimizing`] runs Beamer's push/pull switch on
+//! the same claim substrate. It pushes top-down while the frontier is
+//! small: the frontier is an explicit sparse queue
+//! ([`pram_exec::FrontierBuffer`]), workers append discoveries to
+//! per-worker [`pram_exec::LocalBuffer`]s, and a level costs
+//! `O(frontier edges)`, not `O(n + frontier edges)`. When the frontier's
+//! out-edge count exceeds `m / α` it switches to a **bottom-up pull** over
+//! a dense [`pram_core::AtomicBitmap`] frontier (each unvisited vertex
+//! scans its in-edges and stops at the first frontier neighbor), and it
+//! drops back to push when the frontier shrinks below `n / β`. On a graph
+//! whose frontiers stay sparse, such as a path, every round is a push.
 //!
-//! * [`BfsStrategy::TopDown`] — the frontier is an explicit sparse queue
-//!   ([`pram_exec::FrontierBuffer`]); workers append discoveries to
-//!   per-worker [`pram_exec::LocalBuffer`]s and the per-level work is
-//!   `O(frontier edges)`, not `O(n + frontier edges)`.
-//! * [`BfsStrategy::DirectionOptimizing`] — Beamer's push/pull switch: run
-//!   top-down while the frontier is small; when its out-edge count exceeds
-//!   `m / α` switch to a **bottom-up pull** over a dense
-//!   [`pram_core::AtomicBitmap`] frontier (each unvisited vertex scans its
-//!   in-edges and stops at the first frontier neighbor), and drop back to
-//!   top-down when the frontier shrinks below `n / β`.
-//!
-//! Push (top-down) and dense-scan rounds are concurrent writes: several
-//! expanders can reach the same unvisited `u`, so the winner claim
+//! Push and dense-scan rounds are concurrent writes: several expanders
+//! can reach the same unvisited `u`, so the winner claim
 //! `arb.try_claim(u, round)` is their single point of frontier insertion,
 //! every concurrent-write method dispatches unchanged, and the four-word
 //! write keeps its single-winner consistency guarantee. Pull rounds are
@@ -44,14 +42,14 @@
 //! The bottom-up sweep records `sel_edge` through
 //! [`pram_graph::ReverseCsr`]'s edge provenance, so the discovered edge is
 //! still an index owned by the parent — the same invariant
-//! [`verify_bfs_tree`] checks for every strategy.
+//! [`verify_bfs_tree`] checks for both strategies.
 //!
-//! Every strategy counts its discoveries member-locally and hands the
+//! Both strategies count their discoveries member-locally and hand the
 //! count to the round's closing team sum, which decides convergence, so
-//! discoveries never store to a shared progress line. The frontier
-//! strategies also sum the discoveries' degrees there: the next
-//! frontier's size and out-edge count arrive with the round's one
-//! rendezvous, not from a pass over the frontier.
+//! discoveries never store to a shared progress line. Direction-optimizing
+//! BFS also sums the discoveries' degrees there: the next frontier's size
+//! and out-edge count arrive with the round's one rendezvous, not from a
+//! pass over the frontier.
 //!
 //! The per-level round ID is the level itself — the paper's "round could be
 //! substituted by the loop iteration" remark — supplied here by
@@ -93,34 +91,26 @@ const PULL_CHUNK_WORDS: usize = 8;
 pub enum BfsStrategy {
     /// The paper's Figure 3 kernel: scan all `n` vertices every level.
     DenseScan,
-    /// Sparse frontier queue with per-worker buffers; work per level is
-    /// proportional to the frontier's out-edges.
-    TopDown,
-    /// Beamer-style push/pull: top-down while the frontier is sparse,
-    /// bottom-up over a dense bitmap when it is not
+    /// Beamer-style push/pull: top-down over a sparse queue while the
+    /// frontier is sparse, bottom-up over a dense bitmap when it is not
     /// ([`DIRECTION_ALPHA`] / [`DIRECTION_BETA`] thresholds).
     ///
     /// The bottom-up sweep scans *in*-edges, so on a directed graph the
-    /// strategy is only equivalent to the others if the graph stores both
-    /// directions (as every undirected [`CsrGraph`] here does).
+    /// strategy is only equivalent to the dense scan if the graph stores
+    /// both directions (as every undirected [`CsrGraph`] here does).
     #[default]
     DirectionOptimizing,
 }
 
 impl BfsStrategy {
     /// All strategies, for tests and benches.
-    pub const ALL: [BfsStrategy; 3] = [
-        BfsStrategy::DenseScan,
-        BfsStrategy::TopDown,
-        BfsStrategy::DirectionOptimizing,
-    ];
+    pub const ALL: [BfsStrategy; 2] = [BfsStrategy::DenseScan, BfsStrategy::DirectionOptimizing];
 }
 
 impl fmt::Display for BfsStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             BfsStrategy::DenseScan => "dense-scan",
-            BfsStrategy::TopDown => "top-down",
             BfsStrategy::DirectionOptimizing => "direction-optimizing",
         })
     }
@@ -236,10 +226,16 @@ fn bfs_core<A: SliceArbiter>(
             "reverse view is for another graph"
         );
     }
-    match strategy {
-        BfsStrategy::DenseScan => bfs_dense(g, source, arb, pool),
-        BfsStrategy::TopDown => bfs_frontier(g, rev, source, arb, pool, false),
-        BfsStrategy::DirectionOptimizing => bfs_frontier(g, rev, source, arb, pool, true),
+    match (strategy, rev) {
+        (BfsStrategy::DenseScan, _) => bfs_dense(g, source, arb, pool),
+        (BfsStrategy::DirectionOptimizing, Some(rev)) => {
+            bfs_direction_optimizing(g, rev, source, arb, pool)
+        }
+        // The pull rounds read the in-edge view (with edge provenance for
+        // sel_edge); build it unless the caller already did.
+        (BfsStrategy::DirectionOptimizing, None) => {
+            bfs_direction_optimizing(g, &g.reverse(), source, arb, pool)
+        }
     }
 }
 
@@ -342,30 +338,20 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
     st.into_result(rounds.into_inner())
 }
 
-/// Frontier-centric BFS: top-down sparse queue, optionally switching to a
-/// bottom-up bitmap pull (`allow_pull` = direction-optimizing).
-fn bfs_frontier<A: SliceArbiter>(
+/// Direction-optimizing BFS: a top-down sparse queue that switches to a
+/// bottom-up bitmap pull over `rev` while the frontier is dense.
+fn bfs_direction_optimizing<A: SliceArbiter>(
     g: &CsrGraph,
-    rev: Option<&ReverseCsr>,
+    rev: &ReverseCsr,
     source: u32,
     arb: &A,
     pool: &ThreadPool,
-    allow_pull: bool,
 ) -> BfsResult {
     let n = g.num_vertices();
     let m = g.num_directed_edges();
     let st = BfsState::new(n, source);
     let offsets = g.offsets();
     let targets = g.targets();
-    // The in-edge view (with edge provenance for sel_edge) is only needed
-    // if a pull round can happen; build it unless the caller already did.
-    let rev_owned;
-    let rev = if allow_pull && rev.is_none() {
-        rev_owned = g.reverse();
-        Some(&rev_owned)
-    } else {
-        rev
-    };
 
     // Double-buffered frontier in both representations; which pair member
     // is "current" is tracked per worker and advances in lockstep because
@@ -396,12 +382,11 @@ fn bfs_frontier<A: SliceArbiter>(
             let (mut found, mut found_edges) = (0, 0);
 
             // Direction heuristic (Beamer): identical on every member.
-            let pull = allow_pull
-                && if cur_is_bits {
-                    fsize >= n / DIRECTION_BETA
-                } else {
-                    fedges > m / DIRECTION_ALPHA
-                };
+            let pull = if cur_is_bits {
+                fsize >= n / DIRECTION_BETA
+            } else {
+                fedges > m / DIRECTION_ALPHA
+            };
 
             // Representation conversion when the direction flips.
             if pull && !cur_is_bits {
@@ -439,7 +424,6 @@ fn bfs_frontier<A: SliceArbiter>(
                 // in one store, which also overwrites the stale frontier
                 // two rounds old (no clear pass).
                 ctx.annotate_round("pull");
-                let rev = rev.expect("pull implies reverse view");
                 let cur = &bitmaps[bi];
                 let next = &bitmaps[1 - bi];
                 let by_words = Schedule::Dynamic {
@@ -633,12 +617,11 @@ mod tests {
             let edges = GraphGen::new(seed).gnm(150, 400);
             let g = graph(150, &edges);
             let dense = bfs_with_strategy(&g, 3, CwMethod::CasLt, BfsStrategy::DenseScan, &pool);
-            for s in [BfsStrategy::TopDown, BfsStrategy::DirectionOptimizing] {
-                let r = bfs_with_strategy(&g, 3, CwMethod::CasLt, s, &pool);
-                assert_eq!(r.level, dense.level, "seed {seed} {s}");
-                assert_eq!(r.rounds, dense.rounds, "seed {seed} {s}");
-                verify_bfs_tree(&g, 3, &r).unwrap_or_else(|e| panic!("seed {seed} {s}: {e}"));
-            }
+            let s = BfsStrategy::DirectionOptimizing;
+            let r = bfs_with_strategy(&g, 3, CwMethod::CasLt, s, &pool);
+            assert_eq!(r.level, dense.level, "seed {seed}");
+            assert_eq!(r.rounds, dense.rounds, "seed {seed}");
+            verify_bfs_tree(&g, 3, &r).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         }
     }
 
@@ -692,12 +675,22 @@ mod tests {
     }
 
     #[test]
-    fn top_down_on_long_paths() {
-        let pool = ThreadPool::new(4);
+    fn direction_optimizing_only_pushes_on_long_paths() {
+        // One-vertex frontiers never cross the pull threshold, so every
+        // round is a push and no representation conversion runs.
         let g = graph(512, &GraphGen::path(512));
-        let r = bfs_with_strategy(&g, 0, CwMethod::CasLt, BfsStrategy::TopDown, &pool);
-        verify_bfs_tree(&g, 0, &r).unwrap();
-        assert_eq!(r.rounds, 512);
+        for t in 1..=3 {
+            let pool = ThreadPool::with_config(PoolConfig::new(t).telemetry(true));
+            let strategy = BfsStrategy::DirectionOptimizing;
+            let r = bfs_with_strategy(&g, 0, CwMethod::CasLt, strategy, &pool);
+            verify_bfs_tree(&g, 0, &r).unwrap_or_else(|e| panic!("T={t}: {e}"));
+            assert_eq!(r.rounds, 512, "T={t}");
+            let report = pool.take_round_report();
+            assert_eq!(report.rounds.len(), 512, "T={t}");
+            for round in &report.rounds {
+                assert_eq!(round.label, "push", "T={t}: round {}", round.round);
+            }
+        }
     }
 
     #[test]

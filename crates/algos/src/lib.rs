@@ -13,8 +13,8 @@
 //! * [`mod@bfs`] — the Rodinia-style level-synchronous breadth-first search
 //!   (paper Figure 3): per-level frontier expansion whose vertex-claiming
 //!   write updates four arrays at once. Besides the paper's dense scan, a
-//!   sparse top-down and a Beamer-style direction-optimizing frontier
-//!   strategy run on the same claim substrate ([`BfsStrategy`]).
+//!   Beamer-style direction-optimizing strategy (sparse push rounds, dense
+//!   pull rounds) runs on the same claim substrate ([`BfsStrategy`]).
 //! * [`cc`] — Awerbuch–Shiloach connected components: star-based hooking,
 //!   the paper's *arbitrary* concurrent-write benchmark (no safe naive
 //!   variant exists, as §7.3 explains — hooking updates multiple arrays).

@@ -53,9 +53,6 @@ impl SliceArbiter for AlwaysRmwCasLtArray {
         // Unconditional RMW: the ablated fast path.
         self.cells[index].fetch_max(round.get(), Ordering::AcqRel) < round.get()
     }
-    fn reset_all(&self) {
-        self.reset_range(0..self.cells.len());
-    }
     fn reset_range(&self, range: Range<usize>) {
         for c in &self.cells[range] {
             c.store(0, Ordering::Relaxed);
@@ -92,9 +89,6 @@ impl SliceArbiter for BitGatekeeperArray {
     #[inline]
     fn try_claim(&self, index: usize, _round: Round) -> bool {
         self.bits.insert(index)
-    }
-    fn reset_all(&self) {
-        self.bits.clear();
     }
     fn reset_range(&self, range: Range<usize>) {
         // Bit-granular (not word-granular) so concurrent resets of *any*

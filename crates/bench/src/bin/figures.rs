@@ -14,13 +14,13 @@
 //!   stats           claim-level statistics report (profiling, untimed)
 //!   all             every target above
 //! Targets (BENCH_<target>.json; thread counts come from the host):
-//!   frontier        BFS strategies x methods, and CC, at T = 1, 2, 4, .., nproc
-//!   scaling         self-relative thread scaling + telemetry overhead guard
+//!   frontier        BFS strategies x methods, and CC, at T = 1, 2, 4, .., nproc,
+//!                   with self-relative speedups + telemetry overhead guard
 //!   micro           arbitration primitives, ns per operation
 //!
 //! Options:
 //!   --paper-scale   the paper's published workload sizes (hours on a laptop)
-//!   --quick         smoke-test sizes (frontier/scaling at T = 1, 2)
+//!   --quick         smoke-test sizes (frontier at T = 1, 2)
 //!   --threads <T>   team size for fixed-thread figures   [default: 4]
 //!   --reps <R>      interleaved timed passes per config  [default: 10]
 //!   --seed <S>      workload seed                        [default: 42]
@@ -35,12 +35,12 @@
 use std::process::ExitCode;
 
 use pram_bench::runner::{compare, field, Report};
-use pram_bench::{ablations, ext, figures, frontier, micro, scaling, BenchConfig, ScaleProfile};
+use pram_bench::{ablations, ext, figures, frontier, micro, BenchConfig, ScaleProfile};
 
 fn usage() -> ExitCode {
     eprintln!(
         "Usage: figures [--paper-scale|--quick] [--threads T] [--reps R] [--seed S] \
-         [--out DIR] <fig5..fig12|figures|ablations|extensions|stats|all|frontier|scaling|micro>...\n       \
+         [--out DIR] <fig5..fig12|figures|ablations|extensions|stats|all|frontier|micro>...\n       \
          figures compare OLD.json NEW.json"
     );
     ExitCode::FAILURE
@@ -153,16 +153,15 @@ fn main() -> ExitCode {
     let mut ok = true;
     for t in &targets {
         match t.as_str() {
-            "frontier" => ok &= emit(&frontier::run(&cfg), &cfg),
-            "micro" => ok &= emit(&micro::run(&cfg), &cfg),
-            "scaling" => {
-                let (report, guard) = scaling::run(&cfg);
+            "frontier" => {
+                let (report, guard) = frontier::run(&cfg);
                 ok &= emit(&report, &cfg);
                 if let Err(e) = guard {
                     eprintln!("{e}");
                     ok = false;
                 }
             }
+            "micro" => ok &= emit(&micro::run(&cfg), &cfg),
             "figures" => results.extend(figures::all(&cfg)),
             "ablations" => results.extend(ablations::all(&cfg)),
             "extensions" => results.extend(ext::all(&cfg)),

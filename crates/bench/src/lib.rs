@@ -8,7 +8,7 @@
 //! same sweep and returns a [`FigureResult`] (printable table + CSV);
 //! [`ablations`] adds the design-choice experiments DESIGN.md calls out,
 //! timing the arbiters of [`ablation`] that exist only to be ablated.
-//! [`frontier`], [`scaling`] and [`micro`] write `BENCH_*.json` files
+//! [`frontier`] and [`micro`] write `BENCH_*.json` files
 //! through [`runner`], which also holds the one timing primitive every
 //! target uses. The `figures` binary is the entry point for all of them.
 //!
@@ -28,7 +28,6 @@ pub mod figures;
 pub mod frontier;
 pub mod micro;
 pub mod runner;
-pub mod scaling;
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -413,8 +412,8 @@ mod tests {
             reps: 2,
             ..BenchConfig::default()
         };
-        let (scaling, _guard) = scaling::run(&cfg);
-        for report in [frontier::run(&cfg), scaling, micro::run(&cfg)] {
+        let (frontier, _guard) = frontier::run(&cfg);
+        for report in [&frontier, &micro::run(&cfg)] {
             let json = report.to_json();
             assert!(json.contains("\n  \"host\": {\"nproc\": "), "{json}");
             let field = |row, name| runner::field(row, name).map(String::from);
@@ -445,6 +444,19 @@ mod tests {
                 if let Some(g) = field(row, "graph") {
                     assert!(graphs.contains(&g), "{g} is not in the graphs block");
                 }
+            }
+        }
+
+        let rows = frontier.section("results");
+        assert!(!rows.is_empty());
+        for row in rows {
+            let speedup: f64 = runner::field(row, "speedup_self_rel")
+                .unwrap_or_else(|| panic!("no speedup_self_rel in {row}"))
+                .parse()
+                .unwrap();
+            assert!(speedup.is_finite() && speedup > 0.0, "{row}");
+            if runner::field(row, "threads") == Some("1") {
+                assert_eq!(speedup, 1.0, "{row}");
             }
         }
     }

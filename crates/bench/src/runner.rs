@@ -82,7 +82,7 @@ pub fn time_interleaved(reps: usize, configs: usize, mut run: impl FnMut(usize))
     ms.into_iter().map(Samples::new).collect()
 }
 
-/// Thread counts the `frontier` and `scaling` targets sweep: powers of two
+/// Thread counts the `frontier` target sweeps: powers of two
 /// up to the host's parallelism plus the parallelism itself, or T = 1, 2
 /// under `--quick`.
 pub(crate) fn host_threads(scale: ScaleProfile) -> Vec<usize> {

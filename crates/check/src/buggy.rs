@@ -106,11 +106,6 @@ impl SliceArbiter for BuggyCasLtArray {
     fn try_claim(&self, index: usize, round: Round) -> bool {
         self.cells[index].try_claim(round)
     }
-    fn reset_all(&self) {
-        for c in self.cells.iter() {
-            c.last_round_updated.store(0, Ordering::Relaxed);
-        }
-    }
     fn reset_range(&self, range: Range<usize>) {
         for c in &self.cells[range] {
             c.last_round_updated.store(0, Ordering::Relaxed);
@@ -179,9 +174,6 @@ impl SliceArbiter for CountingClaimCell {
     fn try_claim(&self, index: usize, _round: Round) -> bool {
         assert_eq!(index, 0, "CountingClaimCell arbitrates a single target");
         self.try_claim_once()
-    }
-    fn reset_all(&self) {
-        self.count.store(0, Ordering::Relaxed);
     }
     fn reset_range(&self, range: Range<usize>) {
         if range.contains(&0) {

@@ -146,13 +146,6 @@ impl AtomicBitmap {
             bits &= bits - 1;
         }
     }
-
-    /// Call `f` for every set index, ascending (serial full scan).
-    pub fn for_each_set(&self, mut f: impl FnMut(usize)) {
-        for w in 0..self.words.len() {
-            self.for_each_set_in_word(w, &mut f);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -183,7 +176,9 @@ mod tests {
             s.insert(i);
         }
         let mut seen = Vec::new();
-        s.for_each_set(|i| seen.push(i));
+        for w in 0..s.num_words() {
+            s.for_each_set_in_word(w, |i| seen.push(i));
+        }
         assert_eq!(seen, members);
 
         let mut word2 = Vec::new();

@@ -188,12 +188,6 @@ impl SliceArbiter for CasLtArray {
     fn try_claim(&self, index: usize, round: Round) -> bool {
         self.cells[index].try_claim(round)
     }
-    fn reset_all(&self) {
-        for c in self.cells.iter() {
-            c.reset_shared();
-        }
-        crate::telemetry::record_rearm_resets(self.cells.len() as u64);
-    }
     fn reset_range(&self, range: Range<usize>) {
         let cells = &self.cells[range];
         for c in cells {

@@ -76,7 +76,6 @@ impl SliceArbiter for NaiveArbiter {
         crate::telemetry::record_win();
         true
     }
-    fn reset_all(&self) {}
     fn reset_range(&self, _range: Range<usize>) {}
     fn rearms_on_new_round(&self) -> bool {
         true

@@ -11,7 +11,11 @@
 //! here).
 //!
 //! [`ConCell`] couples one [`CasLtCell`] with an [`UnsafeCell`]-wrapped
-//! payload; [`ConVec`] is the per-element array form the kernels use.
+//! payload; [`ConVec`] is its per-element array form. No `pram_algos`
+//! kernel uses them (the BFS four-word commit keeps its words in separate
+//! atomic arrays). Their users are the workspace's `tests/torn_writes.rs`
+//! and `tests/prop_payload_scan.rs`, `examples/custom_kernel.rs`, and
+//! `pram-check`'s payload non-tearing model.
 //!
 //! # Safety model
 //!
@@ -28,9 +32,8 @@
 //!    winner's store.
 //!
 //! Programs built on `pram_exec`'s lock-step driver satisfy both rules
-//! automatically (every round is barrier-bounded); the safe wrappers in
-//! `pram_algos` encapsulate the argument so downstream users never touch
-//! `unsafe`.
+//! automatically (every round is barrier-bounded), which is how
+//! `examples/custom_kernel.rs` discharges the `unsafe` contract.
 
 use std::cell::UnsafeCell;
 

@@ -39,10 +39,12 @@ pub trait SliceArbiter: Sync {
     /// Panics if `index >= self.len()`.
     fn try_claim(&self, index: usize, round: Round) -> bool;
 
-    /// Restore every target to the never-claimed state (shared-access
-    /// variant, usable from inside a parallel region where each thread
-    /// resets a sub-range via [`SliceArbiter::reset_range`]).
-    fn reset_all(&self);
+    /// Restore every target to the never-claimed state: one
+    /// [`SliceArbiter::reset_range`] over the whole family. Inside a
+    /// parallel region each thread resets its own sub-range instead.
+    fn reset_all(&self) {
+        self.reset_range(0..self.len());
+    }
 
     /// Reset targets `range` only — the building block for parallel
     /// reinitialization, mirroring the paper's

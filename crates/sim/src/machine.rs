@@ -107,11 +107,6 @@ impl Machine {
         &self.mem
     }
 
-    /// Mutable access to memory between steps (initialization, inspection).
-    pub fn mem_mut(&mut self) -> &mut [i64] {
-        &mut self.mem
-    }
-
     /// Accumulated work–depth trace.
     pub fn trace(&self) -> &Trace {
         &self.trace

@@ -5,9 +5,10 @@
 //! discovery write (`parent[u]`, `sel_edge[u]`, `visited[u]`, `level[u]`)
 //! is exactly the multi-word structure the paper's §4 warns can commit as
 //! "a structure that does not match any of the ones being written". The
-//! sparse top-down expansion maximizes the hazard window — many expanders
-//! race for the same high-degree targets — and the bottom-up pull moves the
-//! write to a different loop shape entirely. Under every single-winner
+//! push expansions — the dense scan and direction-optimizing BFS's sparse
+//! rounds — maximize the hazard window, with many expanders racing for the
+//! same high-degree targets, and the bottom-up pull moves the write to a
+//! different loop shape entirely. Under every single-winner
 //! method, `verify_bfs_tree` must still find each `sel_edge[u]` inside
 //! parent `parent[u]`'s CSR range and targeting `u`: a mixture from two
 //! writers would name an edge the parent does not own.
@@ -32,7 +33,7 @@ fn single_winner_methods() -> impl Iterator<Item = CwMethod> {
 }
 
 /// Skewed R-MAT: hub vertices give thousands of concurrent claimants per
-/// target in the top-down phase and dense pull rounds in the DO phase.
+/// target in the push rounds and dense pull rounds in the DO phase.
 #[test]
 fn rmat_discovery_writes_are_never_torn() {
     let threads = std::thread::available_parallelism().map_or(4, |p| p.get().min(8));
@@ -42,7 +43,7 @@ fn rmat_discovery_writes_are_never_torn() {
         let edges = GraphGen::new(0xF0 + rep as u64).rmat_standard(11, n * 8);
         let g = CsrGraph::from_edges(n, &edges, true);
         for method in single_winner_methods() {
-            for strategy in [BfsStrategy::TopDown, BfsStrategy::DirectionOptimizing] {
+            for strategy in BfsStrategy::ALL {
                 let r = bfs_with_strategy(&g, 0, method, strategy, &pool);
                 verify_bfs_tree(&g, 0, &r)
                     .unwrap_or_else(|e| panic!("rep {rep} {method}/{strategy}: {e}"));
@@ -83,7 +84,7 @@ fn gnm_multigraph_discovery_is_single_winner() {
         let edges = GraphGen::new(0xAB + rep as u64).gnm(n, n * 12);
         let g = CsrGraph::from_edges(n, &edges, true);
         for method in single_winner_methods() {
-            for strategy in [BfsStrategy::TopDown, BfsStrategy::DirectionOptimizing] {
+            for strategy in BfsStrategy::ALL {
                 let r = bfs_with_strategy(&g, 7, method, strategy, &pool);
                 verify_bfs_tree(&g, 7, &r)
                     .unwrap_or_else(|e| panic!("rep {rep} {method}/{strategy}: {e}"));

@@ -95,10 +95,10 @@ proptest! {
         }
     }
 
-    // Frontier strategies are observationally equivalent to the paper's
-    // dense scan: identical `level` vectors, and a valid (not necessarily
-    // identical — tie-breaks differ) parent/sel_edge tree, under every
-    // single-winner method.
+    // Direction-optimizing BFS is observationally equivalent to the
+    // paper's dense scan: identical `level` vectors, and a valid (not
+    // necessarily identical — tie-breaks differ) parent/sel_edge tree,
+    // under every single-winner method.
     #[test]
     fn bfs_strategies_agree_with_dense_reference(
         seed in any::<u64>(),
@@ -112,14 +112,12 @@ proptest! {
         let pool = ThreadPool::new(threads);
         let source = (seed % n as u64) as u32;
         let dense = bfs_with_strategy(&g, source, method, BfsStrategy::DenseScan, &pool);
-        for strategy in [BfsStrategy::TopDown, BfsStrategy::DirectionOptimizing] {
-            let r = bfs_with_strategy(&g, source, method, strategy, &pool);
-            prop_assert_eq!(&r.level, &dense.level,
-                "{} diverges from dense levels under {}", strategy, method);
-            prop_assert_eq!(r.rounds, dense.rounds);
-            let tree = verify_bfs_tree(&g, source, &r);
-            prop_assert!(tree.is_ok(), "{}/{}: {}", method, strategy, tree.unwrap_err());
-        }
+        let r = bfs_with_strategy(&g, source, method, BfsStrategy::DirectionOptimizing, &pool);
+        prop_assert_eq!(&r.level, &dense.level,
+            "direction-optimizing diverges from dense levels under {}", method);
+        prop_assert_eq!(r.rounds, dense.rounds);
+        let tree = verify_bfs_tree(&g, source, &r);
+        prop_assert!(tree.is_ok(), "{}: {}", method, tree.unwrap_err());
     }
 
     #[test]
@@ -133,13 +131,11 @@ proptest! {
         let g = CsrGraph::from_edges(n, &edges, true);
         let pool = ThreadPool::new(4);
         let dense = bfs_with_strategy(&g, 0, method, BfsStrategy::DenseScan, &pool);
-        for strategy in [BfsStrategy::TopDown, BfsStrategy::DirectionOptimizing] {
-            let r = bfs_with_strategy(&g, 0, method, strategy, &pool);
-            prop_assert_eq!(&r.level, &dense.level,
-                "{} diverges from dense levels under {}", strategy, method);
-            let tree = verify_bfs_tree(&g, 0, &r);
-            prop_assert!(tree.is_ok(), "{}/{}: {}", method, strategy, tree.unwrap_err());
-        }
+        let r = bfs_with_strategy(&g, 0, method, BfsStrategy::DirectionOptimizing, &pool);
+        prop_assert_eq!(&r.level, &dense.level,
+            "direction-optimizing diverges from dense levels under {}", method);
+        let tree = verify_bfs_tree(&g, 0, &r);
+        prop_assert!(tree.is_ok(), "{}: {}", method, tree.unwrap_err());
     }
 
     #[test]
