@@ -1,7 +1,7 @@
 //! The two arbiters that exist only to be ablated against the paper's
 //! methods. Both settled their question, so they live beside the
-//! experiments that time them ([`crate::ablations`], [`crate::ext`]) rather
-//! than in pram-core:
+//! experiments that time them ([`crate::ablations`]) rather than in
+//! pram-core:
 //!
 //! * [`AlwaysRmwCasLtArray`] — CAS-LT without its pre-CAS load. 3.6×
 //!   slower on the Max kernel: the paper's §5 claim that skipping the

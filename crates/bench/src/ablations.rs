@@ -1,16 +1,49 @@
-//! Ablation experiments for the design choices DESIGN.md calls out —
-//! beyond the paper's figures, these isolate *why* CAS-LT wins.
+//! `figures ablations` → `BENCH_ablations.json`: the design-choice
+//! ablations DESIGN.md calls out, which isolate *why* CAS-LT wins, and the
+//! future-work experiments §8 proposes, made measurable.
+//!
+//! * `ablate_fastpath`, `ablate_lock`, `ablate_bitmap` — the Max kernel at
+//!   one list size under the arbiters of [`crate::ablation`] and the
+//!   paper's methods.
+//! * `ext_crew_vs_crcw`, `ext_list_rank`, `ext_matching` — exclusive-write
+//!   comparators and a two-cell arbitrary write, swept over sizes.
+//!
+//! Every timing row is keyed by experiment, size `n` (list length, or the
+//! matching graph's vertex count) and method. The untimed `claims` section
+//! holds the claim attempts and winning claims of one Max, BFS and CC call
+//! under CAS-LT on a telemetry pool: how much write traffic arbitration
+//! filters before it reaches memory.
 
 use pram_algos::bfs::bfs_with_arbiter;
 use pram_algos::cc::cc_with_arbiter;
+use pram_algos::list_rank::random_list;
+use pram_algos::matching::maximal_matching;
 use pram_algos::max::max_index_with_arbiter;
+use pram_algos::reduce::max_index_tournament;
+use pram_algos::{list_rank, max_index, CwMethod};
 use pram_core::{CasLtArray, CwCounters, GatekeeperArray, LockArray, SliceArbiter};
 use pram_exec::{PoolConfig, ThreadPool};
 
-use crate::ablation::AlwaysRmwCasLtArray;
-use crate::{
-    make_graph, max_values, single_point, BenchConfig, FigureResult, ScaleProfile, Variant,
-};
+use crate::ablation::{AlwaysRmwCasLtArray, BitGatekeeperArray};
+use crate::runner::{json_str, time_interleaved, timing_row, Report};
+use crate::{make_graph, max_values, sweep, BenchConfig, ScaleProfile};
+
+/// Run every experiment and the claim counts into one report.
+pub fn run(cfg: &BenchConfig) -> Report {
+    let rows = [
+        ablate_fastpath(cfg),
+        ablate_lock(cfg),
+        ablate_bitmap(cfg),
+        ext_crew_vs_crcw(cfg),
+        ext_list_rank(cfg),
+        ext_matching(cfg),
+    ]
+    .concat();
+    let mut report = Report::new("ablations", "ablations", cfg, &[cfg.threads]);
+    report.fields.push(("seed", cfg.seed.to_string()));
+    report.sections = vec![("results", rows), ("claims", claim_rows(cfg))];
+    report
+}
 
 /// The Max-kernel ablations' input: `n` pseudo-random values and a pool.
 fn max_setup(cfg: &BenchConfig) -> (usize, Vec<u64>, ThreadPool) {
@@ -22,12 +55,15 @@ fn max_setup(cfg: &BenchConfig) -> (usize, Vec<u64>, ThreadPool) {
     (n, max_values(n), ThreadPool::new(cfg.threads))
 }
 
+/// A named timed variant at one operating point.
+type Variant<'a> = (&'a str, Box<dyn FnMut() + 'a>);
+
 /// A Max-kernel variant that claims through a fresh `A` on every call.
 ///
 /// Every call checks its answer, so an arbiter whose claims make the
 /// kernel return a wrong maximum panics instead of reporting a time. The
 /// check compares values, so any index of a tied maximum passes.
-pub(crate) fn max_variant<'a, A: SliceArbiter + 'a>(
+fn max_variant<'a, A: SliceArbiter + 'a>(
     name: &'a str,
     values: &'a [u64],
     pool: &'a ThreadPool,
@@ -41,16 +77,30 @@ pub(crate) fn max_variant<'a, A: SliceArbiter + 'a>(
     (name, Box::new(run))
 }
 
+/// Time `variants` interleaved at size `n`: one row per variant.
+fn point(cfg: &BenchConfig, id: &str, n: usize, mut variants: Vec<Variant<'_>>) -> Vec<String> {
+    let names: Vec<String> = variants.iter().map(|(name, _)| name.to_string()).collect();
+    sweep(
+        cfg,
+        ["experiment", id],
+        "n",
+        &[n],
+        &names,
+        |_| (),
+        |_, i| (variants[i].1)(),
+    )
+}
+
 /// `ablate_fastpath` — is the pre-CAS load check the win? Max kernel with
 /// the full CAS-LT claim vs a variant whose every claim issues an RMW
 /// (`fetch_max`) vs the gatekeeper. If the paper's §5 mechanism is right,
 /// full CAS-LT ≪ always-RMW ≈ gatekeeper.
-pub fn ablate_fastpath(cfg: &BenchConfig) -> FigureResult {
+fn ablate_fastpath(cfg: &BenchConfig) -> Vec<String> {
     let (n, v, p) = max_setup(cfg);
-    single_point(
-        "ablate_fastpath",
-        &format!("max (n = {n}): CAS-LT fast path on/off vs gatekeeper"),
+    point(
         cfg,
+        "ablate_fastpath",
+        n,
         vec![
             max_variant("gatekeeper", &v, &p, GatekeeperArray::new),
             max_variant("caslt-always-rmw", &v, &p, AlwaysRmwCasLtArray::new),
@@ -61,16 +111,120 @@ pub fn ablate_fastpath(cfg: &BenchConfig) -> FigureResult {
 
 /// `ablate_lock` — the critical-section strawman (§4's "trivial but bad
 /// solution") against CAS-LT on the Max kernel.
-pub fn ablate_lock(cfg: &BenchConfig) -> FigureResult {
+fn ablate_lock(cfg: &BenchConfig) -> Vec<String> {
     let (n, v, p) = max_setup(cfg);
-    single_point(
-        "ablate_lock",
-        &format!("max (n = {n}): per-cell mutex vs CAS-LT"),
+    point(
         cfg,
+        "ablate_lock",
+        n,
         vec![
             max_variant("lock", &v, &p, LockArray::new),
             max_variant("caslt", &v, &p, CasLtArray::new),
         ],
+    )
+}
+
+/// `ablate_bitmap` — gatekeeper at 1 bit/target (`fetch_or` into shared
+/// words) vs 32 bits/target vs CAS-LT on the Max kernel: auxiliary-memory
+/// compactness against same-word RMW contention.
+fn ablate_bitmap(cfg: &BenchConfig) -> Vec<String> {
+    let (n, v, p) = max_setup(cfg);
+    point(
+        cfg,
+        "ablate_bitmap",
+        n,
+        vec![
+            max_variant("gatekeeper-u32", &v, &p, GatekeeperArray::new),
+            max_variant("gatekeeper-bitmap", &v, &p, BitGatekeeperArray::new),
+            max_variant("caslt", &v, &p, CasLtArray::new),
+        ],
+    )
+}
+
+/// `ext_crew_vs_crcw` — the paper's §8 proposal: an exclusive-write
+/// algorithm in current use (EREW tournament maximum: depth O(log n),
+/// work O(n)) against the CRCW algorithm with better depth (constant-time
+/// maximum: depth O(1), work O(n²), CAS-LT writes).
+///
+/// Brent's theorem predicts a crossover: with `P_phys` processors the
+/// CRCW kernel costs ~n²/P while the tournament costs ~n/P + log n, so the
+/// tournament must win beyond some n. The sweep locates it empirically.
+fn ext_crew_vs_crcw(cfg: &BenchConfig) -> Vec<String> {
+    let sizes: Vec<usize> = match cfg.scale {
+        ScaleProfile::Quick => vec![64, 256, 1_024],
+        ScaleProfile::Default => vec![64, 256, 1_024, 4_096, 16_384],
+        ScaleProfile::Paper => vec![256, 1_024, 4_096, 16_384, 65_536],
+    };
+    let p = ThreadPool::new(cfg.threads);
+    let names = ["crcw-max-caslt".to_string(), "erew-tournament".to_string()];
+    sweep(
+        cfg,
+        ["experiment", "ext_crew_vs_crcw"],
+        "n",
+        &sizes,
+        &names,
+        max_values,
+        |values, i| {
+            if i == 0 {
+                max_index(values, CwMethod::CasLt, &p);
+            } else {
+                max_index_tournament(values, &p);
+            }
+        },
+    )
+}
+
+/// `ext_list_rank` — CREW pointer jumping across list sizes, all sizes in
+/// one interleaved sampler: the second exclusive-access comparator,
+/// exercising the lock-step substrate with no write arbitration at all
+/// (its cost is pure barrier + memory traffic).
+fn ext_list_rank(cfg: &BenchConfig) -> Vec<String> {
+    let sizes: Vec<usize> = match cfg.scale {
+        ScaleProfile::Quick => vec![1_000, 4_000],
+        ScaleProfile::Default => vec![10_000, 40_000, 160_000],
+        ScaleProfile::Paper => vec![100_000, 400_000, 1_600_000],
+    };
+    let p = ThreadPool::new(cfg.threads);
+    let lists: Vec<Vec<u32>> = sizes.iter().map(|&n| random_list(n, cfg.seed).0).collect();
+    let times = time_interleaved(cfg.reps, lists.len(), |i| {
+        list_rank(&lists[i], &p);
+    });
+    (sizes.iter().zip(&times))
+        .map(|(n, s)| {
+            let key = [
+                ("experiment", json_str("ext_list_rank")),
+                ("n", n.to_string()),
+                ("method", json_str("pointer-jumping")),
+            ];
+            timing_row(&key, "ms", s, "")
+        })
+        .collect()
+}
+
+/// `ext_matching` — maximal matching (two-cell arbitrary CW) across
+/// methods on a G(n, m) graph with m = 4n (`--quick`), 5n (default) or
+/// 30n (`--paper-scale`): how much the reset-free re-arming matters when
+/// *every round* needs fresh claims on all n vertices.
+fn ext_matching(cfg: &BenchConfig) -> Vec<String> {
+    let (v, e) = match cfg.scale {
+        ScaleProfile::Quick => (1_000, 4_000),
+        ScaleProfile::Default => (10_000, 50_000),
+        ScaleProfile::Paper => (100_000, 3_000_000),
+    };
+    let g = make_graph(v, e, cfg.seed);
+    let p = ThreadPool::new(cfg.threads);
+    let methods = [CwMethod::Gatekeeper, CwMethod::Lock, CwMethod::CasLt];
+    let names = methods.map(|m| m.to_string());
+    sweep(
+        cfg,
+        ["experiment", "ext_matching"],
+        "n",
+        &[v],
+        &names,
+        |_| (),
+        |_, i| {
+            maximal_matching(&g, methods[i], &p);
+        },
     )
 }
 
@@ -81,84 +235,38 @@ fn claim_counts(threads: usize, kernel: impl FnOnce(&ThreadPool)) -> CwCounters 
     p.take_round_report().totals_cw
 }
 
-/// A profiling report (not a timing): claim-level statistics of each
-/// kernel under CAS-LT, making the §6 mechanism measurable — attempts vs
-/// winning writes, i.e. how much work arbitration filters out.
-pub fn claim_statistics(cfg: &BenchConfig) -> String {
-    use std::fmt::Write;
-    let mut out = String::from("== claim statistics under CAS-LT (telemetry) ==\n");
-
+/// The `claims` section (a profile, not a timing): claim attempts and
+/// winning claims of each kernel under CAS-LT, making the §6 mechanism
+/// measurable.
+fn claim_rows(cfg: &BenchConfig) -> Vec<String> {
     let (n, values, _) = max_setup(cfg);
-    let s = claim_counts(cfg.threads, |p| {
+    let max = claim_counts(cfg.threads, |p| {
         max_index_with_arbiter(&values, &CasLtArray::new(n), p);
     });
-    let _ = writeln!(
-        out,
-        "max (n = {n}): attempts = {}, wins = {} ({:.4}% of claims commit)",
-        s.resolutions(),
-        s.wins,
-        100.0 * s.wins as f64 / s.resolutions().max(1) as f64
-    );
 
     let (v, e) = match cfg.scale {
         ScaleProfile::Quick => (2_000, 8_000),
         _ => (10_000, 80_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    let bfs_counts = claim_counts(cfg.threads, |p| {
+    let bfs = claim_counts(cfg.threads, |p| {
         bfs_with_arbiter(&g, 0, &CasLtArray::new(v), p);
     });
-    let cc_counts = claim_counts(cfg.threads, |p| {
+    let cc = claim_counts(cfg.threads, |p| {
         cc_with_arbiter(&g, &CasLtArray::new(v), p);
     });
-    for (name, s) in [("bfs", bfs_counts), ("cc ", cc_counts)] {
-        let _ = writeln!(
-            out,
-            "{name} ({v} v, {e} e): attempts = {}, wins = {} (claim multiplicity {:.2})",
+
+    let row = |kernel, size: String, s: CwCounters| {
+        format!(
+            "{{\"kernel\": \"{kernel}\", {size}, \"attempts\": {}, \"wins\": {}}}",
             s.resolutions(),
-            s.wins,
-            s.resolutions() as f64 / s.wins.max(1) as f64
-        );
-    }
-    out
-}
-
-/// All ablations in order.
-pub fn all(cfg: &BenchConfig) -> Vec<FigureResult> {
-    vec![ablate_fastpath(cfg), ablate_lock(cfg)]
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn quick_cfg() -> BenchConfig {
-        BenchConfig {
-            scale: ScaleProfile::Quick,
-            threads: 2,
-            reps: 1,
-            ..BenchConfig::default()
-        }
-    }
-
-    #[test]
-    fn ablations_regenerate_at_quick_scale() {
-        let cfg = quick_cfg();
-        for fig in all(&cfg) {
-            assert!(fig.series.len() >= 2, "{}", fig.id);
-            for s in &fig.series {
-                assert_eq!(s.points.len(), 1);
-                assert!(s.points[0].1 > 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn claim_statistics_report_is_complete() {
-        let cfg = quick_cfg();
-        let report = claim_statistics(&cfg);
-        assert!(report.contains("max (n = 800)"));
-        assert!(report.contains("bfs"));
-        assert!(report.contains("cc "));
-    }
+            s.wins
+        )
+    };
+    let graph = format!("\"n\": {v}, \"edges\": {e}");
+    vec![
+        row("max", format!("\"n\": {n}"), max),
+        row("bfs", graph.clone(), bfs),
+        row("cc", graph, cc),
+    ]
 }

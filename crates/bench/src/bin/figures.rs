@@ -1,19 +1,17 @@
 //! The one bench entry point: regenerate the paper's evaluation figures,
-//! this workspace's ablations and the `BENCH_*.json` files, and compare
-//! two such files.
+//! this workspace's ablations and the other `BENCH_*.json` files, and
+//! compare two such files.
 //!
 //! ```text
 //! Usage: figures [OPTIONS] <TARGET>...
 //!        figures compare OLD.json NEW.json
 //!
-//! Targets (tables + CSV):
-//!   fig5 .. fig12   one figure (paper §7, Figures 5–12)
-//!   figures         all eight figures
-//!   ablations       the design-choice ablation suite
-//!   extensions      future-work extension experiments (§8)
-//!   stats           claim-level statistics report (profiling, untimed)
-//!   all             every target above
-//! Targets (BENCH_<target>.json; thread counts come from the host):
+//! Targets (each writes BENCH_<file>.json and prints its rows):
+//!   fig5 .. fig12   one figure (paper §7, Figures 5–12)    -> figures
+//!   figures         all eight figures                      -> figures
+//!   ablations       the design-choice ablations, the §8 extension
+//!                   experiments and untimed claim counts   -> ablations
+//!   all             figures and ablations
 //!   frontier        BFS strategies x methods, and CC, at T = 1, 2, 4, .., nproc,
 //!                   with self-relative speedups + telemetry overhead guard
 //!   micro           arbitration primitives, ns per operation
@@ -24,7 +22,7 @@
 //!   --threads <T>   team size for fixed-thread figures   [default: 4]
 //!   --reps <R>      interleaved timed passes per config  [default: 10]
 //!   --seed <S>      workload seed                        [default: 42]
-//!   --out <DIR>     CSV and JSON output directory        [default: results]
+//!   --out <DIR>     JSON output directory                [default: results]
 //!
 //! `compare` prints each file's git revision, then matches rows by key
 //! and calls a row faster or slower only when the two p10-p90 intervals
@@ -35,12 +33,12 @@
 use std::process::ExitCode;
 
 use pram_bench::runner::{compare, field, Report};
-use pram_bench::{ablations, ext, figures, frontier, micro, BenchConfig, ScaleProfile};
+use pram_bench::{ablations, figures, frontier, micro, BenchConfig, ScaleProfile};
 
 fn usage() -> ExitCode {
     eprintln!(
         "Usage: figures [--paper-scale|--quick] [--threads T] [--reps R] [--seed S] \
-         [--out DIR] <fig5..fig12|figures|ablations|extensions|stats|all|frontier|micro>...\n       \
+         [--out DIR] <fig5..fig12|figures|ablations|all|frontier|micro>...\n       \
          figures compare OLD.json NEW.json"
     );
     ExitCode::FAILURE
@@ -76,10 +74,13 @@ fn run_compare(old_path: &str, new_path: &str) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Print a report's timing rows and write it under `cfg.out_dir`.
+/// Print a report's rows and write it under `cfg.out_dir`.
 fn emit(report: &Report, cfg: &BenchConfig) -> bool {
-    for row in report.section("results") {
-        println!("{row}");
+    for (section, rows) in &report.sections {
+        println!("# {section}");
+        for row in rows {
+            println!("{row}");
+        }
     }
     match report.write(&cfg.out_dir) {
         Ok(p) => {
@@ -135,6 +136,25 @@ fn main() -> ExitCode {
     if targets.is_empty() {
         return usage();
     }
+    let mut figs: Vec<&str> = Vec::new();
+    let (mut run_ablations, mut run_frontier, mut run_micro) = (false, false, false);
+    for t in &targets {
+        match t.as_str() {
+            "figures" => figs.extend(figures::IDS),
+            "ablations" => run_ablations = true,
+            "all" => {
+                figs.extend(figures::IDS);
+                run_ablations = true;
+            }
+            "frontier" => run_frontier = true,
+            "micro" => run_micro = true,
+            id if figures::IDS.contains(&id) => figs.push(id),
+            t => {
+                eprintln!("unknown target '{t}'");
+                return usage();
+            }
+        }
+    }
 
     println!(
         "# scale = {:?}, threads = {}, reps = {}, seed = {}, out = {}",
@@ -149,52 +169,23 @@ fn main() -> ExitCode {
         std::thread::available_parallelism().map_or(0, |n| n.get())
     );
 
-    let mut results = Vec::new();
     let mut ok = true;
-    for t in &targets {
-        match t.as_str() {
-            "frontier" => {
-                let (report, guard) = frontier::run(&cfg);
-                ok &= emit(&report, &cfg);
-                if let Err(e) = guard {
-                    eprintln!("{e}");
-                    ok = false;
-                }
-            }
-            "micro" => ok &= emit(&micro::run(&cfg), &cfg),
-            "figures" => results.extend(figures::all(&cfg)),
-            "ablations" => results.extend(ablations::all(&cfg)),
-            "extensions" => results.extend(ext::all(&cfg)),
-            "stats" => println!("{}", ablations::claim_statistics(&cfg)),
-            "all" => {
-                results.extend(figures::all(&cfg));
-                results.extend(ablations::all(&cfg));
-                results.extend(ext::all(&cfg));
-                println!("{}", ablations::claim_statistics(&cfg));
-            }
-            id => match figures::by_id(id, &cfg) {
-                Some(fig) => results.push(fig),
-                None => {
-                    eprintln!("unknown target '{id}'");
-                    return usage();
-                }
-            },
+    if run_frontier {
+        let (report, guard) = frontier::run(&cfg);
+        ok &= emit(&report, &cfg);
+        if let Err(e) = guard {
+            eprintln!("{e}");
+            ok = false;
         }
     }
-
-    for fig in &results {
-        println!("{}", fig.table());
-        if fig.series.len() >= 2 {
-            let base = &fig.series[0].name;
-            let ours = &fig.series.last().unwrap().name;
-            if let Some(g) = fig.geomean_speedup(base, ours) {
-                println!("geomean speedup {ours} vs {base}: {g:.2}x\n");
-            }
-        }
-        match fig.write_csv(&cfg.out_dir) {
-            Ok(p) => println!("wrote {}\n", p.display()),
-            Err(e) => eprintln!("csv write failed for {}: {e}", fig.id),
-        }
+    if run_micro {
+        ok &= emit(&micro::run(&cfg), &cfg);
+    }
+    if !figs.is_empty() {
+        ok &= emit(&figures::run(&cfg, &figs), &cfg);
+    }
+    if run_ablations {
+        ok &= emit(&ablations::run(&cfg), &cfg);
     }
     if ok {
         ExitCode::SUCCESS

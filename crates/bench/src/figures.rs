@@ -1,13 +1,117 @@
-//! One regeneration function per figure in the paper's evaluation (§7).
+//! `figures figures` (or any of `fig5` … `fig12`) → `BENCH_figures.json`:
+//! one regeneration function per figure in the paper's evaluation (§7).
 //!
 //! Figure-by-figure workload parameters follow the paper's captions; the
 //! default scale divides them to laptop size (EXPERIMENTS.md maps each
-//! default back to the published parameters).
+//! default back to the published parameters). Every timing row is keyed by
+//! figure, x value and method. The `summary` section holds one row per
+//! figure: its title, the name of its x field, its baseline method and the
+//! geometric mean over the sweep of the baseline's median ÷ CAS-LT's — how
+//! the paper summarizes each figure.
 
 use pram_algos::{bfs, connected_components, max_index, CwMethod};
 use pram_exec::ThreadPool;
 
-use crate::{make_graph, max_values, sweep, thread_sweep, BenchConfig, FigureResult, ScaleProfile};
+use crate::runner::{field, json_str, Report};
+use crate::{make_graph, max_values, sweep, thread_sweep, BenchConfig, ScaleProfile};
+
+/// Every figure id, in the paper's order.
+pub const IDS: [&str; 8] = [
+    "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
+];
+
+/// The figures whose x axis is the team size.
+const THREAD_SWEEPS: [&str; 3] = ["fig6", "fig9", "fig12"];
+
+/// One regenerated figure: its `summary` row and its timing rows.
+type Figure = (String, Vec<String>);
+
+/// Run the figures `ids` (each one of [`IDS`]) into one report, in the
+/// paper's order. Its `command` names the figures when they are a subset.
+pub fn run(cfg: &BenchConfig, ids: &[&str]) -> Report {
+    let ids: Vec<&str> = IDS.into_iter().filter(|id| ids.contains(id)).collect();
+    let mut threads = Vec::new();
+    if ids.iter().any(|id| THREAD_SWEEPS.contains(id)) {
+        threads.extend(thread_sweep(cfg.scale));
+    }
+    if ids.iter().any(|id| !THREAD_SWEEPS.contains(id)) {
+        threads.push(cfg.threads);
+    }
+    threads.sort_unstable();
+    threads.dedup();
+
+    let targets = if ids.len() == IDS.len() {
+        "figures".to_string()
+    } else {
+        ids.join(" ")
+    };
+    let (summary, rows): (Vec<String>, Vec<Vec<String>>) = ids
+        .iter()
+        .map(|id| by_id(id, cfg).unwrap_or_else(|| panic!("unknown figure {id}")))
+        .unzip();
+    let mut report = Report::new("figures", &targets, cfg, &threads);
+    report.fields.push(("seed", cfg.seed.to_string()));
+    report.sections = vec![("results", rows.concat()), ("summary", summary)];
+    report
+}
+
+/// Resolve a figure by id and run it.
+fn by_id(id: &str, cfg: &BenchConfig) -> Option<Figure> {
+    Some(match id {
+        "fig5" => fig5(cfg),
+        "fig6" => fig6(cfg),
+        "fig7" => fig7(cfg),
+        "fig8" => fig8(cfg),
+        "fig9" => fig9(cfg),
+        "fig10" => fig10(cfg),
+        "fig11" => fig11(cfg),
+        "fig12" => fig12(cfg),
+        _ => return None,
+    })
+}
+
+/// Sweep `methods` over `xs` (see [`sweep`]) and summarize the figure; the
+/// first method is the baseline and CAS-LT must be among them.
+#[allow(clippy::too_many_arguments)]
+fn figure<W>(
+    cfg: &BenchConfig,
+    id: &str,
+    title: String,
+    x: &str,
+    methods: &[CwMethod],
+    xs: &[usize],
+    workload: impl FnMut(usize) -> W,
+    mut run: impl FnMut(&W, CwMethod),
+) -> Figure {
+    let names: Vec<String> = methods.iter().map(ToString::to_string).collect();
+    let rows = sweep(cfg, ["figure", id], x, xs, &names, workload, |w, i| {
+        run(w, methods[i])
+    });
+    let summary = format!(
+        "{{\"figure\": \"{id}\", \"title\": {}, \"x\": \"{x}\", \"baseline\": \"{}\", \
+         \"geomean_baseline_over_caslt\": {:.4}}}",
+        json_str(&title),
+        names[0],
+        geomean_ratio(&rows, &names[0], "caslt")
+    );
+    (summary, rows)
+}
+
+/// Geometric mean over a sweep's x values of method `a`'s median ÷ method
+/// `b`'s, read back from the timing rows.
+fn geomean_ratio(rows: &[String], a: &str, b: &str) -> f64 {
+    let medians = |method| {
+        rows.iter()
+            .filter(move |r| field(r, "method") == Some(method))
+            .map(|r| field(r, "median").and_then(|m| m.parse::<f64>().ok()))
+            .map(|m| m.expect("a timing row has a numeric median"))
+    };
+    let logs: Vec<f64> = (medians(a).zip(medians(b)))
+        .map(|(ta, tb)| (ta / tb).ln())
+        .collect();
+    assert!(!logs.is_empty(), "no {a} and {b} rows to compare");
+    (logs.iter().sum::<f64>() / logs.len() as f64).exp()
+}
 
 fn list_sizes(scale: ScaleProfile) -> Vec<usize> {
     match scale {
@@ -20,52 +124,46 @@ fn list_sizes(scale: ScaleProfile) -> Vec<usize> {
 
 /// Figure 5 — Max: execution time vs list size at a fixed thread count
 /// (paper: 32 threads, naive / prefix-sum / CAS-LT).
-pub fn fig5(cfg: &BenchConfig) -> FigureResult {
+fn fig5(cfg: &BenchConfig) -> Figure {
     let p = ThreadPool::new(cfg.threads);
-    let series = sweep(
+    figure(
         cfg,
+        "fig5",
+        format!(
+            "constant-time maximum: time vs list size ({} threads)",
+            cfg.threads
+        ),
+        "list_size",
         &CwMethod::PAPER,
         &list_sizes(cfg.scale),
         max_values,
         |values, m| {
             max_index(values, m, &p);
         },
-    );
-    FigureResult {
-        id: "fig5".into(),
-        title: format!(
-            "constant-time maximum: time vs list size ({} threads)",
-            cfg.threads
-        ),
-        x_label: "list size".into(),
-        series,
-    }
+    )
 }
 
 /// Figure 6 — Max: execution time vs thread count at a fixed list size
 /// (paper: 60 K elements).
-pub fn fig6(cfg: &BenchConfig) -> FigureResult {
+fn fig6(cfg: &BenchConfig) -> Figure {
     let n = match cfg.scale {
         ScaleProfile::Quick => 1_000,
         ScaleProfile::Default => 4_000,
         ScaleProfile::Paper => 60_000,
     };
     let values = max_values(n);
-    let series = sweep(
+    figure(
         cfg,
+        "fig6",
+        format!("constant-time maximum: time vs threads (n = {n})"),
+        "threads",
         &CwMethod::PAPER,
         &thread_sweep(cfg.scale),
         ThreadPool::new,
         |p, m| {
             max_index(&values, m, p);
         },
-    );
-    FigureResult {
-        id: "fig6".into(),
-        title: format!("constant-time maximum: time vs threads (n = {n})"),
-        x_label: "threads".into(),
-        series,
-    }
+    )
 }
 
 fn bfs_edge_sweep(scale: ScaleProfile) -> (usize, Vec<usize>) {
@@ -84,24 +182,21 @@ fn bfs_edge_sweep(scale: ScaleProfile) -> (usize, Vec<usize>) {
 
 /// Figure 7 — BFS: execution time vs edge count (paper: 100 K-vertex
 /// random graphs, 32 threads).
-pub fn fig7(cfg: &BenchConfig) -> FigureResult {
+fn fig7(cfg: &BenchConfig) -> Figure {
     let (v, es) = bfs_edge_sweep(cfg.scale);
     let p = ThreadPool::new(cfg.threads);
-    let series = sweep(
+    figure(
         cfg,
+        "fig7",
+        format!("BFS: time vs edges ({v} vertices, {} threads)", cfg.threads),
+        "edges",
         &CwMethod::PAPER,
         &es,
         |e| make_graph(v, e, cfg.seed),
         |g, m| {
             bfs(g, 0, m, &p);
         },
-    );
-    FigureResult {
-        id: "fig7".into(),
-        title: format!("BFS: time vs edges ({v} vertices, {} threads)", cfg.threads),
-        x_label: "edges".into(),
-        series,
-    }
+    )
 }
 
 fn bfs_vertex_sweep(scale: ScaleProfile) -> (Vec<usize>, usize) {
@@ -115,50 +210,44 @@ fn bfs_vertex_sweep(scale: ScaleProfile) -> (Vec<usize>, usize) {
 
 /// Figure 8 — BFS: execution time vs vertex count at fixed edges
 /// (paper: 30 M edges, 32 threads).
-pub fn fig8(cfg: &BenchConfig) -> FigureResult {
+fn fig8(cfg: &BenchConfig) -> Figure {
     let (vs, e) = bfs_vertex_sweep(cfg.scale);
     let p = ThreadPool::new(cfg.threads);
-    let series = sweep(
+    figure(
         cfg,
+        "fig8",
+        format!("BFS: time vs vertices ({e} edges, {} threads)", cfg.threads),
+        "vertices",
         &CwMethod::PAPER,
         &vs,
         |v| make_graph(v, e, cfg.seed),
         |g, m| {
             bfs(g, 0, m, &p);
         },
-    );
-    FigureResult {
-        id: "fig8".into(),
-        title: format!("BFS: time vs vertices ({e} edges, {} threads)", cfg.threads),
-        x_label: "vertices".into(),
-        series,
-    }
+    )
 }
 
 /// Figure 9 — BFS: execution time vs thread count (paper: 100 K vertices,
 /// 30 M edges).
-pub fn fig9(cfg: &BenchConfig) -> FigureResult {
+fn fig9(cfg: &BenchConfig) -> Figure {
     let (v, e) = match cfg.scale {
         ScaleProfile::Quick => (2_000, 8_000),
         ScaleProfile::Default => (20_000, 200_000),
         ScaleProfile::Paper => (100_000, 30_000_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    let series = sweep(
+    figure(
         cfg,
+        "fig9",
+        format!("BFS: time vs threads ({v} vertices, {e} edges)"),
+        "threads",
         &CwMethod::PAPER,
         &thread_sweep(cfg.scale),
         ThreadPool::new,
         |p, m| {
             bfs(&g, 0, m, p);
         },
-    );
-    FigureResult {
-        id: "fig9".into(),
-        title: format!("BFS: time vs threads ({v} vertices, {e} edges)"),
-        x_label: "threads".into(),
-        series,
-    }
+    )
 }
 
 /// The CC figures compare gatekeeper vs CAS-LT (the paper implements no
@@ -167,7 +256,7 @@ const CC_METHODS: [CwMethod; 2] = [CwMethod::Gatekeeper, CwMethod::CasLt];
 
 /// Figure 10 — CC: execution time vs edge count (paper: 100 K vertices,
 /// 32 threads, prefix-sum vs CAS-LT).
-pub fn fig10(cfg: &BenchConfig) -> FigureResult {
+fn fig10(cfg: &BenchConfig) -> Figure {
     let (v, es) = match cfg.scale {
         ScaleProfile::Quick => (1_000, vec![2_000, 4_000]),
         ScaleProfile::Default => (10_000, vec![20_000, 50_000, 100_000, 200_000]),
@@ -179,140 +268,108 @@ pub fn fig10(cfg: &BenchConfig) -> FigureResult {
         ),
     };
     let p = ThreadPool::new(cfg.threads);
-    let series = sweep(
+    figure(
         cfg,
+        "fig10",
+        format!("CC: time vs edges ({v} vertices, {} threads)", cfg.threads),
+        "edges",
         &CC_METHODS,
         &es,
         |e| make_graph(v, e, cfg.seed),
         |g, m| {
             connected_components(g, m, &p);
         },
-    );
-    FigureResult {
-        id: "fig10".into(),
-        title: format!("CC: time vs edges ({v} vertices, {} threads)", cfg.threads),
-        x_label: "edges".into(),
-        series,
-    }
+    )
 }
 
 /// Figure 11 — CC: execution time vs vertex count at fixed edges
 /// (paper: 30 M edges, 32 threads).
-pub fn fig11(cfg: &BenchConfig) -> FigureResult {
+fn fig11(cfg: &BenchConfig) -> Figure {
     let (vs, e) = match cfg.scale {
         ScaleProfile::Quick => (vec![500, 1_000], 4_000),
         ScaleProfile::Default => (vec![2_000, 5_000, 10_000, 20_000], 100_000),
         ScaleProfile::Paper => (vec![50_000, 100_000, 200_000, 400_000], 30_000_000),
     };
     let p = ThreadPool::new(cfg.threads);
-    let series = sweep(
+    figure(
         cfg,
+        "fig11",
+        format!("CC: time vs vertices ({e} edges, {} threads)", cfg.threads),
+        "vertices",
         &CC_METHODS,
         &vs,
         |v| make_graph(v, e, cfg.seed),
         |g, m| {
             connected_components(g, m, &p);
         },
-    );
-    FigureResult {
-        id: "fig11".into(),
-        title: format!("CC: time vs vertices ({e} edges, {} threads)", cfg.threads),
-        x_label: "vertices".into(),
-        series,
-    }
+    )
 }
 
 /// Figure 12 — CC: execution time vs thread count (paper: 100 K vertices,
 /// 30 M edges).
-pub fn fig12(cfg: &BenchConfig) -> FigureResult {
+fn fig12(cfg: &BenchConfig) -> Figure {
     let (v, e) = match cfg.scale {
         ScaleProfile::Quick => (1_000, 4_000),
         ScaleProfile::Default => (10_000, 100_000),
         ScaleProfile::Paper => (100_000, 30_000_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    let series = sweep(
+    figure(
         cfg,
+        "fig12",
+        format!("CC: time vs threads ({v} vertices, {e} edges)"),
+        "threads",
         &CC_METHODS,
         &thread_sweep(cfg.scale),
         ThreadPool::new,
         |p, m| {
             connected_components(&g, m, p);
         },
-    );
-    FigureResult {
-        id: "fig12".into(),
-        title: format!("CC: time vs threads ({v} vertices, {e} edges)"),
-        x_label: "threads".into(),
-        series,
-    }
-}
-
-/// All eight figures in order.
-pub fn all(cfg: &BenchConfig) -> Vec<FigureResult> {
-    vec![
-        fig5(cfg),
-        fig6(cfg),
-        fig7(cfg),
-        fig8(cfg),
-        fig9(cfg),
-        fig10(cfg),
-        fig11(cfg),
-        fig12(cfg),
-    ]
-}
-
-/// Resolve a figure by id.
-pub fn by_id(id: &str, cfg: &BenchConfig) -> Option<FigureResult> {
-    Some(match id {
-        "fig5" => fig5(cfg),
-        "fig6" => fig6(cfg),
-        "fig7" => fig7(cfg),
-        "fig8" => fig8(cfg),
-        "fig9" => fig9(cfg),
-        "fig10" => fig10(cfg),
-        "fig11" => fig11(cfg),
-        "fig12" => fig12(cfg),
-        _ => return None,
-    })
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::{timing_row, Samples};
 
-    fn quick_cfg() -> BenchConfig {
-        BenchConfig {
+    #[test]
+    fn geomean_ratio_reads_the_medians_back() {
+        let row = |x: usize, method: &str, ms: f64| {
+            let key = [
+                ("figure", json_str("figX")),
+                ("n", x.to_string()),
+                ("method", json_str(method)),
+            ];
+            timing_row(&key, "ms", &Samples::new(vec![ms]), "")
+        };
+        let rows = [
+            row(1, "naive", 2.0),
+            row(1, "caslt", 1.0),
+            row(2, "naive", 8.0),
+            row(2, "caslt", 1.0),
+        ];
+        assert!((geomean_ratio(&rows, "naive", "caslt") - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_subset_run_writes_only_its_figures_and_names_them() {
+        let cfg = BenchConfig {
             scale: ScaleProfile::Quick,
             threads: 2,
             reps: 1,
             ..BenchConfig::default()
-        }
-    }
-
-    #[test]
-    fn every_figure_regenerates_at_quick_scale() {
-        let cfg = quick_cfg();
-        for fig in all(&cfg) {
-            assert!(!fig.series.is_empty(), "{} has no series", fig.id);
-            let n = fig.series[0].points.len();
-            assert!(n >= 2, "{} has a degenerate sweep", fig.id);
-            for s in &fig.series {
-                assert_eq!(s.points.len(), n, "{} ragged series", fig.id);
-                assert!(s.points.iter().all(|&(_, t)| t > 0.0));
-            }
-            assert!(!fig.table().is_empty());
-        }
-    }
-
-    #[test]
-    fn by_id_resolves_all_and_rejects_unknown() {
-        let cfg = quick_cfg();
-        for id in [
-            "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-        ] {
-            assert!(by_id(id, &cfg).is_some(), "{id}");
-        }
-        assert!(by_id("fig99", &cfg).is_none());
+        };
+        let report = run(&cfg, &["fig12", "fig10"]);
+        let command = report.fields.iter().find(|(k, _)| *k == "command").unwrap();
+        assert_eq!(command.1, "\"figures --quick fig10 fig12\"");
+        let figs: Vec<&str> = (report.section("summary").iter())
+            .map(|s| field(s, "figure").unwrap())
+            .collect();
+        assert_eq!(figs, ["fig10", "fig12"]);
+        assert!(report
+            .section("results")
+            .iter()
+            .all(|r| figs.contains(&field(r, "figure").unwrap())));
     }
 }

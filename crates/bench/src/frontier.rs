@@ -152,7 +152,7 @@ pub fn run(cfg: &BenchConfig) -> (Report, Result<(), String>) {
         noise_floor_ms(&g[0], &g[1])
     );
 
-    let mut report = Report::new("frontier", cfg, &threads);
+    let mut report = Report::new("frontier", "frontier", cfg, &threads);
     report.fields.extend([
         ("direction_alpha", DIRECTION_ALPHA.to_string()),
         ("direction_beta", DIRECTION_BETA.to_string()),

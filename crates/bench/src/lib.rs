@@ -4,13 +4,13 @@
 //! The paper's §7 reports eight figures (5–12): execution time of the
 //! Max / BFS / CC kernels under the naive, gatekeeper (prefix-sum) and
 //! CAS-LT concurrent-write methods, swept over problem size and thread
-//! count. [`figures`] contains one function per figure that reruns the
-//! same sweep and returns a [`FigureResult`] (printable table + CSV);
-//! [`ablations`] adds the design-choice experiments DESIGN.md calls out,
-//! timing the arbiters of [`ablation`] that exist only to be ablated.
-//! [`frontier`] and [`micro`] write `BENCH_*.json` files
-//! through [`runner`], which also holds the one timing primitive every
-//! target uses. The `figures` binary is the entry point for all of them.
+//! count. [`figures`] reruns each sweep; [`ablations`] adds the
+//! design-choice experiments DESIGN.md calls out, timing the arbiters of
+//! [`ablation`] that exist only to be ablated, and the future-work
+//! experiments of §8; [`frontier`] and [`micro`] time BFS strategies and
+//! the arbitration primitives. Every target writes a `BENCH_<target>.json`
+//! file through [`runner`], which also holds the one timing primitive they
+//! all use. The `figures` binary is the entry point for all of them.
 //!
 //! Scales: the paper ran 32 threads on a 2×16-core Andes node with up to
 //! 60 K-element lists and 100 K-vertex / 30 M-edge graphs. Default scales
@@ -23,20 +23,17 @@
 
 pub mod ablation;
 pub mod ablations;
-pub mod ext;
 pub mod figures;
 pub mod frontier;
 pub mod micro;
 pub mod runner;
 
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use pram_algos::CwMethod;
 use pram_exec::{CwCounters, ThreadPool};
 use pram_graph::{CsrGraph, GraphGen, ReverseCsr};
 
-use runner::time_interleaved;
+use runner::{json_str, time_interleaved, timing_row};
 
 /// Which parameter scale a sweep runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +55,7 @@ pub struct BenchConfig {
     pub threads: usize,
     /// Timed passes per config (see [`runner::time_interleaved`]).
     pub reps: usize,
-    /// Directory for CSV and JSON output.
+    /// Directory the `BENCH_*.json` files are written to.
     pub out_dir: PathBuf,
     /// Workload seed (recorded so runs are reproducible).
     pub seed: u64,
@@ -76,107 +73,6 @@ impl Default for BenchConfig {
     }
 }
 
-/// One method's measurements across a sweep.
-#[derive(Debug, Clone)]
-pub struct Series {
-    /// Method (column) name.
-    pub name: String,
-    /// `(x, milliseconds)` points.
-    pub points: Vec<(f64, f64)>,
-}
-
-/// A regenerated figure: metadata plus one series per method.
-#[derive(Debug, Clone)]
-pub struct FigureResult {
-    /// Figure id, e.g. `"fig5"`.
-    pub id: String,
-    /// Human title.
-    pub title: String,
-    /// Meaning of the x axis.
-    pub x_label: String,
-    /// One series per method, in presentation order.
-    pub series: Vec<Series>,
-}
-
-impl FigureResult {
-    /// Render as an aligned text table with per-row speedup of the last
-    /// series (CAS-LT by convention) over the first (the baseline).
-    pub fn table(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::new();
-        let _ = writeln!(out, "== {}: {} ==", self.id, self.title);
-        let _ = write!(out, "{:>14}", self.x_label);
-        for s in &self.series {
-            let _ = write!(out, " {:>16}", format!("{} (ms)", s.name));
-        }
-        if self.series.len() >= 2 {
-            let _ = write!(
-                out,
-                " {:>14}",
-                format!(
-                    "{}/{}",
-                    self.series[0].name,
-                    self.series.last().unwrap().name
-                )
-            );
-        }
-        let _ = writeln!(out);
-        let rows = self.series[0].points.len();
-        for r in 0..rows {
-            let _ = write!(out, "{:>14}", format_x(self.series[0].points[r].0));
-            for s in &self.series {
-                let _ = write!(out, " {:>16.3}", s.points[r].1);
-            }
-            if self.series.len() >= 2 {
-                let base = self.series[0].points[r].1;
-                let ours = self.series.last().unwrap().points[r].1;
-                let _ = write!(out, " {:>13.2}x", base / ours);
-            }
-            let _ = writeln!(out);
-        }
-        out
-    }
-
-    /// Geometric-mean speedup of series `b` over series `a` (how the paper
-    /// summarizes each figure).
-    pub fn geomean_speedup(&self, a: &str, b: &str) -> Option<f64> {
-        let sa = self.series.iter().find(|s| s.name == a)?;
-        let sb = self.series.iter().find(|s| s.name == b)?;
-        let logs: Vec<f64> = sa
-            .points
-            .iter()
-            .zip(&sb.points)
-            .map(|(&(_, ta), &(_, tb))| (ta / tb).ln())
-            .collect();
-        Some((logs.iter().sum::<f64>() / logs.len() as f64).exp())
-    }
-
-    /// Write `x,method,ms` CSV under `dir` as `<id>.csv`.
-    pub fn write_csv(&self, dir: &Path) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(dir)?;
-        let path = dir.join(format!("{}.csv", self.id));
-        let mut f = std::io::BufWriter::new(std::fs::File::create(&path)?);
-        writeln!(f, "{},method,ms", self.x_label.replace(' ', "_"))?;
-        for s in &self.series {
-            for &(x, ms) in &s.points {
-                writeln!(f, "{x},{},{ms}", s.name)?;
-            }
-        }
-        f.flush()?;
-        Ok(path)
-    }
-}
-
-fn format_x(x: f64) -> String {
-    if x >= 1_000_000.0 && x % 1_000_000.0 == 0.0 {
-        format!("{}M", x as u64 / 1_000_000)
-    } else if x >= 1_000.0 && x % 1_000.0 == 0.0 {
-        format!("{}K", x as u64 / 1_000)
-    } else {
-        format!("{x}")
-    }
-}
-
 /// Pseudo-random list values for the Max kernel (fixed multiplier hash of
 /// the index — reproducible without touching the seed).
 pub(crate) fn max_values(n: usize) -> Vec<u64> {
@@ -191,58 +87,33 @@ pub fn make_graph(vertices: usize, edges: usize, seed: u64) -> CsrGraph {
     CsrGraph::from_edges(vertices, &e, true)
 }
 
-/// Run one method sweep: for each x in `xs`, build the workload once and
-/// time `run(workload, method)` for every method, interleaved. Each point
-/// is the median in milliseconds.
+/// Time one sweep: for each x in `xs`, build the workload once and time
+/// `run(workload, i)` for every `names[i]`, interleaved. Returns one
+/// timing row per (x, name), keyed by `id` (for example `["figure",
+/// "fig5"]`), then `x_name` = x, then `"method"` = the name.
 pub fn sweep<W>(
     cfg: &BenchConfig,
-    methods: &[CwMethod],
+    id: [&str; 2],
+    x_name: &str,
     xs: &[usize],
+    names: &[String],
     mut workload: impl FnMut(usize) -> W,
-    mut run: impl FnMut(&W, CwMethod),
-) -> Vec<Series> {
-    let mut series: Vec<Series> = methods
-        .iter()
-        .map(|m| Series {
-            name: m.to_string(),
-            points: Vec::with_capacity(xs.len()),
-        })
-        .collect();
+    mut run: impl FnMut(&W, usize),
+) -> Vec<String> {
+    let mut rows = Vec::with_capacity(xs.len() * names.len());
     for &x in xs {
         let w = workload(x);
-        let times = time_interleaved(cfg.reps, methods.len(), |i| run(&w, methods[i]));
-        for (s, t) in series.iter_mut().zip(times) {
-            s.points.push((x as f64, t.median()));
+        let times = time_interleaved(cfg.reps, names.len(), |i| run(&w, i));
+        for (name, s) in names.iter().zip(&times) {
+            let key = [
+                (id[0], json_str(id[1])),
+                (x_name, x.to_string()),
+                ("method", json_str(name)),
+            ];
+            rows.push(timing_row(&key, "ms", s, ""));
         }
     }
-    series
-}
-
-/// A named timed variant within a single-point experiment.
-pub(crate) type Variant<'a> = (&'a str, Box<dyn FnMut() + 'a>);
-
-/// Time one closure per variant at a single operating point, interleaved.
-pub(crate) fn single_point(
-    id: &str,
-    title: &str,
-    cfg: &BenchConfig,
-    mut variants: Vec<Variant<'_>>,
-) -> FigureResult {
-    let times = time_interleaved(cfg.reps, variants.len(), |i| (variants[i].1)());
-    let series = variants
-        .iter()
-        .zip(times)
-        .map(|((name, _), t)| Series {
-            name: name.to_string(),
-            points: vec![(1.0, t.median())],
-        })
-        .collect();
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        x_label: "point".into(),
-        series,
-    }
+    rows
 }
 
 /// Thread counts for a thread-sweep figure under the given scale.
@@ -353,55 +224,37 @@ mod tests {
     }
 
     #[test]
-    fn figure_table_and_csv_roundtrip() {
-        let fig = FigureResult {
-            id: "figX".into(),
-            title: "test".into(),
-            x_label: "n".into(),
-            series: vec![
-                Series {
-                    name: "naive".into(),
-                    points: vec![(1000.0, 2.0), (2000.0, 4.0)],
-                },
-                Series {
-                    name: "caslt".into(),
-                    points: vec![(1000.0, 1.0), (2000.0, 2.0)],
-                },
-            ],
-        };
-        let t = fig.table();
-        assert!(t.contains("figX"));
-        assert!(t.contains("1K"));
-        assert!(t.contains("2.00x"));
-        let g = fig.geomean_speedup("naive", "caslt").unwrap();
-        assert!((g - 2.0).abs() < 1e-9);
-
-        let dir = std::env::temp_dir().join("pram-bench-test");
-        let path = fig.write_csv(&dir).unwrap();
-        let body = std::fs::read_to_string(path).unwrap();
-        assert!(body.starts_with("n,method,ms"));
-        assert_eq!(body.lines().count(), 5);
-    }
-
-    #[test]
-    fn sweep_shapes_match() {
+    fn sweep_rows_are_keyed_by_id_x_and_name() {
         let cfg = BenchConfig {
             reps: 2,
             ..BenchConfig::default()
         };
         let mut calls = Vec::new();
-        let s = sweep(
+        let names = ["naive".to_string(), "caslt".to_string()];
+        let rows = sweep(
             &cfg,
-            &[CwMethod::Naive, CwMethod::CasLt],
+            ["figure", "figX"],
+            "n",
             &[10, 20],
+            &names,
             |x| x,
-            |&x, m| calls.push((x, m)),
+            |&x, i| calls.push((x, i)),
         );
-        assert_eq!(s.len(), 2);
-        assert_eq!(s[0].points.len(), 2);
-        assert_eq!(s[1].points[1].0, 20.0);
-        // Methods alternate within each point: warm-up pass + two timed.
-        let pass = |x| [(x, CwMethod::Naive), (x, CwMethod::CasLt)];
+        let keys: Vec<(&str, &str, &str)> = (rows.iter())
+            .map(|r| {
+                let f = |name| runner::field(r, name).unwrap();
+                (f("figure"), f("n"), f("method"))
+            })
+            .collect();
+        let want = [
+            ("figX", "10", "naive"),
+            ("figX", "10", "caslt"),
+            ("figX", "20", "naive"),
+            ("figX", "20", "caslt"),
+        ];
+        assert_eq!(keys, want);
+        // Names alternate within each point: warm-up pass + two timed.
+        let pass = |x| [(x, 0), (x, 1)];
         assert_eq!(calls, [pass(10).repeat(3), pass(20).repeat(3)].concat());
     }
 
@@ -409,11 +262,14 @@ mod tests {
     fn quick_json_files_have_host_ordered_rows_and_sized_graph_names() {
         let cfg = BenchConfig {
             scale: ScaleProfile::Quick,
+            threads: 2,
             reps: 2,
             ..BenchConfig::default()
         };
         let (frontier, _guard) = frontier::run(&cfg);
-        for report in [&frontier, &micro::run(&cfg)] {
+        let figures = figures::run(&cfg, &figures::IDS);
+        let ablations = ablations::run(&cfg);
+        for report in [&frontier, &micro::run(&cfg), &figures, &ablations] {
             let json = report.to_json();
             assert!(json.contains("\n  \"host\": {\"nproc\": "), "{json}");
             let field = |row, name| runner::field(row, name).map(String::from);
@@ -445,6 +301,38 @@ mod tests {
                     assert!(graphs.contains(&g), "{g} is not in the graphs block");
                 }
             }
+        }
+
+        // Each figure sweeps at least two x values, timing every method
+        // once at each.
+        let summary = figures.section("summary");
+        assert_eq!(summary.len(), figures::IDS.len());
+        for s in summary {
+            let (id, x) = (runner::field(s, "figure"), runner::field(s, "x").unwrap());
+            let rows: Vec<&String> = (figures.section("results").iter())
+                .filter(|r| runner::field(r, "figure") == id)
+                .collect();
+            let mut points: Vec<&str> = rows.iter().map(|r| runner::field(r, x).unwrap()).collect();
+            points.dedup();
+            assert!(points.len() >= 2, "{s}: degenerate sweep");
+            let methods: Vec<&str> = rows
+                .iter()
+                .map(|r| runner::field(r, "method").unwrap())
+                .collect();
+            let per_point = &methods[..methods.len() / points.len()];
+            assert!(per_point.contains(&"caslt"), "{s}");
+            assert_eq!(methods, per_point.repeat(points.len()), "{s}: ragged sweep");
+            let g: f64 = runner::field(s, "geomean_baseline_over_caslt")
+                .unwrap()
+                .parse()
+                .unwrap();
+            assert!(g.is_finite() && g > 0.0, "{s}");
+        }
+        let claims = ablations.section("claims");
+        assert_eq!(claims.len(), 3);
+        for row in claims {
+            let num = |name| -> u64 { runner::field(row, name).unwrap().parse().unwrap() };
+            assert!(0 < num("wins") && num("wins") <= num("attempts"), "{row}");
         }
 
         let rows = frontier.section("results");

@@ -126,7 +126,7 @@ pub fn run(cfg: &BenchConfig) -> Report {
             timing_row(&key, "ns", &ns, &format!("\"ops_per_sample\": {n}"))
         })
         .collect();
-    let mut report = Report::new("micro", cfg, &[1]);
+    let mut report = Report::new("micro", "micro", cfg, &[1]);
     report.sections = vec![("results", rows)];
     report
 }

@@ -182,11 +182,17 @@ pub struct Report {
 }
 
 impl Report {
-    /// A report for target `name` run under `cfg` at team sizes `threads`;
-    /// its fields start with the command, the host block and the settings.
-    pub fn new(name: &'static str, cfg: &BenchConfig, threads: &[usize]) -> Report {
+    /// A report for target `name`, written by the `figures` command line
+    /// `targets` under `cfg` at team sizes `threads`; its fields start with
+    /// that command, the host block and the settings.
+    pub fn new(name: &'static str, targets: &str, cfg: &BenchConfig, threads: &[usize]) -> Report {
         let quick = cfg.scale == ScaleProfile::Quick;
-        let command = format!("figures {}{name}", if quick { "--quick " } else { "" });
+        let scale = match cfg.scale {
+            ScaleProfile::Default => "",
+            ScaleProfile::Quick => "--quick ",
+            ScaleProfile::Paper => "--paper-scale ",
+        };
+        let command = format!("figures {scale}{targets}");
         let swept: Vec<String> = threads.iter().map(|t| t.to_string()).collect();
         let fields = vec![
             ("bench", json_str(name)),
@@ -381,7 +387,7 @@ mod tests {
             })
             .collect();
         let cfg = BenchConfig::default();
-        let mut r = Report::new("test", &cfg, &[1, 2]);
+        let mut r = Report::new("test", "test", &cfg, &[1, 2]);
         r.sections.push(("results", rows));
         r.to_json()
     }

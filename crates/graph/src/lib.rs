@@ -14,7 +14,6 @@
 //! * [`serial`] — the sequential ground truth the parallel kernels are
 //!   validated against: BFS levels/parents and union–find connected
 //!   components.
-//! * [`io`] — a plain edge-list text format for persisting workloads.
 //!
 //! ```
 //! use pram_graph::{CsrGraph, GraphGen};
@@ -32,7 +31,6 @@
 
 pub mod csr;
 pub mod gen;
-pub mod io;
 pub mod serial;
 
 pub use csr::{CsrGraph, ReverseCsr};

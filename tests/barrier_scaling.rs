@@ -7,6 +7,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use pram_exec::{Schedule, SpinBarrier, ThreadPool};
 
@@ -55,6 +56,56 @@ fn oversubscribed_contention() {
     // the team must still rendezvous correctly, with waiters running
     // through the spin → yield → park backoff escalation.
     reuse_torture(8, 60);
+}
+
+#[test]
+fn one_releaser_per_episode_under_back_to_back_arrivals() {
+    // Members arrive again right after they are released, each after a
+    // few spins that vary by member and episode, so two arrivals often
+    // land within nanoseconds of each other. A barrier that elects its
+    // releaser from a re-load of the count, not from its own `fetch_add`
+    // result, then elects two members in one episode, and the second
+    // release store can wipe an arrival of the next episode so the team
+    // never finishes. The test thread watches the clock and poisons the
+    // barrier past the limit, which turns such a hang into a failure.
+    const EPISODES: usize = 60_000;
+    const LIMIT: Duration = Duration::from_secs(20);
+    for threads in 2..=4 {
+        let barrier = SpinBarrier::new(threads);
+        let releasers: Vec<AtomicU32> = (0..EPISODES).map(|_| AtomicU32::new(0)).collect();
+        let finished = std::thread::scope(|s| {
+            let members: Vec<_> = (0..threads)
+                .map(|id| {
+                    let (barrier, releasers) = (&barrier, &releasers);
+                    s.spawn(move || {
+                        for (e, r) in releasers.iter().enumerate() {
+                            for i in 0..(e * (2 * id + 1)) % 64 {
+                                std::hint::black_box(i);
+                            }
+                            if barrier.wait() {
+                                r.fetch_add(1, Ordering::Relaxed);
+                            }
+                        }
+                    })
+                })
+                .collect();
+            let start = Instant::now();
+            while !members.iter().all(|m| m.is_finished()) && start.elapsed() < LIMIT {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            barrier.poison();
+            let joined: Vec<_> = members.into_iter().map(|m| m.join()).collect();
+            joined.iter().all(Result::is_ok)
+        });
+        assert!(
+            finished,
+            "T = {threads}: {EPISODES} episodes did not finish within {LIMIT:?}"
+        );
+        for (e, r) in releasers.iter().enumerate() {
+            let n = r.load(Ordering::Relaxed);
+            assert_eq!(n, 1, "T = {threads}, episode {e}: {n} releasers");
+        }
+    }
 }
 
 #[test]

@@ -9,28 +9,51 @@ use pram_bench::ablation::{AlwaysRmwCasLtArray, BitGatekeeperArray};
 use pram_core::{CasLtArray, GatekeeperArray, LockArray, PriorityCell, Round, SliceArbiter};
 use proptest::prelude::*;
 
-/// Hammer `arb` with `threads` threads over `rounds` barrier-separated
+/// Hammer `arb` with `threads` threads over `rounds` rendezvous-separated
 /// rounds of claims on every cell; return total wins (must equal
 /// `rounds * cells`).
+///
+/// Members spin at each rendezvous rather than sleep in a
+/// `std::sync::Barrier`, so they leave it within nanoseconds of each other
+/// and their claims on a cell overlap in time: a check-then-act claim (a
+/// load, then a separate store) shows up as a second winner.
 fn hammer<A: SliceArbiter>(arb: &A, threads: usize, rounds: u32, reset_each_round: bool) -> usize {
     let wins = AtomicUsize::new(0);
-    let barrier = Barrier::new(threads);
+    let arrivals = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..threads {
             s.spawn(|| {
+                // The k-th rendezvous ends once every member has arrived k
+                // times; the last arriver is told so.
+                let mut k = 0;
+                let mut rendezvous = || {
+                    k += 1;
+                    let last = arrivals.fetch_add(1, Ordering::AcqRel) + 1 == threads * k;
+                    let mut spins = 0u32;
+                    while arrivals.load(Ordering::Acquire) < threads * k {
+                        spins += 1;
+                        if spins < 1 << 12 {
+                            std::hint::spin_loop();
+                        } else {
+                            // Oversubscribed: let a preempted member arrive.
+                            std::thread::yield_now();
+                        }
+                    }
+                    last
+                };
                 for r in 0..rounds {
                     let round = Round::from_iteration(r);
-                    let releaser = barrier.wait().is_leader();
+                    let releaser = rendezvous();
                     for c in 0..arb.len() {
                         if arb.try_claim(c, round) {
                             wins.fetch_add(1, Ordering::Relaxed);
                         }
                     }
-                    barrier.wait();
+                    rendezvous();
                     if reset_each_round && releaser {
                         arb.reset_all();
                     }
-                    barrier.wait();
+                    rendezvous();
                 }
             });
         }
@@ -136,6 +159,12 @@ proptest! {
         let arb = GatekeeperArray::new(cells);
         let wins = hammer(&arb, threads, rounds, true);
         prop_assert_eq!(wins, cells * rounds as usize);
+        // Few cells over many rounds, one member per core: members' claims
+        // on one cell coincide often enough that a claim split into a load
+        // and a store shows.
+        let cores = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let few = GatekeeperArray::new(cells.min(2));
+        prop_assert_eq!(hammer(&few, threads.min(cores), 512, true), few.len() * 512);
     }
 
     #[test]
