@@ -45,19 +45,17 @@ pub fn run(cfg: &BenchConfig, ids: &[&str]) -> Report {
     } else {
         ids.join(" ")
     };
-    let (summary, rows): (Vec<String>, Vec<Vec<String>>) = ids
-        .iter()
-        .map(|id| by_id(id, cfg).unwrap_or_else(|| panic!("unknown figure {id}")))
-        .unzip();
+    let (summary, rows): (Vec<String>, Vec<Vec<String>>) =
+        ids.iter().map(|id| by_id(id, cfg)).unzip();
     let mut report = Report::new("figures", &targets, cfg, &threads);
     report.fields.push(("seed", cfg.seed.to_string()));
     report.sections = vec![("results", rows.concat()), ("summary", summary)];
     report
 }
 
-/// Resolve a figure by id and run it.
-fn by_id(id: &str, cfg: &BenchConfig) -> Option<Figure> {
-    Some(match id {
+/// Run the figure `id`, one of [`IDS`].
+fn by_id(id: &str, cfg: &BenchConfig) -> Figure {
+    match id {
         "fig5" => fig5(cfg),
         "fig6" => fig6(cfg),
         "fig7" => fig7(cfg),
@@ -66,8 +64,8 @@ fn by_id(id: &str, cfg: &BenchConfig) -> Option<Figure> {
         "fig10" => fig10(cfg),
         "fig11" => fig11(cfg),
         "fig12" => fig12(cfg),
-        _ => return None,
-    })
+        _ => unreachable!("{id} is not in IDS"),
+    }
 }
 
 /// Sweep `methods` over `xs` (see [`sweep`]) and summarize the figure; the
