@@ -94,6 +94,39 @@ fn emit(report: &Report, cfg: &BenchConfig) -> bool {
     }
 }
 
+/// The reports a command line's targets ask for.
+#[derive(Debug, Default)]
+struct Plan {
+    /// Figure ids, as listed (`figures::run` puts them in the paper's order).
+    figures: Vec<&'static str>,
+    ablations: bool,
+    frontier: bool,
+    micro: bool,
+}
+
+/// Resolve `targets` into a [`Plan`], or return the first unknown one.
+fn plan(targets: &[String]) -> Result<Plan, &str> {
+    let all_figures = figures::FIGURES.map(|(id, _)| id);
+    let mut plan = Plan::default();
+    for t in targets {
+        match t.as_str() {
+            "figures" => plan.figures.extend(all_figures),
+            "ablations" => plan.ablations = true,
+            "all" => {
+                plan.figures.extend(all_figures);
+                plan.ablations = true;
+            }
+            "frontier" => plan.frontier = true,
+            "micro" => plan.micro = true,
+            t => match all_figures.into_iter().find(|&id| id == t) {
+                Some(id) => plan.figures.push(id),
+                None => return Err(t),
+            },
+        }
+    }
+    Ok(plan)
+}
+
 fn main() -> ExitCode {
     let mut cfg = BenchConfig::default();
     let mut targets: Vec<String> = Vec::new();
@@ -136,25 +169,13 @@ fn main() -> ExitCode {
     if targets.is_empty() {
         return usage();
     }
-    let mut figs: Vec<&str> = Vec::new();
-    let (mut run_ablations, mut run_frontier, mut run_micro) = (false, false, false);
-    for t in &targets {
-        match t.as_str() {
-            "figures" => figs.extend(figures::IDS),
-            "ablations" => run_ablations = true,
-            "all" => {
-                figs.extend(figures::IDS);
-                run_ablations = true;
-            }
-            "frontier" => run_frontier = true,
-            "micro" => run_micro = true,
-            id if figures::IDS.contains(&id) => figs.push(id),
-            t => {
-                eprintln!("unknown target '{t}'");
-                return usage();
-            }
+    let plan = match plan(&targets) {
+        Ok(plan) => plan,
+        Err(t) => {
+            eprintln!("unknown target '{t}'");
+            return usage();
         }
-    }
+    };
 
     println!(
         "# scale = {:?}, threads = {}, reps = {}, seed = {}, out = {}",
@@ -170,7 +191,7 @@ fn main() -> ExitCode {
     );
 
     let mut ok = true;
-    if run_frontier {
+    if plan.frontier {
         let (report, guard) = frontier::run(&cfg);
         ok &= emit(&report, &cfg);
         if let Err(e) = guard {
@@ -178,18 +199,43 @@ fn main() -> ExitCode {
             ok = false;
         }
     }
-    if run_micro {
+    if plan.micro {
         ok &= emit(&micro::run(&cfg), &cfg);
     }
-    if !figs.is_empty() {
-        ok &= emit(&figures::run(&cfg, &figs), &cfg);
+    if !plan.figures.is_empty() {
+        ok &= emit(&figures::run(&cfg, &plan.figures), &cfg);
     }
-    if run_ablations {
+    if plan.ablations {
         ok &= emit(&ablations::run(&cfg), &cfg);
     }
     if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Vec<String> {
+        line.split(' ').map(String::from).collect()
+    }
+
+    #[test]
+    fn targets_resolve_and_unknown_ones_are_rejected() {
+        let p = plan(&args("fig12 micro fig10")).unwrap();
+        assert_eq!(p.figures, ["fig12", "fig10"]);
+        assert!(p.micro && !p.ablations && !p.frontier);
+
+        let p = plan(&args("all frontier")).unwrap();
+        assert_eq!(p.figures, figures::FIGURES.map(|(id, _)| id));
+        assert!(p.ablations && p.frontier && !p.micro);
+
+        for line in ["fig5 fig13", "extensions", "stats", "scaling", "fig"] {
+            let t = line.split(' ').next_back().unwrap();
+            assert_eq!(plan(&args(line)).unwrap_err(), t, "{line}");
+        }
     }
 }

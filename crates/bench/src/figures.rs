@@ -15,80 +15,70 @@ use pram_exec::ThreadPool;
 use crate::runner::{field, json_str, Report};
 use crate::{make_graph, max_values, sweep, thread_sweep, BenchConfig, ScaleProfile};
 
-/// Every figure id, in the paper's order.
-pub const IDS: [&str; 8] = [
-    "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-];
-
-/// The figures whose x axis is the team size.
-const THREAD_SWEEPS: [&str; 3] = ["fig6", "fig9", "fig12"];
-
 /// One regenerated figure: its `summary` row and its timing rows.
 type Figure = (String, Vec<String>);
 
-/// Run the figures `ids` (each one of [`IDS`]) into one report, in the
-/// paper's order. Its `command` names the figures when they are a subset.
+/// A figure's regeneration function.
+type Regenerate = fn(&BenchConfig) -> Figure;
+
+/// Every figure id and its regeneration function, in the paper's order.
+pub const FIGURES: [(&str, Regenerate); 8] = [
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+];
+
+/// Run the figures `ids` (each an id of [`FIGURES`]) into one report, in
+/// the paper's order. Its `command` names the figures when they are a
+/// subset.
 pub fn run(cfg: &BenchConfig, ids: &[&str]) -> Report {
-    let ids: Vec<&str> = IDS.into_iter().filter(|id| ids.contains(id)).collect();
+    let chosen: Vec<_> = FIGURES.iter().filter(|(id, _)| ids.contains(id)).collect();
+    let targets = if chosen.len() == FIGURES.len() {
+        "figures".to_string()
+    } else {
+        chosen
+            .iter()
+            .map(|(id, _)| *id)
+            .collect::<Vec<_>>()
+            .join(" ")
+    };
+    let (summary, rows): (Vec<String>, Vec<Vec<String>>) =
+        chosen.iter().map(|(_, figure)| figure(cfg)).unzip();
+
     let mut threads = Vec::new();
-    if ids.iter().any(|id| THREAD_SWEEPS.contains(id)) {
-        threads.extend(thread_sweep(cfg.scale));
-    }
-    if ids.iter().any(|id| !THREAD_SWEEPS.contains(id)) {
-        threads.push(cfg.threads);
+    for s in &summary {
+        if field(s, "x") == Some("threads") {
+            threads.extend(thread_sweep(cfg.scale));
+        } else {
+            threads.push(cfg.threads);
+        }
     }
     threads.sort_unstable();
     threads.dedup();
 
-    let targets = if ids.len() == IDS.len() {
-        "figures".to_string()
-    } else {
-        ids.join(" ")
-    };
-    let (summary, rows): (Vec<String>, Vec<Vec<String>>) =
-        ids.iter().map(|id| by_id(id, cfg)).unzip();
     let mut report = Report::new("figures", &targets, cfg, &threads);
     report.fields.push(("seed", cfg.seed.to_string()));
     report.sections = vec![("results", rows.concat()), ("summary", summary)];
     report
 }
 
-/// Run the figure `id`, one of [`IDS`].
-fn by_id(id: &str, cfg: &BenchConfig) -> Figure {
-    match id {
-        "fig5" => fig5(cfg),
-        "fig6" => fig6(cfg),
-        "fig7" => fig7(cfg),
-        "fig8" => fig8(cfg),
-        "fig9" => fig9(cfg),
-        "fig10" => fig10(cfg),
-        "fig11" => fig11(cfg),
-        "fig12" => fig12(cfg),
-        _ => unreachable!("{id} is not in IDS"),
-    }
+/// The row names of `methods`; the first is a figure's baseline.
+fn names(methods: &[CwMethod]) -> Vec<String> {
+    methods.iter().map(ToString::to_string).collect()
 }
 
-/// Sweep `methods` over `xs` (see [`sweep`]) and summarize the figure; the
-/// first method is the baseline and CAS-LT must be among them.
-#[allow(clippy::too_many_arguments)]
-fn figure<W>(
-    cfg: &BenchConfig,
-    id: &str,
-    title: String,
-    x: &str,
-    methods: &[CwMethod],
-    xs: &[usize],
-    workload: impl FnMut(usize) -> W,
-    mut run: impl FnMut(&W, CwMethod),
-) -> Figure {
-    let names: Vec<String> = methods.iter().map(ToString::to_string).collect();
-    let rows = sweep(cfg, ["figure", id], x, xs, &names, workload, |w, i| {
-        run(w, methods[i])
-    });
+/// Pair a figure's timing `rows` with its `summary` row: title, x field,
+/// baseline (`names[0]`) and the geomean of baseline ÷ CAS-LT medians.
+fn summary(id: &str, title: &str, x: &str, names: &[String], rows: Vec<String>) -> Figure {
     let summary = format!(
         "{{\"figure\": \"{id}\", \"title\": {}, \"x\": \"{x}\", \"baseline\": \"{}\", \
          \"geomean_baseline_over_caslt\": {:.4}}}",
-        json_str(&title),
+        json_str(title),
         names[0],
         geomean_ratio(&rows, &names[0], "caslt")
     );
@@ -124,21 +114,24 @@ fn list_sizes(scale: ScaleProfile) -> Vec<usize> {
 /// (paper: 32 threads, naive / prefix-sum / CAS-LT).
 fn fig5(cfg: &BenchConfig) -> Figure {
     let p = ThreadPool::new(cfg.threads);
-    figure(
+    let names = names(&CwMethod::PAPER);
+    let xs = list_sizes(cfg.scale);
+    let rows = sweep(
         cfg,
-        "fig5",
-        format!(
-            "constant-time maximum: time vs list size ({} threads)",
-            cfg.threads
-        ),
+        ["figure", "fig5"],
         "list_size",
-        &CwMethod::PAPER,
-        &list_sizes(cfg.scale),
+        &xs,
+        &names,
         max_values,
-        |values, m| {
-            max_index(values, m, &p);
+        |values, i| {
+            max_index(values, CwMethod::PAPER[i], &p);
         },
-    )
+    );
+    let title = format!(
+        "constant-time maximum: time vs list size ({} threads)",
+        cfg.threads
+    );
+    summary("fig5", &title, "list_size", &names, rows)
 }
 
 /// Figure 6 — Max: execution time vs thread count at a fixed list size
@@ -150,18 +143,21 @@ fn fig6(cfg: &BenchConfig) -> Figure {
         ScaleProfile::Paper => 60_000,
     };
     let values = max_values(n);
-    figure(
+    let names = names(&CwMethod::PAPER);
+    let xs = thread_sweep(cfg.scale);
+    let rows = sweep(
         cfg,
-        "fig6",
-        format!("constant-time maximum: time vs threads (n = {n})"),
+        ["figure", "fig6"],
         "threads",
-        &CwMethod::PAPER,
-        &thread_sweep(cfg.scale),
+        &xs,
+        &names,
         ThreadPool::new,
-        |p, m| {
-            max_index(&values, m, p);
+        |p, i| {
+            max_index(&values, CwMethod::PAPER[i], p);
         },
-    )
+    );
+    let title = format!("constant-time maximum: time vs threads (n = {n})");
+    summary("fig6", &title, "threads", &names, rows)
 }
 
 fn bfs_edge_sweep(scale: ScaleProfile) -> (usize, Vec<usize>) {
@@ -183,18 +179,21 @@ fn bfs_edge_sweep(scale: ScaleProfile) -> (usize, Vec<usize>) {
 fn fig7(cfg: &BenchConfig) -> Figure {
     let (v, es) = bfs_edge_sweep(cfg.scale);
     let p = ThreadPool::new(cfg.threads);
-    figure(
+    let names = names(&CwMethod::PAPER);
+    let graph = |e| make_graph(v, e, cfg.seed);
+    let rows = sweep(
         cfg,
-        "fig7",
-        format!("BFS: time vs edges ({v} vertices, {} threads)", cfg.threads),
+        ["figure", "fig7"],
         "edges",
-        &CwMethod::PAPER,
         &es,
-        |e| make_graph(v, e, cfg.seed),
-        |g, m| {
-            bfs(g, 0, m, &p);
+        &names,
+        graph,
+        |g, i| {
+            bfs(g, 0, CwMethod::PAPER[i], &p);
         },
-    )
+    );
+    let title = format!("BFS: time vs edges ({v} vertices, {} threads)", cfg.threads);
+    summary("fig7", &title, "edges", &names, rows)
 }
 
 fn bfs_vertex_sweep(scale: ScaleProfile) -> (Vec<usize>, usize) {
@@ -211,18 +210,21 @@ fn bfs_vertex_sweep(scale: ScaleProfile) -> (Vec<usize>, usize) {
 fn fig8(cfg: &BenchConfig) -> Figure {
     let (vs, e) = bfs_vertex_sweep(cfg.scale);
     let p = ThreadPool::new(cfg.threads);
-    figure(
+    let names = names(&CwMethod::PAPER);
+    let graph = |v| make_graph(v, e, cfg.seed);
+    let rows = sweep(
         cfg,
-        "fig8",
-        format!("BFS: time vs vertices ({e} edges, {} threads)", cfg.threads),
+        ["figure", "fig8"],
         "vertices",
-        &CwMethod::PAPER,
         &vs,
-        |v| make_graph(v, e, cfg.seed),
-        |g, m| {
-            bfs(g, 0, m, &p);
+        &names,
+        graph,
+        |g, i| {
+            bfs(g, 0, CwMethod::PAPER[i], &p);
         },
-    )
+    );
+    let title = format!("BFS: time vs vertices ({e} edges, {} threads)", cfg.threads);
+    summary("fig8", &title, "vertices", &names, rows)
 }
 
 /// Figure 9 — BFS: execution time vs thread count (paper: 100 K vertices,
@@ -234,18 +236,21 @@ fn fig9(cfg: &BenchConfig) -> Figure {
         ScaleProfile::Paper => (100_000, 30_000_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    figure(
+    let names = names(&CwMethod::PAPER);
+    let xs = thread_sweep(cfg.scale);
+    let rows = sweep(
         cfg,
-        "fig9",
-        format!("BFS: time vs threads ({v} vertices, {e} edges)"),
+        ["figure", "fig9"],
         "threads",
-        &CwMethod::PAPER,
-        &thread_sweep(cfg.scale),
+        &xs,
+        &names,
         ThreadPool::new,
-        |p, m| {
-            bfs(&g, 0, m, p);
+        |p, i| {
+            bfs(&g, 0, CwMethod::PAPER[i], p);
         },
-    )
+    );
+    let title = format!("BFS: time vs threads ({v} vertices, {e} edges)");
+    summary("fig9", &title, "threads", &names, rows)
 }
 
 /// The CC figures compare gatekeeper vs CAS-LT (the paper implements no
@@ -266,18 +271,21 @@ fn fig10(cfg: &BenchConfig) -> Figure {
         ),
     };
     let p = ThreadPool::new(cfg.threads);
-    figure(
+    let names = names(&CC_METHODS);
+    let graph = |e| make_graph(v, e, cfg.seed);
+    let rows = sweep(
         cfg,
-        "fig10",
-        format!("CC: time vs edges ({v} vertices, {} threads)", cfg.threads),
+        ["figure", "fig10"],
         "edges",
-        &CC_METHODS,
         &es,
-        |e| make_graph(v, e, cfg.seed),
-        |g, m| {
-            connected_components(g, m, &p);
+        &names,
+        graph,
+        |g, i| {
+            connected_components(g, CC_METHODS[i], &p);
         },
-    )
+    );
+    let title = format!("CC: time vs edges ({v} vertices, {} threads)", cfg.threads);
+    summary("fig10", &title, "edges", &names, rows)
 }
 
 /// Figure 11 — CC: execution time vs vertex count at fixed edges
@@ -289,18 +297,21 @@ fn fig11(cfg: &BenchConfig) -> Figure {
         ScaleProfile::Paper => (vec![50_000, 100_000, 200_000, 400_000], 30_000_000),
     };
     let p = ThreadPool::new(cfg.threads);
-    figure(
+    let names = names(&CC_METHODS);
+    let graph = |v| make_graph(v, e, cfg.seed);
+    let rows = sweep(
         cfg,
-        "fig11",
-        format!("CC: time vs vertices ({e} edges, {} threads)", cfg.threads),
+        ["figure", "fig11"],
         "vertices",
-        &CC_METHODS,
         &vs,
-        |v| make_graph(v, e, cfg.seed),
-        |g, m| {
-            connected_components(g, m, &p);
+        &names,
+        graph,
+        |g, i| {
+            connected_components(g, CC_METHODS[i], &p);
         },
-    )
+    );
+    let title = format!("CC: time vs vertices ({e} edges, {} threads)", cfg.threads);
+    summary("fig11", &title, "vertices", &names, rows)
 }
 
 /// Figure 12 — CC: execution time vs thread count (paper: 100 K vertices,
@@ -312,18 +323,21 @@ fn fig12(cfg: &BenchConfig) -> Figure {
         ScaleProfile::Paper => (100_000, 30_000_000),
     };
     let g = make_graph(v, e, cfg.seed);
-    figure(
+    let names = names(&CC_METHODS);
+    let xs = thread_sweep(cfg.scale);
+    let rows = sweep(
         cfg,
-        "fig12",
-        format!("CC: time vs threads ({v} vertices, {e} edges)"),
+        ["figure", "fig12"],
         "threads",
-        &CC_METHODS,
-        &thread_sweep(cfg.scale),
+        &xs,
+        &names,
         ThreadPool::new,
-        |p, m| {
-            connected_components(&g, m, p);
+        |p, i| {
+            connected_components(&g, CC_METHODS[i], p);
         },
-    )
+    );
+    let title = format!("CC: time vs threads ({v} vertices, {e} edges)");
+    summary("fig12", &title, "threads", &names, rows)
 }
 
 #[cfg(test)]

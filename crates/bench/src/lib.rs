@@ -267,7 +267,7 @@ mod tests {
             ..BenchConfig::default()
         };
         let (frontier, _guard) = frontier::run(&cfg);
-        let figures = figures::run(&cfg, &figures::IDS);
+        let figures = figures::run(&cfg, &figures::FIGURES.map(|(id, _)| id));
         let ablations = ablations::run(&cfg);
         for report in [&frontier, &micro::run(&cfg), &figures, &ablations] {
             let json = report.to_json();
@@ -278,6 +278,7 @@ mod tests {
             assert_eq!(rows.len(), report.section("results").len());
             for row in rows {
                 assert!(num(row, "samples") >= 2.0, "{row}");
+                assert!(num(row, "p10") > 0.0, "{row}");
                 assert!(num(row, "p10") <= num(row, "median"), "{row}");
                 assert!(num(row, "median") <= num(row, "p90"), "{row}");
             }
@@ -306,7 +307,7 @@ mod tests {
         // Each figure sweeps at least two x values, timing every method
         // once at each.
         let summary = figures.section("summary");
-        assert_eq!(summary.len(), figures::IDS.len());
+        assert_eq!(summary.len(), figures::FIGURES.len());
         for s in summary {
             let (id, x) = (runner::field(s, "figure"), runner::field(s, "x").unwrap());
             let rows: Vec<&String> = (figures.section("results").iter())
@@ -327,6 +328,31 @@ mod tests {
                 .parse()
                 .unwrap();
             assert!(g.is_finite() && g > 0.0, "{s}");
+        }
+        // Every experiment lands, and each ablation times at least two
+        // variants.
+        let results = ablations.section("results");
+        let mut experiments: Vec<&str> = (results.iter())
+            .map(|r| runner::field(r, "experiment").unwrap())
+            .collect();
+        experiments.dedup();
+        let want = [
+            "ablate_fastpath",
+            "ablate_lock",
+            "ablate_bitmap",
+            "ext_crew_vs_crcw",
+            "ext_list_rank",
+            "ext_matching",
+        ];
+        assert_eq!(experiments, want);
+        for id in want.iter().filter(|id| id.starts_with("ablate_")) {
+            let mut methods: Vec<&str> = (results.iter())
+                .filter(|r| runner::field(r, "experiment") == Some(id))
+                .map(|r| runner::field(r, "method").unwrap())
+                .collect();
+            methods.sort_unstable();
+            methods.dedup();
+            assert!(methods.len() >= 2, "{id}: {methods:?}");
         }
         let claims = ablations.section("claims");
         assert_eq!(claims.len(), 3);
