@@ -9,21 +9,23 @@
 //!
 //! 1. **Conditional hooking** (round `r0`, reads `S`, writes `D`): every
 //!    vertex's parent `S[u]` is a root (the star invariant below), so no
-//!    star test is needed. For a vertex `u` with an edge `(u, v)` and `S[v]
-//!    < S[u]`, hook `u`'s root onto `S[v]`. Many edges target the same root
-//!    with *different* values — a true arbitrary concurrent write. The
-//!    winner updates **two** arrays (`D[root]` and `hook_edge[root]`),
-//!    which is why the paper implements no naive CC: torn two-array writes
-//!    are unsound (§7.3). The winner then stamps both roots it joined with
-//!    `r1`: a star that hooked or was hooked onto changed.
+//!    star test is needed. For a vertex `u` with an edge `(u, v)` whose
+//!    root `S[v]` ranks below `S[u]` (the giant root `g` below every id,
+//!    the rest by id; see below), hook `u`'s root onto `S[v]`. Many edges
+//!    target the same root with *different* values — a true arbitrary
+//!    concurrent write. The winner updates **two** arrays (`D[root]` and
+//!    `hook_edge[root]`), which is why the paper implements no naive CC:
+//!    torn two-array writes are unsound (§7.3). The winner then stamps
+//!    both roots it joined with `r1`: a star that hooked or was hooked
+//!    onto changed.
 //! 2. **Unconditional hooking** (round `r1`, reads `D`, writes `S`): the
 //!    *stagnant* stars — those no conditional hook changed — hook onto any
 //!    differing neighbor. `u` is in a stagnant star iff `stamp[D[u]] !=
 //!    r1`: a member of a changed star still points at its stamped root,
 //!    and a hooked root points at the stamped root it joined. Safe: two
-//!    adjacent stars cannot both be stagnant, since the larger root would
-//!    have hooked conditionally, so targets never hook in this phase and
-//!    no cycle forms.
+//!    adjacent stars cannot both be stagnant, since the higher-ranked root
+//!    would have hooked conditionally, so targets never hook in this phase
+//!    and no cycle forms. `g`'s star sits this phase out.
 //! 3. **Compress** (nowait): over the merged parent `P(w) = S[w]` if `D[w]
 //!    == w`, else `D[w]`, each `v` walks `x = P(v)` until `P(x) == x` and
 //!    stores that root into both `D[v]` and `S[v]`. Phase 0 moved only `D`,
@@ -34,9 +36,54 @@
 //! hooking alone has no O(log n) iteration bound: on a star centred on its
 //! largest id, whose centre lists its leaves from the largest down, its
 //! root drops by one leaf per iteration. The unconditional phase supplies
-//! the bound, and the iteration cap is `4·bits + 16`, where `bits` is the
-//! bit length of `n`. Phase 1 may hook a root onto a larger one, so the
-//! labels are normalised to each component's smallest id.
+//! the bound (below), and the iteration cap is `4·bits + 16`, where `bits`
+//! is the bit length of `n`. Both phases may hook a root onto a larger
+//! one, so the labels are normalised to each component's smallest id.
+//!
+//! ## The giant root ranks first
+//!
+//! Once one star holds most vertices, its members have nothing to hook
+//! onto: its root is usually the smallest id of its component, so under
+//! the plain id order they walk every edge to prove that none qualifies,
+//! and in the exit iteration so does everyone. The kernel therefore ranks
+//! one root `g` below every id in each iteration. At the top of the
+//! iteration every member reads `S` at the same fixed positions, at most
+//! 1,024 of them, and takes the most frequent root, the smallest on ties
+//! (`giant_root`). The opening rendezvous has settled `S`, so every
+//! member reads the same values and picks the same `g` with no extra
+//! rendezvous; phase 0's team sum carries `g` in its spare lane, and a
+//! `debug_assert!` checks that the members agree. This is Afforest's
+//! largest-component skip (Sutton, Ben-Nun and Barak, IPDPS 2018) recast
+//! as a rank order, which Liu and Tarjan's connect/shortcut framework
+//! allows as long as the forest stays acyclic:
+//!
+//! - **No cycle.** Phase 0 qualifies an edge when `S[v] == g || S[v] <
+//!   S[u]`, and `g`'s members walk no edge, since nothing ranks below
+//!   `g`. Every hook goes from a root to a strictly lower-ranked root
+//!   under one total order, fixed for the iteration, so no cycle forms.
+//! - **`hooks == 0` still proves the fixed point.** An edge between `g`'s
+//!   star and another star qualifies from the other side, where `S[v] ==
+//!   g`, so that star hooks.
+//! - **The order may change between iterations.** Each iteration starts
+//!   from stars, and the argument above asks only that one iteration's
+//!   hooks follow one order.
+//! - **Phase 1 and the iteration bound.** `g`'s star skips phase 1. Every
+//!   other star of a component with `k ≥ 2` stars still merges in the
+//!   iteration: it hooks or is hooked onto in phase 0, or it is stagnant,
+//!   and then phase 1 hooks it onto a neighbour, since stagnant stars are
+//!   never adjacent. Only `g`'s star can stay alone, so the component ends
+//!   the iteration with at most `1 + (k − 1)/2`, that is `⌈k/2⌉`, stars.
+//!   Single-winner runs thus take at most `⌈log₂ n⌉ + 1` iterations, the
+//!   last one finding no hook, the same bound as without `g`, and tests
+//!   pin it. The cap `4·bits + 16` stays far above that; it binds only on
+//!   the pointer cycles of [`CwMethod::Naive`]. What the skip saves is a
+//!   finished giant's phase-1 walk, which visits every one of its edges
+//!   looking for a neighbour outside it.
+//! - **The compress does not skip `g`'s members**, although their walk is
+//!   one jump. Phase 1 can hook a stagnant root `r` straight onto `g` in
+//!   `S` while `D[r] == r` still says that `r` is a root, so a skip that
+//!   tests only `S[v] == g` would leave `D[r] == r`: the next iteration
+//!   would start with `D != S`, and the component would split.
 //!
 //! ## The star invariant
 //!
@@ -68,10 +115,10 @@
 //!
 //! Phase 0 ends in a team sum of its hooks. When it is 0, no edge joins
 //! two trees (every tree is a star, and an edge between two stars would
-//! have hooked the larger root), so the iteration returns at once: the
-//! last iteration skips phase 1 and the compress. An iteration costs three
-//! rendezvous (its opening, phase 0's sum and phase 1's barrier), the last
-//! one two.
+//! have hooked the higher-ranked root), so the iteration returns at once:
+//! the last iteration skips phase 1 and the compress. An iteration costs
+//! three rendezvous (its opening, phase 0's sum and phase 1's barrier),
+//! the last one two.
 //!
 //! ## The hooking pass walks vertices, one claim per hooked root
 //!
@@ -83,9 +130,10 @@
 //! the array its phase writes and skips the walk when `du` is already
 //! hooked there:
 //!
-//! - **Phase 0** skips when `D[du] != du`.
+//! - **Phase 0** skips when `D[du] != du`, besides a member of `g`'s star
+//!   (`du == g`), which can never hook.
 //! - **Phase 1** skips when `S[du] != du`, besides a vertex of a changed
-//!   star (`stamp[du] == r1`).
+//!   star (`stamp[du] == r1`) or of `g`'s star.
 //!
 //! The test races only with `du`'s single winner. `D == S` at the start of
 //! the iteration, every parent is then a root, and phase 1 claims only
@@ -230,6 +278,10 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 Round::from_iteration(2 * i + 1),
             );
             let t1 = r1.get();
+            // The root that ranks below every id this iteration. S is
+            // settled since the opening rendezvous, so every member reads
+            // the same samples and picks the same g (module docs).
+            let g = giant_root(n, |v| at(&s, v));
 
             // Phase 0, conditional hooking: reads S, writes D. Every parent
             // is a root, so there is no star test (module docs).
@@ -237,12 +289,12 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
             for u in my_vertices.clone() {
                 let du = at(&s, u);
                 debug_assert_eq!(at(&s, du), du, "every iteration starts from stars");
-                // Once du's one winner has stored, a claim could only lose:
-                // walk no edge. An empty range rather than a `continue`,
-                // which made the walk about 10 % slower on R-MAT graphs,
-                // where this skip rarely fires.
+                // Nothing ranks below g, and once du's one winner has
+                // stored, a claim could only lose: either way walk no edge.
+                // An empty range rather than a `continue`, which made the
+                // walk about 10 % slower on R-MAT graphs.
                 let start = offsets[u];
-                let end = if at(&d, du) != du {
+                let end = if du == g || at(&d, du) != du {
                     start
                 } else {
                     offsets[u + 1]
@@ -250,7 +302,7 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 let edges = start..end;
                 for (e, &v) in edges.clone().zip(&targets[edges]) {
                     let dv = at(&s, v as usize);
-                    if dv < du {
+                    if dv == g || dv < du {
                         if arb.try_claim(du, r0) {
                             // The guarded two-array arbitrary write.
                             d[du].store(dv as u32, Ordering::Relaxed);
@@ -264,18 +316,27 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                     }
                 }
             }
-            let [hooked, _] = ctx.team_sum([hooks, 0]);
+            // Lane 1 carries g for free: members that read different
+            // samples would disagree on the order and could form a cycle.
+            let [hooked, g_sum] = ctx.team_sum([hooks, g as u64]);
+            debug_assert_eq!(
+                g_sum,
+                g as u64 * ctx.num_threads() as u64,
+                "every member ranks the same root first"
+            );
             if hooked == 0 {
                 // Fixed point: every tree is a star and no edge joins two.
                 return [0, 0];
             }
 
             // Phase 1, unconditional hooking of stagnant stars: reads D,
-            // writes S.
+            // writes S. g's star sits it out: the iteration bound holds
+            // without it, and a finished giant would walk all its edges.
             for u in my_vertices.clone() {
                 let du = at(&d, u);
-                if stamp_of(du) == t1 || at(&s, du) != du {
-                    // A changed star, or du's one winner has stored.
+                if du == g || stamp_of(du) == t1 || at(&s, du) != du {
+                    // g's star, a changed star, or du's one winner has
+                    // stored.
                     continue;
                 }
                 let edges = offsets[u]..offsets[u + 1];
@@ -341,6 +402,28 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
         iterations: iterations.into_inner(),
         converged: converged.into_inner() != 0,
     }
+}
+
+/// Samples [`giant_root`] reads, at most: few enough for the stack.
+const SAMPLES: usize = 1024;
+
+/// The most frequent of `parent(v)` over at most [`SAMPLES`] fixed, evenly
+/// spaced `v` in `0..n`, the smallest on ties; 0 when `n == 0`.
+fn giant_root(n: usize, parent: impl Fn(usize) -> usize) -> usize {
+    let k = n.min(SAMPLES);
+    let mut buf = [0u32; SAMPLES];
+    let sample = &mut buf[..k];
+    for (j, x) in sample.iter_mut().enumerate() {
+        *x = parent(j * n / k) as u32;
+    }
+    sample.sort_unstable();
+    let (mut best, mut count) = (0, 0);
+    for run in sample.chunk_by(|a, b| a == b) {
+        if run.len() > count {
+            (best, count) = (run[0], run.len());
+        }
+    }
+    best as usize
 }
 
 /// Verify a [`CcResult`] against union–find ground truth, including the
@@ -632,7 +715,10 @@ mod tests {
         // listed from the largest leaf down, its first qualifying edge would
         // lower its root by one leaf per iteration. The unconditional phase
         // hooks every other leaf onto the centre's new root in the first
-        // iteration instead, and the second finds no hook.
+        // iteration instead, except leaf 0: it is `g` in the identity
+        // forest and sits phase 1 out. In the second iteration the centre's
+        // root is `g`, so leaf 0 hooks onto it in phase 0, and the third
+        // finds no hook.
         for n in [64, 100, 1 << 16] {
             let centre = n as u32 - 1;
             let edges: Vec<(u32, u32)> = (0..centre).rev().map(|v| (centre, v)).collect();
@@ -646,6 +732,86 @@ mod tests {
                     "n = {n}, T = {t}: {} iterations",
                     r.iterations
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn giant_root_takes_the_most_frequent_sample_smallest_on_ties() {
+        let of = |parents: &[usize]| giant_root(parents.len(), |v| parents[v]);
+        assert_eq!(of(&[4, 1, 4, 1, 4]), 4);
+        // Ties go to the smallest root, wherever it sits.
+        assert_eq!(of(&[5, 5, 3, 3, 2, 2]), 2);
+        assert_eq!(of(&[7, 6, 6, 7]), 6);
+        assert_eq!(of(&[0]), 0);
+        assert_eq!(of(&[]), 0);
+        // An identity S, as in the first iteration, picks 0: every sample
+        // counts once and the first sample position is 0.
+        for n in [1, 2, 1000, 1024, 1025, 1 << 20] {
+            assert_eq!(giant_root(n, |v| v), 0, "identity S, n = {n}");
+        }
+    }
+
+    #[test]
+    fn giant_root_reads_every_vertex_below_the_sample_size() {
+        use std::cell::RefCell;
+        for n in [1, 2, 17, 1000, SAMPLES, SAMPLES + 1, 1 << 20] {
+            let read = RefCell::new(Vec::new());
+            giant_root(n, |v| {
+                read.borrow_mut().push(v);
+                v
+            });
+            let read = read.into_inner();
+            assert_eq!(read.len(), n.min(SAMPLES), "n = {n}");
+            assert!(read.windows(2).all(|w| w[0] < w[1]), "n = {n}: distinct");
+            assert!(read.iter().all(|&v| v < n), "n = {n}: in range");
+            if n <= SAMPLES {
+                assert!(read.iter().copied().eq(0..n), "n = {n}: every vertex");
+            }
+        }
+        // Above the sample size the mode is the sampled one: a root over
+        // three quarters of the vertices wins against the rest.
+        let n = 1 << 16;
+        assert_eq!(giant_root(n, |v| if v < n / 4 { v } else { 9 }), 9);
+    }
+
+    #[test]
+    fn single_winner_runs_halve_the_stars_every_iteration() {
+        // Every star but g's merges in each iteration, so a component of
+        // k stars keeps at most ⌈k/2⌉: ⌈log₂ n⌉ iterations leave one star
+        // per component and one more finds no hook (module docs).
+        let star_centred_on_largest: Vec<_> = (0..999u32).rev().map(|v| (999, v)).collect();
+        let cases = [
+            (
+                "gnm(3000, 4000)",
+                graph(3000, &GraphGen::new(6).gnm(3000, 4000)),
+            ),
+            (
+                "rmat(10)",
+                graph(1024, &GraphGen::new(7).rmat_standard(10, 4000)),
+            ),
+            (
+                "relabelled path(4096)",
+                graph(4096, &GraphGen::new(8).relabel(4096, &GraphGen::path(4096))),
+            ),
+            ("path(1000)", graph(1000, &GraphGen::path(1000))),
+            ("star centred on 999", graph(1000, &star_centred_on_largest)),
+            ("grid(40, 40)", graph(1600, &GraphGen::grid(40, 40))),
+        ];
+        for t in 1..=3 {
+            let pool = ThreadPool::new(t);
+            for (name, g) in &cases {
+                let n = g.num_vertices();
+                let bound = n.next_power_of_two().trailing_zeros() + 1;
+                for m in single_winner_methods() {
+                    let r = connected_components(g, m, &pool);
+                    verify_cc(g, &r).unwrap_or_else(|e| panic!("{name} {m} T = {t}: {e}"));
+                    assert!(
+                        r.iterations <= bound,
+                        "{name} {m} T = {t}: {} iterations > ⌈log₂ n⌉ + 1 = {bound}",
+                        r.iterations
+                    );
+                }
             }
         }
     }
