@@ -4,17 +4,18 @@
 //! The paper's BFS (Figure 3, evaluated in Figures 7–9) is the
 //! Rodinia-style **dense scan**: each level-`L` iteration scans all `n`
 //! vertices, expands the frontier (`level[v] == L`), and tries to *claim*
-//! every unvisited neighbor `u`. The claim guards a four-word write —
-//! `parent[u]`, `sel_edge[u]`, `visited[u]`, `level[u]` — which is exactly
-//! why the method matters:
+//! every unvisited neighbor `u`. The claim guards a three-word write —
+//! `parent[u]`, `sel_edge[u]`, `level[u]` — which is exactly why the
+//! method matters (`level[u] != UNREACHED` is the visited test, so there is
+//! no separate visited array to write):
 //!
 //! * under **naive** writes (Rodinia's original), several expanders write
-//!   `u` concurrently; `level`/`visited` are *common* writes (all agree) so
-//!   distances stay correct, but `parent[u]` and `sel_edge[u]` are
-//!   *different* values from different writers and can commit as a mixture
-//!   that names an edge `parent[u]` does not own (the paper's §4 torn-write
-//!   hazard, demonstrated in this workspace's `torn_writes` test);
-//! * under any single-winner method the four words are written by one
+//!   `u` concurrently; `level` is a *common* write (all agree) so distances
+//!   stay correct, but `parent[u]` and `sel_edge[u]` are *different*
+//!   values from different writers and can commit as a mixture that names
+//!   an edge `parent[u]` does not own (the paper's §4 torn-write hazard,
+//!   demonstrated in this workspace's `torn_writes` test);
+//! * under any single-winner method the three words are written by one
 //!   thread and are mutually consistent.
 //!
 //! [`BfsStrategy::DirectionOptimizing`] runs Beamer's push/pull switch on
@@ -22,7 +23,9 @@
 //! small: the frontier is an explicit sparse queue
 //! ([`pram_exec::FrontierBuffer`]), workers append discoveries to
 //! per-worker [`pram_exec::LocalBuffer`]s, and a level costs
-//! `O(frontier edges)`, not `O(n + frontier edges)`. When the frontier's
+//! `O(frontier edges)`, not `O(n + frontier edges)`. A push round is
+//! handed out in edge pieces ([`pram_exec::WorkerCtx::for_each_frontier`]),
+//! so a hub's edges spread over several grabs and members. When the frontier's
 //! out-edge count exceeds `m / α` it switches to a **bottom-up pull** over
 //! a dense [`pram_core::AtomicBitmap`] frontier (each unvisited vertex
 //! scans its in-edges and stops at the first frontier neighbor), and it
@@ -32,12 +35,12 @@
 //! Push and dense-scan rounds are concurrent writes: several expanders
 //! can reach the same unvisited `u`, so the winner claim
 //! `arb.try_claim(u, round)` is their single point of frontier insertion,
-//! every concurrent-write method dispatches unchanged, and the four-word
+//! every concurrent-write method dispatches unchanged, and the three-word
 //! write keeps its single-winner consistency guarantee. Pull rounds are
 //! not: each worker owns whole 64-vertex words of the next-frontier
 //! bitmap, and only the owner of `v`'s word ever writes `v`. That write is
 //! *exclusive*, and by the paper's own argument an exclusive write needs
-//! no arbitration — the owner commits the four words with plain stores
+//! no arbitration — the owner commits the three words with plain stores
 //! and publishes the word with one [`pram_core::AtomicBitmap::store_word`].
 //! The bottom-up sweep records `sel_edge` through
 //! [`pram_graph::ReverseCsr`]'s edge provenance, so the discovered edge is
@@ -54,13 +57,23 @@
 //! The per-level round ID is the level itself — the paper's "round could be
 //! substituted by the loop iteration" remark — supplied here by
 //! [`pram_exec::WorkerCtx::converge_rounds`].
+//!
+//! The team fills the per-call state. Its arrays come zeroed and untouched
+//! from [`pram_exec::zeroed_atomics`]; at the top of the region every
+//! member writes the sentinels of its own static block (and the source's
+//! level 0, if the source is in that block), so the pages are first
+//! touched in parallel rather than on the caller's thread.
+//! `converge_rounds`' opening rendezvous, which the call pays anyway,
+//! orders those writes before round 1 reads them.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use pram_core::{AtomicBitmap, SliceArbiter};
+use pram_exec::schedule::static_block;
 use pram_exec::{
-    FrontierBuffer, LocalBuffer, Schedule, ThreadPool, WorkerCtx, FRONTIER_GRAIN_EDGES,
+    zeroed_atomics, FrontierBuffer, LocalBuffer, Schedule, ThreadPool, WorkerCtx,
+    FRONTIER_GRAIN_EDGES,
 };
 use pram_graph::{CsrGraph, ReverseCsr};
 
@@ -239,33 +252,72 @@ fn bfs_core<A: SliceArbiter>(
     }
 }
 
-/// The four per-vertex output arrays, shared across strategies.
+/// The three per-vertex output arrays, shared across strategies.
+/// `level[u] != UNREACHED` is also the visited test.
 struct BfsState {
-    level: Vec<AtomicU32>,
-    visited: Vec<AtomicU8>,
-    parent: Vec<AtomicU32>,
-    sel_edge: Vec<AtomicUsize>,
+    level: Box<[AtomicU32]>,
+    parent: Box<[AtomicU32]>,
+    sel_edge: Box<[AtomicUsize]>,
+    source: u32,
 }
 
 impl BfsState {
+    /// Zeroed, untouched arrays: the team writes the sentinels
+    /// ([`BfsState::fill`]) before the first round reads them.
     fn new(n: usize, source: u32) -> BfsState {
-        let s = BfsState {
-            level: (0..n).map(|_| AtomicU32::new(UNREACHED)).collect(),
-            visited: (0..n).map(|_| AtomicU8::new(0)).collect(),
-            parent: (0..n).map(|_| AtomicU32::new(NO_PARENT)).collect(),
-            sel_edge: (0..n).map(|_| AtomicUsize::new(NO_EDGE)).collect(),
-        };
-        s.level[source as usize].store(0, Ordering::Relaxed);
-        s.visited[source as usize].store(1, Ordering::Relaxed);
-        s
+        BfsState {
+            level: zeroed_atomics(n),
+            parent: zeroed_atomics(n),
+            sel_edge: zeroed_atomics(n),
+            source,
+        }
+    }
+
+    /// This member's share of the sentinel fill: its static block of every
+    /// array, and the source's level 0 if the source is in the block. Every
+    /// member calls it at the top of the region, so each first-touches the
+    /// pages of its own block; `converge_rounds`' opening rendezvous orders
+    /// the writes before round 1 reads any of them.
+    fn fill(&self, ctx: &WorkerCtx<'_>) {
+        let block = static_block(self.level.len(), ctx.num_threads(), ctx.thread_id());
+        for l in &self.level[block.clone()] {
+            l.store(UNREACHED, Ordering::Relaxed);
+        }
+        for p in &self.parent[block.clone()] {
+            p.store(NO_PARENT, Ordering::Relaxed);
+        }
+        for e in &self.sel_edge[block.clone()] {
+            e.store(NO_EDGE, Ordering::Relaxed);
+        }
+        if block.contains(&(self.source as usize)) {
+            self.level[self.source as usize].store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether `u` has a level yet (the source, or discovered).
+    #[inline]
+    fn visited(&self, u: usize) -> bool {
+        self.level[u].load(Ordering::Relaxed) != UNREACHED
     }
 
     fn into_result(self, rounds: u32) -> BfsResult {
+        // Each collect reuses its array's allocation in place.
         BfsResult {
-            level: self.level.into_iter().map(AtomicU32::into_inner).collect(),
-            parent: self.parent.into_iter().map(AtomicU32::into_inner).collect(),
+            level: self
+                .level
+                .into_vec()
+                .into_iter()
+                .map(AtomicU32::into_inner)
+                .collect(),
+            parent: self
+                .parent
+                .into_vec()
+                .into_iter()
+                .map(AtomicU32::into_inner)
+                .collect(),
             sel_edge: self
                 .sel_edge
+                .into_vec()
                 .into_iter()
                 .map(AtomicUsize::into_inner)
                 .collect(),
@@ -273,13 +325,12 @@ impl BfsState {
         }
     }
 
-    /// The guarded four-word write. Call only as the claim winner, or as
+    /// The guarded three-word write. Call only as the claim winner, or as
     /// the exclusive writer of `u` (a pull round's word owner).
     #[inline]
     fn commit(&self, u: usize, parent: u32, edge: usize, level: u32) {
         self.parent[u].store(parent, Ordering::Relaxed);
         self.sel_edge[u].store(edge, Ordering::Relaxed);
-        self.visited[u].store(1, Ordering::Relaxed);
         self.level[u].store(level, Ordering::Relaxed);
     }
 }
@@ -306,6 +357,7 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
 
     let rounds = AtomicU32::new(0);
     pool.run(|ctx| {
+        st.fill(ctx);
         let c = ctx.converge_rounds(max_rounds, [0, 0], |round, _| {
             ctx.annotate_round("expand");
             let l = round.get() - 1; // the level being expanded
@@ -317,9 +369,9 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
                 #[allow(clippy::needless_range_loop)] // j is the edge id recorded in sel_edge
                 for j in offsets[v]..offsets[v + 1] {
                     let u = targets[j] as usize;
-                    if st.visited[u].load(Ordering::Relaxed) == 0 {
+                    if !st.visited(u) {
                         // The concurrent write: claim vertex u for this
-                        // level, then perform the four-word update.
+                        // level, then perform the three-word update.
                         if arb.try_claim(u, round) {
                             st.commit(u, v as u32, j, l + 1);
                             found += 1;
@@ -367,6 +419,7 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
     let rounds = AtomicU32::new(0);
 
     pool.run(|ctx| {
+        st.fill(ctx);
         let mut qi = 0usize; // queues[qi] holds the current frontier...
         let mut bi = 0usize; // ...or bitmaps[bi] does, when cur_is_bits
         let mut cur_is_bits = false;
@@ -419,7 +472,7 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
                 // frontier. For every unvisited vertex of a word it owns
                 // it scans the in-edges and stops at the first frontier
                 // neighbor. Nobody else can discover that vertex this
-                // round, so the four-word write is exclusive and needs no
+                // round, so the three-word write is exclusive and needs no
                 // claim; the word's bits gather in a register and go out
                 // in one store, which also overwrites the stale frontier
                 // two rounds old (no clear pass).
@@ -432,7 +485,7 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
                 ctx.for_each(0..next.num_words(), by_words, |w| {
                     let mut bits = 0u64;
                     for v in 64 * w..(64 * w + 64).min(n) {
-                        if st.visited[v].load(Ordering::Relaxed) != 0 {
+                        if st.visited(v) {
                             continue;
                         }
                         for (p, e) in rev.in_edges(v as u32) {
@@ -451,25 +504,33 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
                 bi = 1 - bi;
                 cur_is_bits = true;
             } else {
-                // Top-down: expand the queue with degree-weighted chunks,
-                // staging discoveries in per-worker buffers.
+                // Top-down: expand the queue in edge pieces, so a hub
+                // spans several grabs, staging discoveries in per-worker
+                // buffers.
                 ctx.annotate_round("push");
                 let cur = &queues[qi];
                 let next = &queues[1 - qi];
                 let mut local = LocalBuffer::new();
-                ctx.for_each_frontier(cur, fedges, FRONTIER_GRAIN_EDGES, |vu| {
-                    let v = vu as usize;
-                    #[allow(clippy::needless_range_loop)] // j is the edge id in sel_edge
-                    for j in offsets[v]..offsets[v + 1] {
-                        let u = targets[j] as usize;
-                        if st.visited[u].load(Ordering::Relaxed) == 0 && arb.try_claim(u, round) {
-                            st.commit(u, v as u32, j, l + 1);
-                            local.push(u as u64, next);
-                            found += 1;
-                            found_edges += degree(u);
+                let queued_degree = |v: u64| degree(v as usize) as usize;
+                ctx.for_each_frontier(
+                    cur,
+                    fedges,
+                    FRONTIER_GRAIN_EDGES,
+                    queued_degree,
+                    |vu, piece| {
+                        let v = vu as usize;
+                        #[allow(clippy::needless_range_loop)] // j is the edge id in sel_edge
+                        for j in offsets[v] + piece.start..offsets[v] + piece.end {
+                            let u = targets[j] as usize;
+                            if !st.visited(u) && arb.try_claim(u, round) {
+                                st.commit(u, v as u32, j, l + 1);
+                                local.push(u as u64, next);
+                                found += 1;
+                                found_edges += degree(u);
+                            }
                         }
-                    }
-                });
+                    },
+                );
                 // The loop's ending rendezvous ends every read of `cur`:
                 // member 0 empties it for its turn as the spare queue
                 // while the team publishes into `next`. The round's
@@ -690,6 +751,30 @@ mod tests {
             for round in &report.rounds {
                 assert_eq!(round.label, "push", "T={t}: round {}", round.round);
             }
+        }
+    }
+
+    #[test]
+    fn the_hub_push_spans_several_grabs() {
+        // star(2000) from its centre, beside a disjoint cycle: alone, the
+        // star's 1999 hub edges exceed m / α and round 0 would pull; the
+        // cycle raises m so the hub round is a push, which must be split.
+        let (star, ring) = (2000u32, 16_000u32);
+        let mut edges = GraphGen::star(star as usize);
+        edges.extend((0..ring).map(|i| (star + i, star + (i + 1) % ring)));
+        let g = graph((star + ring) as usize, &edges);
+        for t in [2, 3] {
+            let pool = ThreadPool::with_config(PoolConfig::new(t).telemetry(true));
+            let strategy = BfsStrategy::DirectionOptimizing;
+            let r = bfs_with_strategy(&g, 0, CwMethod::CasLt, strategy, &pool);
+            verify_bfs_tree(&g, 0, &r).unwrap_or_else(|e| panic!("T={t}: {e}"));
+            let round0 = &pool.take_round_report().rounds[0];
+            assert_eq!(round0.label, "push", "T={t}");
+            assert!(
+                round0.exec.grabs > 1,
+                "T={t}: {} grab(s)",
+                round0.exec.grabs
+            );
         }
     }
 

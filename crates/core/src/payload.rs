@@ -12,7 +12,7 @@
 //!
 //! [`ConCell`] couples one [`CasLtCell`] with an [`UnsafeCell`]-wrapped
 //! payload; [`ConVec`] is its per-element array form. No `pram_algos`
-//! kernel uses them (the BFS four-word commit keeps its words in separate
+//! kernel uses them (the BFS three-word commit keeps its words in separate
 //! atomic arrays). Their users are the workspace's `tests/torn_writes.rs`
 //! and `tests/prop_payload_scan.rs`, `examples/custom_kernel.rs`, and
 //! `pram-check`'s payload non-tearing model.

@@ -16,7 +16,7 @@
 //! concurrent-write target in this workspace follows.
 
 use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use crossbeam_utils::CachePadded;
 
@@ -35,12 +35,12 @@ pub struct FrontierBuffer {
 impl FrontierBuffer {
     /// An empty buffer able to hold `capacity` entries.
     ///
-    /// The slots come from `alloc_zeroed`, so a large buffer is lazily
-    /// zeroed pages: it costs no O(capacity) fill, and only the pages its
-    /// entries actually reach are ever touched.
+    /// The slots come from [`zeroed_atomics`]: a large buffer costs no
+    /// O(capacity) fill, and only the pages its entries actually reach are
+    /// ever touched.
     pub fn with_capacity(capacity: usize) -> FrontierBuffer {
         FrontierBuffer {
-            slots: zeroed_slots(capacity),
+            slots: zeroed_atomics(capacity),
             len: CachePadded::new(AtomicUsize::new(0)),
         }
     }
@@ -111,23 +111,48 @@ impl FrontierBuffer {
     }
 }
 
-/// `capacity` zero-valued slots, allocated zeroed rather than filled.
-fn zeroed_slots(capacity: usize) -> Box<[AtomicU64]> {
-    if capacity == 0 {
+/// The atomic integer types [`zeroed_atomics`] accepts: each has the size,
+/// alignment and bit validity of its plain integer, so all-zero bytes are
+/// its `new(0)`. Sealed, and implemented only for `AtomicU32`, `AtomicU64`
+/// and `AtomicUsize`.
+pub trait ZeroableAtomic: sealed::Sealed {}
+
+mod sealed {
+    pub trait Sealed {}
+}
+
+macro_rules! zeroable_atomic {
+    ($($t:ty),*) => {$(
+        impl sealed::Sealed for $t {}
+        impl ZeroableAtomic for $t {}
+    )*};
+}
+
+zeroable_atomic!(AtomicU32, AtomicU64, AtomicUsize);
+
+/// `len` atomics holding 0, allocated zeroed rather than filled.
+///
+/// A large array is lazily zeroed pages: the call costs no O(len) fill,
+/// and a page is first touched by whichever thread first writes it, so a
+/// team that writes its own blocks also takes its own page faults.
+pub fn zeroed_atomics<A: ZeroableAtomic>(len: usize) -> Box<[A]> {
+    if len == 0 {
         return Box::new([]);
     }
-    let layout = Layout::array::<AtomicU64>(capacity).expect("frontier capacity overflows");
-    // SAFETY: `layout` has nonzero size. `AtomicU64` has the size,
-    // alignment and bit validity of `u64`, so `capacity` zeroed words are
-    // `capacity` initialized `AtomicU64::new(0)`s. The allocation comes
-    // from the global allocator with the layout of `[AtomicU64; capacity]`,
-    // which is the layout the returned box frees it with.
+    let layout = Layout::array::<A>(len).expect("zeroed array size overflows");
+    // SAFETY: `A` is `AtomicU32`, `AtomicU64` or `AtomicUsize`, the only
+    // types the sealed `ZeroableAtomic` admits. Each has the size, alignment
+    // and bit validity of its integer and is not zero-sized, so `layout`
+    // has nonzero size and `len` zeroed elements are `len` initialized
+    // `A::new(0)`s. The allocation comes from the global allocator with
+    // the layout of `[A; len]`, which is the layout the returned box frees
+    // it with.
     unsafe {
-        let ptr = alloc_zeroed(layout).cast::<AtomicU64>();
+        let ptr = alloc_zeroed(layout).cast::<A>();
         if ptr.is_null() {
             handle_alloc_error(layout);
         }
-        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, capacity))
+        Box::from_raw(std::ptr::slice_from_raw_parts_mut(ptr, len))
     }
 }
 
@@ -276,6 +301,27 @@ mod tests {
     fn overflow_is_detected() {
         let fb = FrontierBuffer::with_capacity(2);
         fb.publish(&[1, 2, 3]);
+    }
+
+    #[test]
+    fn zeroed_atomics_are_zero_for_empty_and_multi_page_lengths() {
+        assert!(zeroed_atomics::<AtomicU64>(0).is_empty());
+        assert!(zeroed_atomics::<AtomicU32>(0).is_empty());
+        // More than one 4 KiB page of each width.
+        let n = 3 * 4096 + 5;
+        let a: Box<[AtomicU64]> = zeroed_atomics(n);
+        let b: Box<[AtomicU32]> = zeroed_atomics(n);
+        let c: Box<[AtomicUsize]> = zeroed_atomics(n);
+        assert_eq!((a.len(), b.len(), c.len()), (n, n, n));
+        assert!(a.iter().all(|x| x.load(Ordering::Relaxed) == 0));
+        assert!(b.iter().all(|x| x.load(Ordering::Relaxed) == 0));
+        assert!(c.iter().all(|x| x.load(Ordering::Relaxed) == 0));
+        // The elements are live atomics: writes stick, and the box frees
+        // with the layout it was allocated with.
+        c[n - 1].store(usize::MAX, Ordering::Relaxed);
+        assert_eq!(c[n - 1].load(Ordering::Relaxed), usize::MAX);
+        let v = b.into_vec();
+        assert_eq!(v.len(), n);
     }
 
     #[test]

@@ -28,8 +28,9 @@
 //!   `pram-check` model-checks the barrier the kernels run.
 //! * [`FrontierBuffer`] / [`LocalBuffer`] — grow-local,
 //!   publish-with-one-`fetch_add` shared worklists for frontier-centric
-//!   kernels, consumed through the degree-weighted
-//!   [`WorkerCtx::for_each_frontier`] loop.
+//!   kernels, consumed through the edge-chunked
+//!   [`WorkerCtx::for_each_frontier`] loop, and [`zeroed_atomics`], the
+//!   zeroed allocation of atomic integer arrays.
 //!
 //! ## Why lock-step structure matters here
 //!
@@ -70,7 +71,7 @@ pub use barrier::{SpinBarrier, WaitBackoff};
 pub use config::PoolConfig;
 // Telemetry vocabulary re-exported so pool users need not depend on
 // pram-core directly for reports.
-pub use frontier::{FrontierBuffer, LocalBuffer};
+pub use frontier::{zeroed_atomics, FrontierBuffer, LocalBuffer, ZeroableAtomic};
 pub use pool::{ThreadPool, WorkerCtx, FRONTIER_GRAIN_EDGES};
 pub use pram_core::{CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot};
 pub use schedule::Schedule;

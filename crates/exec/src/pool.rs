@@ -399,7 +399,19 @@ impl WorkerCtx<'_> {
             self.barrier();
             return;
         };
-        let (base, len) = (range.start, range.len());
+        let base = range.start;
+        self.for_each_grab(range.len(), chunk, |grab| {
+            for i in grab {
+                f(base + i);
+            }
+        });
+    }
+
+    /// The shared-cursor loop behind every dynamic schedule: grab `chunk`
+    /// positions of `0..len` at a time until the cursor passes `len`, and
+    /// hand each grab to `f`. A member's grabs rise monotonically. Ends in
+    /// the rendezvous whose elected member re-arms the cursor.
+    fn for_each_grab(&self, len: usize, chunk: usize, mut f: impl FnMut(Range<usize>)) {
         let chunk = chunk.max(1);
         let cursor = &self.shared.cursor;
         let shard = self.shared.telem.as_ref().map(|t| t.shard(self.id));
@@ -411,9 +423,7 @@ impl WorkerCtx<'_> {
             if let Some(shard) = shard {
                 shard.record_grab();
             }
-            for i in start..(start + chunk).min(len) {
-                f(base + i);
-            }
+            f(start..(start + chunk).min(len));
         }
         self.barrier_with(|| cursor.store(0, Ordering::Relaxed));
     }
@@ -457,31 +467,65 @@ impl WorkerCtx<'_> {
         self.shared.sum.sum(self.id, value, || self.barrier())
     }
 
-    /// Worksharing loop over the published entries of `frontier` with
-    /// degree-weighted chunking and the implicit ending barrier.
+    /// Worksharing loop over the edges of the published entries of
+    /// `frontier`, handed out in edge pieces, with the implicit ending
+    /// barrier.
     ///
-    /// Chunks are sized so each shared-cursor grab covers roughly
-    /// `grain_edges` edges, given the frontier's total edge weight
-    /// `frontier_edges` (summed with [`WorkerCtx::team_sum`]): a
-    /// frontier of few heavy vertices is handed out nearly one vertex at a
-    /// time, a frontier of many light vertices in large blocks. Dynamic
-    /// assignment then rebalances whatever the average-degree estimate
-    /// gets wrong. Every team member must call this at the same point with
-    /// the same arguments.
+    /// The entries' edges, `degree(v)` of them for entry `v`, are laid end
+    /// to end in queue order, and the shared cursor hands out chunks of that
+    /// concatenated edge space. A member maps each grab to its pieces by
+    /// walking the queue's degrees forward from where its previous grab
+    /// ended, and calls `f(v, lo..hi)` for each: edges `lo..hi` of
+    /// `0..degree(v)`. So a vertex wider than a chunk spans several grabs,
+    /// possibly on several members, while a narrow frontier stays one grab.
+    /// Every edge of every entry is passed exactly once; an entry of degree
+    /// 0 owns no edge and is never passed.
+    ///
+    /// A chunk is `grain_edges` edges, cut so each member gets about four
+    /// grabs, but never below `grain_edges / 64`: a frontier of a few
+    /// edges is one grab. `frontier_edges` must be the entries' degree sum
+    /// (summed with [`WorkerCtx::team_sum`], or carried by a round's
+    /// closing sum); debug builds check it. The walk also stops at the end
+    /// of the queue, so a wrong sum loses edges but cannot overrun. Every
+    /// team member must call this at the same point with the same
+    /// arguments.
     pub fn for_each_frontier(
         &self,
         frontier: &FrontierBuffer,
         frontier_edges: usize,
         grain_edges: usize,
-        mut f: impl FnMut(u64),
+        degree: impl Fn(u64) -> usize,
+        mut f: impl FnMut(u64, Range<usize>),
     ) {
         let len = frontier.len();
-        let mean_degree = frontier_edges / len.max(1);
-        let chunk = (grain_edges.max(1) / mean_degree.max(1)).clamp(1, 2048);
-        // Keep at least a few grabs per member so dynamic assignment can
-        // actually balance.
-        let chunk = chunk.min(len / (4 * self.shared.threads) + 1);
-        self.for_each(0..len, Schedule::Dynamic { chunk }, |i| f(frontier.get(i)));
+        if self.id == 0 {
+            debug_assert_eq!(
+                frontier.iter().map(&degree).sum::<usize>(),
+                frontier_edges,
+                "frontier_edges is not the frontier's degree sum"
+            );
+        }
+        let grain = grain_edges.max(1);
+        let chunk = (frontier_edges / (4 * self.shared.threads)).clamp(grain.div_ceil(64), grain);
+        let degree_of = |i: usize| if i < len { degree(frontier.get(i)) } else { 0 };
+        // Entry `i` of the walk covers edge positions `at..at + d`.
+        let (mut i, mut at, mut d) = (0, 0, degree_of(0));
+        self.for_each_grab(frontier_edges, chunk, |grab| {
+            // Skip the entries that end before the grab starts.
+            while i < len && at + d <= grab.start {
+                (i, at, d) = (i + 1, at + d, degree_of(i + 1));
+            }
+            while i < len && at < grab.end {
+                let (lo, hi) = (grab.start.saturating_sub(at), d.min(grab.end - at));
+                if lo < hi {
+                    f(frontier.get(i), lo..hi);
+                }
+                if at + d > grab.end {
+                    break; // the entry goes on in a later grab
+                }
+                (i, at, d) = (i + 1, at + d, degree_of(i + 1));
+            }
+        });
     }
 
     /// The lock-step convergence loop of the paper's BFS and CC kernels, a
@@ -600,7 +644,7 @@ impl PoolShared {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, AtomicU8};
 
     #[test]
     fn single_thread_pool_runs_inline() {
@@ -1003,39 +1047,99 @@ mod tests {
         let _ = ThreadPool::new(0);
     }
 
-    #[test]
-    fn frontier_loop_covers_entries_exactly_once() {
-        use crate::frontier::{FrontierBuffer, LocalBuffer};
-        let pool = ThreadPool::new(4);
-        let n = 5000usize;
-        let fb = FrontierBuffer::with_capacity(n);
-        let hits: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(0)).collect();
-        pool.run(|ctx| {
-            // Publish 0..n from per-worker buffers.
-            let mut local = LocalBuffer::with_threshold(64);
-            ctx.for_each_nowait(0..n, |i| {
-                local.push(i as u64, &fb);
-            });
-            local.flush(&fb);
-            ctx.barrier();
+    /// A frontier of `degrees.len()` entries, entry `i` carrying vertex id
+    /// `i` of weight `degrees[i]`.
+    fn weighted_frontier(degrees: &[usize]) -> FrontierBuffer {
+        let fb = FrontierBuffer::with_capacity(degrees.len());
+        fb.publish(&(0..degrees.len() as u64).collect::<Vec<_>>());
+        fb
+    }
 
-            // Skewed weights: entry 0 carries almost all the edge weight.
-            ctx.for_each_frontier(&fb, 100_000 + n - 1, 4096, |v| {
-                hits[v as usize].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        for (i, h) in hits.iter().enumerate() {
-            assert_eq!(h.load(Ordering::Relaxed), 1, "entry {i}");
+    #[test]
+    fn frontier_loop_covers_every_edge_exactly_once() {
+        // Zero-degree entries at the front, between heavy ones and at the
+        // end; one entry far wider than a chunk; and the empty frontier.
+        let mut degrees = vec![0, 0, 3, 0, 100_000, 1, 0, 7000, 2, 0];
+        degrees.extend((0..5000).map(|i| i % 5));
+        degrees.push(0);
+        let cases = [degrees, vec![0, 0, 0], vec![5], vec![]];
+        for t in 1..=4 {
+            let pool = ThreadPool::new(t);
+            for degrees in &cases {
+                let fb = weighted_frontier(degrees);
+                let total: usize = degrees.iter().sum();
+                let hits: Vec<Vec<AtomicU8>> = degrees
+                    .iter()
+                    .map(|&d| (0..d).map(|_| AtomicU8::new(0)).collect())
+                    .collect();
+                pool.run(|ctx| {
+                    let degree = |v: u64| degrees[v as usize];
+                    ctx.for_each_frontier(&fb, total, 64, degree, |v, edges| {
+                        assert!(!edges.is_empty(), "T={t}: empty piece of entry {v}");
+                        for e in edges {
+                            hits[v as usize][e].fetch_add(1, Ordering::Relaxed);
+                        }
+                    });
+                });
+                for (v, row) in hits.iter().enumerate() {
+                    for (e, h) in row.iter().enumerate() {
+                        let h = h.load(Ordering::Relaxed);
+                        assert_eq!(h, 1, "T={t}: entry {v} edge {e} ran {h} times");
+                    }
+                }
+            }
         }
     }
 
     #[test]
+    fn a_wide_entry_spreads_over_at_least_t_grabs() {
+        let grain = 256;
+        let fb = weighted_frontier(&[10 * grain]);
+        for t in 1..=4 {
+            let pool = ThreadPool::with_config(PoolConfig::new(t).telemetry(true));
+            let edges = AtomicU64::new(0);
+            pool.run(|ctx| {
+                ctx.for_each_frontier(
+                    &fb,
+                    10 * grain,
+                    grain,
+                    |_| 10 * grain,
+                    |_, r| {
+                        edges.fetch_add(r.len() as u64, Ordering::Relaxed);
+                    },
+                );
+            });
+            assert_eq!(edges.load(Ordering::Relaxed), 10 * grain as u64);
+            let grabs = pool.take_round_report().totals_exec.grabs;
+            assert!(grabs >= t as u64, "T={t}: {grabs} grabs");
+        }
+    }
+
+    #[test]
+    fn a_narrow_frontier_is_one_grab() {
+        // A path's one-vertex frontier: splitting it would only add grabs.
+        let fb = weighted_frontier(&[2]);
+        let pool = ThreadPool::with_config(PoolConfig::new(3).telemetry(true));
+        pool.run(|ctx| {
+            ctx.for_each_frontier(
+                &fb,
+                2,
+                FRONTIER_GRAIN_EDGES,
+                |_| 2,
+                |v, r| {
+                    assert_eq!((v, r), (0, 0..2));
+                },
+            );
+        });
+        assert_eq!(pool.take_round_report().totals_exec.grabs, 1);
+    }
+
+    #[test]
     fn frontier_loop_empty_frontier_is_fine() {
-        use crate::frontier::FrontierBuffer;
         let pool = ThreadPool::new(3);
         let fb = FrontierBuffer::with_capacity(10);
         pool.run(|ctx| {
-            ctx.for_each_frontier(&fb, 0, 4096, |_| unreachable!());
+            ctx.for_each_frontier(&fb, 0, 4096, |_| unreachable!(), |_, _| unreachable!());
         });
     }
 

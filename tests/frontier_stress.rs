@@ -1,14 +1,17 @@
 //! Stress: frontier-centric BFS never commits a mixed `parent`/`sel_edge`
 //! pair.
 //!
-//! The companion of `torn_writes.rs`, at kernel scale: the four-word
-//! discovery write (`parent[u]`, `sel_edge[u]`, `visited[u]`, `level[u]`)
-//! is exactly the multi-word structure the paper's §4 warns can commit as
-//! "a structure that does not match any of the ones being written". The
-//! push expansions — the dense scan and direction-optimizing BFS's sparse
-//! rounds — maximize the hazard window, with many expanders racing for the
-//! same high-degree targets, and the bottom-up pull moves the write to a
-//! different loop shape entirely. Under every single-winner
+//! The companion of `torn_writes.rs`, at kernel scale: the three-word
+//! discovery write (`parent[u]`, `sel_edge[u]`, `level[u]`; a level other
+//! than `UNREACHED` is also the visited mark) is exactly the multi-word
+//! structure the paper's §4 warns can commit as "a structure that does not
+//! match any of the ones being written". The team writes those arrays'
+//! sentinels itself, each member its own block, before round 1. The push
+//! expansions — the dense scan and direction-optimizing BFS's sparse
+//! rounds, whose hub edges are split over several members — maximize the
+//! hazard window, with many expanders racing for the same high-degree
+//! targets, and the bottom-up pull moves the write to a different loop
+//! shape entirely. Under every single-winner
 //! method, `verify_bfs_tree` must still find each `sel_edge[u]` inside
 //! parent `parent[u]`'s CSR range and targeting `u`: a mixture from two
 //! writers would name an edge the parent does not own.
@@ -17,6 +20,7 @@ use std::collections::HashSet;
 
 use pram_algos::bfs::{bfs_with_strategy, verify_bfs_levels, verify_bfs_tree, BfsStrategy};
 use pram_algos::CwMethod;
+use pram_exec::schedule::static_block;
 use pram_exec::{FrontierBuffer, LocalBuffer, SpinBarrier, ThreadPool};
 use pram_graph::{CsrGraph, GraphGen};
 
@@ -30,6 +34,41 @@ fn reps() -> usize {
 
 fn single_winner_methods() -> impl Iterator<Item = CwMethod> {
     CwMethod::ALL.into_iter().filter(|m| m.single_winner())
+}
+
+/// The team writes the state's sentinels, each member its own static
+/// block, before round 1. On n below T and n not a multiple of T, the
+/// source is the last vertex, so it sits in the last member's nonempty
+/// block, and the first vertex of every other block is isolated, so each
+/// member's sentinels are read back where no discovery overwrites them.
+/// A spoke from the source to every linked vertex makes round 1 claim
+/// into every block.
+#[test]
+fn every_members_fill_lands_before_round_one() {
+    for t in 1..=4 {
+        let pool = ThreadPool::new(t);
+        for n in [1usize, 2, 3, 5, 65, 129] {
+            let source = n - 1;
+            let isolated: Vec<usize> = (0..t)
+                .map(|id| static_block(n, t, id))
+                .filter(|b| !b.is_empty() && !b.contains(&source))
+                .map(|b| b.start)
+                .collect();
+            let linked: Vec<u32> = (0..n as u32)
+                .filter(|&v| !isolated.contains(&(v as usize)))
+                .collect();
+            let mut edges: Vec<(u32, u32)> = linked.windows(2).map(|w| (w[0], w[1])).collect();
+            edges.extend(linked.iter().map(|&v| (source as u32, v)));
+            let g = CsrGraph::from_edges(n, &edges, true);
+            for method in single_winner_methods() {
+                for strategy in BfsStrategy::ALL {
+                    let r = bfs_with_strategy(&g, source as u32, method, strategy, &pool);
+                    verify_bfs_tree(&g, source as u32, &r)
+                        .unwrap_or_else(|e| panic!("T={t} n={n} {method}/{strategy}: {e}"));
+                }
+            }
+        }
+    }
 }
 
 /// Skewed R-MAT: hub vertices give thousands of concurrent claimants per
