@@ -24,9 +24,10 @@
 //! ([`pram_exec::FrontierBuffer`]), workers append discoveries to
 //! per-worker [`pram_exec::LocalBuffer`]s, and a level costs
 //! `O(frontier edges)`, not `O(n + frontier edges)`. A push round is
-//! handed out in edge pieces ([`pram_exec::WorkerCtx::for_each_frontier`]),
-//! so a hub's edges spread over several grabs and members. When the frontier's
-//! out-edge count exceeds `m / α` it switches to a **bottom-up pull** over
+//! handed out in edge pieces
+//! ([`pram_exec::WorkerCtx::for_each_frontier`]), so a hub's edges spread
+//! over several grabs and members. When the frontier's out-edge count
+//! exceeds `m / α` it switches to a **bottom-up pull** over
 //! a dense [`pram_core::AtomicBitmap`] frontier (each unvisited vertex
 //! scans its in-edges and stops at the first frontier neighbor), and it
 //! drops back to push when the frontier shrinks below `n / β`. On a graph
