@@ -1135,15 +1135,6 @@ mod tests {
     }
 
     #[test]
-    fn frontier_loop_empty_frontier_is_fine() {
-        let pool = ThreadPool::new(3);
-        let fb = FrontierBuffer::with_capacity(10);
-        pool.run(|ctx| {
-            ctx.for_each_frontier(&fb, 0, 4096, |_| unreachable!(), |_, _| unreachable!());
-        });
-    }
-
-    #[test]
     fn oversubscribed_team_still_correct() {
         // More threads than this machine plausibly has cores.
         let pool = ThreadPool::new(16);
