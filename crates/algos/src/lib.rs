@@ -18,15 +18,14 @@
 //! * [`cc`] — Awerbuch–Shiloach connected components: star-based hooking,
 //!   the paper's *arbitrary* concurrent-write benchmark (no safe naive
 //!   variant exists, as §7.3 explains — hooking updates multiple arrays).
-//! * [`any`] — O(1) logical OR (common CW) and first-true (priority CW)
-//!   one-step kernels.
+//! * [`any`] — the O(1) logical OR one-step kernel (common CW).
 //! * [`matching`] — maximal matching whose match commit is a two-cell
 //!   arbitrary concurrent write (extension, after the paper's ref. \[23\]).
-//! * [`mod@reduce`] / [`mod@list_rank`] / [`mod@scan`] — EREW tournament
-//!   reduction, CREW pointer-jumping list ranking, and work-efficient
-//!   Blelloch prefix sum: the exclusive-write comparators for the paper's
-//!   future-work study (CRCW-with-better-work-depth vs EREW/CREW-in-use),
-//!   benched in `ext_crew_vs_crcw`.
+//! * [`mod@reduce`] / [`mod@list_rank`] — EREW tournament reduction and
+//!   CREW pointer-jumping list ranking: exclusive-write comparators for the
+//!   paper's future-work study (CRCW-with-better-work-depth vs
+//!   EREW/CREW-in-use). `ext_crew_vs_crcw` benches the tournament against
+//!   [`max_index`], and `ext_list_rank` benches the list ranking.
 //!
 //! Every kernel takes a [`CwMethod`] selecting the arbitration scheme and a
 //! [`pram_exec::ThreadPool`] to run on, and is validated against the serial
@@ -44,9 +43,8 @@ pub mod matching;
 pub mod max;
 pub mod method;
 pub mod reduce;
-pub mod scan;
 
-pub use any::{first_true, logical_or};
+pub use any::logical_or;
 pub use bfs::{bfs, bfs_with_strategy, bfs_with_strategy_rev, BfsResult, BfsStrategy};
 pub use cc::{connected_components, CcResult};
 pub use list_rank::list_rank;
@@ -54,4 +52,3 @@ pub use matching::{maximal_matching, MatchingResult};
 pub use max::max_index;
 pub use method::CwMethod;
 pub use reduce::max_index_tournament;
-pub use scan::{exclusive_scan, inclusive_scan};

@@ -13,8 +13,7 @@
 use std::hint::black_box;
 
 use pram_core::{
-    CasLtCell, GatekeeperArray, GatekeeperCell, LockCell, PriorityCell, Round, RoundCounter,
-    SliceArbiter,
+    CasLtCell, GatekeeperArray, GatekeeperCell, LockCell, Round, RoundCounter, SliceArbiter,
 };
 
 use crate::runner::{json_str, time_interleaved, timing_row, Report};
@@ -49,12 +48,8 @@ pub fn run(cfg: &BenchConfig) -> Report {
     gate.try_claim_once();
     let lock = LockCell::new();
     lock.try_claim(round);
-    let (caslt_w, lock_w, prio) = (CasLtCell::new(), LockCell::new(), PriorityCell::new());
-    let (mut r0, mut r1, mut r2) = (
-        RoundCounter::new(),
-        RoundCounter::new(),
-        RoundCounter::new(),
-    );
+    let (caslt_w, lock_w) = (CasLtCell::new(), LockCell::new());
+    let (mut r0, mut r1) = (RoundCounter::new(), RoundCounter::new());
     let cells = GatekeeperArray::new(65_536);
     let mut bump = RoundCounter::new();
 
@@ -91,14 +86,6 @@ pub fn run(cfg: &BenchConfig) -> Report {
             claims,
             Box::new(batch(claims, || {
                 lock_w.try_claim(r1.next_round_or_reset(|| {}))
-            })),
-        ),
-        (
-            "winning_claim",
-            "priority_offer",
-            claims,
-            Box::new(batch(claims, || {
-                prio.offer(r2.next_round_or_reset(|| {}), 1)
             })),
         ),
         (

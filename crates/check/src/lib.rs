@@ -33,7 +33,7 @@
 //!   of granted thread IDs printed with every violation).
 //!
 //! `models` packages the substrate's invariants as checkable `models::Model`s
-//! (single winner, reset/re-arm, priority minimum, payload non-tearing),
+//! (single winner, reset/re-arm, payload non-tearing),
 //! `sync_models` extends the same treatment to the execution substrate's
 //! own synchronization (the team barrier's no-early-release /
 //! generation-reuse / `wait_with`-visibility / single-election contract,

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pram_core::sync::RegionGuard;
-use pram_core::{CasLtArray, ConCell, CwTelemetry, PriorityCell, Round, ShardGuard, SliceArbiter};
+use pram_core::{CasLtArray, ConCell, CwTelemetry, Round, ShardGuard, SliceArbiter};
 
 use crate::buggy::BuggyCasLtCell;
 
@@ -458,45 +458,5 @@ impl Model for TelemetryPassive {
         }
         self.outcomes.lock().unwrap().insert(w[0]);
         Ok(())
-    }
-}
-
-/// Priority CRCW semantics: every thread offers its own ID as priority;
-/// after the phase, the winner must be the minimum offered priority,
-/// regardless of arrival order.
-pub struct PriorityMin {
-    cell: PriorityCell,
-    round: Round,
-    threads: usize,
-}
-
-impl PriorityMin {
-    /// `threads` offerers with priorities `0..threads`.
-    pub fn new(threads: usize, round: Round) -> PriorityMin {
-        PriorityMin {
-            cell: PriorityCell::new(),
-            round,
-            threads,
-        }
-    }
-}
-
-impl Model for PriorityMin {
-    fn name(&self) -> &str {
-        "priority-min-wins"
-    }
-    fn threads(&self) -> usize {
-        self.threads
-    }
-    fn run(&self, _phase: usize, tid: usize) {
-        self.cell.offer(self.round, tid as u32);
-    }
-    fn check_final(&self) -> Result<(), String> {
-        match self.cell.winner(self.round) {
-            Some(0) => Ok(()),
-            got => Err(format!(
-                "priority winner must be the minimum offered (0), got {got:?}"
-            )),
-        }
     }
 }

@@ -34,14 +34,7 @@
 //! * [`LockCell`] / [`LockArray`] — the trivial-but-bad critical-section
 //!   baseline.
 //!
-//! Beside them:
-//!
-//! * [`PriorityCell`] — *priority* CRCW writes
-//!   (strongest PRAM rule) built from a packed 64-bit CAS loop, used to
-//!   demonstrate that the weaker rules of this crate can be strengthened
-//!   when an algorithm needs it.
-//!
-//! Multi-word payloads are covered by [`ConCell`] and [`ConVec`]
+//! Beside them, multi-word payloads are covered by [`ConCell`] and [`ConVec`]
 //! (claim-then-publish cells whose winner gains exclusive `&mut` access for
 //! the duration of the round).
 //!
@@ -90,7 +83,6 @@ pub mod lock;
 pub mod naive;
 pub mod ordering;
 pub mod payload;
-pub mod priority;
 pub mod round;
 pub mod sync;
 pub mod telemetry;
@@ -102,7 +94,6 @@ pub use gatekeeper::{GatekeeperArray, GatekeeperCell};
 pub use lock::{LockArray, LockCell};
 pub use naive::NaiveArbiter;
 pub use payload::{ConCell, ConVec};
-pub use priority::PriorityCell;
 pub use round::{Round, RoundCounter, RoundOverflow};
 pub use telemetry::{
     CwCounters, CwTelemetry, ExecCounters, RoundReport, RoundSnapshot, ShardGuard, TelemetryShard,

@@ -41,8 +41,8 @@
 //! it). It is kept because it is free on x86 and it makes the primitive
 //! safe for a usage the paper does not exercise but users will attempt:
 //! chaining a *claim-ordered* handoff, where a thread that observes a lost
-//! claim reasons about prior winners (e.g. [`crate::PriorityCell::winner`]
-//! reads with `Acquire` to pair with the offers' `Release` half).
+//! claim reasons about prior winners (such a reader loads the claim word
+//! with `Acquire`, which pairs with the winning CAS's `Release` half).
 //!
 //! ## The naive method and `Relaxed` stores
 //!

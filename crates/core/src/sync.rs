@@ -2,7 +2,7 @@
 //! arbitration substrate touches.
 //!
 //! All of `pram-core`'s concurrent-write state — CAS-LT words, gatekeeper
-//! counters, priority cells, bitmap words, the lock arbiter's mutex — goes
+//! counters, bitmap words, telemetry counters, the lock arbiter's mutex — goes
 //! through this module instead of naming `std::sync::atomic` /
 //! `parking_lot` directly. In a normal build the module is a zero-cost
 //! re-export: `crate::sync::AtomicU32` *is* `std::sync::atomic::AtomicU32`,

@@ -52,19 +52,18 @@ use crate::sync::{AtomicU64, Ordering};
 /// shards) or a delta between two snapshots. Which fields are populated
 /// depends on the method: CAS-LT uses `fast_path_skips` / `cas_attempts` /
 /// `cas_failures` / `wins` / `rearm_resets`; gatekeeper uses
-/// `gatekeeper_rmws` and `rearm_resets`; lock uses `lock_acquisitions`; priority uses the CAS
-/// family (each successful improvement CAS counts as a win); naive counts
-/// only `wins`.
+/// `gatekeeper_rmws` and `rearm_resets`; lock uses `lock_acquisitions`;
+/// naive counts only `wins`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CwCounters {
-    /// Claims resolved by a read-only fast path (CAS-LT's pre-CAS load,
-    /// priority's beats check): the atomic and the write were both
-    /// skipped.
+    /// Claims resolved by a read-only fast path (CAS-LT's pre-CAS load):
+    /// the atomic and the write were both skipped.
     pub fast_path_skips: u64,
-    /// Compare-and-swap instructions issued (CAS-LT slow path, priority
-    /// offer loop).
+    /// Compare-and-swap instructions issued (CAS-LT's slow path, at most
+    /// one per claim).
     pub cas_attempts: u64,
-    /// CAS instructions that failed (another competitor moved the word).
+    /// CAS instructions that failed: another competitor claimed the cell
+    /// first, so the claim is lost (never retried).
     pub cas_failures: u64,
     /// Claims that returned `true` — for single-winner methods, exactly
     /// one per (cell, round).
@@ -101,8 +100,8 @@ impl CwCounters {
     }
 
     /// Fraction of issued CASes that failed, in `[0, 1]` (0.0 when no CAS
-    /// was issued). For CAS-LT a failure is definitive (wait-free, no
-    /// retry); for the priority offer loop failures trigger retries.
+    /// was issued). Only CAS-LT issues CASes, and a failed one is never
+    /// retried: the claim is lost (wait-free).
     pub fn cas_retry_rate(&self) -> f64 {
         if self.cas_attempts == 0 {
             0.0

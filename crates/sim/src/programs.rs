@@ -169,38 +169,6 @@ pub fn sv_components(
     })
 }
 
-/// O(1)-depth first-set-bit via a **priority** concurrent write (the
-/// strongest §2 rule): every processor holding a 1 writes its own index to
-/// the result cell in one step; under [`WriteRule::PriorityMinValue`] the
-/// smallest index commits.
-///
-/// Returns `None` if no bit is set. The threaded counterpart is
-/// `pram_algos::first_true`, which simulates the same rule with
-/// `PriorityCell`'s two-phase offer/commit protocol; the workspace's
-/// cross-validation tests hold the two to identical outputs.
-pub fn first_one(bits: &[bool]) -> Result<ProgramRun<Option<usize>>, PramError> {
-    let n = bits.len();
-    // Layout: [0, n) bits | n: result index (−1 = none).
-    let mut mem: Vec<i64> = bits.iter().map(|&b| i64::from(b)).collect();
-    mem.push(-1);
-    let mut m = Machine::new(AccessMode::Crcw(WriteRule::PriorityMinValue), mem);
-    m.step(n, |pid, view| {
-        if view.read(pid) != 0 {
-            vec![Write::new(n, pid as i64)]
-        } else {
-            vec![]
-        }
-    })?;
-    let out = match m.mem()[n] {
-        -1 => None,
-        i => Some(i as usize),
-    };
-    Ok(ProgramRun {
-        output: out,
-        trace: *m.trace(),
-    })
-}
-
 /// Level-synchronous BFS (the paper's Figure 3 structure) on the ideal
 /// machine, one processor per directed edge per level.
 ///
@@ -388,18 +356,6 @@ mod tests {
         assert!(run.output.iter().all(|&l| l == 0));
         // All 8 leaf-edges competed to hook the center's cell in step one.
         assert!(run.trace.max_writers_per_cell >= (n - 1) as u64);
-    }
-
-    #[test]
-    fn first_one_is_depth_one_and_minimal() {
-        let run = first_one(&[false, true, false, true]).unwrap();
-        assert_eq!(run.output, Some(1));
-        assert_eq!(run.trace.depth, 1);
-        assert_eq!(run.trace.max_writers_per_cell, 2);
-
-        assert_eq!(first_one(&[false; 5]).unwrap().output, None);
-        assert_eq!(first_one(&[]).unwrap().output, None);
-        assert_eq!(first_one(&[true]).unwrap().output, Some(0));
     }
 
     fn undirected(pairs: &[(usize, usize)]) -> Vec<(usize, usize)> {

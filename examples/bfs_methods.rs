@@ -6,7 +6,9 @@
 //! Generates a uniform random undirected graph, runs the Rodinia-style BFS
 //! kernel under each method, verifies every run against the serial
 //! reference, and reports timings plus the structural consistency check
-//! that separates naive from arbitrated writes.
+//! that separates naive from arbitrated writes. Exits non-zero when a
+//! method's distances are wrong, or when a single-winner method's tree is
+//! torn (naive may tear it).
 
 use std::time::Instant;
 
@@ -42,19 +44,23 @@ fn main() {
         let r = bfs(&g, source, method, &pool);
         let dt = t0.elapsed();
 
-        let levels_ok = verify_bfs_levels(&g, source, &r).is_ok();
-        let tree = match verify_bfs_tree(&g, source, &r) {
-            Ok(()) => "consistent".to_string(),
-            Err(e) => format!("TORN ({})", e.split(':').next().unwrap_or("?")),
-        };
+        let levels = verify_bfs_levels(&g, source, &r);
+        let tree = verify_bfs_tree(&g, source, &r);
         println!(
             "{:<16} {:>12.2?} {:>8} {:>10} {:>12}",
             method.to_string(),
             dt,
             r.rounds - 1,
-            if levels_ok { "ok" } else { "WRONG" },
-            tree
+            if levels.is_ok() { "ok" } else { "WRONG" },
+            match &tree {
+                Ok(()) => "consistent".to_string(),
+                Err(e) => format!("TORN ({})", e.split(':').next().unwrap_or("?")),
+            }
         );
+        levels.unwrap_or_else(|e| panic!("{method}: wrong distances: {e}"));
+        if method.single_winner() {
+            tree.unwrap_or_else(|e| panic!("{method}: torn BFS tree: {e}"));
+        }
     }
 
     println!(

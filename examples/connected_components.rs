@@ -8,6 +8,7 @@
 //! 4.5×), because hooking's arbitrary writes collide heavily and the
 //! gatekeeper pays both the serialized atomics *and* a re-zeroing pass per
 //! round. Also shows the effect of graph skew via an R-MAT instance.
+//! Exits non-zero when a method's labels fail `verify_cc`.
 
 use std::time::Instant;
 
@@ -31,15 +32,16 @@ fn run_cc(name: &str, g: &CsrGraph, pool: &ThreadPool) {
         let mut comps: Vec<u32> = r.labels.clone();
         comps.sort_unstable();
         comps.dedup();
-        let ok = verify_cc(g, &r).is_ok();
+        let verdict = verify_cc(g, &r);
         println!(
             "{:<16} {:>12.2?} {:>6} {:>12} {:>8}",
             method.name(),
             dt,
             r.iterations,
             comps.len(),
-            if ok { "ok" } else { "FAILED" }
+            if verdict.is_ok() { "ok" } else { "FAILED" }
         );
+        verdict.unwrap_or_else(|e| panic!("{name}: {method} labels are wrong: {e}"));
         if method == CwMethod::CasLt {
             let hooked = r.hook_edge.iter().filter(|&&e| e != NO_HOOK).count();
             println!(

@@ -5,7 +5,7 @@
 //! (Ghanim, ElWasif, Bernholdt — ICPP 2021):
 //!
 //! * [`core`] (`pram-core`) — the concurrent-write arbitration primitives
-//!   (CAS-LT, gatekeeper, naive, lock, priority).
+//!   (CAS-LT, gatekeeper, naive, lock).
 //! * [`exec`] (`pram-exec`) — the OpenMP-style execution substrate
 //!   (persistent pool, `parallel_for`, barriers, lock-step rounds).
 //! * [`sim`] (`pram-sim`) — the ideal CRCW PRAM reference machine.

@@ -34,8 +34,8 @@ use pram_check::{
     explore_exhaustive, explore_random, replay, CountingClaimCell, ExploreOptions, Violation,
 };
 use pram_core::{
-    CasLtArray, CwCounters, CwTelemetry, GatekeeperArray, LockArray, NaiveArbiter, PriorityCell,
-    Round, ShardGuard, SliceArbiter,
+    CasLtArray, CwCounters, CwTelemetry, GatekeeperArray, LockArray, NaiveArbiter, Round,
+    ShardGuard, SliceArbiter,
 };
 
 /// Two threads: the ISSUE-mandated bound for the passivity sweep, and
@@ -286,37 +286,6 @@ fn naive_conservation_exhaustive() {
                     c.wins == t,
                     format!("naive: every claimant wins, counted {} of {t}", c.wins),
                 )
-            },
-        )
-    });
-}
-
-#[test]
-fn priority_conservation_exhaustive() {
-    let t = THREADS as u64;
-    assert_conservation_exhaustive("priority-conservation", move || {
-        let cell = Arc::new(PriorityCell::new());
-        let c2 = Arc::clone(&cell);
-        (
-            move |tid: usize| {
-                c2.offer(Round::FIRST, tid as u32);
-            },
-            move |c: &CwCounters| {
-                expect(
-                    c.fast_path_skips + c.wins == t,
-                    format!(
-                        "every offer skips or improves: skips {} + wins {} != {t}",
-                        c.fast_path_skips, c.wins
-                    ),
-                )?;
-                expect(
-                    c.cas_attempts == c.wins + c.cas_failures,
-                    format!(
-                        "cas_attempts {} != wins {} + cas_failures {}",
-                        c.cas_attempts, c.wins, c.cas_failures
-                    ),
-                )?;
-                expect(c.wins >= 1, "someone must improve a fresh cell".to_string())
             },
         )
     });

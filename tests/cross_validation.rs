@@ -102,26 +102,6 @@ fn or_agrees_with_ideal_machine() {
 }
 
 #[test]
-fn first_true_agrees_with_priority_rule_on_ideal_machine() {
-    let pool = ThreadPool::new(4);
-    let patterns: Vec<Vec<bool>> = vec![
-        vec![],
-        vec![false; 40],
-        (0..40).map(|i| i == 0).collect(),
-        (0..40).map(|i| i == 39).collect(),
-        (0..40).map(|i| i % 3 == 2).collect(),
-    ];
-    for bits in &patterns {
-        let ideal = programs::first_one(bits).unwrap().output;
-        assert_eq!(
-            pram_algos::first_true(bits, &pool),
-            ideal,
-            "pattern {bits:?}"
-        );
-    }
-}
-
-#[test]
 fn cc_labels_match_union_find_across_pools_and_methods() {
     let n = 200;
     for seed in [1u64, 2] {

@@ -29,10 +29,9 @@
 //! larger pools.
 
 use pram_algos::list_rank::{list_rank_serial, random_list};
-use pram_algos::scan::exclusive_scan_serial;
 use pram_algos::{
-    bfs, bfs_with_strategy, connected_components, exclusive_scan, inclusive_scan, list_rank,
-    logical_or, max_index, BfsStrategy, CwMethod,
+    bfs, bfs_with_strategy, connected_components, list_rank, logical_or, max_index, BfsStrategy,
+    CwMethod,
 };
 use pram_exec::{PoolConfig, ThreadPool};
 use pram_graph::{serial, CsrGraph, GraphGen};
@@ -237,34 +236,6 @@ fn oracle_cc_single_winner_methods_vs_union_find() {
                     pool.num_threads()
                 );
             }
-        }
-    }
-}
-
-#[test]
-fn oracle_scan_vs_serial_reference() {
-    for values in value_corpus() {
-        let reference = exclusive_scan_serial(&values);
-        let inclusive_reference: Vec<u64> = values
-            .iter()
-            .scan(0u64, |acc, &v| {
-                *acc += v;
-                Some(*acc)
-            })
-            .collect();
-        for pool in pools() {
-            assert_eq!(
-                exclusive_scan(&values, &pool),
-                reference,
-                "exclusive scan on {} threads",
-                pool.num_threads()
-            );
-            assert_eq!(
-                inclusive_scan(&values, &pool),
-                inclusive_reference,
-                "inclusive scan on {} threads",
-                pool.num_threads()
-            );
         }
     }
 }

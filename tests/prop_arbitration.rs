@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
 use pram_bench::ablation::{AlwaysRmwCasLtArray, BitGatekeeperArray};
-use pram_core::{CasLtArray, GatekeeperArray, LockArray, PriorityCell, Round, SliceArbiter};
+use pram_core::{CasLtArray, GatekeeperArray, LockArray, Round, SliceArbiter};
 use proptest::prelude::*;
 
 /// Hammer `arb` with `threads` threads over `rounds` rendezvous-separated
@@ -205,33 +205,6 @@ proptest! {
                 last_won = Some(c);
             }
         }
-    }
-
-    #[test]
-    fn priority_winner_is_global_minimum(
-        offers in proptest::collection::vec(0u32..1000, 1..40),
-    ) {
-        let cell = PriorityCell::new();
-        let round = Round::FIRST;
-        std::thread::scope(|s| {
-            for chunk in offers.chunks(8) {
-                let cell = &cell;
-                s.spawn(move || {
-                    for &p in chunk {
-                        cell.offer(round, p);
-                    }
-                });
-            }
-        });
-        prop_assert_eq!(cell.winner(round), offers.iter().copied().min());
-        // Exactly one offered priority is the winner (ties collapse).
-        let winners = offers
-            .iter()
-            .collect::<std::collections::HashSet<_>>()
-            .into_iter()
-            .filter(|&&p| cell.is_winner(round, p))
-            .count();
-        prop_assert_eq!(winners, 1);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use pram_algos::bfs::{bfs, bfs_with_strategy, verify_bfs_tree, BfsStrategy};
 use pram_algos::cc::{connected_components, verify_cc};
-use pram_algos::{first_true, logical_or, max_index, CwMethod};
+use pram_algos::{logical_or, max_index, CwMethod};
 use pram_exec::ThreadPool;
 use pram_graph::{serial, CsrGraph, GraphGen};
 use proptest::prelude::*;
@@ -139,13 +139,12 @@ proptest! {
     }
 
     #[test]
-    fn or_and_first_true_match_iterator_semantics(
+    fn or_matches_iterator_semantics(
         bits in proptest::collection::vec(any::<bool>(), 0..200),
         method in arb_method(),
         threads in 1usize..5,
     ) {
         let pool = ThreadPool::new(threads);
         prop_assert_eq!(logical_or(&bits, method, &pool), bits.iter().any(|&b| b));
-        prop_assert_eq!(first_true(&bits, &pool), bits.iter().position(|&b| b));
     }
 }

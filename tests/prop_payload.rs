@@ -1,12 +1,9 @@
-//! Property tests for the multi-word payload cells (random round
-//! schedules, model-checked sequentially and hammered concurrently) and
-//! the prefix-sum kernel.
+//! Property tests for the multi-word payload cells: random round
+//! schedules, model-checked sequentially and hammered concurrently.
 
 use std::sync::Barrier;
 
-use pram_algos::scan::{exclusive_scan, exclusive_scan_serial, inclusive_scan};
 use pram_core::{ConVec, Round};
-use pram_exec::ThreadPool;
 use proptest::prelude::*;
 
 proptest! {
@@ -80,31 +77,5 @@ proptest! {
             }
         });
         prop_assert!(true);
-    }
-
-    #[test]
-    fn scan_matches_serial(
-        values in proptest::collection::vec(any::<u64>(), 0..300),
-        threads in 1usize..5,
-    ) {
-        let pool = ThreadPool::new(threads);
-        prop_assert_eq!(exclusive_scan(&values, &pool), exclusive_scan_serial(&values));
-        let incl = inclusive_scan(&values, &pool);
-        for (i, v) in incl.iter().enumerate() {
-            let expect = exclusive_scan_serial(&values)[i].wrapping_add(values[i]);
-            prop_assert_eq!(*v, expect);
-        }
-    }
-
-    #[test]
-    fn scan_is_monotone_for_small_values(
-        values in proptest::collection::vec(0u64..1000, 1..200),
-    ) {
-        let pool = ThreadPool::new(3);
-        let s = exclusive_scan(&values, &pool);
-        for w in s.windows(2) {
-            prop_assert!(w[0] <= w[1]);
-        }
-        prop_assert_eq!(s[0], 0);
     }
 }

@@ -13,9 +13,6 @@
 //! * Gatekeeper: exactly `T*C` fetch-adds, `wins == C`, no skips; the
 //!   per-round reset pass counts `C` re-arms.
 //! * Lock: every claim acquires (`lock_acquisitions == T*C`), `wins == C`.
-//! * Priority: every offer either skips or improves
-//!   (`fast_path_skips + wins == T*C`), CAS attempts decompose into
-//!   `wins + cas_failures`.
 //! * Naive: every claimant "wins" (`wins == T*C`) — the broken-CW baseline.
 //!
 //! Exec counters obey the same exactness: a round opens and closes inside
@@ -23,8 +20,7 @@
 //! and `grabs` in every round.
 
 use pram_core::{
-    CasLtArray, GatekeeperArray, LockArray, NaiveArbiter, PriorityCell, Round, RoundReport,
-    SliceArbiter,
+    CasLtArray, GatekeeperArray, LockArray, NaiveArbiter, Round, RoundReport, SliceArbiter,
 };
 use pram_exec::{PoolConfig, Schedule, ThreadPool, WorkerCtx};
 
@@ -163,33 +159,6 @@ fn naive_pool_conservation() {
              makes the broken-CW baseline visible"
         );
         assert_eq!(cw.resolutions(), 0, "round {i}: nothing arbitrates");
-    }
-}
-
-#[test]
-fn priority_pool_conservation() {
-    let arb: Vec<PriorityCell> = (0..C).map(|_| PriorityCell::new()).collect();
-    let report = collect("priority", |ctx, round| {
-        let prio = ctx.thread_id() as u32;
-        for cell in &arb {
-            cell.offer(round, prio);
-        }
-    });
-    let (t, c) = (T as u64, C as u64);
-    for (i, r) in report.rounds.iter().enumerate() {
-        let cw = &r.cw;
-        assert_eq!(
-            cw.fast_path_skips + cw.wins,
-            t * c,
-            "round {i}: every offer either skips or improves the cell"
-        );
-        assert_eq!(
-            cw.cas_attempts,
-            cw.wins + cw.cas_failures,
-            "round {i}: CAS attempts decompose into installs and retries"
-        );
-        assert!(cw.wins >= c, "round {i}: each cell improves at least once");
-        assert!(cw.wins <= t * c, "round {i}");
     }
 }
 
