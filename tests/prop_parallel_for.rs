@@ -1,7 +1,7 @@
 //! Property tests for the execution substrate: every scheduling policy
 //! must execute every index exactly once, for any (length, team, chunk)
-//! configuration, and the lock-step convergence driver must behave like
-//! its sequential model.
+//! configuration, the lock-step convergence driver must behave like its
+//! sequential model, and a `master` block runs once per region.
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
@@ -134,13 +134,18 @@ proptest! {
     ) {
         let pool = ThreadPool::new(threads);
         let total = AtomicU32::new(0);
+        let masters = AtomicU32::new(0);
         for _ in 0..regions {
             pool.run(|ctx| {
+                ctx.master(|| {
+                    masters.fetch_add(1, Ordering::Relaxed);
+                });
                 ctx.for_each(0..threads * 3, Schedule::dynamic(), |_| {
                     total.fetch_add(1, Ordering::Relaxed);
                 });
             });
         }
         prop_assert_eq!(total.load(Ordering::Relaxed) as usize, regions * threads * 3);
+        prop_assert_eq!(masters.load(Ordering::Relaxed) as usize, regions);
     }
 }
