@@ -2,11 +2,11 @@
 //! arbitration substrate touches.
 //!
 //! All of `pram-core`'s concurrent-write state — CAS-LT words, gatekeeper
-//! counters, bitmap words, telemetry counters, the lock arbiter's mutex — goes
-//! through this module instead of naming `std::sync::atomic` /
-//! `parking_lot` directly. In a normal build the module is a zero-cost
-//! re-export: `crate::sync::AtomicU32` *is* `std::sync::atomic::AtomicU32`,
-//! and `crate::sync::Mutex` *is* `parking_lot::Mutex`.
+//! counters, bitmap words, the lock arbiter's mutex — goes through this
+//! module instead of naming `std::sync::atomic` / `parking_lot` directly.
+//! In a normal build the module is a zero-cost re-export:
+//! `crate::sync::AtomicU32` *is* `std::sync::atomic::AtomicU32`, and
+//! `crate::sync::Mutex` *is* `parking_lot::Mutex`.
 //!
 //! Under `RUSTFLAGS="--cfg pram_check"` the re-exports are replaced by
 //! instrumented shims (a loom-style substitution without the vendored
