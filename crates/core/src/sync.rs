@@ -26,8 +26,7 @@
 //! orderings for correctness — ordering-level bugs (a missing
 //! happens-before edge to a payload) are the Miri/ThreadSanitizer tiers'
 //! job, not the checker's. Memory-`Ordering` arguments are accepted for API
-//! parity and ignored; `compare_exchange_weak` never fails spuriously under
-//! the shim (spurious failure would make replay nondeterministic).
+//! parity and ignored.
 //!
 //! When no hook is registered (e.g. test-harness glue running on the main
 //! thread between phases), shim operations fall through to the underlying
@@ -236,21 +235,6 @@ mod shim {
                     emit(CheckEvent::Op);
                     self.inner
                         .compare_exchange(current, new, Ordering::SeqCst, Ordering::SeqCst)
-                }
-
-                /// Instrumented weak compare-exchange. Never fails
-                /// spuriously (that would make schedule replay
-                /// nondeterministic); the strong semantics are a superset
-                /// of every weak execution.
-                #[inline]
-                pub fn compare_exchange_weak(
-                    &self,
-                    current: $t,
-                    new: $t,
-                    success: Ordering,
-                    failure: Ordering,
-                ) -> Result<$t, $t> {
-                    self.compare_exchange(current, new, success, failure)
                 }
 
                 /// Instrumented fetch-add.
