@@ -48,6 +48,25 @@
 //! still an index owned by the parent — the same invariant
 //! [`verify_bfs_tree`] checks for both strategies.
 //!
+//! A pull round reads only what can still change. For each vertex it
+//! probes, it first tests the head, the vertex's first in-edge, which
+//! [`pram_graph::ReverseCsr::first_in_edge`] keeps in a dense array, so the
+//! probes of a word read one stream; only when the head's source is not in
+//! the frontier does it read the rest of the in-list
+//! ([`pram_graph::ReverseCsr::in_edges_after_first`]). A call's first pull
+//! probes every unvisited vertex and stores, per bitmap word, a *pending*
+//! mask: the word's vertices that are still unvisited and have an in-edge.
+//! Every later pull walks only its word's pending bits, skips the ones a
+//! push round has visited since, and stores the bits of the vertices it
+//! probed and did not discover. Vertices are only ever added to the
+//! visited set, and a bit is dropped only for a visited vertex, so the mask
+//! stays a superset of the undiscovered vertices that have an in-edge —
+//! the only vertices a pull can discover — however many push rounds run
+//! between two pulls. A pending word is owned like the `next` bitmap word:
+//! one member reads and stores it within a round, and the round's closing
+//! rendezvous orders that store (and every push discovery) before the next
+//! pull reads it, whichever member owns the word then.
+//!
 //! Both strategies count their discoveries member-locally and hand the
 //! count to the round's closing team sum, which decides convergence, so
 //! discoveries never store to a shared progress line. Direction-optimizing
@@ -68,7 +87,7 @@
 //! orders those writes before round 1 reads them.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use pram_core::{AtomicBitmap, SliceArbiter};
 use pram_exec::schedule::static_block;
@@ -414,6 +433,10 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
         FrontierBuffer::with_capacity(n),
     ];
     let bitmaps = [AtomicBitmap::new(n.max(1)), AtomicBitmap::new(n.max(1))];
+    // Per bitmap word, the vertices a pull round may still discover: the
+    // first pull stores the word's unvisited vertices that have an in-edge,
+    // and each later pull walks only those and stores what is left.
+    let pending: Box<[AtomicU64]> = zeroed_atomics(bitmaps[0].num_words());
     queues[0].publish(&[source as u64]);
 
     let max_rounds = n as u32 + 1;
@@ -424,6 +447,7 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
         let mut qi = 0usize; // queues[qi] holds the current frontier...
         let mut bi = 0usize; // ...or bitmaps[bi] does, when cur_is_bits
         let mut cur_is_bits = false;
+        let mut pulled = false; // whether `pending` holds a pull's masks
 
         let degree = |v: usize| (offsets[v + 1] - offsets[v]) as u64;
 
@@ -470,40 +494,71 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
 
             if pull {
                 // Bottom-up: each member owns whole words of the next
-                // frontier. For every unvisited vertex of a word it owns
-                // it scans the in-edges and stops at the first frontier
-                // neighbor. Nobody else can discover that vertex this
-                // round, so the three-word write is exclusive and needs no
-                // claim; the word's bits gather in a register and go out
-                // in one store, which also overwrites the stale frontier
-                // two rounds old (no clear pass).
+                // frontier. For every undiscovered vertex of a word it
+                // owns it probes the in-edges, head first, and stops at
+                // the first frontier neighbor. Nobody else can discover
+                // that vertex this round, so the three-word write is
+                // exclusive and needs no claim; the word's bits gather in
+                // a register and go out in one store, which also
+                // overwrites the stale frontier two rounds old (no clear
+                // pass). The word's pending mask is owned the same way.
                 ctx.annotate_round("pull");
                 let cur = &bitmaps[bi];
                 let next = &bitmaps[1 - bi];
                 let by_words = Schedule::Dynamic {
                     chunk: PULL_CHUNK_WORDS,
                 };
+                // Discovers `v` if one of its in-edges, `head` first, leaves
+                // the current frontier.
+                let mut probe = |v: usize, (p, e): (u32, usize)| {
+                    let hit = if cur.contains(p as usize) {
+                        Some((p, e))
+                    } else {
+                        rev.in_edges_after_first(v as u32)
+                            .find(|&(p, _)| cur.contains(p as usize))
+                    };
+                    if let Some((p, e)) = hit {
+                        st.commit(v, p, e, l + 1);
+                        found_edges += degree(v);
+                    }
+                    hit.is_some()
+                };
                 ctx.for_each(0..next.num_words(), by_words, |w| {
-                    let mut bits = 0u64;
-                    for v in 64 * w..(64 * w + 64).min(n) {
+                    // The word's candidates: all its vertices on a call's
+                    // first pull, and only the pending ones after it, some
+                    // of which a push round since may have visited.
+                    let mut walk = if pulled {
+                        pending[w].load(Ordering::Relaxed)
+                    } else {
+                        u64::MAX >> (64 * w + 64).saturating_sub(n)
+                    };
+                    let (mut bits, mut left) = (0u64, 0u64);
+                    while walk != 0 {
+                        let bit = walk & walk.wrapping_neg();
+                        walk ^= bit;
+                        let v = 64 * w + bit.trailing_zeros() as usize;
                         if st.visited(v) {
                             continue;
                         }
-                        for (p, e) in rev.in_edges(v as u32) {
-                            if cur.contains(p as usize) {
-                                st.commit(v, p, e, l + 1);
-                                bits |= 1 << (v % 64);
-                                found_edges += degree(v);
-                                break;
-                            }
+                        let head = match rev.first_in_edge(v as u32) {
+                            Some(head) => head,
+                            None if !pulled => continue,
+                            None => unreachable!("pending vertex {v} has no in-edge"),
+                        };
+                        if probe(v, head) {
+                            bits |= bit;
+                        } else {
+                            left |= bit;
                         }
                     }
                     next.store_word(w, bits);
+                    pending[w].store(left, Ordering::Relaxed);
                     found += u64::from(bits.count_ones());
                 });
                 // Nothing was claimed, so gatekeeper cells are still armed.
                 bi = 1 - bi;
                 cur_is_bits = true;
+                pulled = true;
             } else {
                 // Top-down: expand the queue in edge pieces, so a hub
                 // spans several grabs, staging discoveries in per-worker

@@ -85,7 +85,7 @@ impl CsrGraph {
                     }
                 }
             },
-            |k, cursor, slots| {
+            |k, cursor, _, slots| {
                 for &(u, v) in chunk(k) {
                     // SAFETY: this pass visits member k's chunk exactly as
                     // its count did, so it takes only member k's slots.
@@ -152,7 +152,8 @@ impl CsrGraph {
 
     /// Build the in-edge view: for every vertex `v`, the sources `u` of
     /// edges `u → v` together with each edge's index in this graph's
-    /// target array, sorted by source. O(n + m) counting sort.
+    /// target array, sorted by source, and each vertex's first in-edge
+    /// again in a dense array. O(n + m) counting sort.
     ///
     /// This is what a bottom-up ("pull") BFS sweep needs: scanning `v`'s
     /// in-edges while keeping the discovered tree edge expressed as an
@@ -164,7 +165,10 @@ impl CsrGraph {
     ///
     /// Large graphs are split over one member per core, each taking an
     /// edge-balanced block of source vertices; the result is
-    /// byte-identical to the serial build.
+    /// byte-identical to the serial build. The member that places an
+    /// in-edge at the first slot of `v`'s list also writes it to the head
+    /// array, inside the same scatter, so the heads cost no pass of their
+    /// own.
     ///
     /// # Panics
     /// Panics if the graph stores more than `u32::MAX` directed edges.
@@ -177,6 +181,8 @@ impl CsrGraph {
     fn reverse_on(&self, members: usize) -> ReverseCsr {
         let n = self.num_vertices();
         let sources_of = |k: usize| edge_balanced_block(&self.offsets, members, k);
+        let mut heads = vec![NO_IN_EDGE; n];
+        let head_slots = Slots::new(&mut heads);
         let (offsets, in_edges) = counting_sort(
             n,
             members,
@@ -186,20 +192,42 @@ impl CsrGraph {
                     tally(in_degree, v);
                 }
             },
-            |k, cursor, slots| {
+            |k, cursor, in_offsets, slots| {
+                // Bit v: no lower member holds an in-edge of v, so this
+                // member's first in-edge of v, if it has one, is v's head.
+                // A 1-bit-per-vertex mask stays in L1 where `in_offsets`
+                // would not; each bit is cleared at its first use.
+                let mut heads_left = vec![0u64; n.div_ceil(64)];
+                for (v, (&c, &o)) in cursor.iter().zip(in_offsets).enumerate() {
+                    heads_left[v / 64] |= u64::from(c as usize == o) << (v % 64);
+                }
                 for u in sources_of(k) {
                     for e in self.offsets[u]..self.offsets[u + 1] {
-                        let slot = take(cursor, self.targets[e]);
+                        let v = self.targets[e];
+                        let slot = take(cursor, v);
+                        let edge = (u as u32, e as u32);
                         // SAFETY: this pass visits member k's edges exactly
                         // as its count did, so it takes only member k's
                         // slots. `e < m <= u32::MAX`, which counting_sort
                         // checked before placing.
-                        unsafe { slots.write(slot, (u as u32, e as u32)) };
+                        unsafe { slots.write(slot, edge) };
+                        let (w, bit) = (v as usize / 64, 1u64 << (v % 64));
+                        if heads_left[w] & bit != 0 {
+                            heads_left[w] &= !bit;
+                            // SAFETY: the edge went to slot `in_offsets[v]`,
+                            // which one member takes, so one member writes
+                            // head `v`.
+                            unsafe { head_slots.write(v as usize, edge) };
+                        }
                     }
                 }
             },
         );
-        ReverseCsr { offsets, in_edges }
+        ReverseCsr {
+            offsets,
+            in_edges,
+            heads: heads.into_boxed_slice(),
+        }
     }
 
     /// Mean degree.
@@ -245,8 +273,9 @@ pub fn edge_balanced_block(offsets: &[usize], parts: usize, k: usize) -> Range<u
 /// `count(k, hist)` [`tally`]s member k's items into its zeroed histogram.
 /// One prefix pass turns the histograms into the offsets and into
 /// per-member cursors, member k's slots in each bucket following member
-/// k − 1's. Then `place(k, cursor, slots)` writes member k's items, in the
-/// order it counted them, each at the slot [`take`] returns for its bucket.
+/// k − 1's. Then `place(k, cursor, offsets, slots)` writes member k's
+/// items, in the order it counted them, each at the slot [`take`] returns
+/// for its bucket; a bucket's first item is the one placed at its offset.
 /// Histograms and cursors are `u32`, half the cache a `usize` array takes.
 /// Member 0 runs on the caller's thread, the others on scoped threads; one
 /// member spawns nothing. A panicking member's payload reaches the caller
@@ -255,7 +284,7 @@ fn counting_sort<T: Copy + Default + Send>(
     n: usize,
     members: usize,
     count: impl Fn(usize, &mut [u32]) + Sync,
-    place: impl Fn(usize, &mut [u32], &Slots<'_, T>) + Sync,
+    place: impl Fn(usize, &mut [u32], &[usize], &Slots<'_, T>) + Sync,
 ) -> (Box<[usize]>, Box<[T]>) {
     let mut cursors = on_members(vec![(); members], |k, ()| {
         let mut hist = vec![0u32; n];
@@ -278,7 +307,9 @@ fn counting_sort<T: Copy + Default + Send>(
     assert!(acc <= u32::MAX as usize, "at most u32::MAX items");
     let mut items = vec![T::default(); acc];
     let slots = Slots::new(&mut items);
-    on_members(cursors, |k, mut cursor| place(k, &mut cursor, &slots));
+    on_members(cursors, |k, mut cursor| {
+        place(k, &mut cursor, &offsets, &slots)
+    });
     (offsets.into_boxed_slice(), items.into_boxed_slice())
 }
 
@@ -357,16 +388,26 @@ impl<'a, T: Copy> Slots<'a, T> {
     }
 }
 
+/// Head entry of a vertex with no in-edge. Vertex ids are below
+/// `n <= u32::MAX`, so no in-edge has this source.
+const NO_IN_EDGE: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// The in-edge view of a [`CsrGraph`], with edge provenance.
 ///
 /// `offsets[v]..offsets[v + 1]` indexes `in_edges`: for each in-edge its
 /// source and its index in the original graph's target array, side by side
 /// as `u32`s, so the build writes one slot per edge and a pull scan reads
-/// one stream. Built by [`CsrGraph::reverse`].
+/// one stream. `heads[v]` repeats `v`'s first in-edge (a no-in-edge
+/// sentinel for a vertex that has none) in a dense `n`-entry array: a pull
+/// round probes it in vertex order, one stream instead of one line of
+/// `in_edges` per vertex, and reads the rest of the list only when the
+/// head misses. Built by [`CsrGraph::reverse`], whose scatter writes each
+/// head with the in-edge it duplicates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReverseCsr {
     offsets: Box<[usize]>,
     in_edges: Box<[(u32, u32)]>,
+    heads: Box<[(u32, u32)]>,
 }
 
 impl ReverseCsr {
@@ -390,6 +431,25 @@ impl ReverseCsr {
         let v = v as usize;
         let range = self.offsets[v]..self.offsets[v + 1];
         self.in_edges[range].iter().map(|&(u, e)| (u, e as usize))
+    }
+
+    /// The first of [`ReverseCsr::in_edges`]`(v)`, read from the dense
+    /// head array, or `None` if `v` has no in-edge.
+    #[inline]
+    pub fn first_in_edge(&self, v: u32) -> Option<(u32, usize)> {
+        let (u, e) = self.heads[v as usize];
+        (u != NO_IN_EDGE.0).then_some((u, e as usize))
+    }
+
+    /// The in-edges of `v` after its first: [`ReverseCsr::in_edges`]`(v)`
+    /// without the entry [`ReverseCsr::first_in_edge`] returns.
+    #[inline]
+    pub fn in_edges_after_first(&self, v: u32) -> impl Iterator<Item = (u32, usize)> + '_ {
+        let v = v as usize;
+        let (lo, hi) = (self.offsets[v], self.offsets[v + 1]);
+        self.in_edges[(lo + 1).min(hi)..hi]
+            .iter()
+            .map(|&(u, e)| (u, e as usize))
     }
 }
 
@@ -442,9 +502,20 @@ mod tests {
                 cursor[v] += 1;
             }
         }
+        let heads = (0..n)
+            .map(|v| {
+                let first = offsets[v];
+                if first < offsets[v + 1] {
+                    in_edges[first]
+                } else {
+                    NO_IN_EDGE
+                }
+            })
+            .collect();
         ReverseCsr {
             offsets,
             in_edges: in_edges.into(),
+            heads,
         }
     }
 
@@ -458,7 +529,8 @@ mod tests {
     }
 
     /// Both builds, at every member count and in both directions, equal the
-    /// serial reference.
+    /// serial reference, and every vertex's head is the first of its
+    /// in-edges (`None` for a vertex with none).
     fn assert_builds_match_serial(n: usize, edges: &[(u32, u32)]) {
         for undirected in [false, true] {
             let expect = serial_from_edges(n, edges, undirected);
@@ -469,11 +541,23 @@ mod tests {
                     g, expect,
                     "from_edges, {members} members, undirected {undirected}"
                 );
+                let rev = g.reverse_on(members);
                 assert_eq!(
-                    g.reverse_on(members),
-                    expect_rev,
+                    rev, expect_rev,
                     "reverse, {members} members, undirected {undirected}"
                 );
+                for v in 0..n as u32 {
+                    let mut all = rev.in_edges(v);
+                    assert_eq!(
+                        rev.first_in_edge(v),
+                        all.next(),
+                        "head of {v}, {members} members, undirected {undirected}"
+                    );
+                    assert!(
+                        rev.in_edges_after_first(v).eq(all),
+                        "tail of {v}, {members} members, undirected {undirected}"
+                    );
+                }
             }
             assert_eq!(CsrGraph::from_edges(n, edges, undirected), expect);
             assert_eq!(expect.reverse(), expect_rev);
@@ -508,11 +592,13 @@ mod tests {
                 (0, 3),
             ],
         );
-        // Fewer edges than members: some chunks are empty.
+        // Fewer edges than members: some chunks are empty. Directed, vertex
+        // 2 has an out-edge but no in-edge, so its head is the sentinel.
         assert_builds_match_serial(3, &[(2, 0)]);
         // One vertex's run of edges crosses every chunk boundary, so each
         // member owns part of it (out-edges) and, reversed, part of every
-        // in-list of the hub.
+        // in-list of the hub; the hub's head comes from a member other
+        // than member 0.
         let star: Vec<(u32, u32)> = (1..12)
             .map(|v| (0, v))
             .chain((1..12).map(|v| (v, 0)))

@@ -21,7 +21,7 @@ use std::collections::HashSet;
 use pram_algos::bfs::{bfs_with_strategy, verify_bfs_levels, verify_bfs_tree, BfsStrategy};
 use pram_algos::CwMethod;
 use pram_exec::schedule::static_block;
-use pram_exec::{FrontierBuffer, LocalBuffer, SpinBarrier, ThreadPool};
+use pram_exec::{FrontierBuffer, LocalBuffer, PoolConfig, SpinBarrier, ThreadPool};
 use pram_graph::{CsrGraph, GraphGen};
 
 /// Repetitions per configuration; raise via STRESS_REPS for soak runs.
@@ -237,6 +237,46 @@ fn naive_levels_survive_frontier_strategies() {
             let r = bfs_with_strategy(&g, 0, CwMethod::Naive, strategy, &pool);
             verify_bfs_levels(&g, 0, &r)
                 .unwrap_or_else(|e| panic!("rep {rep} naive/{strategy}: {e}"));
+        }
+    }
+}
+
+/// Pending bits that a push round leaves stale. Two 1,000-leaf stars,
+/// joined by a 30-vertex path that starts at a leaf of the first and ends
+/// next to the second centre, searched from the first centre. The first
+/// pull finds the first star's leaves and leaves the 29 path vertices past
+/// the leaf, the second centre and its leaves pending; the second pull
+/// finds the next path vertex; 29 pushes walk the rest of the path to the
+/// second centre, so when the pulls resume 29 pending bits name vertices a
+/// push already reached, and the pulls must skip them and still find the
+/// second star's leaves.
+#[test]
+fn pushes_between_pulls_leave_pending_bits_stale() {
+    let leaves = 1000u32;
+    let c2 = leaves + 30; // the path is 1000, 1001, ..., 1029
+    let n = (c2 + 1 + leaves) as usize;
+    let mut edges: Vec<(u32, u32)> = (1..=leaves).map(|l| (0, l)).collect();
+    edges.extend((leaves..c2).map(|v| (v, v + 1)));
+    edges.extend((1..=leaves).map(|l| (c2, c2 + l)));
+    let g = CsrGraph::from_edges(n, &edges, true);
+    assert_eq!(n, 2031);
+    let expect = [["pull"; 2].as_slice(), &["push"; 29], &["pull"; 2]].concat();
+    let dense = bfs_with_strategy(
+        &g,
+        0,
+        CwMethod::CasLt,
+        BfsStrategy::DenseScan,
+        &ThreadPool::new(1),
+    );
+    for t in 1..=4 {
+        let pool = ThreadPool::with_config(PoolConfig::new(t).telemetry(true));
+        for method in single_winner_methods() {
+            let r = bfs_with_strategy(&g, 0, method, BfsStrategy::DirectionOptimizing, &pool);
+            let report = pool.take_round_report();
+            let labels: Vec<&str> = report.rounds.iter().map(|r| r.label.as_str()).collect();
+            assert_eq!(labels, expect, "T={t} {method}: round labels");
+            verify_bfs_tree(&g, 0, &r).unwrap_or_else(|e| panic!("T={t} {method}: {e}"));
+            assert_eq!(r.level, dense.level, "T={t} {method}: levels");
         }
     }
 }
