@@ -91,10 +91,7 @@ use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use pram_core::{AtomicBitmap, SliceArbiter};
 use pram_exec::schedule::static_block;
-use pram_exec::{
-    zeroed_atomics, FrontierBuffer, LocalBuffer, Schedule, ThreadPool, WorkerCtx,
-    FRONTIER_GRAIN_EDGES,
-};
+use pram_exec::{zeroed_atomics, FrontierBuffer, LocalBuffer, Schedule, ThreadPool, WorkerCtx};
 use pram_graph::{CsrGraph, ReverseCsr};
 
 use crate::method::{dispatch_method, CwMethod};
@@ -355,18 +352,6 @@ impl BfsState {
     }
 }
 
-/// Gatekeeper methods need their cells re-zeroed before the next round:
-/// a barrier after the claims, then a reset pass that the round's closing
-/// rendezvous orders before the next claims. Round-rearming methods need
-/// nothing. Call at the end of every round that claimed (a pull round
-/// claims nothing).
-fn rearm<A: SliceArbiter>(ctx: &WorkerCtx<'_>, arb: &A, n: usize) {
-    if !arb.rearms_on_new_round() {
-        ctx.barrier();
-        ctx.for_each_nowait(0..n, |i| arb.reset_range(i..i + 1));
-    }
-}
-
 fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadPool) -> BfsResult {
     let n = g.num_vertices();
     let st = BfsState::new(n, source);
@@ -375,8 +360,7 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
     // Eccentricity < n, plus the final no-change round.
     let max_rounds = n as u32 + 1;
 
-    let rounds = AtomicU32::new(0);
-    pool.run(|ctx| {
+    let rounds = pool.run(|ctx| {
         st.fill(ctx);
         let c = ctx.converge_rounds(max_rounds, [0, 0], |round, _| {
             ctx.annotate_round("expand");
@@ -399,15 +383,16 @@ fn bfs_dense<A: SliceArbiter>(g: &CsrGraph, source: u32, arb: &A, pool: &ThreadP
                     }
                 }
             });
-            rearm(ctx, arb, n);
+            // Gatekeeper cells are re-zeroed once the claims end.
+            ctx.rearm(arb, true);
             // A nonzero team total is the paper's `done = false`.
             [found, 0]
         });
         // Every member observed the same convergence result.
-        rounds.store(c.rounds, Ordering::Relaxed);
+        c.rounds
     });
 
-    st.into_result(rounds.into_inner())
+    st.into_result(rounds)
 }
 
 /// Direction-optimizing BFS: a top-down sparse queue that switches to a
@@ -440,9 +425,8 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
     queues[0].publish(&[source as u64]);
 
     let max_rounds = n as u32 + 1;
-    let rounds = AtomicU32::new(0);
 
-    pool.run(|ctx| {
+    let rounds = pool.run(|ctx| {
         st.fill(ctx);
         let mut qi = 0usize; // queues[qi] holds the current frontier...
         let mut bi = 0usize; // ...or bitmaps[bi] does, when cur_is_bits
@@ -568,41 +552,35 @@ fn bfs_direction_optimizing<A: SliceArbiter>(
                 let next = &queues[1 - qi];
                 let mut local = LocalBuffer::new();
                 let queued_degree = |v: u64| degree(v as usize) as usize;
-                ctx.for_each_frontier(
-                    cur,
-                    fedges,
-                    FRONTIER_GRAIN_EDGES,
-                    queued_degree,
-                    |vu, piece| {
-                        let v = vu as usize;
-                        #[allow(clippy::needless_range_loop)] // j is the edge id in sel_edge
-                        for j in offsets[v] + piece.start..offsets[v] + piece.end {
-                            let u = targets[j] as usize;
-                            if !st.visited(u) && arb.try_claim(u, round) {
-                                st.commit(u, v as u32, j, l + 1);
-                                local.push(u as u64, next);
-                                found += 1;
-                                found_edges += degree(u);
-                            }
+                ctx.for_each_frontier(cur, fedges, queued_degree, |vu, piece| {
+                    let v = vu as usize;
+                    #[allow(clippy::needless_range_loop)] // j is the edge id in sel_edge
+                    for j in offsets[v] + piece.start..offsets[v] + piece.end {
+                        let u = targets[j] as usize;
+                        if !st.visited(u) && arb.try_claim(u, round) {
+                            st.commit(u, v as u32, j, l + 1);
+                            local.push(u as u64, next);
+                            found += 1;
+                            found_edges += degree(u);
                         }
-                    },
-                );
+                    }
+                });
                 // The loop's ending rendezvous ends every read of `cur`:
                 // member 0 empties it for its turn as the spare queue
                 // while the team publishes into `next`. The round's
                 // closing rendezvous orders both before the next round.
                 ctx.master(|| cur.clear());
                 local.flush(next);
-                rearm(ctx, arb, n);
+                ctx.rearm(arb, true);
                 qi = 1 - qi;
                 cur_is_bits = false;
             }
             [found, found_edges]
         });
-        ctx.master(|| rounds.store(c.rounds, Ordering::Relaxed));
+        c.rounds
     });
 
-    st.into_result(rounds.into_inner())
+    st.into_result(rounds)
 }
 
 /// Check a [`BfsResult`]'s distances against the serial reference.

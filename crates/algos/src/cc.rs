@@ -30,7 +30,8 @@
 //!    == w`, else `D[w]`, each `v` walks `x = P(v)` until `P(x) == x` and
 //!    stores that root into both `D[v]` and `S[v]`. Phase 0 moved only `D`,
 //!    and phase 1 only roots of `D` in `S`, so `P` holds every hook of the
-//!    iteration. Gatekeeper cells are re-armed in the same pass.
+//!    iteration. Before it, each member re-arms the gatekeeper cells of the
+//!    same block of vertices.
 //!
 //! Which of a root's candidate targets wins is arbitrary. Conditional
 //! hooking alone has no O(log n) iteration bound: on a star centred on its
@@ -179,7 +180,7 @@
 //! that OpenMP's fork-join also only approximates (DESIGN.md §1: a
 //! barrier still separates a CW from any dependent read).
 
-use std::sync::atomic::{AtomicU32, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use pram_core::{Round, SliceArbiter};
 use pram_exec::ThreadPool;
@@ -239,7 +240,6 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     let n = g.num_vertices();
     assert_eq!(arb.len(), n, "arbiter must span one cell per vertex");
     let (offsets, targets) = (g.offsets(), g.targets());
-    let rearm = !arb.rearms_on_new_round();
 
     // The alternating parent arrays and the stamps (module docs).
     let d: Vec<AtomicU32> = (0..n).map(|v| AtomicU32::new(v as u32)).collect();
@@ -252,9 +252,6 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     let bits = usize::BITS - n.max(2).leading_zeros();
     let max_iters = 4 * bits + 16;
 
-    let iterations = AtomicU32::new(0);
-    let converged = AtomicU8::new(0);
-
     // Every access is Relaxed: a pass's stores reach the next pass through
     // the rendezvous between them (the barrier's release and acquire), and
     // the races inside a pass are between values that are all correct.
@@ -265,10 +262,10 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
         stamp[v].store(t, Ordering::Relaxed);
     };
 
-    pool.run(|ctx| {
+    let c = pool.run(|ctx| {
         let my_vertices = edge_balanced_block(offsets, ctx.num_threads(), ctx.thread_id());
 
-        let c = ctx.converge_rounds(max_iters, [0, 0], |iter_round, _| {
+        ctx.converge_rounds(max_iters, [0, 0], |iter_round, _| {
             ctx.annotate_round("hook");
             let i = iter_round.get() - 1;
             // Two distinct CW rounds per iteration (one per hooking phase);
@@ -355,6 +352,9 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 }
             }
             ctx.barrier();
+            // Phase 1's claims have ended: re-arm this member's block of
+            // gatekeeper cells, the block the compress below walks.
+            ctx.rearm(arb, false);
 
             // Compress over the merged parent (exclusive write per vertex):
             // a phase-1 hook lands only on a root of D. Every value a walk
@@ -372,9 +372,6 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
                 }
             };
             ctx.for_each_nowait(0..n, |v| {
-                if rearm {
-                    arb.reset_range(v..v + 1);
-                }
                 let mut x = parent(v);
                 for _ in 1..n {
                     let px = parent(x);
@@ -388,9 +385,7 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
             });
             // Nonzero on some member: phase 0 hooked.
             [hooks, 0]
-        });
-        iterations.store(c.rounds, Ordering::Relaxed);
-        converged.store(u8::from(c.converged), Ordering::Relaxed);
+        })
     });
 
     let d: Vec<u32> = d.into_iter().map(AtomicU32::into_inner).collect();
@@ -399,8 +394,8 @@ pub fn cc_with_arbiter<A: SliceArbiter>(g: &CsrGraph, arb: &A, pool: &ThreadPool
     CcResult {
         labels,
         hook_edge: hook_edge.into_iter().map(AtomicUsize::into_inner).collect(),
-        iterations: iterations.into_inner(),
-        converged: converged.into_inner() != 0,
+        iterations: c.rounds,
+        converged: c.converged,
     }
 }
 

@@ -55,8 +55,7 @@ pub fn list_rank(next: &[u32], pool: &ThreadPool) -> Vec<u32> {
         (0..n).map(|_| AtomicU32::new(0)).collect(),
     ];
 
-    let rounds_run = AtomicU32::new(0);
-    pool.run(|ctx| {
+    let rounds_run = pool.run(|ctx| {
         // log2(n) jumps suffice; converge_rounds stops earlier when no
         // pointer moved.
         let max_rounds = (usize::BITS - n.leading_zeros()) + 1;
@@ -81,12 +80,12 @@ pub fn list_rank(next: &[u32], pool: &ThreadPool) -> Vec<u32> {
             });
             [moved, 0]
         });
-        rounds_run.store(c.rounds, Ordering::Relaxed);
+        c.rounds
     });
 
     // Round i writes buffer i % 2, so after r rounds the ranks live in
     // buffer r % 2.
-    let last = (rounds_run.into_inner() % 2) as usize;
+    let last = (rounds_run % 2) as usize;
     rank[last]
         .iter()
         .map(|r| r.load(Ordering::Relaxed))

@@ -18,7 +18,7 @@
 //! chain ends at an edge whose higher claim cannot have been lost. ∎)
 //! Hence at most ⌊n/2⌋ + 1 rounds.
 
-use std::sync::atomic::{AtomicU32, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use pram_core::SliceArbiter;
 use pram_exec::ThreadPool;
@@ -59,7 +59,7 @@ pub fn maximal_matching(g: &CsrGraph, method: CwMethod, pool: &ThreadPool) -> Ma
 }
 
 /// The kernel against an explicit arbiter (one cell per vertex).
-pub fn matching_with_arbiter<A: SliceArbiter>(
+fn matching_with_arbiter<A: SliceArbiter>(
     g: &CsrGraph,
     arb: &A,
     pool: &ThreadPool,
@@ -71,12 +71,10 @@ pub fn matching_with_arbiter<A: SliceArbiter>(
     let m = edges.len();
 
     let partner: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNMATCHED)).collect();
-    let rounds = AtomicU32::new(0);
-    let converged = AtomicU8::new(0);
 
     let max_rounds = (n as u32) / 2 + 2;
-    pool.run(|ctx| {
-        let c = ctx.converge_rounds(max_rounds.max(1), [0, 0], |round, _| {
+    let c = pool.run(|ctx| {
+        ctx.converge_rounds(max_rounds.max(1), [0, 0], |round, _| {
             let mut matched = 0;
             ctx.for_each_nowait(0..m, |e| {
                 let (u, v) = edges[e];
@@ -94,22 +92,17 @@ pub fn matching_with_arbiter<A: SliceArbiter>(
                     matched += 1;
                 }
             });
-            if !arb.rearms_on_new_round() {
-                ctx.barrier();
-                ctx.for_each_nowait(0..n, |i| arb.reset_range(i..i + 1));
-            }
+            ctx.rearm(arb, true);
             [matched, 0]
-        });
-        rounds.store(c.rounds, Ordering::Relaxed);
-        converged.store(u8::from(c.converged), Ordering::Relaxed);
+        })
     });
-    debug_assert!(converged.into_inner() != 0, "progress bound violated");
+    debug_assert!(c.converged, "progress bound violated");
 
     let partner: Vec<u32> = partner.into_iter().map(AtomicU32::into_inner).collect();
     let pairs = partner.iter().filter(|&&p| p != UNMATCHED).count() / 2;
     MatchingResult {
         partner,
-        rounds: rounds.into_inner(),
+        rounds: c.rounds,
         pairs,
     }
 }

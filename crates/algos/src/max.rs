@@ -61,11 +61,13 @@ pub fn max_index_with_arbiter<A: SliceArbiter>(
     // A single concurrent-write round: the whole algorithm is one step.
     let round = Round::FIRST;
 
+    let pairs = n.checked_mul(n).expect("pair space overflows");
     pool.run(|ctx| {
-        // The paper's `#pragma omp for collapse(2)` pair loop. Static
-        // blocked scheduling matches OpenMP's default for this regular
-        // loop.
-        ctx.for_each_2d(n, n, Schedule::default(), |i, j| {
+        // The paper's `#pragma omp for collapse(2)` pair loop, flattened.
+        // Static blocked scheduling matches OpenMP's default for this
+        // regular loop.
+        ctx.for_each(0..pairs, Schedule::default(), |flat| {
+            let (i, j) = (flat / n, flat % n);
             if i == j {
                 return;
             }

@@ -46,7 +46,8 @@ pub fn max_index_tournament(values: &[u64], pool: &ThreadPool) -> usize {
         (0..n).map(|_| AtomicU32::new(0)).collect(),
     ];
 
-    pool.run(|ctx| {
+    // Every member runs the same levels and ends with the same `cur`.
+    let cur = pool.run(|ctx| {
         let mut m = n; // live candidates in bufs[cur]
         let mut cur = 0;
         while m > 1 {
@@ -72,60 +73,9 @@ pub fn max_index_tournament(values: &[u64], pool: &ThreadPool) -> usize {
         }
         // All members finish the loop together (for_each barriers), with
         // the champion in bufs[cur][0].
-        let _ = cur;
+        cur
     });
-
-    // The loop above runs identically on every member; recompute the final
-    // buffer parity to read the champion.
-    let mut m = n;
-    let mut cur = 0;
-    while m > 1 {
-        m = m.div_ceil(2);
-        cur = 1 - cur;
-    }
     bufs[cur][0].load(Ordering::Relaxed) as usize
-}
-
-/// Sum of `values` by the same tournament shape — used by tests to check
-/// the reduction skeleton with an operator where every lane contributes.
-pub fn sum_tournament(values: &[u64], pool: &ThreadPool) -> u64 {
-    let n = values.len();
-    if n == 0 {
-        return 0;
-    }
-    let bufs: [Vec<std::sync::atomic::AtomicU64>; 2] = [
-        values
-            .iter()
-            .map(|&v| std::sync::atomic::AtomicU64::new(v))
-            .collect(),
-        (0..n)
-            .map(|_| std::sync::atomic::AtomicU64::new(0))
-            .collect(),
-    ];
-    pool.run(|ctx| {
-        let mut m = n;
-        let mut cur = 0;
-        while m > 1 {
-            let (src, dst) = (&bufs[cur], &bufs[1 - cur]);
-            let half = m.div_ceil(2);
-            ctx.for_each(0..half, Schedule::default(), |i| {
-                let mut acc = src[2 * i].load(Ordering::Relaxed);
-                if 2 * i + 1 < m {
-                    acc = acc.wrapping_add(src[2 * i + 1].load(Ordering::Relaxed));
-                }
-                dst[i].store(acc, Ordering::Relaxed);
-            });
-            m = half;
-            cur = 1 - cur;
-        }
-    });
-    let mut m = n;
-    let mut cur = 0;
-    while m > 1 {
-        m = m.div_ceil(2);
-        cur = 1 - cur;
-    }
-    bufs[cur][0].load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -172,19 +122,6 @@ mod tests {
             assert_eq!(
                 max_index_tournament(&values, &pool),
                 max_index_paper_tiebreak(&values),
-                "n = {n}"
-            );
-        }
-    }
-
-    #[test]
-    fn sum_tournament_matches_iterator_sum() {
-        let pool = ThreadPool::new(4);
-        for n in [0usize, 1, 2, 9, 64, 101] {
-            let values: Vec<u64> = (0..n as u64).collect();
-            assert_eq!(
-                sum_tournament(&values, &pool),
-                values.iter().sum::<u64>(),
                 "n = {n}"
             );
         }

@@ -239,10 +239,8 @@ fn mechanism_rows(threads: &[usize]) -> Vec<String> {
                 for i in 0..CELLS {
                     gate.try_claim(i, round);
                 }
-                // Parallel re-arm pass: disjoint shares after a barrier.
-                ctx.barrier();
-                let (id, n) = (ctx.thread_id(), ctx.num_threads());
-                gate.reset_range(id * CELLS / n..(id + 1) * CELLS / n);
+                // Parallel re-arm pass: disjoint blocks after a barrier.
+                ctx.rearm(&gate, true);
                 [u64::from(round.get() < ROUNDS), 0]
             });
         });

@@ -97,12 +97,6 @@ impl AtomicBitmap {
         self.words[index / 64].load(Ordering::Relaxed) & bit != 0
     }
 
-    /// The raw bits of word `w` (elements `64 * w ..`).
-    #[inline]
-    pub fn word(&self, w: usize) -> u64 {
-        self.words[w].load(Ordering::Relaxed)
-    }
-
     /// Overwrite word `w` (elements `64 * w .. 64 * (w + 1)`) with `bits`
     /// in one plain store — how the word's exclusive owner publishes it,
     /// and, with `bits == 0`, a word-parallel clear. Bits at or past
@@ -115,15 +109,6 @@ impl AtomicBitmap {
             self.len
         );
         self.words[w].store(bits, Ordering::Relaxed);
-    }
-
-    /// Clear the whole set (single-threaded; for the parallel variant,
-    /// partition `0..num_words()` and call [`AtomicBitmap::store_word`]
-    /// with `0`).
-    pub fn clear(&self) {
-        for w in self.words.iter() {
-            w.store(0, Ordering::Relaxed);
-        }
     }
 
     /// Number of set bits.
@@ -200,7 +185,8 @@ mod tests {
         s.store_word(0, 1 << 63 | 1);
         assert!(s.contains(0) && s.contains(63) && !s.contains(1));
         assert_eq!(s.count_ones(), 66);
-        s.clear();
+        s.store_word(0, 0);
+        s.store_word(1, 0);
         assert_eq!(s.count_ones(), 0);
     }
 

@@ -148,24 +148,6 @@ impl CasLtArray {
         }
     }
 
-    /// Number of targets.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the array has no targets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Claim target `index` for `round`. See [`CasLtCell::try_claim`].
-    #[inline]
-    pub fn try_claim(&self, index: usize, round: Round) -> bool {
-        self.cells[index].try_claim(round)
-    }
-
     /// The last round target `index` was claimed in.
     #[inline]
     pub fn last_claimed(&self, index: usize) -> Option<Round> {
@@ -184,6 +166,7 @@ impl SliceArbiter for CasLtArray {
     fn len(&self) -> usize {
         self.cells.len()
     }
+    /// Claim target `index` for `round`. See [`CasLtCell::try_claim`].
     #[inline]
     fn try_claim(&self, index: usize, round: Round) -> bool {
         self.cells[index].try_claim(round)

@@ -116,18 +116,6 @@ impl GatekeeperArray {
         }
     }
 
-    /// Number of targets.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the array has no targets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Claim target `index` (round-free; see [`GatekeeperCell`]).
     #[inline]
     pub fn try_claim_once(&self, index: usize) -> bool {

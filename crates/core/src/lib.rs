@@ -51,8 +51,11 @@
 //!
 //! ## Quick example
 //!
+//! Every array is claimed, measured and reset through [`SliceArbiter`], so
+//! the trait is in scope wherever an array is used.
+//!
 //! ```
-//! use pram_core::{CasLtArray, RoundCounter};
+//! use pram_core::{CasLtArray, RoundCounter, SliceArbiter};
 //! use std::sync::atomic::{AtomicUsize, Ordering};
 //!
 //! let cells = CasLtArray::new(1);

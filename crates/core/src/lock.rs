@@ -77,30 +77,13 @@ impl LockArray {
             cells: v.into_boxed_slice(),
         }
     }
-
-    /// Number of targets.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` if the array has no targets.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// Claim target `index` for `round`.
-    #[inline]
-    pub fn try_claim(&self, index: usize, round: Round) -> bool {
-        self.cells[index].try_claim(round)
-    }
 }
 
 impl SliceArbiter for LockArray {
     fn len(&self) -> usize {
         self.cells.len()
     }
+    #[inline]
     fn try_claim(&self, index: usize, round: Round) -> bool {
         self.cells[index].try_claim(round)
     }
@@ -174,6 +157,6 @@ mod tests {
             assert!(a.try_claim(i, r(0)));
         }
         assert!(a.rearms_on_new_round());
-        assert_eq!(SliceArbiter::len(&a), 4);
+        assert_eq!(a.len(), 4);
     }
 }

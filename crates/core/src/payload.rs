@@ -14,7 +14,7 @@
 //! payload; [`ConVec`] is its per-element array form. No `pram_algos`
 //! kernel uses them (the BFS three-word commit keeps its words in separate
 //! atomic arrays). Their users are the workspace's `tests/torn_writes.rs`
-//! and `tests/prop_payload_scan.rs`, `examples/custom_kernel.rs`, and
+//! and `tests/prop_payload.rs`, `examples/custom_kernel.rs`, and
 //! `pram-check`'s payload non-tearing model.
 //!
 //! # Safety model
@@ -39,6 +39,7 @@ use std::cell::UnsafeCell;
 
 use crate::caslt::{CasLtArray, CasLtCell};
 use crate::round::Round;
+use crate::traits::SliceArbiter;
 
 /// A multi-word concurrent-write target: CAS-LT claim word + payload.
 ///
@@ -128,11 +129,6 @@ impl<T> ConCell<T> {
         self.claim.last_claimed()
     }
 
-    /// Re-arm the claim word (epoch reset); the payload is untouched.
-    pub fn reset_claim(&mut self) {
-        self.claim.reset();
-    }
-
     /// Consume the cell, yielding the payload.
     pub fn into_inner(self) -> T {
         self.value.into_inner()
@@ -161,16 +157,6 @@ impl<T> ConVec<T> {
         let values: Vec<UnsafeCell<T>> = (0..len).map(|i| UnsafeCell::new(init(i))).collect();
         ConVec {
             claims: CasLtArray::new(len),
-            values: values.into_boxed_slice(),
-        }
-    }
-
-    /// Wrap an existing vector of payloads.
-    pub fn from_vec(v: Vec<T>) -> ConVec<T> {
-        let claims = CasLtArray::new(v.len());
-        let values: Vec<UnsafeCell<T>> = v.into_iter().map(UnsafeCell::new).collect();
-        ConVec {
-            claims,
             values: values.into_boxed_slice(),
         }
     }
@@ -230,24 +216,12 @@ impl<T> ConVec<T> {
         self.values[index].get_mut()
     }
 
-    /// Exclusive snapshot of all payloads — safe, between phases.
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        // SAFETY: `&mut self` guarantees no concurrent access of any kind;
-        // `UnsafeCell<T>` is layout-compatible with `T`.
-        unsafe { &mut *(std::ptr::from_mut(&mut *self.values) as *mut [T]) }
-    }
-
     /// Consume, yielding the payloads.
     pub fn into_vec(self) -> Vec<T> {
         let values: Box<[UnsafeCell<T>]> = self.values;
         // SAFETY: sole owner; UnsafeCell<T> is repr(transparent) over T.
         let raw = Box::into_raw(values) as *mut [T];
         unsafe { Box::from_raw(raw) }.into_vec()
-    }
-
-    /// Re-arm every claim word (epoch reset); payloads untouched.
-    pub fn reset_claims(&mut self) {
-        self.claims.reset();
     }
 }
 
@@ -340,19 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn convec_round_rearm_and_reset() {
-        let mut v = ConVec::from_vec(vec![0u32; 2]);
+    fn convec_round_rearm() {
+        let mut v = ConVec::new(2, |_| 0u32);
         assert!(unsafe { v.write_with(0, r(0), |x| *x = 1) });
+        assert!(!unsafe { v.write_with(0, r(0), |x| *x = 9) });
         assert!(unsafe { v.write_with(0, r(1), |x| *x = 2) });
         assert_eq!(*v.get_mut(0), 2);
-        v.reset_claims();
-        assert!(unsafe { v.write_with(0, r(0), |x| *x = 3) });
-        assert_eq!(v.as_mut_slice(), &[3, 0]);
+        assert_eq!(v.into_vec(), vec![2, 0]);
     }
 
     #[test]
     fn convec_into_vec_roundtrip() {
-        let v = ConVec::from_vec(vec![1u8, 2, 3]);
+        let v = ConVec::new(3, |i| i as u8 + 1);
         assert!(unsafe { v.write_with(1, r(0), |x| *x = 9) });
         assert_eq!(v.into_vec(), vec![1, 9, 3]);
     }
@@ -361,7 +334,6 @@ mod tests {
     fn concell_into_inner_and_get_mut() {
         let mut c = ConCell::new(String::from("a"));
         c.get_mut().push('b');
-        c.reset_claim();
         assert_eq!(c.into_inner(), "ab");
     }
 

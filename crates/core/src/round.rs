@@ -11,8 +11,9 @@
 //! 0, i.e. "never claimed"). The paper uses C `unsigned` round IDs and
 //! ignores overflow; we make overflow explicit: [`RoundCounter::next_round`]
 //! returns `None` once the space is exhausted, at which point the program
-//! must reset its arbitration arrays (see [`RoundCounter::reset_epoch`]) —
-//! a deliberate, rare O(K) cost after ~4 billion rounds.
+//! must reset its arbitration arrays and start a new epoch (see
+//! [`RoundCounter::next_round_or_reset`]) — a deliberate, rare O(K) cost
+//! after ~4 billion rounds.
 
 use core::fmt;
 
@@ -79,8 +80,8 @@ impl fmt::Display for Round {
 ///
 /// Returned by APIs that cannot silently reset state. After receiving this,
 /// reset every arbitration array that was used with the counter (e.g.
-/// [`crate::CasLtArray::reset`]) and then call
-/// [`RoundCounter::reset_epoch`].
+/// [`crate::CasLtArray::reset`]) and start a new epoch, as
+/// [`RoundCounter::next_round_or_reset`] does.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RoundOverflow;
 
@@ -151,16 +152,11 @@ impl RoundCounter {
             Some(r) => r,
             None => {
                 reset_arrays();
-                self.reset_epoch();
+                self.next = 1;
+                self.epochs += 1;
                 self.next_round().expect("fresh epoch has rounds")
             }
         }
-    }
-
-    /// Begin a new epoch after the caller has reset all arbitration arrays.
-    pub fn reset_epoch(&mut self) {
-        self.next = 1;
-        self.epochs += 1;
     }
 
     /// Number of full wraps of the round space so far.
@@ -186,6 +182,7 @@ impl Default for RoundCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SliceArbiter;
 
     #[test]
     fn rounds_start_at_one_and_increase() {

@@ -135,12 +135,6 @@ impl SpinBarrier {
         }
     }
 
-    /// Number of participants.
-    #[inline]
-    pub fn participants(&self) -> usize {
-        self.total as usize
-    }
-
     /// Rendezvous. Returns `true` on the single thread that released the
     /// barrier (the last arriver) — the OpenMP-`single`-like election some
     /// callers exploit.

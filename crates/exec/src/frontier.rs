@@ -156,48 +156,35 @@ pub fn zeroed_atomics<A: ZeroableAtomic>(len: usize) -> Box<[A]> {
     }
 }
 
-/// Default flush threshold for [`LocalBuffer`]: large enough to amortize
-/// the `fetch_add`, small enough to stay in L1.
+/// Flush threshold of [`LocalBuffer`]: large enough to amortize the
+/// `fetch_add`, small enough to stay in L1.
 pub const LOCAL_BUFFER_FLUSH: usize = 1024;
 
 /// A worker-private staging buffer feeding a [`FrontierBuffer`].
 ///
-/// `push` is a plain `Vec` append; when the buffer reaches its flush
-/// threshold it publishes to the shared buffer in one reservation. The
-/// worker **must** call [`LocalBuffer::flush`] before the round's closing
-/// barrier — unflushed entries are invisible to other workers.
+/// `push` is a plain `Vec` append; when the buffer holds
+/// [`LOCAL_BUFFER_FLUSH`] entries it publishes them to the shared buffer
+/// in one reservation. The worker **must** call [`LocalBuffer::flush`]
+/// before the round's closing barrier — unflushed entries are invisible to
+/// other workers.
 #[derive(Debug)]
 pub struct LocalBuffer {
     buf: Vec<u64>,
-    threshold: usize,
 }
 
 impl LocalBuffer {
-    /// An empty buffer with the default flush threshold.
+    /// An empty buffer.
     pub fn new() -> LocalBuffer {
-        LocalBuffer::with_threshold(LOCAL_BUFFER_FLUSH)
-    }
-
-    /// An empty buffer flushing at `threshold` entries.
-    pub fn with_threshold(threshold: usize) -> LocalBuffer {
-        let threshold = threshold.max(1);
         LocalBuffer {
-            buf: Vec::with_capacity(threshold),
-            threshold,
+            buf: Vec::with_capacity(LOCAL_BUFFER_FLUSH),
         }
-    }
-
-    /// Entries staged locally (not yet published).
-    #[inline]
-    pub fn staged(&self) -> usize {
-        self.buf.len()
     }
 
     /// Stage `value`, publishing to `target` if the threshold is reached.
     #[inline]
     pub fn push(&mut self, value: u64, target: &FrontierBuffer) {
         self.buf.push(value);
-        if self.buf.len() >= self.threshold {
+        if self.buf.len() >= LOCAL_BUFFER_FLUSH {
             self.flush(target);
         }
     }
@@ -237,14 +224,20 @@ mod tests {
 
     #[test]
     fn concurrent_publication_loses_nothing() {
-        // Miri interprets every access; a shorter run covers the same races.
-        let per: u64 = if cfg!(miri) { 40 } else { 1000 };
+        // Each thread's threshold flushes interleave with the others'.
+        // Miri interprets every access; a shorter run that publishes only
+        // at the final flushes covers the same races.
+        let per: u64 = if cfg!(miri) {
+            40
+        } else {
+            5 * LOCAL_BUFFER_FLUSH as u64 / 2
+        };
         let fb = FrontierBuffer::with_capacity(8 * per as usize);
         std::thread::scope(|s| {
             for t in 0..8u64 {
                 let fb = &fb;
                 s.spawn(move || {
-                    let mut local = LocalBuffer::with_threshold(13);
+                    let mut local = LocalBuffer::new();
                     for i in 0..per {
                         local.push(t * per + i, fb);
                     }
@@ -322,14 +315,18 @@ mod tests {
 
     #[test]
     fn local_buffer_flushes_at_threshold() {
-        let fb = FrontierBuffer::with_capacity(10);
-        let mut local = LocalBuffer::with_threshold(3);
-        local.push(1, &fb);
-        local.push(2, &fb);
+        let fb = FrontierBuffer::with_capacity(2 * LOCAL_BUFFER_FLUSH);
+        let mut local = LocalBuffer::new();
+        for v in 1..LOCAL_BUFFER_FLUSH as u64 {
+            local.push(v, &fb);
+        }
         assert_eq!(fb.len(), 0);
-        assert_eq!(local.staged(), 2);
-        local.push(3, &fb); // hits threshold
-        assert_eq!(fb.len(), 3);
-        assert_eq!(local.staged(), 0);
+        local.push(0, &fb); // hits threshold
+        assert_eq!(fb.len(), LOCAL_BUFFER_FLUSH);
+        local.push(7, &fb);
+        local.flush(&fb);
+        assert_eq!(fb.len(), LOCAL_BUFFER_FLUSH + 1);
+        local.flush(&fb); // the flush drained the staging buffer
+        assert_eq!(fb.len(), LOCAL_BUFFER_FLUSH + 1);
     }
 }

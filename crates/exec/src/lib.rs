@@ -10,7 +10,8 @@
 //!
 //! * [`ThreadPool`] — a persistent team of workers. [`ThreadPool::run`]
 //!   executes one closure on **every** thread of the team (SPMD), like
-//!   entering `#pragma omp parallel`.
+//!   entering `#pragma omp parallel`, and returns its value on member 0,
+//!   the caller's thread.
 //! * [`WorkerCtx`] — the per-thread view inside a region:
 //!   [`WorkerCtx::for_each`] (OpenMP `for` with a [`Schedule`] — blocked
 //!   static or shared-cursor dynamic — and the implicit ending barrier),
@@ -18,7 +19,10 @@
 //!   [`WorkerCtx::converge_rounds`] (the lock-step rounds of the paper's
 //!   BFS and CC kernels, with barrier-separated [`pram_core::Round`]s
 //!   supplied automatically and a `reduction(+: progress)` in each closing
-//!   rendezvous deciding convergence).
+//!   rendezvous deciding convergence), and [`WorkerCtx::rearm`] (the
+//!   gatekeeper's per-round reset pass: one
+//!   [`pram_core::SliceArbiter::reset_range`] call per member over its
+//!   static block).
 //! * [`TeamSum`] — the per-round slots behind those two, re-armed by
 //!   parity instead of reset passes.
 //! * [`SpinBarrier`] — the team rendezvous: a centralized barrier (one

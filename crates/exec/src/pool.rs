@@ -1,7 +1,8 @@
 //! The persistent worker pool and the per-thread region context.
 //!
 //! [`ThreadPool::run`] is `#pragma omp parallel`: one closure, executed by
-//! every thread of the team (SPMD). Inside, [`WorkerCtx`] provides the
+//! every thread of the team (SPMD), whose value on member 0 (the caller's
+//! thread) `run` returns. Inside, [`WorkerCtx`] provides the
 //! worksharing and synchronization constructs the paper's kernels are built
 //! from. The team is spawned once and reused across regions — region entry
 //! costs one condvar broadcast, not `threads` thread spawns — because the
@@ -28,6 +29,7 @@ use crossbeam_utils::CachePadded;
 use parking_lot::{Condvar, Mutex};
 use pram_core::{
     CwCounters, CwTelemetry, ExecCounters, Round, RoundReport, RoundSnapshot, ShardGuard,
+    SliceArbiter,
 };
 
 use crate::barrier::SpinBarrier;
@@ -36,19 +38,20 @@ use crate::frontier::FrontierBuffer;
 use crate::schedule::{static_block, Schedule};
 use crate::team::{TeamSum, SUM_LANES};
 
-/// Default per-grab edge budget for [`WorkerCtx::for_each_frontier`]:
+/// Per-grab edge budget of [`WorkerCtx::for_each_frontier`]:
 /// enough edge work to amortize one shared-cursor `fetch_add`, small
 /// enough to rebalance skewed frontiers.
 pub const FRONTIER_GRAIN_EDGES: usize = 4096;
 
-/// The closure type executed by every team member during a region.
+/// The closure type executed by the workers (members 1..) during a
+/// region: the caller's closure with its value dropped.
 type JobFn<'a> = dyn Fn(&WorkerCtx<'_>) + Sync + 'a;
 
 /// Lifetime-erased pointer to the current region's closure.
 ///
 /// Sound because [`ThreadPool::run`] does not return until every worker has
 /// finished executing through the pointer, so the pointee (a local in the
-/// caller's frame) outlives all uses.
+/// caller's frame, borrowing the caller's closure) outlives all uses.
 struct RawJob(*const JobFn<'static>);
 // SAFETY: the pointer crosses threads only between `run`'s publication and
 // its completion wait, during which the pointee is alive and the closure is
@@ -215,25 +218,30 @@ impl ThreadPool {
         }
     }
 
-    /// Execute `f` on every team member — enter a parallel region.
+    /// Execute `f` on every team member — enter a parallel region — and
+    /// return member 0's value.
     ///
     /// Blocks until all members have returned from `f`. `f` runs with
-    /// `thread_id() == 0` on the calling thread itself. Regions do not
-    /// nest: calling `run` from inside a region deadlocks (the region guard
-    /// is held), exactly like re-entering a non-nested OpenMP runtime.
-    pub fn run<F>(&self, f: F)
-    where
-        F: Fn(&WorkerCtx<'_>) + Sync,
-    {
+    /// `thread_id() == 0` on the calling thread itself, so its value there
+    /// needs no `Send`; the workers' values are dropped where they are
+    /// made. Kernels whose members all reach the same result (a
+    /// [`Convergence`], a round count) return it straight out of the
+    /// region. Regions do not nest: calling `run` from inside a region
+    /// deadlocks (the region guard is held), exactly like re-entering a
+    /// non-nested OpenMP runtime.
+    pub fn run<R>(&self, f: impl Fn(&WorkerCtx<'_>) -> R + Sync) -> R {
         let _region = self.region_guard.lock();
         assert!(
             !self.shared.barrier.is_poisoned(),
             "thread pool poisoned by an earlier panic; create a fresh pool"
         );
 
-        // Publish the job. The pointee `f` lives until the completion wait
+        // Publish the job. The pointee lives until the completion wait
         // below returns, upholding RawJob's safety contract.
-        let job: &JobFn<'_> = &f;
+        let worker_job = |ctx: &WorkerCtx<'_>| {
+            f(ctx);
+        };
+        let job: &JobFn<'_> = &worker_job;
         // SAFETY: lifetime erasure only; see RawJob.
         let raw = RawJob(unsafe {
             std::mem::transmute::<*const JobFn<'_>, *const JobFn<'static>>(job as *const _)
@@ -256,10 +264,10 @@ impl ThreadPool {
             shared: &self.shared,
             id: 0,
         };
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| f(&ctx))) {
+        let value = catch_unwind(AssertUnwindSafe(|| f(&ctx))).map_err(|payload| {
             self.shared.barrier.poison();
             self.shared.panic_payload.lock().get_or_insert(payload);
-        }
+        });
 
         // Wait for the rest of the team.
         {
@@ -272,6 +280,7 @@ impl ThreadPool {
         if let Some(payload) = self.shared.panic_payload.lock().take() {
             resume_unwind(payload);
         }
+        value.expect("member 0's panic was resumed above")
     }
 }
 
@@ -437,21 +446,6 @@ impl WorkerCtx<'_> {
         }
     }
 
-    /// Worksharing over a rectangular 2-D index space (OpenMP
-    /// `collapse(2)`, as the paper's Figure 4 pair loop uses): iterates
-    /// `f(i, j)` for all `i < rows`, `j < cols`, partitioned by `schedule`
-    /// over the flattened space, with the implicit ending barrier.
-    pub fn for_each_2d(
-        &self,
-        rows: usize,
-        cols: usize,
-        schedule: Schedule,
-        mut f: impl FnMut(usize, usize),
-    ) {
-        let total = rows.checked_mul(cols).expect("2-D index space overflows");
-        self.for_each(0..total, schedule, |flat| f(flat / cols, flat % cols));
-    }
-
     /// Run `f` on member 0 only (OpenMP `master`); no synchronization.
     pub fn master(&self, f: impl FnOnce()) {
         if self.id == 0 {
@@ -465,6 +459,28 @@ impl WorkerCtx<'_> {
     /// Costs one rendezvous (see [`TeamSum`]).
     pub fn team_sum(&self, value: [u64; SUM_LANES]) -> [u64; SUM_LANES] {
         self.shared.sum.sum(self.id, value, || self.barrier())
+    }
+
+    /// Re-arm `arb` for the next round if it does not re-arm on a new
+    /// round (the gatekeeper; every other arbiter returns at once): this
+    /// member resets its [`static_block`] of the cells with one
+    /// [`SliceArbiter::reset_range`] call, so the team re-zeroes every cell
+    /// once. This is the paper's `gatekeeper[i] = 0` pass.
+    ///
+    /// Every member must call this at the same point, and no claim may be
+    /// in flight: with `barrier`, the team first meets at a barrier, paid
+    /// only when a reset is due; without it, the caller has just passed a
+    /// rendezvous that ended the round's claims. The next rendezvous,
+    /// usually the round's closing one, orders the resets before the next
+    /// round's claims.
+    pub fn rearm(&self, arb: &impl SliceArbiter, barrier: bool) {
+        if arb.rearms_on_new_round() {
+            return;
+        }
+        if barrier {
+            self.barrier();
+        }
+        arb.reset_range(static_block(arb.len(), self.shared.threads, self.id));
     }
 
     /// Worksharing loop over the edges of the published entries of
@@ -481,9 +497,9 @@ impl WorkerCtx<'_> {
     /// Every edge of every entry is passed exactly once; an entry of degree
     /// 0 owns no edge and is never passed.
     ///
-    /// A chunk is `grain_edges` edges, cut so each member gets about four
-    /// grabs, but never below `grain_edges / 64`: a frontier of a few
-    /// edges is one grab. `frontier_edges` must be the entries' degree sum
+    /// A chunk is [`FRONTIER_GRAIN_EDGES`] edges, cut so each member gets
+    /// about four grabs, but never below a 64th of that: a frontier of a
+    /// few edges is one grab. `frontier_edges` must be the entries' degree sum
     /// (summed with [`WorkerCtx::team_sum`], or carried by a round's
     /// closing sum); debug builds check it. The walk also stops at the end
     /// of the queue, so a wrong sum loses edges but cannot overrun. Every
@@ -493,7 +509,6 @@ impl WorkerCtx<'_> {
         &self,
         frontier: &FrontierBuffer,
         frontier_edges: usize,
-        grain_edges: usize,
         degree: impl Fn(u64) -> usize,
         mut f: impl FnMut(u64, Range<usize>),
     ) {
@@ -505,8 +520,8 @@ impl WorkerCtx<'_> {
                 "frontier_edges is not the frontier's degree sum"
             );
         }
-        let grain = grain_edges.max(1);
-        let chunk = (frontier_edges / (4 * self.shared.threads)).clamp(grain.div_ceil(64), grain);
+        let grain = FRONTIER_GRAIN_EDGES;
+        let chunk = (frontier_edges / (4 * self.shared.threads)).clamp(grain / 64, grain);
         let degree_of = |i: usize| if i < len { degree(frontier.get(i)) } else { 0 };
         // Entry `i` of the walk covers edge positions `at..at + d`.
         let (mut i, mut at, mut d) = (0, 0, degree_of(0));
@@ -671,14 +686,31 @@ mod tests {
 
     #[test]
     fn regions_are_reusable() {
+        // Miri interprets every access; a few regions cover the reuse.
+        let regions = if cfg!(miri) { 3 } else { 20 };
         let pool = ThreadPool::new(3);
         let total = AtomicU64::new(0);
-        for _ in 0..20 {
+        for _ in 0..regions {
             pool.run(|_| {
                 total.fetch_add(1, Ordering::Relaxed);
             });
         }
-        assert_eq!(total.load(Ordering::Relaxed), 60);
+        assert_eq!(total.load(Ordering::Relaxed), 3 * regions);
+    }
+
+    #[test]
+    fn run_returns_member_zeros_value() {
+        // Each member returns a value of its own, borrowing the caller's
+        // frame; `run` hands back member 0's and drops the others'.
+        let pool = ThreadPool::new(3);
+        let names = ["zero", "one", "two"];
+        for round in 0..if cfg!(miri) { 2 } else { 10 } {
+            let got = pool.run(|ctx| {
+                ctx.barrier();
+                (names[ctx.thread_id()], vec![round; ctx.thread_id() + 1])
+            });
+            assert_eq!(got, ("zero", vec![round]));
+        }
     }
 
     fn check_for_each(threads: usize, len: usize, schedule: Schedule) {
@@ -791,7 +823,7 @@ mod tests {
         let sum = AtomicU64::new(0);
         pool.run(|ctx| {
             ctx.for_each(10..10, Schedule::default(), |_| unreachable!());
-            ctx.for_each(5..10, Schedule::dynamic(), |i| {
+            ctx.for_each(5..10, Schedule::Dynamic { chunk: 1 }, |i| {
                 sum.fetch_add(i as u64, Ordering::Relaxed);
             });
         });
@@ -970,31 +1002,6 @@ mod tests {
     }
 
     #[test]
-    fn for_each_2d_covers_the_rectangle_exactly_once() {
-        let (rows, cols) = (13, 7);
-        let pool = ThreadPool::new(4);
-        let hits: Vec<AtomicU64> = (0..rows * cols).map(|_| AtomicU64::new(0)).collect();
-        pool.run(|ctx| {
-            ctx.for_each_2d(rows, cols, Schedule::Dynamic { chunk: 5 }, |i, j| {
-                assert!(i < rows && j < cols);
-                hits[i * cols + j].fetch_add(1, Ordering::Relaxed);
-            });
-        });
-        for h in &hits {
-            assert_eq!(h.load(Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn for_each_2d_degenerate_dimensions() {
-        let pool = ThreadPool::new(2);
-        pool.run(|ctx| {
-            ctx.for_each_2d(0, 5, Schedule::default(), |_, _| unreachable!());
-            ctx.for_each_2d(5, 0, Schedule::default(), |_, _| unreachable!());
-        });
-    }
-
-    #[test]
     fn team_sum_adds_every_member_once() {
         for t in [1, 4] {
             let pool = ThreadPool::new(t);
@@ -1025,7 +1032,7 @@ mod tests {
 
     #[test]
     fn panic_in_region_propagates_and_poisons() {
-        let pool = ThreadPool::new(4);
+        let pool = ThreadPool::new(if cfg!(miri) { 2 } else { 4 });
         let r = catch_unwind(AssertUnwindSafe(|| {
             pool.run(|ctx| {
                 if ctx.thread_id() == 1 {
@@ -1058,8 +1065,10 @@ mod tests {
     #[test]
     fn frontier_loop_covers_every_edge_exactly_once() {
         // Zero-degree entries at the front, between heavy ones and at the
-        // end; one entry far wider than a chunk; and the empty frontier.
-        let mut degrees = vec![0, 0, 3, 0, 100_000, 1, 0, 7000, 2, 0];
+        // end; one entry 25 chunks wide, one that ends mid-chunk; and the
+        // empty frontier.
+        let g = FRONTIER_GRAIN_EDGES;
+        let mut degrees = vec![0, 0, 3, 0, 25 * g, 1, 0, 2 * g - 100, 2, 0];
         degrees.extend((0..5000).map(|i| i % 5));
         degrees.push(0);
         let cases = [degrees, vec![0, 0, 0], vec![5], vec![]];
@@ -1074,7 +1083,7 @@ mod tests {
                     .collect();
                 pool.run(|ctx| {
                     let degree = |v: u64| degrees[v as usize];
-                    ctx.for_each_frontier(&fb, total, 64, degree, |v, edges| {
+                    ctx.for_each_frontier(&fb, total, degree, |v, edges| {
                         assert!(!edges.is_empty(), "T={t}: empty piece of entry {v}");
                         for e in edges {
                             hits[v as usize][e].fetch_add(1, Ordering::Relaxed);
@@ -1093,23 +1102,22 @@ mod tests {
 
     #[test]
     fn a_wide_entry_spreads_over_at_least_t_grabs() {
-        let grain = 256;
-        let fb = weighted_frontier(&[10 * grain]);
+        let wide = 10 * FRONTIER_GRAIN_EDGES;
+        let fb = weighted_frontier(&[wide]);
         for t in 1..=4 {
             let pool = ThreadPool::with_config(PoolConfig::new(t).telemetry(true));
             let edges = AtomicU64::new(0);
             pool.run(|ctx| {
                 ctx.for_each_frontier(
                     &fb,
-                    10 * grain,
-                    grain,
-                    |_| 10 * grain,
+                    wide,
+                    |_| wide,
                     |_, r| {
                         edges.fetch_add(r.len() as u64, Ordering::Relaxed);
                     },
                 );
             });
-            assert_eq!(edges.load(Ordering::Relaxed), 10 * grain as u64);
+            assert_eq!(edges.load(Ordering::Relaxed), wide as u64);
             let grabs = pool.take_round_report().totals_exec.grabs;
             assert!(grabs >= t as u64, "T={t}: {grabs} grabs");
         }
@@ -1124,7 +1132,6 @@ mod tests {
             ctx.for_each_frontier(
                 &fb,
                 2,
-                FRONTIER_GRAIN_EDGES,
                 |_| 2,
                 |v, r| {
                     assert_eq!((v, r), (0, 0..2));
@@ -1144,7 +1151,7 @@ mod tests {
                 sum.fetch_add(i as u64, Ordering::Relaxed);
             });
             ctx.barrier();
-            ctx.for_each(0..100, Schedule::dynamic(), |_| {});
+            ctx.for_each(0..100, Schedule::Dynamic { chunk: 1 }, |_| {});
         });
         assert_eq!(sum.load(Ordering::Relaxed), 10_000 * 9_999 / 2);
     }

@@ -29,14 +29,6 @@ pub enum Schedule {
     },
 }
 
-impl Schedule {
-    /// Dynamic with chunk 1 — the maximally balanced, maximally contended
-    /// extreme; useful in tests.
-    pub fn dynamic() -> Schedule {
-        Schedule::Dynamic { chunk: 1 }
-    }
-}
-
 /// The contiguous block thread `tid` of `threads` owns under blocked-static
 /// scheduling of `len` indices: the first `len % threads` threads get one
 /// extra index.
@@ -76,6 +68,5 @@ mod tests {
     #[test]
     fn default_is_blocked_static() {
         assert_eq!(Schedule::default(), Schedule::Static);
-        assert_eq!(Schedule::dynamic(), Schedule::Dynamic { chunk: 1 });
     }
 }

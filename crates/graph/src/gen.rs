@@ -48,30 +48,6 @@ impl GraphGen {
         edges
     }
 
-    /// Like [`GraphGen::gnm`] but rejecting duplicate (unordered) pairs —
-    /// a simple graph. Requires `m` ≤ the number of distinct pairs.
-    pub fn gnm_simple(&mut self, n: usize, m: usize) -> Vec<(u32, u32)> {
-        let max_pairs = n.saturating_mul(n.saturating_sub(1)) / 2;
-        assert!(
-            m <= max_pairs,
-            "m = {m} exceeds the {max_pairs} distinct pairs on {n} vertices"
-        );
-        let mut seen = std::collections::HashSet::with_capacity(m * 2);
-        let mut edges = Vec::with_capacity(m);
-        while edges.len() < m {
-            let u = self.rng.gen_range(0..n as u32);
-            let mut v = self.rng.gen_range(0..n as u32 - 1);
-            if v >= u {
-                v += 1;
-            }
-            let key = (u.min(v), u.max(v));
-            if seen.insert(key) {
-                edges.push(key);
-            }
-        }
-        edges
-    }
-
     /// R-MAT generator (Chakrabarti–Zhan–Faloutsos): `m` edges over
     /// `2^scale` vertices with recursive quadrant probabilities
     /// `(a, b, c, d)`, `a + b + c + d = 1`. Skewed degrees stress the
@@ -241,20 +217,6 @@ mod tests {
     fn gnm_is_seed_deterministic() {
         assert_eq!(GraphGen::new(7).gnm(50, 200), GraphGen::new(7).gnm(50, 200));
         assert_ne!(GraphGen::new(7).gnm(50, 200), GraphGen::new(8).gnm(50, 200));
-    }
-
-    #[test]
-    fn gnm_simple_has_no_duplicate_pairs() {
-        let edges = GraphGen::new(3).gnm_simple(30, 200);
-        assert_eq!(edges.len(), 200);
-        let set: std::collections::HashSet<_> = edges.iter().collect();
-        assert_eq!(set.len(), 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds")]
-    fn gnm_simple_rejects_impossible_density() {
-        let _ = GraphGen::new(0).gnm_simple(4, 7);
     }
 
     #[test]

@@ -169,7 +169,7 @@ fn pool_loops_correct_under_every_barrier_schedule_policy_combo() {
     // reads loop 1's writes in reverse) under every combination the pool
     // offers — one barrier, one wait policy, both schedules, mixed.
     let len = 512usize;
-    let schedules = [Schedule::Static, Schedule::dynamic()];
+    let schedules = [Schedule::Static, Schedule::Dynamic { chunk: 1 }];
     for s1 in schedules {
         for s2 in schedules {
             let pool = ThreadPool::new(4);

@@ -133,11 +133,13 @@ fn gnm_multigraph_discovery_is_single_winner() {
 }
 
 /// The worklist substrate under maximal publication contention: many
-/// threads with deliberately ragged flush thresholds (1, 2, 3, …: some
-/// publish on every push, some in large bursts) interleaving threshold
-/// flushes with explicit mid-stream flushes. Every appended vertex must
-/// appear in the shared buffer exactly once — a duplicated or dropped
-/// vertex here becomes a wrong BFS frontier upstream.
+/// threads publishing slices of deliberately ragged lengths (1, 2, 3, …:
+/// some publish every entry alone, some in bursts), cut short at
+/// irregular points mid-stream, beside threads that stage through a
+/// [`LocalBuffer`] and publish at its threshold and at explicit flushes.
+/// Every appended vertex must appear in the shared buffer exactly once —
+/// a duplicated or dropped vertex here becomes a wrong BFS frontier
+/// upstream.
 #[test]
 fn contended_local_buffer_flush_neither_drops_nor_duplicates() {
     let threads = 8u64;
@@ -148,17 +150,31 @@ fn contended_local_buffer_flush_neither_drops_nor_duplicates() {
             for t in 0..threads {
                 let fb = &fb;
                 s.spawn(move || {
-                    // Thread t flushes every t+1 pushes; also force an
-                    // explicit flush at irregular points mid-stream.
-                    let mut local = LocalBuffer::with_threshold(t as usize + 1);
+                    let cut = |i: u64| i.is_multiple_of(97 + t * 13 + rep);
+                    if t % 4 == 3 {
+                        // Threshold flushes, and explicit flushes at
+                        // irregular points mid-stream.
+                        let mut local = LocalBuffer::new();
+                        for i in 0..per_thread {
+                            local.push(t * per_thread + i, fb);
+                            if cut(i) {
+                                local.flush(fb);
+                            }
+                        }
+                        local.flush(fb);
+                        return;
+                    }
+                    // Slices of t + 1 entries, cut short at irregular
+                    // points mid-stream.
+                    let mut slice = Vec::new();
                     for i in 0..per_thread {
-                        local.push(t * per_thread + i, fb);
-                        if i % (97 + t * 13 + rep) == 0 {
-                            local.flush(fb);
+                        slice.push(t * per_thread + i);
+                        if slice.len() as u64 == t + 1 || cut(i) {
+                            fb.publish(&slice);
+                            slice.clear();
                         }
                     }
-                    local.flush(fb);
-                    assert_eq!(local.staged(), 0, "flush must drain the staging buffer");
+                    fb.publish(&slice);
                 });
             }
         });

@@ -4,7 +4,7 @@
 
 use pram_algos::list_rank::{list_rank, list_rank_serial, random_list};
 use pram_algos::matching::{maximal_matching, verify_matching};
-use pram_algos::reduce::{max_index_tournament, sum_tournament};
+use pram_algos::reduce::max_index_tournament;
 use pram_algos::{max_index, CwMethod};
 use pram_exec::ThreadPool;
 use pram_graph::{serial, CsrGraph, GraphGen};
@@ -22,16 +22,6 @@ proptest! {
         let expect = serial::max_index_paper_tiebreak(&values);
         prop_assert_eq!(max_index_tournament(&values, &pool), expect);
         prop_assert_eq!(max_index(&values, CwMethod::CasLt, &pool), expect);
-    }
-
-    #[test]
-    fn sum_tournament_matches_wrapping_sum(
-        values in proptest::collection::vec(any::<u64>(), 0..200),
-        threads in 1usize..4,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let expect = values.iter().fold(0u64, |a, &b| a.wrapping_add(b));
-        prop_assert_eq!(sum_tournament(&values, &pool), expect);
     }
 
     #[test]

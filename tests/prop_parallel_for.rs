@@ -140,7 +140,7 @@ proptest! {
                 ctx.master(|| {
                     masters.fetch_add(1, Ordering::Relaxed);
                 });
-                ctx.for_each(0..threads * 3, Schedule::dynamic(), |_| {
+                ctx.for_each(0..threads * 3, Schedule::Dynamic { chunk: 1 }, |_| {
                     total.fetch_add(1, Ordering::Relaxed);
                 });
             });

@@ -26,7 +26,7 @@ use pram_exec::{PoolConfig, Schedule, ThreadPool, WorkerCtx};
 
 /// Team size (claimants per cell).
 const T: usize = 4;
-/// Cells per arbiter, divisible by `T` so the reset pass splits evenly.
+/// Cells per arbiter, divisible by `T` so the re-arm pass splits evenly.
 const C: usize = 8;
 /// Rounds per run.
 const R: u32 = 4;
@@ -58,16 +58,6 @@ fn claim_all(arb: &impl SliceArbiter, round: Round) {
     for i in 0..C {
         arb.try_claim(i, round);
     }
-}
-
-/// Parallel per-round reset: wait for the round's claims, then re-arm a
-/// disjoint share of the cells from each member (the documented
-/// [`SliceArbiter::reset_range`] pattern).
-fn reset_share(ctx: &WorkerCtx<'_>, arb: &impl SliceArbiter) {
-    ctx.barrier();
-    let per = C / T;
-    let t = ctx.thread_id();
-    arb.reset_range(t * per..(t + 1) * per);
 }
 
 #[test]
@@ -107,7 +97,9 @@ fn gatekeeper_pool_conservation() {
     let arb = GatekeeperArray::new(C);
     let report = collect("gatekeeper", |ctx, round| {
         claim_all(&arb, round);
-        reset_share(ctx, &arb);
+        // Wait for the round's claims, then re-arm a disjoint block of
+        // the cells from each member.
+        ctx.rearm(&arb, true);
     });
     let (t, c) = (T as u64, C as u64);
     for (i, r) in report.rounds.iter().enumerate() {
@@ -242,5 +234,88 @@ fn kernel_rounds_pay_only_their_own_rendezvous() {
             let want = if k == last { 2 * t } else { 3 * t };
             assert_eq!(r.exec.barrier_waits, want, "CC at T={t}, round {}", r.round);
         }
+    }
+}
+
+#[test]
+fn gatekeeper_kernels_rearm_every_cell_once_per_claiming_round() {
+    use pram_algos::matching::maximal_matching;
+    use pram_algos::{bfs_with_strategy, BfsStrategy, CwMethod};
+    use pram_graph::{CsrGraph, GraphGen};
+
+    // R-MAT from its hub pushes, pulls and pushes again; G(n, m) gives
+    // matching a few rounds of claims.
+    let rmat = CsrGraph::from_edges(1024, &GraphGen::new(5).rmat_standard(10, 8000), true);
+    let gnm = CsrGraph::from_edges(300, &GraphGen::new(3).gnm(300, 900), true);
+    let method = CwMethod::Gatekeeper;
+    for t in 1..=4u64 {
+        let pool = ThreadPool::with_config(PoolConfig::new(t as usize).telemetry(true));
+        // One kernel call's rounds as (label, re-armed cells, rendezvous),
+        // and its rendezvous in all: a round counts its opening one and its
+        // body's, and the call adds the last round's closing one.
+        let call = |run: &dyn Fn()| {
+            let before = pool.take_round_report().totals_exec;
+            run();
+            let report = pool.take_round_report();
+            let rounds: Vec<(String, u64, u64)> = report
+                .rounds
+                .into_iter()
+                .map(|r| (r.label, r.cw.rearm_resets, r.exec.barrier_waits / t))
+                .collect();
+            let waits = report.totals_exec.delta_since(&before).barrier_waits;
+            assert_eq!(waits % t, 0, "T={t}: every rendezvous is team-wide");
+            (rounds, waits / t)
+        };
+
+        // Dense scan: every round claims, then meets at a barrier and
+        // re-arms all n cells.
+        let (rounds, total) = call(&|| {
+            bfs_with_strategy(&rmat, 0, method, BfsStrategy::DenseScan, &pool);
+        });
+        for (label, resets, rdv) in &rounds {
+            assert_eq!(
+                (label.as_str(), *resets, *rdv),
+                ("expand", 1024, 2),
+                "T={t}"
+            );
+        }
+        assert_eq!(total, 2 * rounds.len() as u64 + 1, "dense scan at T={t}");
+
+        // Direction-optimizing: a push round re-arms all n cells after its
+        // frontier loop and a barrier, and a pull round claims nothing and
+        // re-arms nothing. Turning the queue into a bitmap costs two
+        // rendezvous, and the bitmap into a queue one.
+        let (rounds, total) = call(&|| {
+            bfs_with_strategy(&rmat, 0, method, BfsStrategy::DirectionOptimizing, &pool);
+        });
+        let labels: Vec<&str> = rounds.iter().map(|r| r.0.as_str()).collect();
+        assert!(
+            labels.contains(&"push") && labels.contains(&"pull"),
+            "T={t}: {labels:?}"
+        );
+        let mut was_pull = false;
+        for (label, resets, rdv) in &rounds {
+            let pull = label == "pull";
+            let want = match (pull, was_pull) {
+                (false, false) => (1024, 3),
+                (false, true) => (1024, 4),
+                (true, false) => (0, 4),
+                (true, true) => (0, 2),
+            };
+            assert_eq!((*resets, *rdv), want, "DO-BFS {label} round at T={t}");
+            was_pull = pull;
+        }
+        let want_total: u64 = rounds.iter().map(|r| r.2).sum::<u64>() + 1;
+        assert_eq!(total, want_total, "DO-BFS at T={t}");
+
+        // Matching: every round claims, then re-arms all n cells.
+        let (rounds, total) = call(&|| {
+            maximal_matching(&gnm, method, &pool);
+        });
+        assert!(rounds.len() >= 2, "T={t}: matching took {rounds:?}");
+        for (_, resets, rdv) in &rounds {
+            assert_eq!((*resets, *rdv), (300, 2), "matching at T={t}");
+        }
+        assert_eq!(total, 2 * rounds.len() as u64 + 1, "matching at T={t}");
     }
 }

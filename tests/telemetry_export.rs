@@ -9,7 +9,7 @@
 //! PRAM_REGEN_GOLDEN=1 cargo test --test telemetry_export
 //! ```
 
-use pram_core::{CwCounters, ExecCounters, RoundReport, RoundSnapshot};
+use pram_core::{CwCounters, ExecCounters, RoundReport, RoundSnapshot, SliceArbiter};
 use pram_exec::{PoolConfig, ThreadPool};
 
 /// A fully deterministic report: every timestamp is an injected constant,

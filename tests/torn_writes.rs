@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use pram_core::{CasLtArray, Round};
+use pram_core::{CasLtArray, Round, SliceArbiter};
 
 const CELLS: usize = 8;
 const THREADS: usize = 4;
