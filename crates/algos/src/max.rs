@@ -65,9 +65,12 @@ pub fn max_index_with_arbiter<A: SliceArbiter>(
     pool.run(|ctx| {
         // The paper's `#pragma omp for collapse(2)` pair loop, flattened.
         // Static blocked scheduling matches OpenMP's default for this
-        // regular loop.
+        // regular loop. `cols`, a copy of `n` local to the region, lets
+        // the loop keep the divisor in a register across the claims'
+        // atomics instead of reloading it through the region's captures.
+        let cols = n;
         ctx.for_each(0..pairs, Schedule::default(), |flat| {
-            let (i, j) = (flat / n, flat % n);
+            let (i, j) = (flat / cols, flat % cols);
             if i == j {
                 return;
             }
