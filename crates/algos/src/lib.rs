@@ -18,14 +18,12 @@
 //! * [`cc`] — Awerbuch–Shiloach connected components: star-based hooking,
 //!   the paper's *arbitrary* concurrent-write benchmark (no safe naive
 //!   variant exists, as §7.3 explains — hooking updates multiple arrays).
-//! * [`any`] — the O(1) logical OR one-step kernel (common CW).
 //! * [`matching`] — maximal matching whose match commit is a two-cell
 //!   arbitrary concurrent write (extension, after the paper's ref. \[23\]).
-//! * [`mod@reduce`] / [`mod@list_rank`] — EREW tournament reduction and
-//!   CREW pointer-jumping list ranking: exclusive-write comparators for the
-//!   paper's future-work study (CRCW-with-better-work-depth vs
-//!   EREW/CREW-in-use). `ext_crew_vs_crcw` benches the tournament against
-//!   [`max_index`], and `ext_list_rank` benches the list ranking.
+//! * [`mod@reduce`] — EREW tournament reduction: the exclusive-write
+//!   comparator for the paper's future-work study (CRCW-with-better-work-depth
+//!   vs EREW/CREW-in-use). `ext_crew_vs_crcw` benches it against
+//!   [`max_index`].
 //!
 //! Every kernel takes a [`CwMethod`] selecting the arbitration scheme and a
 //! [`pram_exec::ThreadPool`] to run on, and is validated against the serial
@@ -35,19 +33,15 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod any;
 pub mod bfs;
 pub mod cc;
-pub mod list_rank;
 pub mod matching;
 pub mod max;
 pub mod method;
 pub mod reduce;
 
-pub use any::logical_or;
 pub use bfs::{bfs, bfs_with_strategy, bfs_with_strategy_rev, BfsResult, BfsStrategy};
 pub use cc::{connected_components, CcResult};
-pub use list_rank::list_rank;
 pub use matching::{maximal_matching, MatchingResult};
 pub use max::max_index;
 pub use method::CwMethod;

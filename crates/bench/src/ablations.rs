@@ -2,11 +2,11 @@
 //! ablations DESIGN.md calls out, which isolate *why* CAS-LT wins, and the
 //! future-work experiments §8 proposes, made measurable.
 //!
-//! * `ablate_fastpath`, `ablate_lock`, `ablate_bitmap` — the Max kernel at
-//!   one list size under the arbiters of [`crate::ablation`] and the
-//!   paper's methods.
-//! * `ext_crew_vs_crcw`, `ext_list_rank`, `ext_matching` — exclusive-write
-//!   comparators and a two-cell arbitrary write, swept over sizes.
+//! * `ablate_fastpath`, `ablate_lock` — the Max kernel at one list size
+//!   under the paper's methods and [`AlwaysRmwCasLtArray`], the one arbiter
+//!   that exists only to be ablated.
+//! * `ext_crew_vs_crcw`, `ext_matching` — an exclusive-write comparator and
+//!   a two-cell arbitrary write, swept over sizes.
 //!
 //! Every timing row is keyed by experiment, size `n` (list length, or the
 //! matching graph's vertex count) and method. The untimed `claims` section
@@ -14,33 +14,81 @@
 //! under CAS-LT on a telemetry pool: how much write traffic arbitration
 //! filters before it reaches memory.
 
+use std::ops::Range;
+
 use pram_algos::bfs::bfs_with_arbiter;
 use pram_algos::cc::cc_with_arbiter;
-use pram_algos::list_rank::random_list;
 use pram_algos::matching::maximal_matching;
 use pram_algos::max::max_index_with_arbiter;
 use pram_algos::reduce::max_index_tournament;
-use pram_algos::{list_rank, max_index, CwMethod};
-use pram_core::{CasLtArray, CwCounters, GatekeeperArray, LockArray, SliceArbiter};
+use pram_algos::{max_index, CwMethod};
+use pram_core::sync::{AtomicU32, Ordering};
+use pram_core::{CasLtArray, CwCounters, GatekeeperArray, LockArray, Round, SliceArbiter};
 use pram_exec::{PoolConfig, ThreadPool};
 
-use crate::ablation::{AlwaysRmwCasLtArray, BitGatekeeperArray};
-use crate::runner::{json_str, time_interleaved, timing_row, Report};
+use crate::runner::Report;
 use crate::{make_graph, max_values, sweep, BenchConfig, ScaleProfile};
+
+/// Ablation variant: CAS-LT **without** the pre-CAS load check — every
+/// claim issues an atomic RMW (`fetch_max(round)`), winning iff the
+/// previous value was older.
+///
+/// Semantically identical to [`pram_core::CasLtArray`] (single winner per
+/// round, reset-free re-arming) but with the gatekeeper method's cost
+/// structure: all competitors serialize on the RMW. The `ablate_fastpath`
+/// bench uses this to isolate how much of CAS-LT's advantage is the skip
+/// itself, which is the paper's §5 claim ("we skip the atomic instruction
+/// once we have a winner thread"). It was 3.6× slower than CAS-LT on the
+/// Max kernel, so it lives here rather than in pram-core.
+///
+/// It stays on the `pram_core::sync` atomics, so under `--cfg pram_check`
+/// the model checker schedules its every access (`tests/check_arbiters.rs`).
+/// It records no claim counters.
+#[derive(Debug)]
+pub struct AlwaysRmwCasLtArray {
+    cells: Box<[AtomicU32]>,
+}
+
+impl AlwaysRmwCasLtArray {
+    /// `len` never-claimed cells.
+    pub fn new(len: usize) -> AlwaysRmwCasLtArray {
+        let mut v = Vec::with_capacity(len);
+        v.resize_with(len, || AtomicU32::new(0));
+        AlwaysRmwCasLtArray {
+            cells: v.into_boxed_slice(),
+        }
+    }
+}
+
+impl SliceArbiter for AlwaysRmwCasLtArray {
+    fn len(&self) -> usize {
+        self.cells.len()
+    }
+    #[inline]
+    fn try_claim(&self, index: usize, round: Round) -> bool {
+        // Unconditional RMW: the ablated fast path.
+        self.cells[index].fetch_max(round.get(), Ordering::AcqRel) < round.get()
+    }
+    fn reset_range(&self, range: Range<usize>) {
+        for c in &self.cells[range] {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+    fn rearms_on_new_round(&self) -> bool {
+        true
+    }
+}
 
 /// Run every experiment and the claim counts into one report.
 pub fn run(cfg: &BenchConfig) -> Report {
     let rows = [
         ablate_fastpath(cfg),
         ablate_lock(cfg),
-        ablate_bitmap(cfg),
         ext_crew_vs_crcw(cfg),
-        ext_list_rank(cfg),
         ext_matching(cfg),
     ]
     .concat();
     let mut report = Report::new("ablations", "ablations", cfg, &[cfg.threads]);
-    report.fields.push(("seed", cfg.seed.to_string()));
     report.sections = vec![("results", rows), ("claims", claim_rows(cfg))];
     report
 }
@@ -124,23 +172,6 @@ fn ablate_lock(cfg: &BenchConfig) -> Vec<String> {
     )
 }
 
-/// `ablate_bitmap` — gatekeeper at 1 bit/target (`fetch_or` into shared
-/// words) vs 32 bits/target vs CAS-LT on the Max kernel: auxiliary-memory
-/// compactness against same-word RMW contention.
-fn ablate_bitmap(cfg: &BenchConfig) -> Vec<String> {
-    let (n, v, p) = max_setup(cfg);
-    point(
-        cfg,
-        "ablate_bitmap",
-        n,
-        vec![
-            max_variant("gatekeeper-u32", &v, &p, GatekeeperArray::new),
-            max_variant("gatekeeper-bitmap", &v, &p, BitGatekeeperArray::new),
-            max_variant("caslt", &v, &p, CasLtArray::new),
-        ],
-    )
-}
-
 /// `ext_crew_vs_crcw` — the paper's §8 proposal: an exclusive-write
 /// algorithm in current use (EREW tournament maximum: depth O(log n),
 /// work O(n)) against the CRCW algorithm with better depth (constant-time
@@ -172,33 +203,6 @@ fn ext_crew_vs_crcw(cfg: &BenchConfig) -> Vec<String> {
             }
         },
     )
-}
-
-/// `ext_list_rank` — CREW pointer jumping across list sizes, all sizes in
-/// one interleaved sampler: the second exclusive-access comparator,
-/// exercising the lock-step substrate with no write arbitration at all
-/// (its cost is pure barrier + memory traffic).
-fn ext_list_rank(cfg: &BenchConfig) -> Vec<String> {
-    let sizes: Vec<usize> = match cfg.scale {
-        ScaleProfile::Quick => vec![1_000, 4_000],
-        ScaleProfile::Default => vec![10_000, 40_000, 160_000],
-        ScaleProfile::Paper => vec![100_000, 400_000, 1_600_000],
-    };
-    let p = ThreadPool::new(cfg.threads);
-    let lists: Vec<Vec<u32>> = sizes.iter().map(|&n| random_list(n, cfg.seed).0).collect();
-    let times = time_interleaved(cfg.reps, lists.len(), |i| {
-        list_rank(&lists[i], &p);
-    });
-    (sizes.iter().zip(&times))
-        .map(|(n, s)| {
-            let key = [
-                ("experiment", json_str("ext_list_rank")),
-                ("n", n.to_string()),
-                ("method", json_str("pointer-jumping")),
-            ];
-            timing_row(&key, "ms", s, "")
-        })
-        .collect()
 }
 
 /// `ext_matching` — maximal matching (two-cell arbitrary CW) across
@@ -269,4 +273,45 @@ fn claim_rows(cfg: &BenchConfig) -> Vec<String> {
         row("bfs", graph.clone(), bfs),
         row("cc", graph, cc),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+
+    fn r(i: u32) -> Round {
+        Round::from_iteration(i)
+    }
+
+    #[test]
+    fn always_rmw_variant_same_semantics() {
+        let a = AlwaysRmwCasLtArray::new(2);
+        assert!(a.try_claim(0, r(0)));
+        assert!(!a.try_claim(0, r(0)));
+        assert!(a.try_claim(0, r(1))); // rearms on round advance
+        assert!(!a.try_claim(0, r(0))); // stale round loses
+        assert!(a.rearms_on_new_round());
+        a.reset_all();
+        assert!(a.try_claim(0, r(0)));
+        a.reset_range(0..1);
+        assert!(a.try_claim(0, r(0)));
+        assert!(!a.is_empty());
+    }
+
+    #[test]
+    fn always_rmw_one_winner_under_contention() {
+        let a = AlwaysRmwCasLtArray::new(1);
+        let wins = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    if a.try_claim(0, r(0)) {
+                        wins.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+            }
+        });
+        assert_eq!(wins.load(Ordering::Relaxed), 1);
+    }
 }

@@ -21,7 +21,7 @@
 //!   --quick         smoke-test sizes (frontier at T = 1, 2)
 //!   --threads <T>   team size for fixed-thread figures   [default: 4]
 //!   --reps <R>      interleaved timed passes per config  [default: 10]
-//!   --seed <S>      workload seed                        [default: 42]
+//!   --seed <S>      workload and pass-order seed         [default: 42]
 //!   --out <DIR>     JSON output directory                [default: results]
 //!
 //! `compare` prints each file's git revision, then matches rows by key

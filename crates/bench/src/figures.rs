@@ -62,7 +62,6 @@ pub fn run(cfg: &BenchConfig, ids: &[&str]) -> Report {
     threads.dedup();
 
     let mut report = Report::new("figures", &targets, cfg, &threads);
-    report.fields.push(("seed", cfg.seed.to_string()));
     report.sections = vec![("results", rows.concat()), ("summary", summary)];
     report
 }

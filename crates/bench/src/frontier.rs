@@ -84,7 +84,7 @@ pub fn run(cfg: &BenchConfig) -> (Report, Result<(), String>) {
             }
         }
     };
-    let times = time_interleaved(cfg.reps, configs.len(), |i| {
+    let times = time_interleaved(cfg.reps, configs.len(), cfg.seed, |i| {
         call(&configs[i], &pools[configs[i].0])
     });
 
@@ -135,7 +135,9 @@ pub fn run(cfg: &BenchConfig) -> (Report, Result<(), String>) {
     let (method, strategy) = (CwMethod::CasLt, BfsStrategy::DirectionOptimizing);
     let guard_config = (nt - 1, 0, method, Some(strategy));
     let guard_pools = [&pools[nt - 1], &profile_pools[nt - 1]];
-    let g = time_interleaved(cfg.reps.max(5), 2, |i| call(&guard_config, guard_pools[i]));
+    let g = time_interleaved(cfg.reps.max(5), 2, cfg.seed, |i| {
+        call(&guard_config, guard_pools[i])
+    });
     let _ = guard_pools[1].take_round_report(); // drop the profiled rounds
     let (off_ms, on_ms) = (g[0].median(), g[1].median());
     let overhead_json = format!(

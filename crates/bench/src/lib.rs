@@ -5,9 +5,9 @@
 //! Max / BFS / CC kernels under the naive, gatekeeper (prefix-sum) and
 //! CAS-LT concurrent-write methods, swept over problem size and thread
 //! count. [`figures`] reruns each sweep; [`ablations`] adds the
-//! design-choice experiments DESIGN.md calls out, timing the arbiters of
-//! [`ablation`] that exist only to be ablated, and the future-work
-//! experiments of §8; [`frontier`] and [`micro`] time BFS strategies and
+//! design-choice experiments DESIGN.md calls out, with the one arbiter
+//! that exists only to be ablated, and the future-work experiments of §8;
+//! [`frontier`] and [`micro`] time BFS strategies and
 //! the arbitration primitives. Every target writes a `BENCH_<target>.json`
 //! file through [`runner`], which also holds the one timing primitive they
 //! all use. The `figures` binary is the entry point for all of them.
@@ -21,7 +21,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod ablation;
 pub mod ablations;
 pub mod figures;
 pub mod frontier;
@@ -57,7 +56,8 @@ pub struct BenchConfig {
     pub reps: usize,
     /// Directory the `BENCH_*.json` files are written to.
     pub out_dir: PathBuf,
-    /// Workload seed (recorded so runs are reproducible).
+    /// Workload seed, which also draws each timed pass's config order
+    /// (recorded so runs are reproducible).
     pub seed: u64,
 }
 
@@ -103,7 +103,7 @@ pub fn sweep<W>(
     let mut rows = Vec::with_capacity(xs.len() * names.len());
     for &x in xs {
         let w = workload(x);
-        let times = time_interleaved(cfg.reps, names.len(), |i| run(&w, i));
+        let times = time_interleaved(cfg.reps, names.len(), cfg.seed, |i| run(&w, i));
         for (name, s) in names.iter().zip(&times) {
             let key = [
                 (id[0], json_str(id[1])),
@@ -218,7 +218,7 @@ mod tests {
     #[test]
     fn median_is_stable_and_warm() {
         let mut calls = [0; 2];
-        let t = time_interleaved(3, 2, |i| calls[i] += 1);
+        let t = time_interleaved(3, 2, 0, |i| calls[i] += 1);
         assert_eq!(calls, [4, 4]); // 1 warm-up + 3 timed, per config
         assert!(t.iter().all(|s| s.median() < 1e3));
     }
@@ -253,9 +253,18 @@ mod tests {
             ("figX", "20", "caslt"),
         ];
         assert_eq!(keys, want);
-        // Names alternate within each point: warm-up pass + two timed.
-        let pass = |x| [(x, 0), (x, 1)];
-        assert_eq!(calls, [pass(10).repeat(3), pass(20).repeat(3)].concat());
+        // Each point runs a warm-up pass in order, then two timed passes
+        // that each call every name once.
+        let pass = |x| vec![(x, 0), (x, 1)];
+        for (point, x) in calls.chunks(6).zip([10, 20]) {
+            assert_eq!(point[..2], pass(x));
+            for timed in point[2..].chunks(2) {
+                let mut sorted = timed.to_vec();
+                sorted.sort_unstable();
+                assert_eq!(sorted, pass(x), "{calls:?}");
+            }
+        }
+        assert_eq!(calls.len(), 12);
     }
 
     #[test]
@@ -339,9 +348,7 @@ mod tests {
         let want = [
             "ablate_fastpath",
             "ablate_lock",
-            "ablate_bitmap",
             "ext_crew_vs_crcw",
-            "ext_list_rank",
             "ext_matching",
         ];
         assert_eq!(experiments, want);

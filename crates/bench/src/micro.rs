@@ -101,7 +101,7 @@ pub fn run(cfg: &BenchConfig) -> Report {
             Box::new(batch(claims, || bump.next_round_or_reset(|| {}))),
         ),
     ];
-    let times = time_interleaved(cfg.reps, ops.len(), |i| (ops[i].3)());
+    let times = time_interleaved(cfg.reps, ops.len(), cfg.seed, |i| (ops[i].3)());
 
     let rows = ops
         .iter()

@@ -1,17 +1,21 @@
 //! The one timing primitive and the one JSON schema every target shares.
 //!
-//! [`time_interleaved`] runs a set of configs round-robin: one untimed
+//! [`time_interleaved`] runs a set of configs interleaved: one untimed
 //! warm-up call per config, then `reps` passes that each time every config
-//! once. Host drift (frequency steps, neighbours on a shared machine) then
-//! lands on every config alike instead of on whichever ran last, so two
-//! rows' p10–p90 intervals can be compared directly. [`Report`] writes
-//! `BENCH_<name>.json` with a `host` block and one flat row per line;
-//! [`compare`] matches two such files row by row.
+//! once, in a fresh seeded order. Host drift (frequency steps, neighbours
+//! on a shared machine) then lands on every config alike instead of on
+//! whichever ran last, and no config always runs right after the same
+//! other one, so two rows' p10–p90 intervals can be compared directly.
+//! [`Report`] writes `BENCH_<name>.json` with a `host` block and one flat
+//! row per line; [`compare`] matches two such files row by row.
 
 use std::fmt::Write as _;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 use crate::{BenchConfig, ScaleProfile};
 
@@ -65,18 +69,31 @@ impl Samples {
     }
 }
 
-/// Time `configs` configs round-robin: `run(i)` once per config untimed,
-/// then `reps` passes (at least one) that each call `run(0)`, …,
-/// `run(configs - 1)` once. Returns each config's samples in milliseconds.
-pub fn time_interleaved(reps: usize, configs: usize, mut run: impl FnMut(usize)) -> Vec<Samples> {
+/// Time `configs` configs interleaved: `run(i)` once per config untimed,
+/// in order, then `reps` passes (at least one) that each call every `run(i)`
+/// once, in a fresh permutation drawn from `seed`. What a config inherits
+/// from the one before it (caches, heap, a frequency step) then varies
+/// from pass to pass instead of biasing its row. Returns each config's
+/// samples in milliseconds.
+pub fn time_interleaved(
+    reps: usize,
+    configs: usize,
+    seed: u64,
+    mut run: impl FnMut(usize),
+) -> Vec<Samples> {
     let reps = reps.max(1);
     (0..configs).for_each(&mut run);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut order: Vec<usize> = (0..configs).collect();
     let mut ms = vec![Vec::with_capacity(reps); configs];
     for _ in 0..reps {
-        for (i, s) in ms.iter_mut().enumerate() {
+        for k in (1..configs).rev() {
+            order.swap(k, rng.gen_range(0..k + 1));
+        }
+        for &i in &order {
             let t0 = Instant::now();
             run(i);
-            s.push(t0.elapsed().as_secs_f64() * 1e3);
+            ms[i].push(t0.elapsed().as_secs_f64() * 1e3);
         }
     }
     ms.into_iter().map(Samples::new).collect()
@@ -184,7 +201,8 @@ pub struct Report {
 impl Report {
     /// A report for target `name`, written by the `figures` command line
     /// `targets` under `cfg` at team sizes `threads`; its fields start with
-    /// that command, the host block and the settings.
+    /// that command, the host block and the settings, the pass-order seed
+    /// among them.
     pub fn new(name: &'static str, targets: &str, cfg: &BenchConfig, threads: &[usize]) -> Report {
         let quick = cfg.scale == ScaleProfile::Quick;
         let scale = match cfg.scale {
@@ -203,6 +221,7 @@ impl Report {
             ),
             ("threads_swept", format!("[{}]", swept.join(", "))),
             ("reps", cfg.reps.to_string()),
+            ("seed", cfg.seed.to_string()),
             ("quick", quick.to_string()),
         ];
         Report {
@@ -366,12 +385,50 @@ mod tests {
     #[test]
     fn each_rep_visits_every_config_once() {
         let mut calls = Vec::new();
-        let s = time_interleaved(3, 4, |i| calls.push(i));
-        // One warm-up pass, then three round-robin passes.
+        let s = time_interleaved(3, 4, 7, |i| calls.push(i));
+        // One warm-up pass in order, then three passes, each a permutation.
         let pass: Vec<usize> = (0..4).collect();
-        assert_eq!(calls, pass.repeat(4));
+        assert_eq!(calls[..4], pass);
+        for timed in calls[4..].chunks(4) {
+            let mut sorted = timed.to_vec();
+            sorted.sort_unstable();
+            assert_eq!(sorted, pass, "{calls:?}");
+        }
+        assert_eq!(calls.len(), 16);
         assert_eq!(s.len(), 4);
         assert!(s.iter().all(|s| s.count() == 3 && s.p90() < 1e3));
+    }
+
+    #[test]
+    fn no_config_always_follows_the_same_neighbour() {
+        // Ten passes (the default `--reps`, at least one per config) over
+        // three or more configs, at the default seed and ten others.
+        for configs in [3, 4, 6, 8] {
+            for seed in (0..10).chain([BenchConfig::default().seed]) {
+                let mut calls = Vec::new();
+                time_interleaved(10, configs, seed, |i| calls.push(i));
+                // A timed call's neighbour is the call right before it.
+                let mut before = vec![Vec::new(); configs];
+                for w in calls[configs - 1..].windows(2) {
+                    before[w[1]].push(w[0]);
+                }
+                for (i, b) in before.iter().enumerate() {
+                    assert!(
+                        b.iter().any(|&n| n != b[0]),
+                        "{configs} configs, seed {seed}: {i} always follows {}",
+                        b[0]
+                    );
+                }
+            }
+        }
+        // The same seed draws the same orders.
+        let order = |seed| {
+            let mut calls = Vec::new();
+            time_interleaved(5, 5, seed, |i| calls.push(i));
+            calls
+        };
+        assert_eq!(order(3), order(3));
+        assert_ne!(order(3), order(4));
     }
 
     fn file(rows: &[(&str, [f64; 3])]) -> String {

@@ -115,12 +115,6 @@ impl GatekeeperArray {
             cells: v.into_boxed_slice(),
         }
     }
-
-    /// Claim target `index` (round-free; see [`GatekeeperCell`]).
-    #[inline]
-    pub fn try_claim_once(&self, index: usize) -> bool {
-        self.cells[index].try_claim_once()
-    }
 }
 
 impl SliceArbiter for GatekeeperArray {
@@ -192,17 +186,18 @@ mod tests {
     #[test]
     fn arrays_reset_all_and_range() {
         let a = GatekeeperArray::new(6);
+        let r = Round::FIRST;
         for i in 0..6 {
-            assert!(a.try_claim_once(i));
-            assert!(!a.try_claim_once(i));
+            assert!(a.try_claim(i, r));
+            assert!(!a.try_claim(i, r));
         }
         a.reset_range(0..3);
         for i in 0..6 {
-            assert_eq!(a.try_claim_once(i), i < 3, "cell {i}");
+            assert_eq!(a.try_claim(i, r), i < 3, "cell {i}");
         }
         a.reset_all();
         for i in 0..6 {
-            assert!(a.try_claim_once(i));
+            assert!(a.try_claim(i, r));
         }
     }
 

@@ -123,12 +123,6 @@ impl<T> ConCell<T> {
         self.value.get_mut()
     }
 
-    /// The last round this cell was claimed in.
-    #[inline]
-    pub fn last_claimed(&self) -> Option<Round> {
-        self.claim.last_claimed()
-    }
-
     /// Consume the cell, yielding the payload.
     pub fn into_inner(self) -> T {
         self.value.into_inner()
@@ -204,12 +198,6 @@ impl<T> ConVec<T> {
         unsafe { &*self.values[index].get() }
     }
 
-    /// The last round target `index` was claimed in.
-    #[inline]
-    pub fn last_claimed(&self, index: usize) -> Option<Round> {
-        self.claims.last_claimed(index)
-    }
-
     /// Exclusive access to payload `index` — safe, between phases.
     #[inline]
     pub fn get_mut(&mut self, index: usize) -> &mut T {
@@ -264,7 +252,6 @@ mod tests {
         assert!(unsafe { cell.write_with(r(0), |v| *v = 42) });
         assert!(!unsafe { cell.write_with(r(0), |v| *v = 99) });
         assert_eq!(unsafe { *cell.read() }, 42);
-        assert_eq!(cell.last_claimed(), Some(r(0)));
     }
 
     #[test]
@@ -309,8 +296,6 @@ mod tests {
         assert_eq!(unsafe { *v.read(0) }, 0);
         assert_eq!(unsafe { *v.read(2) }, 100);
         assert_eq!(unsafe { *v.read(3) }, 300);
-        assert_eq!(v.last_claimed(2), Some(r(0)));
-        assert_eq!(v.last_claimed(0), None);
     }
 
     #[test]

@@ -40,8 +40,8 @@ pub use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 
 #[cfg(pram_check)]
 pub use shim::{
-    emit, hook_installed, park_hint, set_check_hook, unpark_hint, AtomicU32, AtomicU64, CheckEvent,
-    CheckHook, Mutex, MutexGuard, Ordering, RegionGuard,
+    emit, park_hint, set_check_hook, unpark_hint, AtomicU32, AtomicU64, CheckEvent, CheckHook,
+    Mutex, MutexGuard, Ordering, RegionGuard,
 };
 
 /// Checker hint: the calling thread is spin-waiting on the word at `addr`
@@ -129,7 +129,7 @@ mod shim {
     }
 
     /// Whether the calling thread currently has a hook installed.
-    pub fn hook_installed() -> bool {
+    fn hook_installed() -> bool {
         HOOK.with(|h| h.borrow().is_some())
     }
 

@@ -4,18 +4,15 @@
 //!
 //! Run with: `cargo run --release --example exclusive_vs_concurrent [threads]`
 //!
-//! Three exhibits:
+//! Two exhibits, each of which exits non-zero on a wrong answer:
 //!   1. Maximum — O(1)-depth/O(n²)-work CRCW vs O(log n)-depth/O(n)-work
 //!      EREW tournament; Brent's theorem predicts a crossover in n.
-//!   2. List ranking — a pure CREW kernel on the same substrate (no write
-//!      arbitration at all; its cost is barriers + memory traffic).
-//!   3. Maximal matching — an extension kernel whose *commit* is a
+//!   2. Maximal matching — an extension kernel whose *commit* is a
 //!      two-cell arbitrary concurrent write, impossible to express safely
 //!      without arbitration.
 
 use std::time::Instant;
 
-use pram_algos::list_rank::{list_rank, list_rank_serial, random_list};
 use pram_algos::matching::{maximal_matching, verify_matching};
 use pram_algos::reduce::max_index_tournament;
 use pram_algos::{max_index, CwMethod};
@@ -59,21 +56,7 @@ fn main() {
          lands above.\n"
     );
 
-    println!("== 2. List ranking (CREW pointer jumping) ==");
-    for n in [10_000usize, 80_000] {
-        let (next, head) = random_list(n, 7);
-        let t0 = Instant::now();
-        let ranks = list_rank(&next, &pool);
-        let dt = t0.elapsed();
-        assert_eq!(ranks, list_rank_serial(&next));
-        println!(
-            "   n = {n:>7}: {dt:>10.2?}  (head rank {} == n-1, verified vs serial)",
-            ranks[head as usize]
-        );
-    }
-    println!();
-
-    println!("== 3. Maximal matching (two-cell arbitrary concurrent write) ==");
+    println!("== 2. Maximal matching (two-cell arbitrary concurrent write) ==");
     let g = CsrGraph::from_edges(20_000, &GraphGen::new(3).gnm(20_000, 80_000), true);
     println!(
         "{:>14} {:>12} {:>8} {:>8} {:>8}",
@@ -83,14 +66,16 @@ fn main() {
         let t0 = Instant::now();
         let r = maximal_matching(&g, m, &pool);
         let dt = t0.elapsed();
-        let ok = verify_matching(&g, &r).is_ok();
+        if let Err(e) = verify_matching(&g, &r) {
+            panic!("{m}: invalid matching: {e}");
+        }
         println!(
             "{:>14} {:>12.2?} {:>8} {:>8} {:>8}",
             m.to_string(),
             dt,
             r.rounds,
             r.pairs,
-            if ok { "ok" } else { "FAILED" }
+            "ok"
         );
     }
     println!(

@@ -10,9 +10,11 @@
 //! Two families of assertions:
 //!
 //! * **Soundness of the substrate** — CAS-LT, gatekeeper, lock, the
-//!   multi-word payload cell, and the two ablation arbiters of
-//!   `pram_bench::ablation` produce exactly one winner under *every*
-//!   schedule within the bound.
+//!   multi-word payload cell, and the always-RMW ablation arbiter of
+//!   `pram_bench::ablations` produce exactly one winner under *every*
+//!   schedule within the bound, and `AtomicBitmap::insert` (DO-BFS's
+//!   queue-to-bitmap conversion) neither loses a bit nor elects two
+//!   inserters of one.
 //! * **Sensitivity of the checker** — the seeded violations (NaiveArbiter,
 //!   the check-then-act BuggyCasLt, and its payload-tearing form) are
 //!   *found*, and the reported schedule replays to the same violation.
@@ -23,14 +25,18 @@
 //! schedule-bound and seed-replay workflow.
 #![cfg(pram_check)]
 
-use pram_bench::ablation::{AlwaysRmwCasLtArray, BitGatekeeperArray};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use pram_bench::ablations::AlwaysRmwCasLtArray;
 use pram_check::models::{
     BuggyPayloadWrite, Model, PayloadWrite, ResetRearm, RoundRacing, SingleRoundWinner,
 };
 use pram_check::{
     explore_exhaustive, explore_random, replay, BuggyCasLtArray, ExploreOptions, Violation,
 };
-use pram_core::{CasLtArray, GatekeeperArray, LockArray, NaiveArbiter, Round, SliceArbiter};
+use pram_core::{
+    AtomicBitmap, CasLtArray, GatekeeperArray, LockArray, NaiveArbiter, Round, SliceArbiter,
+};
 
 const THREADS: usize = 3;
 
@@ -95,11 +101,6 @@ fn gatekeeper_single_winner_exhaustive() {
 }
 
 #[test]
-fn bit_gatekeeper_single_winner_exhaustive() {
-    assert_single_winner_exhaustive("bit-gatekeeper", || BitGatekeeperArray::new(1));
-}
-
-#[test]
 fn lock_single_winner_exhaustive() {
     // Also exercises the executor's blocked/released lock modeling.
     assert_single_winner_exhaustive("lock", || LockArray::new(1));
@@ -139,8 +140,65 @@ fn reset_and_rearm_exhaustive_all_schemes() {
     }
     check("caslt-rearm", || CasLtArray::new(1));
     check("gatekeeper-reset", || GatekeeperArray::new(1));
-    check("bit-gatekeeper-reset", || BitGatekeeperArray::new(1));
     check("lock-rearm", || LockArray::new(1));
+}
+
+/// Two threads `insert` one bit each into a one-word bitmap: every bit
+/// inserted must land, and of the threads that insert the same bit exactly
+/// one is told it inserted it.
+struct BitmapInsert {
+    bits: AtomicBitmap,
+    targets: [usize; 2],
+    inserted: [AtomicBool; 2],
+}
+
+impl BitmapInsert {
+    fn new(targets: [usize; 2]) -> BitmapInsert {
+        BitmapInsert {
+            bits: AtomicBitmap::new(64),
+            targets,
+            inserted: Default::default(),
+        }
+    }
+}
+
+impl Model for BitmapInsert {
+    fn name(&self) -> &str {
+        "bitmap-insert"
+    }
+    fn threads(&self) -> usize {
+        2
+    }
+    fn run(&self, _phase: usize, tid: usize) {
+        if self.bits.insert(self.targets[tid]) {
+            self.inserted[tid].store(true, Ordering::Relaxed);
+        }
+    }
+    fn check_final(&self) -> Result<(), String> {
+        let wins = self.inserted.iter().map(|w| w.load(Ordering::Relaxed));
+        let want = if self.targets[0] == self.targets[1] {
+            1
+        } else {
+            2
+        };
+        if wins.filter(|&w| w).count() != want {
+            return Err(format!("{:?}: {want} inserts expected", self.targets));
+        }
+        match self.targets.iter().find(|&&i| !self.bits.contains(i)) {
+            Some(i) => Err(format!("{:?}: bit {i} lost", self.targets)),
+            None => Ok(()),
+        }
+    }
+}
+
+#[test]
+fn bitmap_insert_exhaustive() {
+    for targets in [[3, 5], [7, 7]] {
+        let report = explore_exhaustive(|| BitmapInsert::new(targets), &opts());
+        report.assert_clean();
+        assert!(report.complete, "{targets:?}: tree not exhausted");
+        assert!(report.executions > 1, "{targets:?}: expected branching");
+    }
 }
 
 #[test]

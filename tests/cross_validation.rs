@@ -9,7 +9,7 @@
 //! and require all three to agree.
 
 use pram_algos::cc::verify_cc;
-use pram_algos::{bfs, connected_components, logical_or, max_index, CwMethod};
+use pram_algos::{bfs, connected_components, max_index, CwMethod};
 use pram_exec::ThreadPool;
 use pram_graph::{serial, CsrGraph, GraphGen};
 use pram_sim::programs;
@@ -79,24 +79,6 @@ fn bfs_agrees_across_all_three_implementations() {
                 "threaded {m} on {} threads",
                 pool.num_threads()
             );
-        }
-    }
-}
-
-#[test]
-fn or_agrees_with_ideal_machine() {
-    let patterns: Vec<Vec<bool>> = vec![
-        vec![false; 50],
-        (0..50).map(|i| i == 31).collect(),
-        (0..50).map(|i| i % 2 == 0).collect(),
-    ];
-    let pool = ThreadPool::new(4);
-    for bits in &patterns {
-        let ideal = programs::logical_or(bits, WriteRule::Common)
-            .unwrap()
-            .output;
-        for m in CwMethod::ALL {
-            assert_eq!(logical_or(bits, m, &pool), ideal, "{m} on {bits:?}");
         }
     }
 }

@@ -28,11 +28,7 @@
 //! gate; set `PRAM_ORACLE_FULL=1` (CI nightly) for the full corpus and
 //! larger pools.
 
-use pram_algos::list_rank::{list_rank_serial, random_list};
-use pram_algos::{
-    bfs, bfs_with_strategy, connected_components, list_rank, logical_or, max_index, BfsStrategy,
-    CwMethod,
-};
+use pram_algos::{bfs, bfs_with_strategy, connected_components, max_index, BfsStrategy, CwMethod};
 use pram_exec::{PoolConfig, ThreadPool};
 use pram_graph::{serial, CsrGraph, GraphGen};
 use pram_sim::{programs, WriteRule};
@@ -233,56 +229,6 @@ fn oracle_cc_single_winner_methods_vs_union_find() {
                     r.labels,
                     reference,
                     "{name}: {m} labels on {} threads",
-                    pool.num_threads()
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn oracle_list_rank_vs_serial_reference() {
-    let sizes: &[usize] = if full_corpus() {
-        &[1, 2, 33, 100, 257, 2048]
-    } else {
-        &[1, 2, 33, 100, 257]
-    };
-    for (i, &n) in sizes.iter().enumerate() {
-        let (next, _head) = random_list(n, 0xACE + i as u64);
-        let reference = list_rank_serial(&next);
-        for pool in pools() {
-            assert_eq!(
-                list_rank(&next, &pool),
-                reference,
-                "list of {n} on {} threads",
-                pool.num_threads()
-            );
-        }
-    }
-}
-
-#[test]
-fn oracle_logical_or_all_methods_vs_sim() {
-    let patterns: Vec<Vec<bool>> = vec![
-        vec![],
-        vec![false; 70],
-        (0..70).map(|i| i == 69).collect(),
-        (0..70).map(|i| i % 11 == 3).collect(),
-    ];
-    for bits in &patterns {
-        let expect = bits.iter().any(|&b| b);
-        if !bits.is_empty() {
-            let ideal = programs::logical_or(bits, WriteRule::Common)
-                .unwrap()
-                .output;
-            assert_eq!(ideal, expect, "ideal machine on {bits:?}");
-        }
-        for pool in pools() {
-            for m in CwMethod::ALL {
-                assert_eq!(
-                    logical_or(bits, m, &pool),
-                    expect,
-                    "{m} on {} threads",
                     pool.num_threads()
                 );
             }

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
 
-use pram_bench::ablation::{AlwaysRmwCasLtArray, BitGatekeeperArray};
+use pram_bench::ablations::AlwaysRmwCasLtArray;
 use pram_core::{CasLtArray, GatekeeperArray, LockArray, Round, SliceArbiter};
 use proptest::prelude::*;
 
@@ -214,14 +214,13 @@ proptest! {
         base in 0u32..1000,
     ) {
         // Every single-winner array — the paper's CAS-LT, gatekeeper and
-        // lock methods, and the always-RMW and bitmap ablation arbiters —
-        // must agree on what reset and re-arming mean.
+        // lock methods, and the always-RMW ablation arbiter — must agree on
+        // what reset and re-arming mean.
         let r0 = Round::from_iteration(base);
         reset_rearm_contract("caslt", CasLtArray::new(cells), threads, r0)?;
         reset_rearm_contract("gatekeeper", GatekeeperArray::new(cells), threads, r0)?;
         reset_rearm_contract("lock", LockArray::new(cells), threads, r0)?;
         reset_rearm_contract("caslt-always-rmw", AlwaysRmwCasLtArray::new(cells), threads, r0)?;
-        reset_rearm_contract("bit-gatekeeper", BitGatekeeperArray::new(cells), threads, r0)?;
     }
 
     #[test]

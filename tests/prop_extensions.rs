@@ -1,8 +1,7 @@
-//! Property tests for the extension kernels: tournament reduction, list
-//! ranking, and maximal matching, plus the agreement between the CRCW and
-//! EREW maximum implementations.
+//! Property tests for the extension kernels: tournament reduction and
+//! maximal matching, plus the agreement between the CRCW and EREW maximum
+//! implementations.
 
-use pram_algos::list_rank::{list_rank, list_rank_serial, random_list};
 use pram_algos::matching::{maximal_matching, verify_matching};
 use pram_algos::reduce::max_index_tournament;
 use pram_algos::{max_index, CwMethod};
@@ -22,36 +21,6 @@ proptest! {
         let expect = serial::max_index_paper_tiebreak(&values);
         prop_assert_eq!(max_index_tournament(&values, &pool), expect);
         prop_assert_eq!(max_index(&values, CwMethod::CasLt, &pool), expect);
-    }
-
-    #[test]
-    fn list_rank_matches_serial_on_random_lists(
-        n in 1usize..300,
-        seed in any::<u64>(),
-        threads in 1usize..5,
-    ) {
-        let pool = ThreadPool::new(threads);
-        let (next, head) = random_list(n, seed);
-        let got = list_rank(&next, &pool);
-        prop_assert_eq!(&got, &list_rank_serial(&next));
-        prop_assert_eq!(got[head as usize], n as u32 - 1);
-    }
-
-    #[test]
-    fn list_rank_handles_forests_of_chains(
-        chains in proptest::collection::vec(1usize..30, 1..8),
-        threads in 1usize..4,
-    ) {
-        // Build several disjoint chains laid out consecutively.
-        let mut next = Vec::new();
-        for &len in &chains {
-            let base = next.len() as u32;
-            for i in 0..len as u32 {
-                next.push(if i + 1 < len as u32 { base + i + 1 } else { base + i });
-            }
-        }
-        let pool = ThreadPool::new(threads);
-        prop_assert_eq!(list_rank(&next, &pool), list_rank_serial(&next));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use pram_algos::bfs::{bfs, bfs_with_strategy, verify_bfs_tree, BfsStrategy};
 use pram_algos::cc::{connected_components, verify_cc};
-use pram_algos::{logical_or, max_index, CwMethod};
+use pram_algos::{max_index, CwMethod};
 use pram_exec::ThreadPool;
 use pram_graph::{serial, CsrGraph, GraphGen};
 use proptest::prelude::*;
@@ -138,13 +138,4 @@ proptest! {
         prop_assert!(tree.is_ok(), "{}: {}", method, tree.unwrap_err());
     }
 
-    #[test]
-    fn or_matches_iterator_semantics(
-        bits in proptest::collection::vec(any::<bool>(), 0..200),
-        method in arb_method(),
-        threads in 1usize..5,
-    ) {
-        let pool = ThreadPool::new(threads);
-        prop_assert_eq!(logical_or(&bits, method, &pool), bits.iter().any(|&b| b));
-    }
 }

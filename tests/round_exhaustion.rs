@@ -17,7 +17,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use pram_bench::ablation::AlwaysRmwCasLtArray;
+use pram_bench::ablations::AlwaysRmwCasLtArray;
 use pram_core::{CasLtArray, CasLtCell, Round, RoundCounter, SliceArbiter};
 
 #[test]
