@@ -38,8 +38,8 @@ use crate::{make_graph, max_values, sweep, BenchConfig, ScaleProfile};
 /// structure: all competitors serialize on the RMW. The `ablate_fastpath`
 /// bench uses this to isolate how much of CAS-LT's advantage is the skip
 /// itself, which is the paper's §5 claim ("we skip the atomic instruction
-/// once we have a winner thread"). It was 3.6× slower than CAS-LT on the
-/// Max kernel, so it lives here rather than in pram-core.
+/// once we have a winner thread"). It reads 3–4× slower than CAS-LT on
+/// the Max kernel, so it lives here rather than in pram-core.
 ///
 /// It stays on the `pram_core::sync` atomics, so under `--cfg pram_check`
 /// the model checker schedules its every access (`tests/check_arbiters.rs`).
